@@ -24,6 +24,7 @@ from .config import (
     with_overrides,
 )
 from .devices import (
+    SINGLE_EXCITATION_LABELS,
     SimulationModel,
     UnattainableDriveError,
     full_chain_model,
@@ -77,10 +78,8 @@ def _propagation_config(cfg: ScenarioConfig) -> PropagationConfig:
 
 def _circulator_target(theta_plus: float, initial: str) -> PureState:
     """Image of the initial logical state under the designed unitary."""
-    labels = ("100", "010", "001")
-    column = labels.index(initial)
-    u = inv.target_unitary(theta_plus)
-    return PureState(u.matrix[:, column])
+    column = SINGLE_EXCITATION_LABELS.index(initial)
+    return PureState(inv.target_unitary(theta_plus).matrix[:, column])
 
 
 def cmd_design(cfg: ScenarioConfig, out_dir: Path) -> int:
@@ -102,11 +101,8 @@ def cmd_design(cfg: ScenarioConfig, out_dir: Path) -> int:
         chain = cfg.chain_spec()
         drives = invert_bessel_drive(pulses, chain)
         drives.write_csv(out_dir / "eta.csv")
-        ratios = np.abs(pulses.g_a).max() / (2 * chain.g_a), np.abs(
-            pulses.g_b
-        ).max() / (2 * chain.g_b)
-        summary["bessel_peak_ratio_a"] = float(ratios[0])
-        summary["bessel_peak_ratio_b"] = float(ratios[1])
+        summary["bessel_peak_ratio_a"] = float(abs(pulses.g_a).max() / (2 * chain.g_a))
+        summary["bessel_peak_ratio_b"] = float(abs(pulses.g_b).max() / (2 * chain.g_b))
     write_json(out_dir / "design_summary.json", summary)
     print(f"design: lambda = {traj.lambda_:.6f}, "
           f"|theta_plus| = {phases.theta_plus:.6f} rad ({summary['character']})")
@@ -133,19 +129,21 @@ def _sweep_point(args: tuple[float, float]) -> tuple[float, float, float]:
     return lam, phases.theta_plus, phases.theta_plus_mod_2pi
 
 
+def _sweep_rows(lams, tau: float, jobs: int) -> list:
+    """(lambda, |theta_plus|, |theta_plus| mod 2 pi) for each lambda."""
+    tasks = [(float(l), tau) for l in lams]
+    if jobs > 1:
+        with Pool(jobs) as pool:
+            return pool.map(_sweep_point, tasks)
+    return [_sweep_point(t) for t in tasks]
+
+
 def cmd_sweep_lambda(
     cfg: ScenarioConfig, lo: float, hi: float, n: int, out_dir: Path, jobs: int = 1
 ) -> int:
     if not (0.0 < lo < hi) or n < 2:
         raise ValueError("sweep requires 0 < lo < hi and n >= 2")
-    lams = np.linspace(lo, hi, n)
-    tasks = [(float(l), cfg.tau_ns) for l in lams]
-    if jobs > 1:
-        with Pool(jobs) as pool:
-            rows = pool.map(_sweep_point, tasks)
-    else:
-        rows = [_sweep_point(t) for t in tasks]
-    rows.sort(key=lambda r: r[0])
+    rows = sorted(_sweep_rows(np.linspace(lo, hi, n), cfg.tau_ns, jobs))
     write_csv(
         out_dir / "lambda_sweep.csv",
         ["lambda", "theta_plus_rad", "theta_plus_mod_2pi_rad"],
@@ -205,7 +203,8 @@ def cmd_reproduce_fig3(cfg: ScenarioConfig, out_dir: Path, jobs: int = 1) -> int
             summary["panels"][name]["status"] = "ok"
         except Exception as exc:  # noqa: BLE001 - continue past failed panels
             failed = True
-            summary["panels"][name] = {"status": "failed", "error": str(exc)}
+            summary["panels"][name] = {"status": "failed", "error": str(exc),
+                                       "error_type": type(exc).__name__}
 
     lam = inv.solve_lambda(THETA_CIRCULATOR, cfg.tau_ns)
     cfg = with_overrides(cfg, lambda_=lam, target_phase_rad=None)
@@ -214,13 +213,7 @@ def cmd_reproduce_fig3(cfg: ScenarioConfig, out_dir: Path, jobs: int = 1) -> int
     prop_cfg = _propagation_config(cfg)
 
     def panel_a():
-        rows = []
-        tasks = [(float(l), cfg.tau_ns) for l in np.linspace(0.15, 1.0, 35)]
-        if jobs > 1:
-            with Pool(jobs) as pool:
-                rows = pool.map(_sweep_point, tasks)
-        else:
-            rows = [_sweep_point(t) for t in tasks]
+        rows = _sweep_rows(np.linspace(0.15, 1.0, 35), cfg.tau_ns, jobs)
         write_csv(out_dir / "fig3a_lambda_sweep.csv",
                   ["lambda", "theta_plus_rad", "theta_plus_mod_2pi_rad"], rows)
         return {"lambda": lam, "lambda_matches": abs(lam - REFERENCE_LAMBDA) <= 5e-4}

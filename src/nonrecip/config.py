@@ -82,8 +82,15 @@ _SCENARIO_KEYS = (
     ("n_samples", int),
     ("record_stride", int),
 )
+
+
 _COUPLING_KEYS = ("g_a_mhz", "g_b_mhz", "delta_mhz", "nu_mhz", "omega_m_ghz")
 _TRANSMON_SECTIONS = ("transmon_a", "transmon_m", "transmon_b")
+
+
+def _field(key: str) -> str:
+    """ScenarioConfig field name of a [scenario] key."""
+    return "lambda_" if key == "lambda" else key
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -92,18 +99,11 @@ def parse_config(text: str) -> ScenarioConfig:
     kwargs: dict = {}
     if parser.has_section("scenario"):
         sec = parser["scenario"]
+        getters = {bool: sec.getboolean, float: sec.getfloat, int: sec.getint,
+                   str: sec.get}
         for key, typ in _SCENARIO_KEYS:
-            if key not in sec:
-                continue
-            name = "lambda_" if key == "lambda" else key
-            if typ is bool:
-                kwargs[name] = sec.getboolean(key)
-            elif typ is float:
-                kwargs[name] = sec.getfloat(key)
-            elif typ is int:
-                kwargs[name] = sec.getint(key)
-            else:
-                kwargs[name] = sec.get(key)
+            if key in sec:
+                kwargs[_field(key)] = getters[typ](key)
     if "target_phase_rad" in kwargs and "lambda_" not in kwargs:
         kwargs.setdefault("lambda_", None)
     if parser.has_section("coupling"):
@@ -136,17 +136,10 @@ def _fmt_value(v) -> str:
 def serialize_config(cfg: ScenarioConfig) -> str:
     out = io.StringIO()
     out.write("[scenario]\n")
-    out.write(f"model = {cfg.model}\n")
-    out.write(f"tau_ns = {_fmt_value(cfg.tau_ns)}\n")
-    if cfg.lambda_ is not None:
-        out.write(f"lambda = {_fmt_value(cfg.lambda_)}\n")
-    if cfg.target_phase_rad is not None:
-        out.write(f"target_phase_rad = {_fmt_value(cfg.target_phase_rad)}\n")
-    out.write(f"noise = {_fmt_value(cfg.noise)}\n")
-    if cfg.step_ns is not None:
-        out.write(f"step_ns = {_fmt_value(cfg.step_ns)}\n")
-    out.write(f"n_samples = {cfg.n_samples}\n")
-    out.write(f"record_stride = {cfg.record_stride}\n")
+    for key, _ in _SCENARIO_KEYS:
+        value = getattr(cfg, _field(key))
+        if value is not None:
+            out.write(f"{key} = {_fmt_value(value)}\n")
     out.write("\n[coupling]\n")
     for key in _COUPLING_KEYS:
         out.write(f"{key} = {_fmt_value(getattr(cfg, key))}\n")

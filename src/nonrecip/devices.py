@@ -17,15 +17,13 @@ principal branch of the Bessel function J1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import optimize, special
 
 from .invariant import PulsePair
-from .statespace import Operator, make_basis
-from .units import khz, mhz, ghz
+from .statespace import ControlHamiltonian, Operator, make_basis
 
 # location and value of the first maximum of J1
 J1_PEAK_X = 1.8411837813406593
@@ -108,17 +106,12 @@ class ChainSpec:
 
     @staticmethod
     def reference_defaults(d: int = 2, omega_m_ghz: float = 5.0) -> "ChainSpec":
-        """The transmon-chain parameter set used throughout the reference
-        scenarios: g = 2pi x 10 MHz, delta = nu = 2pi x 345 MHz,
-        alphas 220/210/230 MHz, decoherence rates 3/4/5 kHz."""
-        delta = mhz(345.0)
-        omega_m = ghz(omega_m_ghz)
-        transmons = (
-            TransmonSpec("A", omega_m + delta, mhz(220.0), khz(3.0)),
-            TransmonSpec("M", omega_m, mhz(210.0), khz(4.0)),
-            TransmonSpec("B", omega_m + delta, mhz(230.0), khz(5.0)),
-        )
-        return ChainSpec(transmons, mhz(10.0), mhz(10.0), delta, delta, d)
+        """The reference chain, ScenarioConfig's default: g = 2pi x 10 MHz,
+        delta = nu = 2pi x 345 MHz, alphas 220/210/230 MHz, decoherence
+        rates 3/4/5 kHz."""
+        from .config import ScenarioConfig  # config imports this module
+
+        return replace(ScenarioConfig(omega_m_ghz=omega_m_ghz).chain_spec(), d=d)
 
 
 def bessel_j1(x):
@@ -162,17 +155,11 @@ class DriveWaveform:
             if abs(arr[0]) > 1e-12 or abs(arr[-1]) > 1e-12:
                 raise ValueError("envelopes must vanish at t = 0 and t = tau")
 
-    def eta_a_at(self, t):
-        return np.interp(t, self.times, self.eta_a)
-
-    def eta_b_at(self, t):
-        return np.interp(t, self.times, self.eta_b)
-
     def f_a(self, t):
-        return self.eta_a_at(t) * np.sin(self.nu_a * t)
+        return np.interp(t, self.times, self.eta_a) * np.sin(self.nu_a * t)
 
     def f_b(self, t):
-        return self.eta_b_at(t) * np.sin(self.nu_b * t)
+        return np.interp(t, self.times, self.eta_b) * np.sin(self.nu_b * t)
 
     @staticmethod
     def zero(tau: float, nu_a: float, nu_b: float) -> "DriveWaveform":
@@ -226,18 +213,11 @@ def single_excitation_basis():
     return make_basis(SINGLE_EXCITATION_LABELS)
 
 
-def _ideal_h(pulses: PulsePair, t) -> np.ndarray:
-    h = np.zeros((3, 3), dtype=complex)
-    h[0, 1] = 0.5 * pulses.g_a_at(t)
-    h[2, 1] = 0.5 * pulses.g_b_at(t)
-    return h + h.conj().T
-
-
 def ideal_hamiltonian(pulses: PulsePair, t: float) -> Operator:
     """Effective Hamiltonian in the single-excitation basis: the pulses
     couple |100> and |001> to |010> with strength g'_j/2."""
     _check_in_span(pulses.times, t)
-    return Operator(_ideal_h(pulses, t), single_excitation_basis())
+    return Operator(pulses.hamiltonian()(t), single_excitation_basis())
 
 
 def _check_in_span(times: np.ndarray, t: float):
@@ -245,11 +225,21 @@ def _check_in_span(times: np.ndarray, t: float):
         raise ValueError(f"t = {t} outside pulse grid span [0, {times[-1]}]")
 
 
-def _single_excitation_h(chain: ChainSpec, drives: DriveWaveform, t) -> np.ndarray:
-    h = np.zeros((3, 3), dtype=complex)
-    h[0, 1] = chain.g_a * np.exp(1j * (chain.delta_a * t - drives.f_a(t)))
-    h[2, 1] = chain.g_b * np.exp(1j * (chain.delta_b * t - drives.f_b(t)))
-    return h + h.conj().T
+def _single_excitation_control(chain: ChainSpec, drives: DriveWaveform):
+    """Phase-modulated static couplings g_j exp(i(delta_j t - F_j(t)))
+    of |100> and |001> to |010>, with their conjugates, acting on the
+    qubit product space."""
+    i100, i010, i001 = single_excitation_indices(2)
+
+    def coeffs(t):
+        c_a = chain.g_a * np.exp(1j * (chain.delta_a * t - drives.f_a(t)))
+        c_b = chain.g_b * np.exp(1j * (chain.delta_b * t - drives.f_b(t)))
+        return np.stack([c_a, c_a.conj(), c_b, c_b.conj()], axis=-1)
+
+    ops = np.zeros((4, 8, 8))
+    for j, (r, c) in enumerate([(i100, i010), (i010, i100), (i001, i010), (i010, i001)]):
+        ops[j, r, c] = 1.0
+    return ControlHamiltonian(np.zeros((8, 8)), ops, coeffs)
 
 
 def single_excitation_hamiltonian(
@@ -260,7 +250,9 @@ def single_excitation_hamiltonian(
     |010>, magnitudes g_j at all times."""
     chain.require_resonant()
     _check_in_span(drives.times, t)
-    return Operator(_single_excitation_h(chain, drives, t), single_excitation_basis())
+    idx = list(single_excitation_indices(2))
+    h = _single_excitation_control(chain, drives)(t)
+    return Operator(h[np.ix_(idx, idx)], single_excitation_basis())
 
 
 def chain_basis(d: int):
@@ -286,25 +278,32 @@ def _kron3(a, m, b) -> np.ndarray:
     return np.kron(np.kron(a, m), b)
 
 
-def _full_chain_h(chain: ChainSpec, drives: DriveWaveform, t) -> np.ndarray:
+def _full_chain_control(chain: ChainSpec, drives: DriveWaveform):
+    """g_a x_a(t) (x) x_m(t) (x) 1 + g_b 1 (x) x_m(t) (x) x_b(t) with
+    x_k = a exp(i phi_k) + h.c., phi_a = -omega_a t + F_a(t),
+    phi_m = -omega_m t, phi_b = -omega_b t + F_b(t): each product
+    expands into four carrier-phase terms.  For d = 3 the anharmonic
+    shift -alpha_k on level 2 of each transmon is the drift."""
     d = chain.d
-    low = _lowering(d)
-    eye = np.eye(d, dtype=complex)
-    x_a = low * np.exp(1j * (-chain.omega_a * t + drives.f_a(t)))
-    x_b = low * np.exp(1j * (-chain.omega_b * t + drives.f_b(t)))
-    x_m = low * np.exp(-1j * chain.omega_m * t)
-    x_a = x_a + x_a.conj().T
-    x_b = x_b + x_b.conj().T
-    x_m = x_m + x_m.conj().T
-    h = chain.g_a * _kron3(x_a, x_m, eye) + chain.g_b * _kron3(eye, x_m, x_b)
-    if d == 3:
-        proj2 = np.zeros((3, 3), dtype=complex)
-        proj2[2, 2] = 1.0
-        for k, spec in enumerate(chain.transmons):
-            mats = [eye, eye, eye]
-            mats[k] = proj2
-            h = h - spec.alpha * _kron3(*mats)
-    return h
+    eye = np.eye(d)
+    ladder = (_lowering(d), _lowering(d).T)
+    pairs = [(s, r) for s in (0, 1) for r in (0, 1)]
+    ops = [_kron3(ladder[s], ladder[r], eye) for s, r in pairs]
+    ops += [_kron3(eye, ladder[r], ladder[s]) for s, r in pairs]
+    alphas = [spec.alpha for spec in chain.transmons]
+    h0 = -np.diag([sum(a for a, n in zip(alphas, b.name) if n == "2")
+                   for b in chain_basis(d)])
+
+    def coeffs(t):
+        e_a = np.exp(1j * (-chain.omega_a * t + drives.f_a(t)))
+        e_b = np.exp(1j * (-chain.omega_b * t + drives.f_b(t)))
+        e_m = np.exp(-1j * chain.omega_m * t)
+        a, m, b = (e_a, e_a.conj()), (e_m, e_m.conj()), (e_b, e_b.conj())
+        cols = [chain.g_a * a[s] * m[r] for s, r in pairs]
+        cols += [chain.g_b * b[s] * m[r] for s, r in pairs]
+        return np.stack(cols, axis=-1)
+
+    return ControlHamiltonian(h0, np.array(ops), coeffs)
 
 
 def full_chain_hamiltonian(
@@ -319,7 +318,7 @@ def full_chain_hamiltonian(
     level 2.
     """
     _check_in_span(drives.times, t)
-    return Operator(_full_chain_h(chain, drives, t), chain_basis(chain.d))
+    return Operator(_full_chain_control(chain, drives)(t), chain_basis(chain.d))
 
 
 @dataclass(frozen=True)
@@ -357,31 +356,28 @@ def lindblad_channels(chain: ChainSpec, d: int | None = None) -> list[LindbladCh
     return channels
 
 
-def embed_single_excitation(h3: np.ndarray, d: int = 2) -> np.ndarray:
-    """Place a 3x3 single-excitation Hamiltonian into the d^3 chain space."""
-    dim = d**3
-    idx = single_excitation_indices(d)
-    h = np.zeros((dim, dim), dtype=complex)
-    for i, gi in enumerate(idx):
-        for j, gj in enumerate(idx):
-            h[gi, gj] = h3[i, j]
-    return h
-
-
 @dataclass(frozen=True)
 class SimulationModel:
-    """A propagatable model: Hamiltonian builder, collapse channels and
-    the location of the logical circulator states in its basis."""
+    """A propagatable model: control-form Hamiltonian, collapse channels
+    and the location of the logical circulator states in its basis."""
 
     name: str
-    dim: int
     basis: tuple
-    h_of_t: Callable[[float], np.ndarray]
+    hamiltonian: ControlHamiltonian
     channels: tuple[LindbladChannel, ...]
     logical_indices: tuple[int, int, int]
-    logical_labels: tuple[str, str, str]
     default_step: float
     tau: float
+    logical_labels: tuple[str, str, str] = SINGLE_EXCITATION_LABELS
+
+    @property
+    def dim(self) -> int:
+        return self.hamiltonian.dim
+
+    @property
+    def h_of_t(self) -> ControlHamiltonian:
+        """H(t) as a callable: the control form itself."""
+        return self.hamiltonian
 
     def logical_index(self, label: str) -> int:
         try:
@@ -407,50 +403,40 @@ def ideal_model(pulses: PulsePair) -> SimulationModel:
     """Closed-system ideal three-level model driven by the pulse pair."""
     return SimulationModel(
         name="ideal",
-        dim=3,
         basis=single_excitation_basis(),
-        h_of_t=lambda t: _ideal_h(pulses, t),
+        hamiltonian=pulses.hamiltonian(),
         channels=(),
         logical_indices=(0, 1, 2),
-        logical_labels=SINGLE_EXCITATION_LABELS,
         default_step=IDEAL_STEP,
         tau=pulses.tau,
+    )
+
+
+def _chain_model(name: str, chain: ChainSpec, drives: DriveWaveform,
+                 hamiltonian: ControlHamiltonian, d: int) -> SimulationModel:
+    return SimulationModel(
+        name=name,
+        basis=chain_basis(d),
+        hamiltonian=hamiltonian,
+        channels=tuple(lindblad_channels(chain, d)),
+        logical_indices=single_excitation_indices(d),
+        default_step=DEVICE_STEP,
+        tau=float(drives.times[-1]),
     )
 
 
 def single_excitation_model(
     chain: ChainSpec, drives: DriveWaveform
 ) -> SimulationModel:
-    """Single-excitation chain Hamiltonian embedded in the qubit product
-    space so the per-transmon collapse channels act exactly."""
+    """Single-excitation chain Hamiltonian on the qubit product space,
+    so that the per-transmon collapse channels act exactly."""
     chain.require_resonant()
-    d = 2
-    return SimulationModel(
-        name="single_excitation",
-        dim=d**3,
-        basis=chain_basis(d),
-        h_of_t=lambda t: embed_single_excitation(
-            _single_excitation_h(chain, drives, t), d
-        ),
-        channels=tuple(lindblad_channels(chain, d)),
-        logical_indices=single_excitation_indices(d),
-        logical_labels=SINGLE_EXCITATION_LABELS,
-        default_step=DEVICE_STEP,
-        tau=float(drives.times[-1]),
-    )
+    return _chain_model("single_excitation", chain, drives,
+                        _single_excitation_control(chain, drives), 2)
 
 
 def full_chain_model(chain: ChainSpec, drives: DriveWaveform) -> SimulationModel:
     """Full coupled-chain model at the chain's level truncation."""
-    d = chain.d
-    return SimulationModel(
-        name="full_qubit" if d == 2 else "full_three_level",
-        dim=d**3,
-        basis=chain_basis(d),
-        h_of_t=lambda t: _full_chain_h(chain, drives, t),
-        channels=tuple(lindblad_channels(chain, d)),
-        logical_indices=single_excitation_indices(d),
-        logical_labels=SINGLE_EXCITATION_LABELS,
-        default_step=DEVICE_STEP,
-        tau=float(drives.times[-1]),
-    )
+    name = "full_qubit" if chain.d == 2 else "full_three_level"
+    return _chain_model(name, chain, drives,
+                        _full_chain_control(chain, drives), chain.d)

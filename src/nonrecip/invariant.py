@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, optimize
 
-from .statespace import Operator, PureState, three_level_basis
+from .statespace import ControlHamiltonian, Operator, PureState, three_level_basis
 
 
 class TrajectoryRangeError(ValueError):
@@ -160,6 +160,14 @@ class PulsePair:
     def g_b_at(self, t):
         return np.interp(t, self.times, self.g_b)
 
+    def hamiltonian(self) -> ControlHamiltonian:
+        """The ideal three-level Hamiltonian in control form: the pulses
+        couple |A> and |B> to |M> with strength g'_j/2."""
+        ops = np.zeros((2, 3, 3))
+        ops[0, 0, 1] = ops[0, 1, 0] = ops[1, 2, 1] = ops[1, 1, 2] = 1.0
+        return ControlHamiltonian(np.zeros((3, 3)), ops, lambda t: 0.5 * np.stack(
+            [self.g_a_at(t), self.g_b_at(t)], axis=-1))
+
     def write_csv(self, path):
         from .reporting import write_csv
 
@@ -207,44 +215,28 @@ class InvariantSpec:
             raise ValueError("mu must be > 0")
 
 
+def _invariant_stack(traj: AuxiliaryTrajectory, spec: InvariantSpec, t):
+    """I(t) and dI/dt (closed-form derivative of the entries) in the
+    {A, M, B} basis, each stacked to shape (m, 3, 3) over the times t."""
+    g, b, gd, bd = (np.atleast_1d(x) for x in eval_trajectory(traj, t))
+    cg, sg, cb, sb = np.cos(g), np.sin(g), np.cos(b), np.sin(b)
+
+    def matrix(am, ab, mb):
+        m = np.zeros((len(g), 3, 3), dtype=complex)
+        m[:, 0, 1] = m[:, 1, 0] = am
+        m[:, 0, 2], m[:, 2, 0] = -1j * ab, 1j * ab
+        m[:, 1, 2] = m[:, 2, 1] = mb
+        return 0.5 * spec.mu * m
+
+    return (matrix(cg * sb, sg, cg * cb),
+            matrix(-gd * sg * sb + bd * cg * cb, gd * cg, -gd * sg * cb - bd * cg * sb))
+
+
 def invariant_at(
     traj: AuxiliaryTrajectory, spec: InvariantSpec, t: float
 ) -> Operator:
     """The dynamical invariant I(t) in the {A, M, B} basis."""
-    g = float(traj.gamma(t))
-    b = float(traj.beta(t))
-    cg, sg, cb, sb = math.cos(g), math.sin(g), math.cos(b), math.sin(b)
-    m = 0.5 * spec.mu * np.array(
-        [
-            [0.0, cg * sb, -1j * sg],
-            [cg * sb, 0.0, cg * cb],
-            [1j * sg, cg * cb, 0.0],
-        ],
-        dtype=complex,
-    )
-    return Operator(m, three_level_basis())
-
-
-def invariant_derivative_at(
-    traj: AuxiliaryTrajectory, spec: InvariantSpec, t: float
-) -> np.ndarray:
-    """dI/dt by closed-form differentiation of the invariant entries."""
-    g = float(traj.gamma(t))
-    b = float(traj.beta(t))
-    gd = float(traj.gamma_dot(t))
-    bd = float(traj.beta_dot(t))
-    cg, sg, cb, sb = math.cos(g), math.sin(g), math.cos(b), math.sin(b)
-    d_cgsb = -gd * sg * sb + bd * cg * cb
-    d_cgcb = -gd * sg * cb - bd * cg * sb
-    d_sg = gd * cg
-    return 0.5 * spec.mu * np.array(
-        [
-            [0.0, d_cgsb, -1j * d_sg],
-            [d_cgsb, 0.0, d_cgcb],
-            [1j * d_sg, d_cgcb, 0.0],
-        ],
-        dtype=complex,
-    )
+    return Operator(_invariant_stack(traj, spec, t)[0][0], three_level_basis())
 
 
 def invariant_eigenstates(traj: AuxiliaryTrajectory, t: float):
@@ -422,15 +414,6 @@ class BoundaryDiagnostics:
     mu: float
 
 
-def _hamiltonian_from_pulses(pulses: PulsePair, t) -> np.ndarray:
-    g_a = pulses.g_a_at(t)
-    g_b = pulses.g_b_at(t)
-    h = np.zeros((3, 3), dtype=complex)
-    h[0, 1] = 0.5 * g_a
-    h[2, 1] = 0.5 * g_b
-    return h + h.conj().T
-
-
 def check_boundary(
     traj: AuxiliaryTrajectory,
     pulses: PulsePair,
@@ -438,24 +421,19 @@ def check_boundary(
     n_grid: int = 10001,
 ) -> BoundaryDiagnostics:
     """Frobenius norms of [H, I] at the endpoints and of the von-Neumann
-    residual dI/dt + i[H(t), I(t)] over a uniform grid."""
-
-    def commutator_norm(t: float) -> float:
-        h = _hamiltonian_from_pulses(pulses, t)
-        i_mat = invariant_at(traj, spec, t).matrix
-        return float(np.linalg.norm(h @ i_mat - i_mat @ h))
-
-    worst = 0.0
-    for t in np.linspace(0.0, traj.tau, n_grid):
-        h = _hamiltonian_from_pulses(pulses, t)
-        i_mat = invariant_at(traj, spec, t).matrix
-        resid = invariant_derivative_at(traj, spec, t) + 1j * (
-            h @ i_mat - i_mat @ h
-        )
-        worst = max(worst, float(np.linalg.norm(resid)))
+    residual dI/dt + i[H(t), I(t)] over a uniform grid of n_grid >= 2
+    points."""
+    if n_grid < 2:
+        raise ValueError("n_grid must be >= 2")
+    times = np.linspace(0.0, traj.tau, n_grid)
+    h = pulses.hamiltonian().matrices(times)
+    i_mat, di = _invariant_stack(traj, spec, times)
+    comm = h @ i_mat - i_mat @ h
     return BoundaryDiagnostics(
-        commutator_start=commutator_norm(0.0),
-        commutator_end=commutator_norm(traj.tau),
-        max_von_neumann_residual=worst,
+        commutator_start=float(np.linalg.norm(comm[0])),
+        commutator_end=float(np.linalg.norm(comm[-1])),
+        max_von_neumann_residual=float(
+            np.linalg.norm(di + 1j * comm, axis=(1, 2)).max()
+        ),
         mu=spec.mu,
     )

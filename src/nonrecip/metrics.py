@@ -12,6 +12,7 @@ from .devices import SimulationModel
 from .propagation import (
     PropagationConfig,
     Trajectory,
+    check_density,
     integrate_master,
     propagate_schrodinger,
 )
@@ -92,20 +93,10 @@ class EnsembleReport:
         write_csv(path, ["t_ns", "fidelity"], zip(self.times, self.fidelity_curve))
 
 
-def _config_for(model: SimulationModel, cfg: PropagationConfig | None):
-    if cfg is not None:
-        return cfg
-    return PropagationConfig(step=model.default_step)
-
-
-def _run_density(
-    model: SimulationModel,
-    rho0: np.ndarray,
-    noise: bool,
-    cfg: PropagationConfig,
-) -> Trajectory:
+def _run_density(model: SimulationModel, rho0: np.ndarray, noise: bool,
+                 cfg: PropagationConfig) -> Trajectory:
     channels = model.channels if noise else ()
-    return integrate_master(model.h_of_t, channels, rho0, model.tau, cfg)
+    return integrate_master(model.hamiltonian, channels, rho0, model.tau, cfg)
 
 
 def _embed_target(model: SimulationModel, target: PureState) -> np.ndarray:
@@ -129,32 +120,30 @@ def transfer_fidelity(
     """Propagate a logical basis state and report its fidelity to the
     target, with per-state population curves and (for models larger
     than the logical space) the leakage out of it."""
-    cfg = _config_for(model, cfg)
+    cfg = cfg or PropagationConfig(step=model.default_step)
     target_vec = _embed_target(model, target)
     idx = model.logical_index(initial)
 
     if not noise and not model.channels and model.dim == 3:
         psi0 = PureState.basis_state(model.dim, idx)
-        traj = propagate_schrodinger(model.h_of_t, psi0, model.tau, cfg)
-        rhos = [np.outer(s, s.conj()) for s in traj.states]
+        traj = propagate_schrodinger(model.hamiltonian, psi0, model.tau, cfg)
+        rhos = np.array([np.outer(s, s.conj()) for s in traj.states])
     else:
         rho0 = np.zeros((model.dim, model.dim), dtype=complex)
         rho0[idx, idx] = 1.0
         traj = _run_density(model, rho0, noise, cfg)
-        rhos = traj.states
+        check_density(traj.final)
+        rhos = np.array(traj.states)
 
     populations = {
-        label: np.array([float(r[i, i].real) for r in rhos])
+        label: rhos[:, i, i].real
         for label, i in zip(model.logical_labels, model.logical_indices)
     }
-    fidelity_curve = np.array(
-        [float((target_vec.conj() @ r @ target_vec).real) for r in rhos]
-    )
+    fidelity_curve = (rhos @ target_vec @ target_vec.conj()).real
     leakage = None
     if model.dim > 3:
         total = sum(populations.values())
-        leakage = np.array([float(np.trace(r).real) for r in rhos]) - total
-        leakage = np.clip(leakage, 0.0, None)
+        leakage = np.clip(np.trace(rhos, axis1=1, axis2=2).real - total, 0.0, None)
     return TransferReport(
         initial_label=initial,
         target=target,
@@ -186,44 +175,41 @@ def ensemble_fidelity(
     """
     if count < 2:
         raise ValueError("count must be >= 2")
-    cfg = _config_for(model, cfg)
+    cfg = cfg or PropagationConfig(step=model.default_step)
     i100, i010, i001 = model.logical_indices
 
     def seed(i, j):
-        m = np.zeros((model.dim, model.dim), dtype=complex)
-        m[i, j] = 1.0
-        return m
+        return np.outer(np.eye(model.dim)[i], np.eye(model.dim)[j])
 
     block_010 = _run_density(model, seed(i010, i010), noise, cfg)
     block_001 = _run_density(model, seed(i001, i001), noise, cfg)
     block_x = _run_density(model, seed(i010, i001), noise, cfg)
+    # the coherence block |010><001| is not a density matrix
+    check_density(block_010.final)
+    check_density(block_001.final)
 
     thetas = np.linspace(0.0, 2.0 * math.pi, count)
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
-    n_rec = len(block_010.times)
-    curve = np.zeros(n_rec)
-    tgt_idx = np.array([i100, i010])
-    for k in range(n_rec):
-        # only the (|100>, |010>) sub-blocks enter the target expectation
-        subs = [
-            m[np.ix_(tgt_idx, tgt_idx)]
-            for m in (block_010.states[k], block_001.states[k], block_x.states[k])
-        ]
-        sub_x = subs[2] + subs[2].conj().T
+    # only the (|100>, |010>) sub-blocks enter the target expectation;
+    # each stack below has shape (records, 2, 2)
+    tgt = np.ix_([i100, i010], [i100, i010])
+    subs = [np.array([m[tgt] for m in blk.states])
+            for blk in (block_010, block_001, block_x)]
+    subs[2] = subs[2] + subs[2].conj().transpose(0, 2, 1)
 
-        def expect(sub):
-            return (
-                cos_t**2 * sub[0, 0].real
-                + cos_t * sin_t * (sub[0, 1] + sub[1, 0]).real
-                + sin_t**2 * sub[1, 1].real
-            )
-
-        f_theta = (
-            cos_t**2 * expect(subs[0])
-            + sin_t**2 * expect(subs[1])
-            + sin_t * cos_t * expect(sub_x)
+    def expect(sub):
+        return (
+            np.outer(sub[:, 0, 0].real, cos_t**2)
+            + np.outer((sub[:, 0, 1] + sub[:, 1, 0]).real, cos_t * sin_t)
+            + np.outer(sub[:, 1, 1].real, sin_t**2)
         )
-        curve[k] = np.trapezoid(f_theta, thetas) / (2.0 * math.pi)
+
+    f_theta = (
+        cos_t**2 * expect(subs[0])
+        + sin_t**2 * expect(subs[1])
+        + sin_t * cos_t * expect(subs[2])
+    )
+    curve = np.trapezoid(f_theta, thetas, axis=1) / (2.0 * math.pi)
     return EnsembleReport(
         count=count,
         f_m=float(curve[-1]),

@@ -1,6 +1,12 @@
 """Closed-system and Lindblad propagators, plus the brute-force
 evolution-operator oracle.
 
+Every RK4 propagation runs one kernel on the control form
+H(t) = H0 + sum_j c_j(t) A_j: dx/dt = S_0 x + sum_j c_j(t) S_j x with
+constant blocks S_j, dense d x d for x = psi (S_j = -i A_j) and sparse
+(CSR) d^2 x d^2 for x = vec(rho) (the commutators with A_j, the
+dissipators folded into S_0).
+
 Fixed-step, fixed-order arithmetic throughout: identical inputs produce
 bit-identical outputs.
 """
@@ -8,11 +14,13 @@ bit-identical outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
-from .statespace import DensityMatrix, Operator, PureState, make_basis
+from .statespace import (ControlHamiltonian, DensityMatrix, Operator, PureState,
+                         make_basis)
 
 
 class StepTooLargeError(RuntimeError):
@@ -59,12 +67,25 @@ class Trajectory:
         return self.states[-1]
 
 
-def _as_matrix_fn(h_of_t) -> Callable[[float], np.ndarray]:
-    def fn(t: float) -> np.ndarray:
+def _as_control(h_of_t) -> ControlHamiltonian:
+    """The control form of a generator.  A plain callable t -> H(t)
+    (matrix or Operator) becomes one coefficient per matrix entry."""
+    if isinstance(h_of_t, ControlHamiltonian):
+        return h_of_t
+
+    def fn(t):
         h = h_of_t(t)
         return h.matrix if isinstance(h, Operator) else np.asarray(h)
 
-    return fn
+    d = fn(0.0).shape[0]
+    return ControlHamiltonian(
+        np.zeros((d, d)),
+        np.eye(d * d).reshape(d * d, d, d),
+        lambda times: np.array([fn(t) for t in times], dtype=complex).reshape(-1, d * d),
+    )
+
+
+_CHUNK = 256  # steps per coefficient table, which keeps the tables small
 
 
 def _grid(tau: float, step: float) -> tuple[int, float]:
@@ -72,46 +93,84 @@ def _grid(tau: float, step: float) -> tuple[int, float]:
     return n, tau / n
 
 
+def _lindblad_stack(gen: ControlHamiltonian, channels: Sequence) -> sparse.csr_matrix:
+    """[S_0; S_1; ...; S_J] for vec(rho): S_0 holds -i[H0, .] and the
+    dissipators, S_j the commutator with A_j."""
+    eye = sparse.identity(gen.dim, dtype=complex, format="csr")
+
+    def commutator(a):
+        a = sparse.csr_matrix(a)
+        return -1j * (sparse.kron(a, eye) - sparse.kron(eye, a.T))
+
+    drift = commutator(gen.h0)
+    for c in channels:
+        op = sparse.csr_matrix(c.operator.matrix)
+        sq = op.conj().T @ op
+        drift = drift + c.rate * (
+            sparse.kron(op, op.conj())
+            - 0.5 * (sparse.kron(sq, eye) + sparse.kron(eye, sq.T))
+        )
+    return sparse.vstack([drift] + [commutator(a) for a in gen.ops], format="csr")
+
+
+def _rk4(stack, gen: ControlHamiltonian, x0, tau: float, cfg) -> Trajectory:
+    """Classical RK4 for dx/dt = S_0 x + sum_j c_j(t) S_j x, where the
+    (1 + J) blocks of stack are S_0..S_J.  For each chunk of steps the
+    table holds (1, c(t)) on the half-step times, so rows 2k, 2k + 1 and
+    2k + 2 are the start, midpoint and end of step k, and the stage
+    derivative at row s is table[s] @ (stack @ x)."""
+    n, dt = _grid(tau, cfg.step)
+    blocks = stack.shape[0] // stack.shape[1]
+    weights = np.array([1.0, 2.0, 2.0, 1.0], dtype=complex) * (dt / 6.0)
+    k = np.empty((4, stack.shape[1]), dtype=complex)
+
+    def stage(i, x, c):
+        return np.dot(c, (stack @ x).reshape(blocks, -1), out=k[i])
+
+    x = np.array(x0, dtype=complex)
+    times, states = [0.0], [x.copy()]
+    for first in range(0, n, _CHUNK):
+        steps = range(first, min(n, first + _CHUNK))
+        half = np.arange(2 * first, 2 * steps[-1] + 3) * (0.5 * dt)
+        table = np.column_stack([np.ones(len(half)), gen.coeffs(half)])
+        for step in steps:
+            s = 2 * (step - first)
+            stage(0, x, table[s])
+            stage(1, x + 0.5 * dt * k[0], table[s + 1])
+            stage(2, x + 0.5 * dt * k[1], table[s + 1])
+            stage(3, x + dt * k[2], table[s + 2])
+            x = x + weights @ k
+            _record(times, states, x, step, n, dt, cfg)
+    return Trajectory(np.array(times), states)
+
+
 def propagate_schrodinger(
     h_of_t, psi0: PureState, tau: float, cfg: PropagationConfig | None = None
 ) -> Trajectory:
-    """Integrate i d|psi>/dt = H(t)|psi> from 0 to tau.
+    """Integrate i d|psi>/dt = H(t)|psi> from 0 to tau.  h_of_t is a
+    ControlHamiltonian or any callable t -> H(t).
 
     Raises StepTooLargeError when the norm drifts by more than 1e-6.
     """
     cfg = cfg or PropagationConfig()
-    h_fn = _as_matrix_fn(h_of_t)
-    n, dt = _grid(tau, cfg.step)
-    psi = np.array(psi0.amplitudes, dtype=complex)
-    times = [0.0]
-    states = [psi.copy()]
-
+    gen = _as_control(h_of_t)
     if cfg.method == "expm":
+        n, dt = _grid(tau, cfg.step)
+        psi = np.array(psi0.amplitudes, dtype=complex)
+        times, states = [0.0], [psi.copy()]
         for k in range(n):
-            t_mid = (k + 0.5) * dt
-            h = h_fn(t_mid)
-            w, v = np.linalg.eigh(h)
+            w, v = np.linalg.eigh(gen((k + 0.5) * dt))
             psi = (v * np.exp(-1j * w * dt)) @ (v.conj().T @ psi)
             _record(times, states, psi, k, n, dt, cfg)
+        traj = Trajectory(np.array(times), states)
     else:
-        def deriv(t, p):
-            return -1j * (h_fn(t) @ p)
+        stack = -1j * np.concatenate([gen.h0[None], gen.ops]).reshape(-1, gen.dim)
+        traj = _rk4(stack, gen, psi0.amplitudes, tau, cfg)
 
-        for k in range(n):
-            t = k * dt
-            k1 = deriv(t, psi)
-            k2 = deriv(t + 0.5 * dt, psi + 0.5 * dt * k1)
-            k3 = deriv(t + 0.5 * dt, psi + 0.5 * dt * k2)
-            k4 = deriv(t + dt, psi + dt * k3)
-            psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            _record(times, states, psi, k, n, dt, cfg)
-
-    drift = abs(np.linalg.norm(psi) - 1.0)
+    drift = abs(np.linalg.norm(traj.final) - 1.0)
     if drift > 1e-6:
-        raise StepTooLargeError(
-            f"norm drift {drift:.3e} exceeds 1e-6; reduce the step"
-        )
-    return Trajectory(np.array(times), states)
+        raise StepTooLargeError(f"norm drift {drift:.3e} exceeds 1e-6; reduce the step")
+    return traj
 
 
 def _record(times, states, state, k, n, dt, cfg):
@@ -121,67 +180,41 @@ def _record(times, states, state, k, n, dt, cfg):
 
 
 def integrate_master(
-    h_fn: Callable[[float], np.ndarray],
-    channels: Sequence,
-    rho0: np.ndarray,
-    tau: float,
-    cfg: PropagationConfig,
+    h_fn, channels: Sequence, rho0: np.ndarray, tau: float, cfg: PropagationConfig
 ) -> Trajectory:
     """RK4 integration of the master equation for an arbitrary (not
     necessarily Hermitian) initial matrix.  The generator is linear, so
-    coherence blocks may be propagated on their own."""
-    ops = [np.asarray(c.operator.matrix) for c in channels]
-    rates = [c.rate for c in channels]
-    dags = [o.conj().T for o in ops]
-    sqs = [d @ o for d, o in zip(dags, ops)]
-    n, dt = _grid(tau, cfg.step)
-    rho = np.array(rho0, dtype=complex)
+    coherence blocks may be propagated on their own.  h_fn is a
+    ControlHamiltonian or any callable t -> H(t)."""
+    gen = _as_control(h_fn)
+    traj = _rk4(_lindblad_stack(gen, channels), gen, np.ravel(rho0), tau, cfg)
+    traj.states = [s.reshape(gen.dim, gen.dim) for s in traj.states]
+    return traj
 
-    def deriv(t, r):
-        h = h_fn(t)
-        out = 1j * (r @ h - h @ r)
-        for rate, op, dag, sq in zip(rates, ops, dags, sqs):
-            out += rate * (op @ r @ dag - 0.5 * (sq @ r + r @ sq))
-        return out
 
-    times = [0.0]
-    states = [rho.copy()]
-    for k in range(n):
-        t = k * dt
-        k1 = deriv(t, rho)
-        k2 = deriv(t + 0.5 * dt, rho + 0.5 * dt * k1)
-        k3 = deriv(t + 0.5 * dt, rho + 0.5 * dt * k2)
-        k4 = deriv(t + dt, rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _record(times, states, rho, k, n, dt, cfg)
-    return Trajectory(np.array(times), states)
+def check_density(rho: np.ndarray):
+    """Raise IntegratorError unless rho has unit trace (1e-8), is
+    Hermitian (1e-9) and has no eigenvalue below -1e-6."""
+    tr = np.trace(rho)
+    if abs(tr.real - 1.0) > 1e-8 or abs(tr.imag) > 1e-8:
+        raise IntegratorError(f"trace drifted to {tr!r}; reduce the step")
+    if np.max(np.abs(rho - rho.conj().T)) > 1e-9:
+        raise IntegratorError("final state lost Hermiticity; reduce the step")
+    if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() < -1e-6:
+        raise IntegratorError("final state lost positivity; reduce the step")
 
 
 def propagate_lindblad(
-    h_of_t,
-    channels: Sequence,
-    rho0: DensityMatrix,
-    tau: float,
+    h_of_t, channels: Sequence, rho0: DensityMatrix, tau: float,
     cfg: PropagationConfig | None = None,
 ) -> Trajectory:
     """Integrate drho/dt = i[rho, H(t)] + sum_k Gamma_k L(O_k).
 
-    Trace and Hermiticity are checked on the final state; positivity
-    violations beyond -1e-6 raise IntegratorError.
+    The final state must pass check_density, else IntegratorError.
     """
     cfg = cfg or PropagationConfig(step=0.005)
-    traj = integrate_master(
-        _as_matrix_fn(h_of_t), channels, rho0.entries, tau, cfg
-    )
-    final = traj.final
-    if abs(np.trace(final).real - 1.0) > 1e-8 or abs(np.trace(final).imag) > 1e-8:
-        raise IntegratorError(
-            f"trace drifted to {np.trace(final)!r}; reduce the step"
-        )
-    if np.max(np.abs(final - final.conj().T)) > 1e-9:
-        raise IntegratorError("final state lost Hermiticity; reduce the step")
-    if np.linalg.eigvalsh(0.5 * (final + final.conj().T)).min() < -1e-6:
-        raise IntegratorError("final state lost positivity; reduce the step")
+    traj = integrate_master(h_of_t, channels, rho0.entries, tau, cfg)
+    check_density(traj.final)
     return traj
 
 
@@ -194,10 +227,8 @@ def evolution_operator_oracle(
     operator; accuracy is limited only by the step size.
     """
     cfg = cfg or PropagationConfig(step=0.001)
-    h_fn = _as_matrix_fn(h_of_t)
     n, dt = _grid(tau, cfg.step)
-    mids = (np.arange(n) + 0.5) * dt
-    hs = np.stack([h_fn(t) for t in mids])
+    hs = _as_control(h_of_t).matrices((np.arange(n) + 0.5) * dt)
     w, v = np.linalg.eigh(hs)
     phases = np.exp(-1j * w * dt)
     steps = np.einsum("kij,kj,klj->kil", v, phases, v.conj())

@@ -9,6 +9,7 @@ operations here are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -91,6 +92,37 @@ class Operator:
     def identity(basis) -> "Operator":
         basis = tuple(basis)
         return Operator(np.eye(len(basis), dtype=complex), basis)
+
+
+@dataclass(frozen=True)
+class ControlHamiltonian:
+    """H(t) = h0 + sum_j c_j(t) A_j: a constant drift h0, fixed operators
+    ops = (A_1..A_J) of shape (J, d, d), and coeffs mapping m times to
+    the (m, J) coefficient table.  A Hermitian H pairs a non-Hermitian
+    A_j with its adjoint under the conjugate coefficient.  Calling the
+    instance returns the d x d matrix H(t)."""
+
+    h0: np.ndarray
+    ops: np.ndarray
+    coeffs: Callable[[np.ndarray], np.ndarray]
+
+    def __post_init__(self):
+        object.__setattr__(self, "h0", _freeze(self.h0))
+        object.__setattr__(self, "ops", _freeze(self.ops))
+        if self.ops.ndim != 3 or self.ops.shape[1:] != self.h0.shape:
+            raise DimensionMismatchError(f"ops {self.ops.shape} vs h0 {self.h0.shape}")
+
+    @property
+    def dim(self) -> int:
+        return self.h0.shape[0]
+
+    def matrices(self, times) -> np.ndarray:
+        """H at each of the given times, stacked to shape (m, d, d)."""
+        c = self.coeffs(np.atleast_1d(np.asarray(times, dtype=float)))
+        return self.h0 + np.tensordot(c, self.ops, axes=1)
+
+    def __call__(self, t) -> np.ndarray:
+        return self.matrices(t)[0]
 
 
 @dataclass(frozen=True)

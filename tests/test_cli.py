@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from nonrecip import cli
 from nonrecip.cli import (
+    EXIT_FAILURE,
     EXIT_OK,
     EXIT_ROOT_FAILURE,
     EXIT_UNATTAINABLE_DRIVE,
@@ -16,6 +18,7 @@ from nonrecip.config import (
     serialize_config,
     with_overrides,
 )
+from nonrecip.propagation import IntegratorError
 
 
 class TestConfig:
@@ -156,3 +159,29 @@ class TestSimulateCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["f_m"] > 0.999
         assert report["initial_fidelity"] == pytest.approx(0.125, abs=1e-6)
+
+
+class TestFailureReporting:
+    def test_integrator_error_exit_code(self, tmp_path, monkeypatch, capsys,
+                                        break_hermiticity):
+        build = cli._build_model
+        monkeypatch.setattr(cli, "_build_model",
+                            lambda c, p: break_hermiticity(build(c, p)))
+        code = main(["--out", str(tmp_path / "out"), "--model", "ideal",
+                     "simulate", "--initial", "100"])
+        assert code == EXIT_FAILURE
+        assert "lost Hermiticity" in capsys.readouterr().err
+
+    def test_failed_panel_records_error_type(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise IntegratorError("forced failure")
+
+        monkeypatch.setattr(cli, "ensemble_fidelity", broken)
+        out = tmp_path / "out"
+        code = main(["--out", str(out), "--model", "ideal", "--no-noise",
+                     "reproduce-fig3"])
+        assert code == EXIT_FAILURE
+        panels = json.loads((out / "fig3_summary.json").read_text())["panels"]
+        assert panels["c"] == {"status": "failed", "error": "forced failure",
+                               "error_type": "IntegratorError"}
+        assert all(p["status"] == "ok" for name, p in panels.items() if name != "c")

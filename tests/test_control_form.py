@@ -1,0 +1,238 @@
+"""The control-form Hamiltonians and the sparse RK4 kernel against the
+direct dense formulas and against fidelities of the earlier dense
+propagator (step 0.05 ns)."""
+
+import math
+
+import numpy as np
+import pytest
+
+from nonrecip.devices import (
+    ChainSpec,
+    full_chain_hamiltonian,
+    full_chain_model,
+    ideal_model,
+    invert_bessel_drive,
+    single_excitation_hamiltonian,
+    single_excitation_indices,
+    single_excitation_model,
+)
+from nonrecip.invariant import (
+    AuxiliaryTrajectory,
+    InvariantSpec,
+    PulsePair,
+    check_boundary,
+    lr_phase,
+    synthesize_pulses,
+    target_unitary,
+)
+from nonrecip.metrics import ensemble_fidelity, transfer_fidelity
+from nonrecip.propagation import (
+    PropagationConfig,
+    propagate_lindblad,
+    propagate_schrodinger,
+)
+from nonrecip.statespace import DensityMatrix, PureState
+
+TAU = 145.0
+# lambda solved from the circulator phase 3*pi/2 at tau = 145 ns
+LAMBDA_SOLVED = 0.4974732655934123
+SEED_F_S = {
+    "100": 0.988191733438181,
+    "010": 0.9894959324740917,
+    "001": 0.9893123603304758,
+}
+SEED_F_M = 0.9877005179736711
+
+
+@pytest.fixture(scope="module")
+def pulses():
+    return synthesize_pulses(AuxiliaryTrajectory(LAMBDA_SOLVED, TAU))
+
+
+@pytest.fixture(scope="module")
+def drives(pulses):
+    return invert_bessel_drive(pulses, ChainSpec.reference_defaults())
+
+
+@pytest.fixture(scope="module")
+def times():
+    return np.random.default_rng(2024).uniform(0.0, TAU, 25)
+
+
+def embed(h3):
+    """A 3 x 3 single-excitation matrix placed in the qubit product space."""
+    idx = single_excitation_indices(2)
+    h = np.zeros((8, 8), dtype=complex)
+    h[np.ix_(idx, idx)] = h3
+    return h
+
+
+def single_excitation_dense(chain, drives, t):
+    h = np.zeros((3, 3), dtype=complex)
+    h[0, 1] = chain.g_a * np.exp(1j * (chain.delta_a * t - drives.f_a(t)))
+    h[2, 1] = chain.g_b * np.exp(1j * (chain.delta_b * t - drives.f_b(t)))
+    return h + h.conj().T
+
+
+def full_chain_dense(chain, drives, t):
+    """g_a x_a x_m 1 + g_b 1 x_m x_b - sum_k alpha_k |2><2|_k, built
+    from the rotating-frame position operators."""
+    d = chain.d
+    low = np.diag(np.sqrt(np.arange(1.0, d)), 1).astype(complex)
+    eye = np.eye(d)
+
+    def x(phase):
+        op = low * np.exp(1j * phase)
+        return op + op.conj().T
+
+    x_a = x(-chain.omega_a * t + drives.f_a(t))
+    x_b = x(-chain.omega_b * t + drives.f_b(t))
+    x_m = x(-chain.omega_m * t)
+    h = (chain.g_a * np.kron(np.kron(x_a, x_m), eye)
+         + chain.g_b * np.kron(np.kron(eye, x_m), x_b))
+    if d == 3:
+        top = np.diag([0.0, 0.0, 1.0])
+        for k, spec in enumerate(chain.transmons):
+            mats = [eye, eye, eye]
+            mats[k] = top
+            h = h - spec.alpha * np.kron(np.kron(mats[0], mats[1]), mats[2])
+    return h
+
+
+class TestControlFormMatchesDenseFormulas:
+    def test_ideal(self, pulses, times):
+        h = ideal_model(pulses).h_of_t
+        for t in times:
+            dense = np.zeros((3, 3))
+            dense[0, 1] = dense[1, 0] = 0.5 * pulses.g_a_at(t)
+            dense[2, 1] = dense[1, 2] = 0.5 * pulses.g_b_at(t)
+            assert np.max(np.abs(h(t) - dense)) < 1e-12
+
+    def test_single_excitation(self, drives, times):
+        chain = ChainSpec.reference_defaults()
+        h = single_excitation_model(chain, drives).h_of_t
+        for t in times:
+            public = embed(single_excitation_hamiltonian(chain, drives, t).matrix)
+            assert np.max(np.abs(h(t) - public)) < 1e-12
+            dense = embed(single_excitation_dense(chain, drives, t))
+            assert np.max(np.abs(h(t) - dense)) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_full_chain(self, drives, times, d):
+        chain = ChainSpec.reference_defaults(d=d)
+        h = full_chain_model(chain, drives).h_of_t
+        for t in times:
+            public = full_chain_hamiltonian(chain, drives, t).matrix
+            assert np.max(np.abs(h(t) - public)) < 1e-12
+            dense = full_chain_dense(chain, drives, t)
+            assert np.max(np.abs(h(t) - dense)) < 1e-12
+
+    def test_vectorised_matches_pointwise(self, drives, times):
+        h = full_chain_model(ChainSpec.reference_defaults(d=3), drives).h_of_t
+        stacked = h.matrices(times)
+        assert stacked.shape == (len(times), 27, 27)
+        for t, m in zip(times, stacked):
+            assert np.array_equal(m, h(t))
+
+
+class TestKernelAcceptsPlainCallables:
+    def test_callable_and_control_form_agree(self, drives):
+        model = single_excitation_model(ChainSpec.reference_defaults(), drives)
+        i100 = model.logical_index("100")
+        rho0 = np.zeros((8, 8), dtype=complex)
+        rho0[i100, i100] = 1.0
+        cfg = PropagationConfig(step=0.05)
+
+        def plain(t):
+            return model.h_of_t(t)
+
+        fast = propagate_lindblad(model.h_of_t, model.channels,
+                                  DensityMatrix(rho0), 20.0, cfg)
+        slow = propagate_lindblad(plain, model.channels,
+                                  DensityMatrix(rho0), 20.0, cfg)
+        assert np.max(np.abs(fast.final - slow.final)) < 1e-13
+        psi0 = PureState.basis_state(8, i100)
+        fast = propagate_schrodinger(model.h_of_t, psi0, 20.0, cfg)
+        slow = propagate_schrodinger(plain, psi0, 20.0, cfg)
+        assert np.max(np.abs(fast.final - slow.final)) < 1e-13
+
+
+class TestSeedFidelities:
+    """Noisy single-excitation fidelities at step 0.05 ns, as computed
+    by the dense per-step propagator this kernel replaced."""
+
+    @pytest.fixture(scope="class")
+    def setup(self, pulses, drives):
+        traj = AuxiliaryTrajectory(LAMBDA_SOLVED, TAU)
+        theta = lr_phase(traj, pulses).theta_plus
+        model = single_excitation_model(ChainSpec.reference_defaults(), drives)
+        return model, theta, PropagationConfig(step=0.05)
+
+    @pytest.mark.parametrize("initial", ["100", "010", "001"])
+    def test_transfer(self, setup, initial):
+        model, theta, cfg = setup
+        column = ("100", "010", "001").index(initial)
+        target = PureState(target_unitary(theta).matrix[:, column])
+        report = transfer_fidelity(model, initial, target, cfg=cfg)
+        assert report.fidelity == pytest.approx(SEED_F_S[initial], abs=1e-10)
+
+    def test_ensemble(self, setup):
+        model, _, cfg = setup
+        report = ensemble_fidelity(model, cfg=cfg)
+        assert report.f_m == pytest.approx(SEED_F_M, abs=1e-10)
+
+
+def invariant_and_derivative(traj, t):
+    """I(t) and dI/dt at one time, entry by entry (mu = 1)."""
+    g, b = float(traj.gamma(t)), float(traj.beta(t))
+    gd, bd = float(traj.gamma_dot(t)), float(traj.beta_dot(t))
+    cg, sg, cb, sb = math.cos(g), math.sin(g), math.cos(b), math.sin(b)
+
+    def matrix(am, ab, mb):
+        return 0.5 * np.array(
+            [[0.0, am, -1j * ab], [am, 0.0, mb], [1j * ab, mb, 0.0]], dtype=complex)
+
+    return (matrix(cg * sb, sg, cg * cb),
+            matrix(-gd * sg * sb + bd * cg * cb, gd * cg, -gd * sg * cb - bd * cg * sb))
+
+
+class TestCheckBoundaryMatchesPointwiseLoop:
+    def test_loop_reference(self, pulses):
+        traj = AuxiliaryTrajectory(LAMBDA_SOLVED, TAU)
+        perturbed = PulsePair(pulses.times, pulses.g_a, 0.98 * pulses.g_b)
+        for pp in (pulses, perturbed):
+            ideal = ideal_model(pp).h_of_t
+            comms, worst = [], 0.0
+            for t in np.linspace(0.0, TAU, 501):
+                h = ideal(t)
+                i_mat, di = invariant_and_derivative(traj, t)
+                comms.append(np.linalg.norm(h @ i_mat - i_mat @ h))
+                worst = max(worst, np.linalg.norm(di + 1j * (h @ i_mat - i_mat @ h)))
+            diag = check_boundary(traj, pp, InvariantSpec(), n_grid=501)
+            assert diag.commutator_start == pytest.approx(comms[0], abs=1e-12)
+            assert diag.commutator_end == pytest.approx(comms[-1], abs=1e-12)
+            assert diag.max_von_neumann_residual == pytest.approx(worst, abs=1e-12)
+
+
+class TestCheckBoundarySeedValues:
+    """check_boundary over the default 10001-point grid, as computed by
+    the earlier point-by-point loop."""
+
+    def test_designed_and_perturbed_pulses(self):
+        traj = AuxiliaryTrajectory(0.4974, TAU)
+        pulses = synthesize_pulses(traj)
+        diag = check_boundary(traj, pulses, InvariantSpec())
+        assert diag.commutator_start == pytest.approx(0.0, abs=1e-12)
+        assert diag.commutator_end == pytest.approx(0.0, abs=1e-12)
+        assert diag.max_von_neumann_residual == pytest.approx(
+            1.3965051558032531e-08, abs=1e-12)
+        perturbed = PulsePair(pulses.times, 1.01 * pulses.g_a, pulses.g_b)
+        diag = check_boundary(traj, perturbed, InvariantSpec())
+        assert diag.max_von_neumann_residual == pytest.approx(
+            1.709827343220283e-04, abs=1e-12)
+
+    def test_grid_must_include_both_ends(self, pulses):
+        with pytest.raises(ValueError):
+            check_boundary(AuxiliaryTrajectory(LAMBDA_SOLVED, TAU), pulses,
+                           InvariantSpec(), n_grid=1)

@@ -13,7 +13,6 @@ from nonrecip.devices import (
     UnattainableDriveError,
     bessel_j1,
     chain_basis,
-    embed_single_excitation,
     full_chain_hamiltonian,
     ideal_hamiltonian,
     invert_bessel_drive,
@@ -249,17 +248,6 @@ class TestLindbladChannels:
 
 
 class TestEmbedding:
-    def test_embed_round_trip(self):
-        rng = np.random.default_rng(9)
-        h3 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        h3 = h3 + h3.conj().T
-        big = embed_single_excitation(h3, 2)
-        idx = list(single_excitation_indices(2))
-        assert np.array_equal(big[np.ix_(idx, idx)], h3)
-        mask = np.ones(8, dtype=bool)
-        mask[idx] = False
-        assert np.all(big[mask] == 0) and np.all(big[:, mask] == 0)
-
     def test_chain_spec_validation(self):
         t = TransmonSpec("A", 1.0, 0.1, 0.0)
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from nonrecip.metrics import (
     transfer_fidelity,
     transmission_matrix,
 )
-from nonrecip.propagation import PropagationConfig
+from nonrecip.propagation import IntegratorError, PropagationConfig, check_density
 from nonrecip.statespace import PureState, make_basis
 
 TAU = 145.0
@@ -125,3 +125,27 @@ class TestIsolation:
             model.h_of_t, TAU, PropagationConfig(step=0.01)
         )
         assert isolation(u, source=0, destination=2) < -30.0
+
+
+class TestInvariantChecks:
+    def test_check_density_flags_each_invariant(self):
+        rho = np.diag([0.5, 0.5, 0.0]).astype(complex)
+        check_density(rho)
+        with pytest.raises(IntegratorError, match="trace"):
+            check_density(1.1 * rho)
+        skew = rho.copy()
+        skew[0, 1] = 1e-6
+        with pytest.raises(IntegratorError, match="Hermiticity"):
+            check_density(skew)
+        with pytest.raises(IntegratorError, match="positivity"):
+            check_density(np.diag([1.2, -0.2, 0.0]).astype(complex))
+
+    def test_transfer_fidelity_checks_final_state(self, model, break_hermiticity):
+        target = logical_state(target_unitary(THETA_CIRC).matrix[:, 0])
+        with pytest.raises(IntegratorError, match="Hermiticity"):
+            transfer_fidelity(break_hermiticity(model), "100", target, noise=True)
+
+    def test_ensemble_fidelity_checks_diagonal_blocks(self, model,
+                                                      break_hermiticity):
+        with pytest.raises(IntegratorError, match="Hermiticity"):
+            ensemble_fidelity(break_hermiticity(model), count=11)
