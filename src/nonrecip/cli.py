@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
@@ -91,12 +90,15 @@ def cmd_design(cfg: ScenarioConfig, out_dir: Path) -> int:
         "theta_plus_rad": phases.theta_plus,
         "theta_plus_mod_2pi_rad": phases.theta_plus_mod_2pi,
         "theta_plus_raw_rad": phases.theta_plus_raw,
+        "theta_plus_quad_error": phases.quad_error,
         "character": (
             "reciprocal"
             if abs(phases.theta_plus_mod_2pi - math.pi) < RECIPROCAL_TOL
             else "non_reciprocal"
         ),
     }
+    if cfg.lambda_ is None:
+        summary["lambda_residual_rad"] = abs(phases.theta_plus - cfg.target_phase_rad)
     if cfg.model != "ideal":
         chain = cfg.chain_spec()
         drives = invert_bessel_drive(pulses, chain)
@@ -123,48 +125,25 @@ def cmd_solve_lambda(cfg: ScenarioConfig, out_dir: Path | None,
     return EXIT_OK
 
 
-def _sweep_point(args: tuple[float, float]) -> tuple[float, float, float]:
-    lam, tau = args
-    phases = inv.lr_phase(inv.AuxiliaryTrajectory(lam, tau))
-    return lam, phases.theta_plus, phases.theta_plus_mod_2pi
+def _write_sweep(path: Path, lams) -> np.ndarray:
+    """Write the rows (lambda, |theta_plus|, |theta_plus| mod 2 pi) from one
+    vectorised phase quadrature (tau drops out) and return |theta_plus|."""
+    thetas = inv.theta_plus_magnitudes(lams)[0]
+    write_csv(path, ["lambda", "theta_plus_rad", "theta_plus_mod_2pi_rad"],
+              zip(lams, thetas, thetas % (2.0 * math.pi)))
+    return thetas
 
 
-def _sweep_rows(lams, tau: float, jobs: int) -> list:
-    """(lambda, |theta_plus|, |theta_plus| mod 2 pi) for each lambda."""
-    tasks = [(float(l), tau) for l in lams]
-    if jobs > 1:
-        with Pool(jobs) as pool:
-            return pool.map(_sweep_point, tasks)
-    return [_sweep_point(t) for t in tasks]
-
-
-def cmd_sweep_lambda(
-    cfg: ScenarioConfig, lo: float, hi: float, n: int, out_dir: Path, jobs: int = 1
-) -> int:
+def cmd_sweep_lambda(lo: float, hi: float, n: int, out_dir: Path) -> int:
     if not (0.0 < lo < hi) or n < 2:
         raise ValueError("sweep requires 0 < lo < hi and n >= 2")
-    rows = sorted(_sweep_rows(np.linspace(lo, hi, n), cfg.tau_ns, jobs))
-    write_csv(
-        out_dir / "lambda_sweep.csv",
-        ["lambda", "theta_plus_rad", "theta_plus_mod_2pi_rad"],
-        rows,
-    )
-    thetas = [r[1] for r in rows]
-    decreasing = all(b < a for a, b in zip(thetas, thetas[1:]))
-    increasing = all(b > a for a, b in zip(thetas, thetas[1:]))
-    write_json(
-        out_dir / "sweep_summary.json",
-        {
-            "lo": lo,
-            "hi": hi,
-            "n": n,
-            "monotonic": decreasing or increasing,
-            "direction": "decreasing" if decreasing else
-                         ("increasing" if increasing else "none"),
-        },
-    )
-    print(f"sweep: {n} points on [{lo}, {hi}], "
-          f"monotonic={'yes' if decreasing or increasing else 'no'}")
+    diffs = np.diff(_write_sweep(out_dir / "lambda_sweep.csv", np.linspace(lo, hi, n)))
+    direction = ("decreasing" if np.all(diffs < 0) else
+                 "increasing" if np.all(diffs > 0) else "none")
+    monotonic = direction != "none"
+    write_json(out_dir / "sweep_summary.json", {
+        "lo": lo, "hi": hi, "n": n, "monotonic": monotonic, "direction": direction})
+    print(f"sweep: {n} points on [{lo}, {hi}], monotonic={'yes' if monotonic else 'no'}")
     return EXIT_OK
 
 
@@ -188,7 +167,7 @@ def cmd_simulate(cfg: ScenarioConfig, initial: str, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_reproduce_fig3(cfg: ScenarioConfig, out_dir: Path, jobs: int = 1) -> int:
+def cmd_reproduce_fig3(cfg: ScenarioConfig, out_dir: Path) -> int:
     summary: dict = {"panels": {}, "reference": {
         "lambda": REFERENCE_LAMBDA,
         "f_s": REFERENCE_F_S,
@@ -213,9 +192,7 @@ def cmd_reproduce_fig3(cfg: ScenarioConfig, out_dir: Path, jobs: int = 1) -> int
     prop_cfg = _propagation_config(cfg)
 
     def panel_a():
-        rows = _sweep_rows(np.linspace(0.15, 1.0, 35), cfg.tau_ns, jobs)
-        write_csv(out_dir / "fig3a_lambda_sweep.csv",
-                  ["lambda", "theta_plus_rad", "theta_plus_mod_2pi_rad"], rows)
+        _write_sweep(out_dir / "fig3a_lambda_sweep.csv", np.linspace(0.15, 1.0, 35))
         return {"lambda": lam, "lambda_matches": abs(lam - REFERENCE_LAMBDA) <= 5e-4}
 
     def panel_b():
@@ -266,8 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=Path, help="scenario config file")
     parser.add_argument("--out", type=Path, default=Path("out"),
                         help="output directory")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for sweeps")
     parser.add_argument("--model", choices=(
         "ideal", "single_excitation", "full_qubit", "full_three_level"))
     parser.add_argument("--no-noise", action="store_true",
@@ -307,12 +282,11 @@ def main(argv=None) -> int:
         elif args.command == "solve-lambda":
             code = cmd_solve_lambda(cfg, out_dir, bracket=tuple(args.bracket))
         elif args.command == "sweep-lambda":
-            code = cmd_sweep_lambda(cfg, args.lo, args.hi, args.num, out_dir,
-                                    jobs=args.jobs)
+            code = cmd_sweep_lambda(args.lo, args.hi, args.num, out_dir)
         elif args.command == "simulate":
             code = cmd_simulate(cfg, args.initial, out_dir)
         elif args.command == "reproduce-fig3":
-            code = cmd_reproduce_fig3(cfg, out_dir, jobs=args.jobs)
+            code = cmd_reproduce_fig3(cfg, out_dir)
         else:  # pragma: no cover - argparse enforces the choices
             code = EXIT_FAILURE
     except (UnattainableDriveError, PulseDivergenceError) as exc:

@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .devices import ChainSpec, TransmonSpec, DEVICE_STEP, IDEAL_STEP
+from .reporting import fmt
 from .units import ghz, khz, mhz
 
 MODELS = ("ideal", "single_excitation", "full_qubit", "full_three_level")
@@ -125,28 +126,20 @@ def load_config(path) -> ScenarioConfig:
         return parse_config(fh.read())
 
 
-def _fmt_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
-
-
 def serialize_config(cfg: ScenarioConfig) -> str:
     out = io.StringIO()
     out.write("[scenario]\n")
     for key, _ in _SCENARIO_KEYS:
         value = getattr(cfg, _field(key))
         if value is not None:
-            out.write(f"{key} = {_fmt_value(value)}\n")
+            out.write(f"{key} = {fmt(value)}\n")
     out.write("\n[coupling]\n")
     for key in _COUPLING_KEYS:
-        out.write(f"{key} = {_fmt_value(getattr(cfg, key))}\n")
+        out.write(f"{key} = {fmt(getattr(cfg, key))}\n")
     for section, suffix in zip(_TRANSMON_SECTIONS, ("a", "m", "b")):
         out.write(f"\n[{section}]\n")
-        out.write(f"alpha_mhz = {_fmt_value(getattr(cfg, f'alpha_{suffix}_mhz'))}\n")
-        out.write(f"gamma_khz = {_fmt_value(getattr(cfg, f'gamma_{suffix}_khz'))}\n")
+        out.write(f"alpha_mhz = {fmt(getattr(cfg, f'alpha_{suffix}_mhz'))}\n")
+        out.write(f"gamma_khz = {fmt(getattr(cfg, f'gamma_{suffix}_khz'))}\n")
     return out.getvalue()
 
 

@@ -20,9 +20,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
-from .invariant import PulsePair
+from .invariant import PulsePair, bisect_increasing
 from .statespace import ControlHamiltonian, Operator, make_basis
 
 # location and value of the first maximum of J1
@@ -119,16 +119,17 @@ def bessel_j1(x):
     return special.j1(x)
 
 
-def invert_bessel_j1(y: float) -> float:
-    """Principal-branch inverse of J1 on [0, J1_PEAK_X]."""
-    if y < 0 or y > J1_PEAK:
-        raise ValueError(f"J1 value {y} outside principal range [0, {J1_PEAK}]")
-    if y == 0.0:
-        return 0.0
-    if y == J1_PEAK:
-        return J1_PEAK_X
-    return float(optimize.brentq(lambda x: special.j1(x) - y, 0.0, J1_PEAK_X,
-                                 xtol=1e-14, rtol=1e-15))
+def invert_bessel_j1(y):
+    """Principal-branch inverse of J1 on [0, J1_PEAK_X], elementwise for
+    an array (a float for a scalar): bisection, on which 0 and J1_PEAK
+    map to 0 and J1_PEAK_X exactly."""
+    y = np.asarray(y, dtype=float)
+    if np.any(y < 0) or np.any(y > J1_PEAK):
+        raise ValueError(f"J1 values span [{y.min()}, {y.max()}], outside the "
+                         f"principal range [0, {J1_PEAK}]")
+    eta = np.where(y == J1_PEAK, J1_PEAK_X,
+                   bisect_increasing(special.j1, y, 0.0, J1_PEAK_X))
+    return float(eta) if eta.ndim == 0 else eta
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,8 @@ class DriveWaveform:
 
 
 def invert_bessel_drive(pulses: PulsePair, chain: ChainSpec) -> DriveWaveform:
-    """Solve 2 g_j J1(eta_j(t)) = g'_j(t) sample-by-sample.
+    """Solve 2 g_j J1(eta_j(t)) = g'_j(t) for every sample at once: one
+    invert_bessel_j1 bisection per track.
 
     Ratios above the J1 maximum by more than BESSEL_CLAMP_RTOL raise
     UnattainableDriveError naming the worst time point; ratios inside
@@ -195,14 +197,12 @@ def invert_bessel_drive(pulses: PulsePair, chain: ChainSpec) -> DriveWaveform:
                 worst_time=float(pulses.times[worst]),
                 worst_ratio=float(ratios[worst]),
             )
-        return np.array(
-            [invert_bessel_j1(min(r, J1_PEAK)) for r in ratios], dtype=float
-        )
+        eta = invert_bessel_j1(np.minimum(ratios, J1_PEAK))
+        eta[[0, -1]] = 0.0
+        return eta
 
     eta_a = invert_track(pulses.g_a, chain.g_a, "A")
     eta_b = invert_track(pulses.g_b, chain.g_b, "B")
-    eta_a[0] = eta_a[-1] = 0.0
-    eta_b[0] = eta_b[-1] = 0.0
     return DriveWaveform(pulses.times, eta_a, eta_b, chain.nu_a, chain.nu_b)
 
 

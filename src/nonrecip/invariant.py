@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .statespace import ControlHamiltonian, Operator, PureState, three_level_basis
 
@@ -101,16 +101,6 @@ def _gamma_over_tan(gamma):
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = safe * np.cos(safe) / np.sin(safe)
     return np.where(small, 1.0 - gamma**2 / 3.0, ratio)
-
-
-def _gamma_over_sin(gamma):
-    """gamma / sin(gamma), series-safe near gamma = 0."""
-    gamma = np.asarray(gamma, dtype=float)
-    small = np.abs(gamma) < 1e-6
-    safe = np.where(small, 1.0, gamma)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = safe / np.sin(safe)
-    return np.where(small, 1.0 + gamma**2 / 6.0, ratio)
 
 
 def coupling_values(traj: AuxiliaryTrajectory, t):
@@ -265,12 +255,14 @@ class LRPhaseResult:
     fixed so the designed evolution operator matches target_unitary);
     theta_plus_raw is the signed defining integral, and
     theta_plus_mod_2pi the reported value reduced to [0, 2*pi).
+    quad_error is the quadrature's error estimate for theta_plus.
     """
 
     theta_plus: float
     theta_minus: float
     theta_zero: float
     theta_plus_raw: float
+    quad_error: float
 
     @property
     def theta_plus_mod_2pi(self) -> float:
@@ -291,10 +283,42 @@ def _validate_pulses_match(traj: AuxiliaryTrajectory, pulses: PulsePair):
         raise ValueError("pulses were not synthesized from this trajectory")
 
 
-def phase_integrand(traj: AuxiliaryTrajectory, t):
-    """beta_dot/sin(gamma) with removable endpoint limits, equal to
-    -d(theta_plus_raw)/dt."""
-    return traj.beta_dot_over_gamma(t) * _gamma_over_sin(traj.gamma(t))
+PHASE_RTOL = 1e-12
+
+
+@lru_cache(maxsize=None)
+def _phase_rule(n: int):
+    """s^2 and 70 pi s^3 w at the nodes of the n-point Gauss-Legendre
+    rule on [0, 1] with weights w, s = u (1 - u)."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    s = 0.25 * (1.0 - x) * (1.0 + x)
+    return s**2, 70.0 * math.pi * s**3 * (0.5 * w)
+
+
+def theta_plus_magnitudes(lams):
+    """(|theta_plus|, error estimate) for each lambda in (0, pi).
+
+    With u = t/tau the phase needs no tau:
+    |theta_plus| = 70 pi int_0^1 u^3 (1-u)^3 / sin(16 lambda u^2 (1-u)^2) du.
+    Gauss-Legendre rules of 64, 128, ... 2048 nodes are applied until
+    two successive rules agree to PHASE_RTOL (relative); their
+    difference is the error estimate.  ValueError for lambda outside
+    (0, pi) or when 2048 nodes do not suffice (pi - lambda < ~1.5e-3).
+    """
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    if np.any(lams >= math.pi) or np.any(lams <= 0.0):
+        raise ValueError("phase integrand non-finite unless 0 < lambda < pi")
+    # NaN: the first rule has no predecessor to agree with
+    value, err = np.full(lams.shape, np.nan), np.full(lams.shape, np.inf)
+    todo = np.arange(lams.size)
+    for n in 2 ** np.arange(6, 12):
+        s2, num = _phase_rule(int(n))
+        finer = (1.0 / np.sin(16.0 * lams[todo, None] * s2)) @ num
+        err[todo], value[todo] = np.abs(finer - value[todo]), finer
+        todo = todo[~(err[todo] <= PHASE_RTOL * finer)]
+        if not todo.size:
+            return value, err
+    raise ValueError("phase quadrature did not converge with 2048 nodes")
 
 
 def lr_phase(
@@ -303,30 +327,32 @@ def lr_phase(
     """Integrate the invariant-eigenstate phase over one period.
 
     The defining integral reduces in closed form to
-    d(theta)/dt = -beta_dot/sin(gamma) for the plus branch; adaptive
-    quadrature of that integrand gives the raw (negative) phase, and
-    the reported theta_plus is its magnitude.
+    d(theta)/dt = -beta_dot/sin(gamma) for the plus branch, whose
+    magnitude theta_plus_magnitudes integrates (ValueError for
+    lambda >= pi); the raw phase is its negative.
     """
     if pulses is not None:
         _validate_pulses_match(traj, pulses)
-    if traj.lambda_ >= math.pi:
-        raise ValueError(
-            "phase integrand non-finite: gamma reaches pi on the trajectory"
-        )
-    mag, err = integrate.quad(
-        lambda t: float(phase_integrand(traj, t)),
-        0.0,
-        traj.tau,
-        epsabs=1e-10,
-        epsrel=1e-12,
-        limit=200,
-    )
-    if not math.isfinite(mag):
-        raise ValueError("phase integrand non-finite on the trajectory")
-    raw = -mag
-    return LRPhaseResult(
-        theta_plus=mag, theta_minus=-mag, theta_zero=0.0, theta_plus_raw=raw
-    )
+    mag, err = (float(v[0]) for v in theta_plus_magnitudes(traj.lambda_))
+    return LRPhaseResult(mag, -mag, 0.0, -mag, quad_error=err)
+
+
+def bisect_increasing(f, targets, lo: float, hi: float):
+    """x in [lo, hi] with f(x) = y for each y in targets, f vectorised
+    and increasing.  Each bracket keeps f(lo) < y <= f(hi) and is halved
+    until no midpoint lies strictly inside it (floating-point
+    resolution), at most 64 times; its lower end is returned, so
+    y <= f(lo) gives lo exactly."""
+    y = np.asarray(targets, dtype=float)
+    lo, hi = np.full(y.shape, float(lo)), np.full(y.shape, float(hi))
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        inside = (lo < mid) & (mid < hi)
+        if not inside.any():
+            break
+        below = f(mid) < y
+        lo, hi = np.where(inside & below, mid, lo), np.where(inside & ~below, mid, hi)
+    return lo
 
 
 def solve_lambda(
@@ -338,19 +364,19 @@ def solve_lambda(
 ) -> float:
     """Find lambda with |theta_plus(lambda)| equal to target_phase.
 
-    A prescan over the bracket validates strict monotonicity and the
-    presence of a sign change before the root is refined by Brent's
-    method; the solved phase is re-verified to phase_tol.
+    One vectorised prescan of n_prescan points validates strict
+    monotonicity and a sign change on the bracket; the root is then
+    bisected to floating-point resolution inside the prescan cell that
+    holds it and re-verified to phase_tol.  tau (> 0) drops out.
     """
     lo, hi = bracket
     if not (0.0 < lo < hi):
         raise ValueError("bracket must satisfy 0 < lo < hi")
-
-    def theta_of(lam: float) -> float:
-        return lr_phase(AuxiliaryTrajectory(lam, tau)).theta_plus
+    if tau <= 0:
+        raise ValueError(f"tau must be > 0, got {tau}")
 
     scan = np.linspace(lo, hi, n_prescan)
-    vals = np.array([theta_of(l) for l in scan])
+    vals = theta_plus_magnitudes(scan)[0]
     diffs = np.diff(vals)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise NonMonotonicBracketError(
@@ -362,13 +388,16 @@ def solve_lambda(
             f"target phase {target_phase} rad not attained on bracket {bracket}: "
             f"|theta_plus| spans [{min(vals)}, {max(vals)}]"
         )
-    lam = optimize.brentq(
-        lambda l: theta_of(l) - target_phase, lo, hi, xtol=1e-12, rtol=1e-14
-    )
-    residual = abs(theta_of(lam) - target_phase)
+    # bisect sign * |theta_plus|, which increases along the scan
+    sign = 1.0 if vals[-1] > vals[0] else -1.0
+    k = int(np.searchsorted(sign * vals, sign * target_phase))
+    lam = float(bisect_increasing(
+        lambda l: sign * theta_plus_magnitudes(l)[0], [sign * target_phase],
+        scan[max(k - 1, 0)], scan[k])[0])
+    residual = abs(theta_plus_magnitudes(lam)[0][0] - target_phase)
     if residual > phase_tol:
         raise RootBracketError(f"root refinement stalled at residual {residual}")
-    return float(lam)
+    return lam
 
 
 def target_unitary(theta_plus: float) -> Operator:

@@ -10,6 +10,7 @@ import numpy as np
 
 from .devices import SimulationModel
 from .propagation import (
+    IntegratorError,
     PropagationConfig,
     Trajectory,
     check_density,
@@ -119,21 +120,28 @@ def transfer_fidelity(
 ) -> TransferReport:
     """Propagate a logical basis state and report its fidelity to the
     target, with per-state population curves and (for models larger
-    than the logical space) the leakage out of it."""
+    than the logical space) the leakage out of it.  A closed transfer
+    (noise off or no channels) propagates psi, once H is checked to be
+    Hermitian at 65 times; otherwise rho is propagated and checked."""
     cfg = cfg or PropagationConfig(step=model.default_step)
     target_vec = _embed_target(model, target)
     idx = model.logical_index(initial)
 
-    if not noise and not model.channels and model.dim == 3:
-        psi0 = PureState.basis_state(model.dim, idx)
-        traj = propagate_schrodinger(model.hamiltonian, psi0, model.tau, cfg)
-        rhos = np.array([np.outer(s, s.conj()) for s in traj.states])
-    else:
+    if noise and model.channels:
         rho0 = np.zeros((model.dim, model.dim), dtype=complex)
         rho0[idx, idx] = 1.0
         traj = _run_density(model, rho0, noise, cfg)
         check_density(traj.final)
         rhos = np.array(traj.states)
+    else:
+        h = model.hamiltonian.matrices(np.linspace(0.0, model.tau, 65))
+        if np.max(np.abs(h - h.conj().transpose(0, 2, 1))) > 1e-9:
+            raise IntegratorError("Hamiltonian lost Hermiticity; a closed "
+                                  "transfer would not conserve the norm")
+        psi0 = PureState.basis_state(model.dim, idx)
+        traj = propagate_schrodinger(model.hamiltonian, psi0, model.tau, cfg)
+        states = np.array(traj.states)
+        rhos = states[:, :, None] * states[:, None, :].conj()
 
     populations = {
         label: rhos[:, i, i].real

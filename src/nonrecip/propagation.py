@@ -28,7 +28,8 @@ class StepTooLargeError(RuntimeError):
 
 
 class IntegratorError(RuntimeError):
-    """A propagated density matrix violated its invariants."""
+    """A propagated density matrix, or the generator of a closed
+    transfer, violated its invariants."""
 
 
 @dataclass(frozen=True)

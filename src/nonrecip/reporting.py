@@ -13,7 +13,7 @@ from pathlib import Path
 def fmt(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int,)):
+    if isinstance(x, (int, str)):
         return str(x)
     return format(float(x), ".17g")
 
@@ -23,7 +23,7 @@ def write_csv(path, header, rows):
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(fmt(v) if not isinstance(v, str) else v for v in row))
+        lines.append(",".join(fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 

@@ -82,16 +82,8 @@ class Operator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def dagger(self) -> "Operator":
-        return Operator(self.matrix.conj().T, self.basis)
-
     def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
         return np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol
-
-    @staticmethod
-    def identity(basis) -> "Operator":
-        basis = tuple(basis)
-        return Operator(np.eye(len(basis), dtype=complex), basis)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +82,8 @@ class TestDesignCommand:
         assert summary["lambda"] == pytest.approx(0.4974)
         assert summary["character"] == "non_reciprocal"
         assert summary["theta_plus_rad"] == pytest.approx(1.5 * np.pi, abs=1e-2)
+        assert summary["theta_plus_quad_error"] >= 0.0
+        assert "lambda_residual_rad" not in summary  # lambda was given
 
     def test_device_design_emits_drive_envelope(self, tmp_path):
         out = tmp_path / "out"
@@ -100,6 +106,22 @@ class TestDesignCommand:
         assert main(["--out", str(out2), "--model", "ideal", "design"]) == EXIT_OK
         for name in ("pulses.csv", "design_summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_diagnostics_and_byte_identical_reruns(self, tmp_path):
+        cfg_path = tmp_path / "target.ini"
+        save_config(ScenarioConfig(lambda_=None, target_phase_rad=1.5 * np.pi),
+                    cfg_path)
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main(["--config", str(cfg_path), "--out", str(out),
+                         "design"]) == EXIT_OK
+        for name in ("pulses.csv", "eta.csv", "design_summary.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        summary = json.loads((outs[0] / "design_summary.json").read_text())
+        assert 0.0 <= summary["theta_plus_quad_error"] <= 1e-12 * summary["theta_plus_rad"]
+        assert summary["lambda_residual_rad"] == abs(
+            summary["theta_plus_rad"] - 1.5 * np.pi)
+        assert summary["lambda_residual_rad"] < 1e-12
 
 
 class TestSolveLambdaCommand:
@@ -131,13 +153,20 @@ class TestSweepCommand:
         assert summary["monotonic"] is True
         assert summary["direction"] == "decreasing"
 
-    def test_parallel_jobs_match_serial(self, tmp_path):
-        serial, parallel = tmp_path / "s", tmp_path / "p"
-        args = ["sweep-lambda", "--lo", "0.4", "--hi", "0.6", "-n", "4"]
-        assert main(["--out", str(serial)] + args) == EXIT_OK
-        assert main(["--out", str(parallel), "--jobs", "2"] + args) == EXIT_OK
-        assert (serial / "lambda_sweep.csv").read_bytes() == \
-            (parallel / "lambda_sweep.csv").read_bytes()
+
+class TestImports:
+    def test_cli_leaves_optimize_integrate_and_multiprocessing_unloaded(self, tmp_path):
+        import nonrecip
+
+        code = ("import sys, nonrecip.cli as cli\n"
+                "heavy = ('scipy.optimize', 'scipy.integrate', 'multiprocessing')\n"
+                "print([m for m in heavy if m in sys.modules])\n"
+                f"cli.main(['--out', {str(tmp_path)!r}, 'design'])\n"
+                "print([m for m in heavy if m in sys.modules])\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(nonrecip.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout.splitlines()
+        assert out[0] == "[]" and out[-1] == "[]"
 
 
 class TestSimulateCommand:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize, special
 
 from nonrecip.devices import (
     BESSEL_CLAMP_RTOL,
@@ -55,6 +56,20 @@ def j1_series(x: float) -> float:
 
 
 class TestBesselJ1:
+    def test_vectorised_inverse_matches_brentq(self):
+        ys = np.linspace(0.0, J1_PEAK, 10001)
+        eta = invert_bessel_j1(ys)
+        assert eta[0] == 0.0 and eta[-1] == J1_PEAK_X
+        ref = [optimize.brentq(lambda x: special.j1(x) - y, 0.0, J1_PEAK_X,
+                               xtol=1e-14, rtol=1e-15) for y in ys[1:-1]]
+        assert np.max(np.abs(eta[1:-1] - ref)) <= 1e-12
+        assert np.max(np.abs(bessel_j1(eta) - ys)) <= 1e-15
+
+    def test_inverse_rejects_values_outside_principal_range(self):
+        for bad in ([0.1, -1e-3], [J1_PEAK * (1 + 1e-12)]):
+            with pytest.raises(ValueError):
+                invert_bessel_j1(np.array(bad))
+
     def test_against_series_oracle(self):
         for x in np.linspace(0.0, 3.5, 71):
             assert bessel_j1(x) == pytest.approx(j1_series(x), abs=1e-14)

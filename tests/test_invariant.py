@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, optimize
 
 from nonrecip.invariant import (
     AuxiliaryTrajectory,
@@ -19,6 +21,7 @@ from nonrecip.invariant import (
     solve_lambda,
     synthesize_pulses,
     target_unitary,
+    theta_plus_magnitudes,
 )
 from nonrecip.devices import ideal_model, J1_PEAK
 from nonrecip.propagation import (
@@ -211,7 +214,53 @@ class TestLRPhase:
             lr_phase(traj, other)
 
 
+def quad_theta_plus(lam, tau):
+    """|theta_plus| by adaptive quadrature of the time-domain integrand
+    beta_dot / sin(gamma), independent of the Gauss-Legendre rules."""
+    traj = AuxiliaryTrajectory(lam, tau)
+    return integrate.quad(lambda t: traj.beta_dot(t) / math.sin(traj.gamma(t)),
+                          0.0, tau, epsabs=1e-10, epsrel=1e-12, limit=200)[0]
+
+
+class TestPhaseQuadrature:
+    @pytest.mark.parametrize("tau", [145.0, 260.0])
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 1.0, 1.9, 2.5, 3.05])
+    def test_matches_adaptive_quadrature(self, lam, tau):
+        result = lr_phase(AuxiliaryTrajectory(lam, tau))
+        assert result.theta_plus == pytest.approx(quad_theta_plus(lam, tau), rel=1e-12)
+        assert 0.0 <= result.quad_error <= 1e-12 * result.theta_plus
+
+    def test_vectorised_matches_scalar(self):
+        lams = np.linspace(0.15, 3.1, 40)
+        values, errors = theta_plus_magnitudes(lams)
+        for lam, value, err in zip(lams, values, errors):
+            scalar = lr_phase(AuxiliaryTrajectory(lam, TAU))
+            assert value == pytest.approx(scalar.theta_plus, rel=1e-14)
+            assert err <= 1e-12 * value
+
+    @pytest.mark.parametrize("lams", [[0.5, np.pi], [0.0], [3.5], [3.1415]])
+    def test_rejects_lambda_outside_open_range(self, lams):
+        with pytest.raises(ValueError):
+            theta_plus_magnitudes(lams)
+
+
 class TestSolveLambda:
+    def test_reference_lambda_pinned(self):
+        # Brent's method on adaptive quadrature solved this design to
+        # 0.4974732655934123; the exact root is 0.49747326559346612
+        lam = solve_lambda(THETA_CIRC, TAU)
+        assert abs(lam - 0.4974732655934123) <= 1e-12
+
+    # (target, bracket): the decreasing branch, then the increasing one
+    # beyond the phase minimum near lambda = 1.9
+    @pytest.mark.parametrize("target, bracket", [
+        (4.0, (0.1, 1.0)), (4.6, (0.1, 1.0)), (THETA_CIRC, (0.1, 1.0)),
+        (5.2, (0.1, 1.0)), (THETA_CIRC, (2.0, 3.0))])
+    def test_matches_brentq_reference(self, target, bracket):
+        ref = optimize.brentq(lambda l: quad_theta_plus(l, TAU) - target,
+                              *bracket, xtol=1e-15, rtol=1e-15)
+        assert abs(solve_lambda(target, TAU, bracket=bracket) - ref) <= 1e-12
+
     def test_reference_anchor(self):
         lam = solve_lambda(THETA_CIRC, TAU, bracket=(0.1, 1.0))
         assert lam == pytest.approx(LAMBDA_REF, abs=5e-4)
