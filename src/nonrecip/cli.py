@@ -71,8 +71,9 @@ def _build_model(cfg: ScenarioConfig, pulses) -> SimulationModel:
     return full_chain_model(chain, drives)
 
 
-def _propagation_config(cfg: ScenarioConfig) -> PropagationConfig:
-    return PropagationConfig(step=cfg.effective_step, record_stride=cfg.record_stride)
+def _propagation_config(cfg: ScenarioConfig, model: SimulationModel) -> PropagationConfig:
+    step = cfg.step_ns if cfg.step_ns is not None else model.default_step
+    return PropagationConfig(step=step, record_stride=cfg.record_stride)
 
 
 def _circulator_target(theta_plus: float, initial: str) -> PureState:
@@ -150,7 +151,7 @@ def cmd_sweep_lambda(lo: float, hi: float, n: int, out_dir: Path) -> int:
 def cmd_simulate(cfg: ScenarioConfig, initial: str, out_dir: Path) -> int:
     traj, pulses, phases = _resolve_design(cfg)
     model = _build_model(cfg, pulses)
-    prop_cfg = _propagation_config(cfg)
+    prop_cfg = _propagation_config(cfg, model)
     if initial == "ensemble":
         report = ensemble_fidelity(model, count=1001, noise=cfg.noise, cfg=prop_cfg)
         report.write_csv(out_dir / "ensemble_fidelity.csv")
@@ -189,7 +190,7 @@ def cmd_reproduce_fig3(cfg: ScenarioConfig, out_dir: Path) -> int:
     cfg = with_overrides(cfg, lambda_=lam, target_phase_rad=None)
     traj, pulses, phases = _resolve_design(cfg)
     model = _build_model(cfg, pulses)
-    prop_cfg = _propagation_config(cfg)
+    prop_cfg = _propagation_config(cfg, model)
 
     def panel_a():
         _write_sweep(out_dir / "fig3a_lambda_sweep.csv", np.linspace(0.15, 1.0, 35))

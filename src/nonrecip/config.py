@@ -8,7 +8,7 @@ import io
 import math
 from dataclasses import dataclass, replace
 
-from .devices import ChainSpec, TransmonSpec, DEVICE_STEP, IDEAL_STEP
+from .devices import ChainSpec, TransmonSpec
 from .reporting import fmt
 from .units import ghz, khz, mhz
 
@@ -49,12 +49,6 @@ class ScenarioConfig:
             )
         if self.tau_ns <= 0:
             raise ValueError("tau_ns must be > 0")
-
-    @property
-    def effective_step(self) -> float:
-        if self.step_ns is not None:
-            return self.step_ns
-        return IDEAL_STEP if self.model == "ideal" else DEVICE_STEP
 
     def chain_spec(self) -> ChainSpec:
         d = 3 if self.model == "full_three_level" else 2

@@ -374,11 +374,6 @@ class SimulationModel:
     def dim(self) -> int:
         return self.hamiltonian.dim
 
-    @property
-    def h_of_t(self) -> ControlHamiltonian:
-        """H(t) as a callable: the control form itself."""
-        return self.hamiltonian
-
     def logical_index(self, label: str) -> int:
         try:
             return self.logical_indices[self.logical_labels.index(label)]

@@ -12,7 +12,6 @@ from .devices import SimulationModel
 from .propagation import (
     IntegratorError,
     PropagationConfig,
-    Trajectory,
     check_density,
     integrate_master,
     propagate_schrodinger,
@@ -94,10 +93,29 @@ class EnsembleReport:
         write_csv(path, ["t_ns", "fidelity"], zip(self.times, self.fidelity_curve))
 
 
-def _run_density(model: SimulationModel, rho0: np.ndarray, noise: bool,
-                 cfg: PropagationConfig) -> Trajectory:
-    channels = model.channels if noise else ()
-    return integrate_master(model.hamiltonian, channels, rho0, model.tau, cfg)
+def _evolve(model: SimulationModel, initial_states, noise: bool,
+            cfg: PropagationConfig) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Propagate each initial model-space vector from 0 to tau and return
+    the record times and one (records, d, d) stack of rho(t) per state.
+
+    A closed run (noise off, or a model without channels) propagates psi,
+    once H is checked to be Hermitian at 65 times, and forms psi psi^H;
+    an open run propagates psi psi^H and checks every final state."""
+    if noise and model.channels:
+        runs = [integrate_master(model.hamiltonian, model.channels,
+                                 np.outer(psi, psi.conj()), model.tau, cfg)
+                for psi in initial_states]
+        for traj in runs:
+            check_density(traj.final)
+        return runs[0].times, [np.array(traj.states) for traj in runs]
+    h = model.hamiltonian.matrices(np.linspace(0.0, model.tau, 65))
+    if np.max(np.abs(h - h.conj().transpose(0, 2, 1))) > 1e-9:
+        raise IntegratorError("Hamiltonian lost Hermiticity; a closed "
+                              "run would not conserve the norm")
+    runs = [propagate_schrodinger(model.hamiltonian, PureState(psi), model.tau, cfg)
+            for psi in initial_states]
+    stacks = [np.array(traj.states) for traj in runs]
+    return runs[0].times, [x[:, :, None] * x[:, None, :].conj() for x in stacks]
 
 
 def _embed_target(model: SimulationModel, target: PureState) -> np.ndarray:
@@ -120,28 +138,11 @@ def transfer_fidelity(
 ) -> TransferReport:
     """Propagate a logical basis state and report its fidelity to the
     target, with per-state population curves and (for models larger
-    than the logical space) the leakage out of it.  A closed transfer
-    (noise off or no channels) propagates psi, once H is checked to be
-    Hermitian at 65 times; otherwise rho is propagated and checked."""
+    than the logical space) the leakage out of it."""
     cfg = cfg or PropagationConfig(step=model.default_step)
     target_vec = _embed_target(model, target)
-    idx = model.logical_index(initial)
-
-    if noise and model.channels:
-        rho0 = np.zeros((model.dim, model.dim), dtype=complex)
-        rho0[idx, idx] = 1.0
-        traj = _run_density(model, rho0, noise, cfg)
-        check_density(traj.final)
-        rhos = np.array(traj.states)
-    else:
-        h = model.hamiltonian.matrices(np.linspace(0.0, model.tau, 65))
-        if np.max(np.abs(h - h.conj().transpose(0, 2, 1))) > 1e-9:
-            raise IntegratorError("Hamiltonian lost Hermiticity; a closed "
-                                  "transfer would not conserve the norm")
-        psi0 = PureState.basis_state(model.dim, idx)
-        traj = propagate_schrodinger(model.hamiltonian, psi0, model.tau, cfg)
-        states = np.array(traj.states)
-        rhos = states[:, :, None] * states[:, None, :].conj()
+    initial_vec = np.eye(model.dim)[model.logical_index(initial)]
+    times, (rhos,) = _evolve(model, [initial_vec], noise, cfg)
 
     populations = {
         label: rhos[:, i, i].real
@@ -156,7 +157,7 @@ def transfer_fidelity(
         initial_label=initial,
         target=target,
         fidelity=float(np.clip(fidelity_curve[-1], 0.0, 1.0)),
-        times=traj.times,
+        times=times,
         populations=populations,
         fidelity_curve=fidelity_curve,
         leakage=leakage,
@@ -177,33 +178,26 @@ def ensemble_fidelity(
     i cos(v)|100> + i sin(v)|010>; the average over count uniformly
     spaced v in [0, 2*pi] (trapezoidal, endpoints included) is F_m.
 
-    The master equation is linear in rho, so the three independent
-    blocks |010><010|, |001><001| and |010><001| are propagated once
-    and every ensemble member is assembled from them exactly.
+    The master equation is linear in rho, so every member is assembled
+    exactly from three propagations, of |010>, |001> and
+    |+> = (|010> + |001>)/sqrt(2): the coherence term X + X^H, with
+    X = |010><001| propagated, is 2 rho_+ - rho_010 - rho_001.
     """
     if count < 2:
         raise ValueError("count must be >= 2")
     cfg = cfg or PropagationConfig(step=model.default_step)
     i100, i010, i001 = model.logical_indices
-
-    def seed(i, j):
-        return np.outer(np.eye(model.dim)[i], np.eye(model.dim)[j])
-
-    block_010 = _run_density(model, seed(i010, i010), noise, cfg)
-    block_001 = _run_density(model, seed(i001, i001), noise, cfg)
-    block_x = _run_density(model, seed(i010, i001), noise, cfg)
-    # the coherence block |010><001| is not a density matrix
-    check_density(block_010.final)
-    check_density(block_001.final)
+    e010, e001 = np.eye(model.dim)[[i010, i001]]
+    times, (rho_010, rho_001, rho_plus) = _evolve(
+        model, [e010, e001, (e010 + e001) / math.sqrt(2.0)], noise, cfg)
 
     thetas = np.linspace(0.0, 2.0 * math.pi, count)
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
     # only the (|100>, |010>) sub-blocks enter the target expectation;
     # each stack below has shape (records, 2, 2)
-    tgt = np.ix_([i100, i010], [i100, i010])
-    subs = [np.array([m[tgt] for m in blk.states])
-            for blk in (block_010, block_001, block_x)]
-    subs[2] = subs[2] + subs[2].conj().transpose(0, 2, 1)
+    tgt = (slice(None),) + np.ix_([i100, i010], [i100, i010])
+    subs = [rho_010[tgt], rho_001[tgt]]
+    subs.append(2.0 * rho_plus[tgt] - subs[0] - subs[1])
 
     def expect(sub):
         return (
@@ -221,7 +215,7 @@ def ensemble_fidelity(
     return EnsembleReport(
         count=count,
         f_m=float(curve[-1]),
-        times=block_010.times,
+        times=times,
         fidelity_curve=curve,
         model_name=model.name,
         noise=noise and bool(model.channels),

@@ -1,7 +1,9 @@
 """Closed-system and Lindblad propagators, plus the brute-force
 evolution-operator oracle.
 
-Every RK4 propagation runs one kernel on the control form
+Fixed-step RK4 is the only integrator; the oracle's product of midpoint
+exponentials is the reference it is tested against.  Every propagation
+runs one kernel on the control form
 H(t) = H0 + sum_j c_j(t) A_j: dx/dt = S_0 x + sum_j c_j(t) S_j x with
 constant blocks S_j, dense d x d for x = psi (S_j = -i A_j) and sparse
 (CSR) d^2 x d^2 for x = vec(rho) (the commutators with A_j, the
@@ -37,21 +39,16 @@ class PropagationConfig:
     """Fixed-step integration settings.
 
     step is in ns; the caller is responsible for resolving the fastest
-    Hamiltonian phase (about twenty samples per period).  method is
-    "rk4" (classical 4th order) or "expm" (piecewise exponential at the
-    midpoint, closed systems only).  States are recorded every
-    record_stride steps.
+    Hamiltonian phase (about twenty samples per period).  States are
+    recorded every record_stride steps.
     """
 
     step: float = 0.05
-    method: str = "rk4"
     record_stride: int = 50
 
     def __post_init__(self):
         if self.step <= 0:
             raise ValueError("step must be > 0")
-        if self.method not in ("rk4", "expm"):
-            raise ValueError(f"unknown method {self.method!r}")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
 
@@ -155,19 +152,8 @@ def propagate_schrodinger(
     """
     cfg = cfg or PropagationConfig()
     gen = _as_control(h_of_t)
-    if cfg.method == "expm":
-        n, dt = _grid(tau, cfg.step)
-        psi = np.array(psi0.amplitudes, dtype=complex)
-        times, states = [0.0], [psi.copy()]
-        for k in range(n):
-            w, v = np.linalg.eigh(gen((k + 0.5) * dt))
-            psi = (v * np.exp(-1j * w * dt)) @ (v.conj().T @ psi)
-            _record(times, states, psi, k, n, dt, cfg)
-        traj = Trajectory(np.array(times), states)
-    else:
-        stack = -1j * np.concatenate([gen.h0[None], gen.ops]).reshape(-1, gen.dim)
-        traj = _rk4(stack, gen, psi0.amplitudes, tau, cfg)
-
+    stack = -1j * np.concatenate([gen.h0[None], gen.ops]).reshape(-1, gen.dim)
+    traj = _rk4(stack, gen, psi0.amplitudes, tau, cfg)
     drift = abs(np.linalg.norm(traj.final) - 1.0)
     if drift > 1e-6:
         raise StepTooLargeError(f"norm drift {drift:.3e} exceeds 1e-6; reduce the step")
@@ -183,9 +169,9 @@ def _record(times, states, state, k, n, dt, cfg):
 def integrate_master(
     h_fn, channels: Sequence, rho0: np.ndarray, tau: float, cfg: PropagationConfig
 ) -> Trajectory:
-    """RK4 integration of the master equation for an arbitrary (not
-    necessarily Hermitian) initial matrix.  The generator is linear, so
-    coherence blocks may be propagated on their own.  h_fn is a
+    """RK4 integration of the master equation from rho0, with no
+    invariant checks: callers run check_density on the states they use
+    (propagate_lindblad does so on the final state).  h_fn is a
     ControlHamiltonian or any callable t -> H(t)."""
     gen = _as_control(h_fn)
     traj = _rk4(_lindblad_stack(gen, channels), gen, np.ravel(rho0), tau, cfg)

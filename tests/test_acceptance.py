@@ -128,7 +128,7 @@ class TestLambdaAnchor:
 class TestOperatorCirculator:
     def test_oracle_matches_designed_unitary(self, ideal, traj, pulses):
         start = time.monotonic()
-        u = evolution_operator_oracle(ideal.h_of_t, TAU,
+        u = evolution_operator_oracle(ideal.hamiltonian, TAU,
                                       PropagationConfig(step=0.001))
         d_target, _ = global_phase_distance(u, target_unitary(THETA_CIRC))
         d_lr, _ = global_phase_distance(
@@ -165,7 +165,7 @@ class TestEnsembleFidelity:
 
 class TestNonReciprocity:
     def test_forward_backward_asymmetry(self, ideal):
-        u = evolution_operator_oracle(ideal.h_of_t, TAU,
+        u = evolution_operator_oracle(ideal.hamiltonian, TAU,
                                       PropagationConfig(step=0.005))
         t = transmission_matrix(u)
         forward = t[2, 0]   # A -> B
@@ -241,7 +241,7 @@ class TestPropertySuite:
         rho0 = np.zeros((device.dim, device.dim), dtype=complex)
         rho0[i0, i0] = 1.0
         out = propagate_lindblad(
-            device.h_of_t, device.channels, DensityMatrix(rho0), 5.0,
+            device.hamiltonian, device.channels, DensityMatrix(rho0), 5.0,
             PropagationConfig(step=device.default_step),
         ).final
         tr_ok = abs(np.trace(out).real - 1.0) < 1e-9

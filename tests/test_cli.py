@@ -67,9 +67,13 @@ class TestConfig:
         assert load_config(path) == cfg
 
     def test_effective_step_defaults(self):
-        assert ScenarioConfig(model="ideal").effective_step == 0.05
-        assert ScenarioConfig().effective_step == 0.005
-        assert ScenarioConfig(step_ns=0.1).effective_step == 0.1
+        def resolved_step(cfg):
+            model = cli._build_model(cfg, cli._resolve_design(cfg)[1])
+            return cli._propagation_config(cfg, model).step
+
+        assert resolved_step(ScenarioConfig(model="ideal")) == 0.05
+        assert resolved_step(ScenarioConfig()) == 0.005
+        assert resolved_step(ScenarioConfig(step_ns=0.1)) == 0.1
 
 
 class TestDesignCommand:

@@ -102,7 +102,7 @@ def full_chain_dense(chain, drives, t):
 
 class TestControlFormMatchesDenseFormulas:
     def test_ideal(self, pulses, times):
-        h = ideal_model(pulses).h_of_t
+        h = ideal_model(pulses).hamiltonian
         for t in times:
             dense = np.zeros((3, 3))
             dense[0, 1] = dense[1, 0] = 0.5 * pulses.g_a_at(t)
@@ -111,7 +111,7 @@ class TestControlFormMatchesDenseFormulas:
 
     def test_single_excitation(self, drives, times):
         chain = ChainSpec.reference_defaults()
-        h = single_excitation_model(chain, drives).h_of_t
+        h = single_excitation_model(chain, drives).hamiltonian
         for t in times:
             public = embed(single_excitation_hamiltonian(chain, drives, t).matrix)
             assert np.max(np.abs(h(t) - public)) < 1e-12
@@ -121,7 +121,7 @@ class TestControlFormMatchesDenseFormulas:
     @pytest.mark.parametrize("d", [2, 3])
     def test_full_chain(self, drives, times, d):
         chain = ChainSpec.reference_defaults(d=d)
-        h = full_chain_model(chain, drives).h_of_t
+        h = full_chain_model(chain, drives).hamiltonian
         for t in times:
             public = full_chain_hamiltonian(chain, drives, t).matrix
             assert np.max(np.abs(h(t) - public)) < 1e-12
@@ -129,7 +129,7 @@ class TestControlFormMatchesDenseFormulas:
             assert np.max(np.abs(h(t) - dense)) < 1e-12
 
     def test_vectorised_matches_pointwise(self, drives, times):
-        h = full_chain_model(ChainSpec.reference_defaults(d=3), drives).h_of_t
+        h = full_chain_model(ChainSpec.reference_defaults(d=3), drives).hamiltonian
         stacked = h.matrices(times)
         assert stacked.shape == (len(times), 27, 27)
         for t, m in zip(times, stacked):
@@ -145,15 +145,15 @@ class TestKernelAcceptsPlainCallables:
         cfg = PropagationConfig(step=0.05)
 
         def plain(t):
-            return model.h_of_t(t)
+            return model.hamiltonian(t)
 
-        fast = propagate_lindblad(model.h_of_t, model.channels,
+        fast = propagate_lindblad(model.hamiltonian, model.channels,
                                   DensityMatrix(rho0), 20.0, cfg)
         slow = propagate_lindblad(plain, model.channels,
                                   DensityMatrix(rho0), 20.0, cfg)
         assert np.max(np.abs(fast.final - slow.final)) < 1e-13
         psi0 = PureState.basis_state(8, i100)
-        fast = propagate_schrodinger(model.h_of_t, psi0, 20.0, cfg)
+        fast = propagate_schrodinger(model.hamiltonian, psi0, 20.0, cfg)
         slow = propagate_schrodinger(plain, psi0, 20.0, cfg)
         assert np.max(np.abs(fast.final - slow.final)) < 1e-13
 
@@ -202,7 +202,7 @@ class TestCheckBoundaryMatchesPointwiseLoop:
         traj = AuxiliaryTrajectory(LAMBDA_SOLVED, TAU)
         perturbed = PulsePair(pulses.times, pulses.g_a, 0.98 * pulses.g_b)
         for pp in (pulses, perturbed):
-            ideal = ideal_model(pp).h_of_t
+            ideal = ideal_model(pp).hamiltonian
             comms, worst = [], 0.0
             for t in np.linspace(0.0, TAU, 501):
                 h = ideal(t)

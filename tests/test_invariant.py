@@ -283,7 +283,7 @@ class TestSolveLambda:
         lam = solve_lambda(np.pi, TAU, bracket=(0.3, 1.5))
         traj_pi = AuxiliaryTrajectory(lam, TAU)
         model = ideal_model(synthesize_pulses(traj_pi))
-        u = evolution_operator_oracle(model.h_of_t, TAU, PropagationConfig(step=0.001))
+        u = evolution_operator_oracle(model.hamiltonian, TAU, PropagationConfig(step=0.001))
         expected = target_unitary(np.pi).matrix
         assert expected[1, 1] == -1.0 and expected[0, 2] == -1.0
         dist, _ = global_phase_distance(u.matrix, expected)
@@ -336,7 +336,7 @@ class TestLRPredictedEvolution:
         u_pred = lr_predicted_evolution(traj, pulses, InvariantSpec())
         model = ideal_model(pulses)
         u_num = evolution_operator_oracle(
-            model.h_of_t, TAU, PropagationConfig(step=0.001)
+            model.hamiltonian, TAU, PropagationConfig(step=0.001)
         )
         dist, _ = global_phase_distance(u_num, u_pred)
         assert dist < 1e-3

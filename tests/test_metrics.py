@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from nonrecip.devices import ideal_model
+from nonrecip.devices import (
+    ChainSpec,
+    ideal_model,
+    invert_bessel_drive,
+    single_excitation_model,
+)
 from nonrecip.invariant import (
     AuxiliaryTrajectory,
     synthesize_pulses,
@@ -14,23 +19,55 @@ from nonrecip.metrics import (
     transfer_fidelity,
     transmission_matrix,
 )
-from nonrecip.propagation import IntegratorError, PropagationConfig, check_density
-from nonrecip.statespace import PureState, make_basis
+from nonrecip.propagation import (
+    IntegratorError,
+    PropagationConfig,
+    check_density,
+    propagate_lindblad,
+    propagate_schrodinger,
+)
+from nonrecip.statespace import DensityMatrix, PureState
 
 TAU = 145.0
 LAMBDA = 0.4974
 THETA_CIRC = 1.5 * np.pi
-
-B3 = make_basis(["100", "010", "001"])
+# the single-excitation model is run at 0.05 ns, within 2e-8 of its
+# step-0.005 fidelities
+COARSE = PropagationConfig(step=0.05)
 
 
 def logical_state(amps):
-    return PureState(np.asarray(amps, dtype=complex), B3)
+    return PureState(np.asarray(amps, dtype=complex))
 
 
 @pytest.fixture(scope="module")
-def model():
-    return ideal_model(synthesize_pulses(AuxiliaryTrajectory(LAMBDA, TAU)))
+def pulses():
+    return synthesize_pulses(AuxiliaryTrajectory(LAMBDA, TAU))
+
+
+@pytest.fixture(scope="module")
+def model(pulses):
+    return ideal_model(pulses)
+
+
+@pytest.fixture(scope="module")
+def device(pulses):
+    chain = ChainSpec.reference_defaults()
+    return single_excitation_model(chain, invert_bessel_drive(pulses, chain))
+
+
+# (model fixture, noise, config) per model: the closed ideal run and the
+# noisy single-excitation run, which take the psi and rho paths
+RUNS = {
+    "ideal": ("model", False, None),
+    "single_excitation": ("device", True, COARSE),
+}
+
+
+@pytest.fixture(params=sorted(RUNS))
+def run(request):
+    name, noise, cfg = RUNS[request.param]
+    return request.getfixturevalue(name), noise, cfg
 
 
 class TestTransferFidelity:
@@ -83,6 +120,33 @@ class TestEnsembleFidelity:
         report = ensemble_fidelity(model, count=401, noise=False)
         assert report.f_m > 0.999
 
+    def test_matches_explicit_inputs(self, run):
+        # brute force: propagate each input cos(v)|010> + sin(v)|001>
+        # and take the trapezoid average of its fidelity to
+        # i cos(v)|100> + i sin(v)|010>
+        model, noise, cfg = run
+        cfg = cfg or PropagationConfig(step=model.default_step)
+        i100, i010, i001 = model.logical_indices
+        thetas = np.linspace(0.0, 2.0 * np.pi, 9)
+        values = []
+        for v in thetas:
+            psi = np.zeros(model.dim, dtype=complex)
+            psi[[i010, i001]] = np.cos(v), np.sin(v)
+            target = np.zeros(model.dim, dtype=complex)
+            target[[i100, i010]] = 1j * np.cos(v), 1j * np.sin(v)
+            if noise:
+                rho = propagate_lindblad(
+                    model.hamiltonian, model.channels,
+                    DensityMatrix(np.outer(psi, psi.conj())), model.tau, cfg).final
+            else:
+                final = propagate_schrodinger(
+                    model.hamiltonian, PureState(psi), model.tau, cfg).final
+                rho = np.outer(final, final.conj())
+            values.append((target.conj() @ rho @ target).real)
+        expected = np.trapezoid(values, thetas) / (2.0 * np.pi)
+        report = ensemble_fidelity(model, count=9, noise=noise, cfg=cfg)
+        assert report.f_m == pytest.approx(expected, abs=1e-12)
+
     def test_count_validation(self, model):
         with pytest.raises(ValueError):
             ensemble_fidelity(model, count=1)
@@ -122,7 +186,7 @@ class TestIsolation:
         from nonrecip.propagation import evolution_operator_oracle
 
         u = evolution_operator_oracle(
-            model.h_of_t, TAU, PropagationConfig(step=0.01)
+            model.hamiltonian, TAU, PropagationConfig(step=0.01)
         )
         assert isolation(u, source=0, destination=2) < -30.0
 
@@ -140,12 +204,16 @@ class TestInvariantChecks:
         with pytest.raises(IntegratorError, match="positivity"):
             check_density(np.diag([1.2, -0.2, 0.0]).astype(complex))
 
-    def test_transfer_fidelity_checks_final_state(self, model, break_hermiticity):
+    def test_transfer_fidelity_checks_final_state(self, run, break_hermiticity):
+        model, noise, cfg = run
         target = logical_state(target_unitary(THETA_CIRC).matrix[:, 0])
         with pytest.raises(IntegratorError, match="Hermiticity"):
-            transfer_fidelity(break_hermiticity(model), "100", target, noise=True)
+            transfer_fidelity(break_hermiticity(model), "100", target,
+                              noise=noise, cfg=cfg)
 
-    def test_ensemble_fidelity_checks_diagonal_blocks(self, model,
+    def test_ensemble_fidelity_checks_diagonal_blocks(self, run,
                                                       break_hermiticity):
+        model, noise, cfg = run
         with pytest.raises(IntegratorError, match="Hermiticity"):
-            ensemble_fidelity(break_hermiticity(model), count=11)
+            ensemble_fidelity(break_hermiticity(model), count=11, noise=noise,
+                              cfg=cfg)

@@ -37,10 +37,8 @@ B2 = make_basis(["0", "1"])
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
-def ket(dim, idx, basis):
-    amps = np.zeros(dim, dtype=complex)
-    amps[idx] = 1.0
-    return PureState(amps, basis)
+def ket(dim, idx):
+    return PureState.basis_state(dim, idx)
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +48,7 @@ def pulses():
 
 class TestSchrodinger:
     def test_zero_hamiltonian_is_identity(self):
-        psi0 = PureState(np.array([0.6, 0.8j]), B2)
+        psi0 = PureState(np.array([0.6, 0.8j]))
         traj = propagate_schrodinger(
             lambda t: np.zeros((2, 2)), psi0, 10.0, PropagationConfig(step=0.1)
         )
@@ -61,30 +59,30 @@ class TestSchrodinger:
         omega = 1.0
         h = 0.5 * omega * SIGMA_X
         traj = propagate_schrodinger(
-            lambda t: h, ket(2, 0, B2), np.pi / omega,
+            lambda t: h, ket(2, 0), np.pi / omega,
             PropagationConfig(step=0.001),
         )
         assert abs(traj.final[0]) < 1e-9
         assert abs(traj.final[1]) == pytest.approx(1.0, abs=1e-9)
 
     def test_expm_method_matches_rk4(self):
+        # RK4 against the oracle's product of midpoint exponentials
         h = 0.5 * SIGMA_X
 
         def h_t(t):
             return np.cos(0.3 * t) * h
 
-        psi0 = ket(2, 0, B2)
-        a = propagate_schrodinger(h_t, psi0, 5.0, PropagationConfig(step=0.002))
-        b = propagate_schrodinger(
-            h_t, psi0, 5.0, PropagationConfig(step=0.002, method="expm")
-        )
-        assert np.allclose(a.final, b.final, atol=1e-9)
+        psi0 = ket(2, 0)
+        cfg = PropagationConfig(step=0.002)
+        a = propagate_schrodinger(h_t, psi0, 5.0, cfg)
+        b = evolution_operator_oracle(h_t, 5.0, cfg).matrix @ psi0.amplitudes
+        assert np.allclose(a.final, b, atol=1e-9)
 
     def test_ideal_circulator_sends_a_to_minus_b(self, pulses):
         model = ideal_model(pulses)
-        psi0 = ket(3, 0, model.basis)
+        psi0 = ket(3, 0)
         traj = propagate_schrodinger(
-            model.h_of_t, psi0, TAU, PropagationConfig(step=model.default_step)
+            model.hamiltonian, psi0, TAU, PropagationConfig(step=model.default_step)
         )
         target = target_unitary(1.5 * np.pi).matrix[:, 0]  # -|B>
         assert np.linalg.norm(traj.final - target) < 1e-3
@@ -93,12 +91,12 @@ class TestSchrodinger:
         h = 50.0 * SIGMA_X
         with pytest.raises(StepTooLargeError):
             propagate_schrodinger(
-                lambda t: h, ket(2, 0, B2), 10.0, PropagationConfig(step=0.5)
+                lambda t: h, ket(2, 0), 10.0, PropagationConfig(step=0.5)
             )
 
     def test_recording_stride(self):
         traj = propagate_schrodinger(
-            lambda t: np.zeros((2, 2)), ket(2, 0, B2), 1.0,
+            lambda t: np.zeros((2, 2)), ket(2, 0), 1.0,
             PropagationConfig(step=0.01, record_stride=10),
         )
         assert len(traj.times) == len(traj.states) == 11
@@ -109,12 +107,12 @@ class TestSchrodinger:
 class TestLindblad:
     def test_no_channels_matches_schrodinger(self, pulses):
         model = ideal_model(pulses)
-        psi0 = ket(3, 0, model.basis)
+        psi0 = ket(3, 0)
         cfg = PropagationConfig(step=model.default_step)
-        pure = propagate_schrodinger(model.h_of_t, psi0, TAU, cfg)
+        pure = propagate_schrodinger(model.hamiltonian, psi0, TAU, cfg)
         rho0 = DensityMatrix(np.outer(psi0.amplitudes,
                                       psi0.amplitudes.conj()))
-        mixed = propagate_lindblad(model.h_of_t, [], rho0, TAU, cfg)
+        mixed = propagate_lindblad(model.hamiltonian, [], rho0, TAU, cfg)
         expected = np.outer(pure.final, pure.final.conj())
         assert np.max(np.abs(mixed.final - expected)) < 1e-8
 
@@ -142,23 +140,23 @@ class TestLindblad:
             LindbladChannel(operator=c.operator, rate=1e-12)
             for c in model.channels
         ]
-        psi0 = ket(model.dim, model.logical_index("100"), model.basis)
+        psi0 = ket(model.dim, model.logical_index("100"))
         rho0 = DensityMatrix(np.outer(psi0.amplitudes,
                                       psi0.amplitudes.conj()))
         cfg = PropagationConfig(step=model.default_step)
-        closed = propagate_schrodinger(model.h_of_t, psi0, TAU, cfg)
-        damped = propagate_lindblad(model.h_of_t, weak, rho0, TAU, cfg)
+        closed = propagate_schrodinger(model.hamiltonian, psi0, TAU, cfg)
+        damped = propagate_lindblad(model.hamiltonian, weak, rho0, TAU, cfg)
         expected = np.outer(closed.final, closed.final.conj())
         assert np.max(np.abs(damped.final - expected)) < 1e-8
 
     def test_device_run_preserves_invariants(self, pulses):
         chain = ChainSpec.reference_defaults()
         model = single_excitation_model(chain, invert_bessel_drive(pulses, chain))
-        psi0 = ket(model.dim, model.logical_index("100"), model.basis)
+        psi0 = ket(model.dim, model.logical_index("100"))
         rho0 = DensityMatrix(np.outer(psi0.amplitudes,
                                       psi0.amplitudes.conj()))
         traj = propagate_lindblad(
-            model.h_of_t, model.channels, rho0, 10.0,
+            model.hamiltonian, model.channels, rho0, 10.0,
             PropagationConfig(step=model.default_step, record_stride=500),
         )
         for s in traj.states:
@@ -185,11 +183,11 @@ class TestOracle:
     def test_columns_match_state_propagation(self, pulses):
         model = ideal_model(pulses)
         u = evolution_operator_oracle(
-            model.h_of_t, TAU, PropagationConfig(step=0.01), basis=model.basis
+            model.hamiltonian, TAU, PropagationConfig(step=0.01), basis=model.basis
         )
         for col in range(3):
             traj = propagate_schrodinger(
-                model.h_of_t, ket(3, col, model.basis), TAU,
+                model.hamiltonian, ket(3, col), TAU,
                 PropagationConfig(step=0.01),
             )
             assert np.linalg.norm(u.matrix[:, col] - traj.final) < 1e-7
@@ -197,7 +195,7 @@ class TestOracle:
     def test_unitarity(self, pulses):
         model = ideal_model(pulses)
         u = evolution_operator_oracle(
-            model.h_of_t, TAU, PropagationConfig(step=0.01)
+            model.hamiltonian, TAU, PropagationConfig(step=0.01)
         ).matrix
         assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-10
 
@@ -209,7 +207,7 @@ class TestConvergence:
         def h_t(t):
             return np.cos(0.7 * t) * h
 
-        psi0 = ket(2, 0, B2)
+        psi0 = ket(2, 0)
         ref = propagate_schrodinger(
             h_t, psi0, 4.0, PropagationConfig(step=0.0005)
         ).final
