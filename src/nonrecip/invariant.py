@@ -295,6 +295,31 @@ def _phase_rule(n: int):
     return s**2, 70.0 * math.pi * s**3 * (0.5 * w)
 
 
+def _theta_plus_rule(lams, n: int):
+    """|theta_plus| for each lambda of the 1-D array lams by the n-node rule."""
+    s2, num = _phase_rule(n)
+    return (1.0 / np.sin(16.0 * lams[:, None] * s2)) @ num
+
+
+def _theta_plus(lams):
+    """theta_plus_magnitudes, plus the node count of the rule that
+    converged for each lambda."""
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    if np.any(lams >= math.pi) or np.any(lams <= 0.0):
+        raise ValueError("phase integrand non-finite unless 0 < lambda < pi")
+    # NaN: the first rule has no predecessor to agree with
+    value, err = np.full(lams.shape, np.nan), np.full(lams.shape, np.inf)
+    nodes = np.zeros(lams.shape, dtype=int)
+    todo = np.arange(lams.size)
+    for n in 2 ** np.arange(6, 12):
+        finer = _theta_plus_rule(lams[todo], int(n))
+        err[todo], value[todo], nodes[todo] = np.abs(finer - value[todo]), finer, n
+        todo = todo[~(err[todo] <= PHASE_RTOL * finer)]
+        if not todo.size:
+            return value, err, nodes
+    raise ValueError("phase quadrature did not converge with 2048 nodes")
+
+
 def theta_plus_magnitudes(lams):
     """(|theta_plus|, error estimate) for each lambda in (0, pi).
 
@@ -305,20 +330,7 @@ def theta_plus_magnitudes(lams):
     difference is the error estimate.  ValueError for lambda outside
     (0, pi) or when 2048 nodes do not suffice (pi - lambda < ~1.5e-3).
     """
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    if np.any(lams >= math.pi) or np.any(lams <= 0.0):
-        raise ValueError("phase integrand non-finite unless 0 < lambda < pi")
-    # NaN: the first rule has no predecessor to agree with
-    value, err = np.full(lams.shape, np.nan), np.full(lams.shape, np.inf)
-    todo = np.arange(lams.size)
-    for n in 2 ** np.arange(6, 12):
-        s2, num = _phase_rule(int(n))
-        finer = (1.0 / np.sin(16.0 * lams[todo, None] * s2)) @ num
-        err[todo], value[todo] = np.abs(finer - value[todo]), finer
-        todo = todo[~(err[todo] <= PHASE_RTOL * finer)]
-        if not todo.size:
-            return value, err
-    raise ValueError("phase quadrature did not converge with 2048 nodes")
+    return _theta_plus(lams)[:2]
 
 
 def lr_phase(
@@ -367,7 +379,9 @@ def solve_lambda(
     One vectorised prescan of n_prescan points validates strict
     monotonicity and a sign change on the bracket; the root is then
     bisected to floating-point resolution inside the prescan cell that
-    holds it and re-verified to phase_tol.  tau (> 0) drops out.
+    holds it, with the one Gauss-Legendre rule that converged at the
+    cell's ends, and re-verified to phase_tol by the adaptive
+    quadrature.  tau (> 0) drops out.
     """
     lo, hi = bracket
     if not (0.0 < lo < hi):
@@ -376,7 +390,7 @@ def solve_lambda(
         raise ValueError(f"tau must be > 0, got {tau}")
 
     scan = np.linspace(lo, hi, n_prescan)
-    vals = theta_plus_magnitudes(scan)[0]
+    vals, _, nodes = _theta_plus(scan)
     diffs = np.diff(vals)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise NonMonotonicBracketError(
@@ -388,11 +402,13 @@ def solve_lambda(
             f"target phase {target_phase} rad not attained on bracket {bracket}: "
             f"|theta_plus| spans [{min(vals)}, {max(vals)}]"
         )
-    # bisect sign * |theta_plus|, which increases along the scan
+    # bisect sign * |theta_plus|, which increases along the scan, with
+    # the finer of the rules that converged at the cell's ends
     sign = 1.0 if vals[-1] > vals[0] else -1.0
     k = int(np.searchsorted(sign * vals, sign * target_phase))
+    n = int(nodes[[max(k - 1, 0), k]].max())
     lam = float(bisect_increasing(
-        lambda l: sign * theta_plus_magnitudes(l)[0], [sign * target_phase],
+        lambda l: sign * _theta_plus_rule(l, n), [sign * target_phase],
         scan[max(k - 1, 0)], scan[k])[0])
     residual = abs(theta_plus_magnitudes(lam)[0][0] - target_phase)
     if residual > phase_tol:

@@ -12,6 +12,7 @@ from .devices import SimulationModel
 from .propagation import (
     IntegratorError,
     PropagationConfig,
+    Trajectory,
     check_density,
     integrate_master,
     propagate_schrodinger,
@@ -34,12 +35,16 @@ class TransferReport:
     leakage: np.ndarray | None = None
     model_name: str = ""
     noise: bool = True
+    steps: int = 0
+    step_ns: float = 0.0
 
     def to_json_dict(self) -> dict:
         return {
             "initial": self.initial_label,
             "model": self.model_name,
             "noise": self.noise,
+            "steps": self.steps,
+            "step_ns": self.step_ns,
             "fidelity": self.fidelity,
             "final_populations": {
                 k: float(v[-1]) for k, v in self.populations.items()
@@ -73,6 +78,8 @@ class EnsembleReport:
     fidelity_curve: np.ndarray
     model_name: str = ""
     noise: bool = True
+    steps: int = 0
+    step_ns: float = 0.0
 
     @property
     def initial_fidelity(self) -> float:
@@ -83,6 +90,8 @@ class EnsembleReport:
             "count": self.count,
             "model": self.model_name,
             "noise": self.noise,
+            "steps": self.steps,
+            "step_ns": self.step_ns,
             "f_m": self.f_m,
             "initial_fidelity": self.initial_fidelity,
         }
@@ -94,28 +103,34 @@ class EnsembleReport:
 
 
 def _evolve(model: SimulationModel, initial_states, noise: bool,
-            cfg: PropagationConfig) -> tuple[np.ndarray, list[np.ndarray]]:
+            cfg: PropagationConfig) -> tuple[Trajectory, list[np.ndarray]]:
     """Propagate each initial model-space vector from 0 to tau and return
-    the record times and one (records, d, d) stack of rho(t) per state.
+    the first run's trajectory (record times, steps, step size) and one
+    (records, d, d) stack of rho(t) per state.
 
-    A closed run (noise off, or a model without channels) propagates psi,
-    once H is checked to be Hermitian at 65 times, and forms psi psi^H;
-    an open run propagates psi psi^H and checks every final state."""
+    A closed run (noise off, or a model without channels) propagates all
+    states as one block of psi columns, once H is checked to be Hermitian
+    at 65 times, and forms psi psi^H; an open run propagates each
+    psi psi^H and checks every final state."""
     if noise and model.channels:
         runs = [integrate_master(model.hamiltonian, model.channels,
                                  np.outer(psi, psi.conj()), model.tau, cfg)
                 for psi in initial_states]
         for traj in runs:
             check_density(traj.final)
-        return runs[0].times, [np.array(traj.states) for traj in runs]
+        return runs[0], [np.array(traj.states) for traj in runs]
     h = model.hamiltonian.matrices(np.linspace(0.0, model.tau, 65))
     if np.max(np.abs(h - h.conj().transpose(0, 2, 1))) > 1e-9:
         raise IntegratorError("Hamiltonian lost Hermiticity; a closed "
                               "run would not conserve the norm")
-    runs = [propagate_schrodinger(model.hamiltonian, PureState(psi), model.tau, cfg)
-            for psi in initial_states]
-    stacks = [np.array(traj.states) for traj in runs]
-    return runs[0].times, [x[:, :, None] * x[:, None, :].conj() for x in stacks]
+    block = np.column_stack(initial_states)
+    # a single state goes in as a PureState, the per-state call whose
+    # steps perfbench's traced worker counts
+    psi0 = PureState(block[:, 0]) if block.shape[1] == 1 else block
+    traj = propagate_schrodinger(model.hamiltonian, psi0, model.tau, cfg)
+    x = np.array(traj.states).reshape(len(traj.times), model.dim, -1)
+    return traj, [x[:, :, None, j] * x[:, None, :, j].conj()
+                  for j in range(block.shape[1])]
 
 
 def _embed_target(model: SimulationModel, target: PureState) -> np.ndarray:
@@ -142,7 +157,7 @@ def transfer_fidelity(
     cfg = cfg or PropagationConfig(step=model.default_step)
     target_vec = _embed_target(model, target)
     initial_vec = np.eye(model.dim)[model.logical_index(initial)]
-    times, (rhos,) = _evolve(model, [initial_vec], noise, cfg)
+    traj, (rhos,) = _evolve(model, [initial_vec], noise, cfg)
 
     populations = {
         label: rhos[:, i, i].real
@@ -157,12 +172,14 @@ def transfer_fidelity(
         initial_label=initial,
         target=target,
         fidelity=float(np.clip(fidelity_curve[-1], 0.0, 1.0)),
-        times=times,
+        times=traj.times,
         populations=populations,
         fidelity_curve=fidelity_curve,
         leakage=leakage,
         model_name=model.name,
         noise=noise and bool(model.channels),
+        steps=traj.steps,
+        step_ns=traj.step,
     )
 
 
@@ -188,7 +205,7 @@ def ensemble_fidelity(
     cfg = cfg or PropagationConfig(step=model.default_step)
     i100, i010, i001 = model.logical_indices
     e010, e001 = np.eye(model.dim)[[i010, i001]]
-    times, (rho_010, rho_001, rho_plus) = _evolve(
+    traj, (rho_010, rho_001, rho_plus) = _evolve(
         model, [e010, e001, (e010 + e001) / math.sqrt(2.0)], noise, cfg)
 
     thetas = np.linspace(0.0, 2.0 * math.pi, count)
@@ -215,10 +232,12 @@ def ensemble_fidelity(
     return EnsembleReport(
         count=count,
         f_m=float(curve[-1]),
-        times=times,
+        times=traj.times,
         fidelity_curve=curve,
         model_name=model.name,
         noise=noise and bool(model.channels),
+        steps=traj.steps,
+        step_ns=traj.step,
     )
 
 

@@ -119,10 +119,11 @@ class ControlHamiltonian:
 
 @dataclass(frozen=True)
 class PureState:
-    """A complex amplitude vector, unit-norm unless flagged otherwise."""
+    """A complex amplitude vector, unit-norm unless flagged otherwise
+    (normalized is keyword-only)."""
 
     amplitudes: np.ndarray
-    normalized: bool = field(default=True)
+    normalized: bool = field(default=True, kw_only=True)
 
     def __post_init__(self):
         a = _freeze(self.amplitudes)

@@ -110,6 +110,18 @@ class TestDesignCommand:
         assert main(["--out", str(out2), "--model", "ideal", "design"]) == EXIT_OK
         for name in ("pulses.csv", "design_summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        # simulate's report.json, with its step diagnostics, and its CSV
+        for initial, csv in (("100", "trajectory_100.csv"),
+                             ("ensemble", "ensemble_fidelity.csv")):
+            outs = [tmp_path / f"{initial}_{i}" for i in range(2)]
+            for out in outs:
+                assert main(["--out", str(out), "--model", "ideal", "--no-noise",
+                             "simulate", "--initial", initial]) == EXIT_OK
+            for name in ("report.json", csv):
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+            report = json.loads((outs[0] / "report.json").read_text())
+            assert report["steps"] == 2900
+            assert report["step_ns"] == 145.0 / 2900
 
     def test_diagnostics_and_byte_identical_reruns(self, tmp_path):
         cfg_path = tmp_path / "target.ini"

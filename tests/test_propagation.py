@@ -17,12 +17,14 @@ from nonrecip.invariant import (
 from nonrecip.propagation import (
     PropagationConfig,
     StepTooLargeError,
+    _rk4,
     evolution_operator_oracle,
     global_phase_distance,
     propagate_lindblad,
     propagate_schrodinger,
 )
 from nonrecip.statespace import (
+    ControlHamiltonian,
     DensityMatrix,
     Operator,
     PureState,
@@ -102,6 +104,68 @@ class TestSchrodinger:
         assert len(traj.times) == len(traj.states) == 11
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(1.0)
+
+
+def random_control_form(d, seed):
+    """A seeded Hermitian control form: random Hermitian H0 and A_1 under
+    cos(0.9 t), and a random non-Hermitian N with its adjoint under
+    0.7 exp(+-1.3 i t)."""
+    rng = np.random.default_rng(seed)
+
+    def gaussian():
+        return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+    h0, a1, n = gaussian(), gaussian(), gaussian() / d
+    h0, a1 = 0.5 * (h0 + h0.conj().T) / d, 0.5 * (a1 + a1.conj().T) / d
+    phase = lambda t: 0.7 * np.exp(1.3j * t)
+    return ControlHamiltonian(h0, np.stack([a1, n, n.conj().T]), lambda t: np.stack(
+        [np.cos(0.9 * t), phase(t), np.conj(phase(t))], axis=-1))
+
+
+def random_block(d, seed):
+    """Three orthonormal columns."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3)))
+    return q
+
+
+class TestStepMaps:
+    CFG = PropagationConfig(step=0.01, record_stride=40)
+
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_matches_stage_by_stage_rk4(self, d):
+        gen = random_control_form(d, seed=d)
+        stack = -1j * np.concatenate([gen.h0[None], gen.ops]).reshape(-1, d)
+        block = random_block(d, seed=10 + d)
+        maps = propagate_schrodinger(gen, block, 5.0, self.CFG)
+        for j in range(3):
+            ref = _rk4(stack, gen, block[:, j], 5.0, self.CFG)
+            assert np.array_equal(maps.times, ref.times)
+            assert (maps.steps, maps.step) == (ref.steps, ref.step) == (500, 0.01)
+            for got, want in zip(maps.states, ref.states):
+                assert np.max(np.abs(got[:, j] - want)) < 1e-12
+
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_block_equals_per_state(self, d):
+        gen = random_control_form(d, seed=d)
+        block = random_block(d, seed=10 + d)
+        together = propagate_schrodinger(gen, block, 5.0, self.CFG)
+        assert together.final.shape == (d, 3)
+        for j in range(3):
+            alone = propagate_schrodinger(gen, PureState(block[:, j]), 5.0, self.CFG)
+            assert alone.final.shape == (d,)
+            for got, want in zip(together.states, alone.states):
+                assert np.max(np.abs(got[:, j] - want)) < 1e-14
+
+    def test_norm_drift_of_one_column_raises(self):
+        # the anti-Hermitian term -0.2i|2><2| drains only basis state 2
+        h = 0.5 * np.diag([0.0, 0.0, -0.4j])
+        h[0, 1] = h[1, 0] = 0.3
+        cfg = PropagationConfig(step=0.05)
+        block = np.eye(3, dtype=complex)
+        propagate_schrodinger(lambda t: h, block[:, :2], 10.0, cfg)
+        with pytest.raises(StepTooLargeError):
+            propagate_schrodinger(lambda t: h, block, 10.0, cfg)
 
 
 class TestLindblad:

@@ -143,6 +143,11 @@ class TestValidation:
             PureState(np.array([1.0, 1.0]))
         PureState(np.array([1.0, 1.0]), normalized=False)  # explicit opt-out
 
+    def test_pure_state_flag_is_keyword_only(self):
+        # a basis passed by position must not be read as the flag
+        with pytest.raises(TypeError):
+            PureState(np.array([1.0, 0.0]), make_basis(["0", "1"]))
+
     def test_operator_rejects_basis_mismatch(self):
         with pytest.raises(ValueError):
             Operator(np.eye(3), make_basis(["0", "1"]))
