@@ -6,9 +6,6 @@ from .statespace import (
     DensityMatrix,
     Operator,
     PureState,
-    fidelity_pure_target,
-    matrix_exponential_step,
-    tensor_product,
 )
 from .invariant import (
     AuxiliaryTrajectory,
@@ -31,13 +28,10 @@ from .devices import (
     TransmonSpec,
     UnattainableDriveError,
     bessel_j1,
-    full_chain_hamiltonian,
     full_chain_model,
-    ideal_hamiltonian,
     ideal_model,
     invert_bessel_drive,
     lindblad_channels,
-    single_excitation_hamiltonian,
     single_excitation_model,
 )
 from .propagation import (
@@ -45,7 +39,6 @@ from .propagation import (
     Trajectory,
     evolution_operator_oracle,
     global_phase_distance,
-    propagate_lindblad,
     propagate_schrodinger,
 )
 from .metrics import (

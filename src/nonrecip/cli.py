@@ -266,7 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = load_config(args.config) if args.config else ScenarioConfig()
     overrides = {}
     if args.model:
         overrides["model"] = args.model
@@ -274,10 +273,10 @@ def main(argv=None) -> int:
         overrides["noise"] = False
     if getattr(args, "target_phase_rad", None) is not None:
         overrides["target_phase_rad"] = args.target_phase_rad
-    if overrides:
-        cfg = with_overrides(cfg, **overrides)
     out_dir = args.out
     try:
+        cfg = load_config(args.config) if args.config else ScenarioConfig()
+        cfg = with_overrides(cfg, **overrides)
         if args.command == "design":
             code = cmd_design(cfg, out_dir)
         elif args.command == "solve-lambda":

@@ -47,8 +47,11 @@ class ScenarioConfig:
             raise ValueError(
                 "exactly one of lambda / target_phase_rad must be present"
             )
-        if self.tau_ns <= 0:
-            raise ValueError("tau_ns must be > 0")
+        if not (math.isfinite(self.tau_ns) and self.tau_ns > 0):
+            raise ValueError(f"tau_ns must be finite and > 0, got {self.tau_ns}")
+        if self.step_ns is not None and not (math.isfinite(self.step_ns)
+                                             and self.step_ns > 0):
+            raise ValueError(f"step_ns must be finite and > 0, got {self.step_ns}")
 
     def chain_spec(self) -> ChainSpec:
         d = 3 if self.model == "full_three_level" else 2

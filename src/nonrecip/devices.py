@@ -213,18 +213,6 @@ def single_excitation_basis():
     return make_basis(SINGLE_EXCITATION_LABELS)
 
 
-def ideal_hamiltonian(pulses: PulsePair, t: float) -> Operator:
-    """Effective Hamiltonian in the single-excitation basis: the pulses
-    couple |100> and |001> to |010> with strength g'_j/2."""
-    _check_in_span(pulses.times, t)
-    return Operator(pulses.hamiltonian()(t), single_excitation_basis())
-
-
-def _check_in_span(times: np.ndarray, t: float):
-    if not (times[0] - 1e-9 <= t <= times[-1] + 1e-9):
-        raise ValueError(f"t = {t} outside pulse grid span [0, {times[-1]}]")
-
-
 def _single_excitation_control(chain: ChainSpec, drives: DriveWaveform):
     """Phase-modulated static couplings g_j exp(i(delta_j t - F_j(t)))
     of |100> and |001> to |010>, with their conjugates, acting on the
@@ -240,19 +228,6 @@ def _single_excitation_control(chain: ChainSpec, drives: DriveWaveform):
     for j, (r, c) in enumerate([(i100, i010), (i010, i100), (i001, i010), (i010, i001)]):
         ops[j, r, c] = 1.0
     return ControlHamiltonian(np.zeros((8, 8)), ops, coeffs)
-
-
-def single_excitation_hamiltonian(
-    chain: ChainSpec, drives: DriveWaveform, t: float
-) -> Operator:
-    """Rotating-frame chain Hamiltonian reduced to the single-excitation
-    subspace: phase-modulated static couplings of |100> and |001> to
-    |010>, magnitudes g_j at all times."""
-    chain.require_resonant()
-    _check_in_span(drives.times, t)
-    idx = list(single_excitation_indices(2))
-    h = _single_excitation_control(chain, drives)(t)
-    return Operator(h[np.ix_(idx, idx)], single_excitation_basis())
 
 
 def chain_basis(d: int):
@@ -304,21 +279,6 @@ def _full_chain_control(chain: ChainSpec, drives: DriveWaveform):
         return np.stack(cols, axis=-1)
 
     return ControlHamiltonian(h0, np.array(ops), coeffs)
-
-
-def full_chain_hamiltonian(
-    chain: ChainSpec, drives: DriveWaveform, t: float
-) -> Operator:
-    """Rotating-frame Hamiltonian of the full chain, counter-rotating
-    terms included.
-
-    For d = 3 each transmon keeps its second excited level: the 1<->2
-    ladder couples with a sqrt(2) enhancement, drive phases act per
-    excitation number, and the anharmonic shift -alpha_k remains on
-    level 2.
-    """
-    _check_in_span(drives.times, t)
-    return Operator(_full_chain_control(chain, drives)(t), chain_basis(chain.d))
 
 
 @dataclass(frozen=True)
@@ -431,7 +391,8 @@ def single_excitation_model(
 
 
 def full_chain_model(chain: ChainSpec, drives: DriveWaveform) -> SimulationModel:
-    """Full coupled-chain model at the chain's level truncation."""
+    """Full coupled-chain model, counter-rotating terms included, at the
+    chain's level truncation."""
     name = "full_qubit" if chain.d == 2 else "full_three_level"
     return _chain_model(name, chain, drives,
                         _full_chain_control(chain, drives), chain.d)

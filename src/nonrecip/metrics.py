@@ -13,7 +13,6 @@ from .propagation import (
     IntegratorError,
     PropagationConfig,
     Trajectory,
-    check_density,
     integrate_master,
     propagate_schrodinger,
 )
@@ -103,34 +102,34 @@ class EnsembleReport:
 
 
 def _evolve(model: SimulationModel, initial_states, noise: bool,
-            cfg: PropagationConfig) -> tuple[Trajectory, list[np.ndarray]]:
-    """Propagate each initial model-space vector from 0 to tau and return
-    the first run's trajectory (record times, steps, step size) and one
-    (records, d, d) stack of rho(t) per state.
+            cfg: PropagationConfig) -> tuple[Trajectory, np.ndarray]:
+    """Propagate the k initial model-space vectors from 0 to tau in one
+    call and return its trajectory (record times, steps, step size) and
+    rho(t) as a (k, records, d, d) array.
 
-    A closed run (noise off, or a model without channels) propagates all
-    states as one block of psi columns, once H is checked to be Hermitian
-    at 65 times, and forms psi psi^H; an open run propagates each
-    psi psi^H and checks every final state."""
+    A closed run (noise off, or a model without channels) propagates the
+    states as a (d, k) block of psi columns, once H is checked to be
+    Hermitian at 65 times, and forms psi psi^H; an open run propagates the
+    (k, d, d) block of psi psi^H, and integrate_master checks every final
+    state.  A single state goes in unbatched, as a PureState or one
+    (d, d) matrix: the per-state calls whose steps perfbench's traced
+    worker counts."""
+    psi = np.column_stack(initial_states)
+    one = psi.shape[1] == 1
     if noise and model.channels:
-        runs = [integrate_master(model.hamiltonian, model.channels,
-                                 np.outer(psi, psi.conj()), model.tau, cfg)
-                for psi in initial_states]
-        for traj in runs:
-            check_density(traj.final)
-        return runs[0], [np.array(traj.states) for traj in runs]
+        rho0 = psi.T[:, :, None] * psi.T[:, None, :].conj()
+        traj = integrate_master(model.hamiltonian, model.channels,
+                                rho0[0] if one else rho0, model.tau, cfg)
+        shape = (len(traj.times), -1, model.dim, model.dim)
+        return traj, traj.states.reshape(shape).swapaxes(0, 1)
     h = model.hamiltonian.matrices(np.linspace(0.0, model.tau, 65))
     if np.max(np.abs(h - h.conj().transpose(0, 2, 1))) > 1e-9:
         raise IntegratorError("Hamiltonian lost Hermiticity; a closed "
                               "run would not conserve the norm")
-    block = np.column_stack(initial_states)
-    # a single state goes in as a PureState, the per-state call whose
-    # steps perfbench's traced worker counts
-    psi0 = PureState(block[:, 0]) if block.shape[1] == 1 else block
-    traj = propagate_schrodinger(model.hamiltonian, psi0, model.tau, cfg)
-    x = np.array(traj.states).reshape(len(traj.times), model.dim, -1)
-    return traj, [x[:, :, None, j] * x[:, None, :, j].conj()
-                  for j in range(block.shape[1])]
+    traj = propagate_schrodinger(model.hamiltonian, PureState(psi[:, 0]) if one else psi,
+                                 model.tau, cfg)
+    x = traj.states.reshape(len(traj.times), model.dim, -1).transpose(2, 0, 1)
+    return traj, x[..., :, None] * x[..., None, :].conj()
 
 
 def _embed_target(model: SimulationModel, target: PureState) -> np.ndarray:

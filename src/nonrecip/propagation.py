@@ -3,10 +3,11 @@ evolution-operator oracle.
 
 Fixed-step RK4 is the only integrator; the oracle's product of midpoint
 exponentials is the reference it is tested against.  Every propagation
-works on the control form H(t) = H0 + sum_j c_j(t) A_j, as
-dx/dt = S_0 x + sum_j c_j(t) S_j x with constant blocks S_j, and
-tabulates the coefficients on the half-step grid one chunk of steps at a
-time.  The two paths differ in how a step is applied:
+works on a ControlHamiltonian H(t) = H0 + sum_j c_j(t) A_j, as
+dx/dt = S_0 x + sum_j c_j(t) S_j x with constant blocks S_j, tabulates
+the coefficients on the half-step grid one chunk of steps at a time, and
+takes one state or a block of states, every one of which it checks at
+the end.  The two paths differ in how a step is applied:
 
 - closed runs (x = psi, S_j = -i A_j, d x d) multiply step maps: one RK4
   step is a fixed polynomial M_k in the generator at the start, midpoint
@@ -15,8 +16,9 @@ time.  The two paths differ in how a step is applied:
   costs about 3 d^3 multiply-adds, cheap for d x d generators;
 - open runs (x = vec(rho), sparse CSR d^2 x d^2 blocks: the commutators
   with A_j, the dissipators folded into S_0) apply the four stages to the
-  vector, because d^2 x d^2 maps were measured slower (24 s against
-  about 3 s for the noisy single-excitation transfer).
+  vector, or to the (d^2, k) columns of a (k, d, d) block, because
+  d^2 x d^2 maps were measured slower (24 s against about 3 s for the
+  noisy single-excitation transfer).
 
 Fixed-step, fixed-order arithmetic throughout: identical inputs produce
 bit-identical outputs.
@@ -24,14 +26,14 @@ bit-identical outputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .statespace import (ControlHamiltonian, DensityMatrix, Operator, PureState,
-                         make_basis)
+from .statespace import ControlHamiltonian, Operator, PureState, make_basis
 
 
 class StepTooLargeError(RuntimeError):
@@ -56,8 +58,8 @@ class PropagationConfig:
     record_stride: int = 50
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be > 0")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError(f"step must be finite and > 0, got {self.step}")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
 
@@ -65,34 +67,17 @@ class PropagationConfig:
 @dataclass
 class Trajectory:
     """Time-stamped states from a propagation run of steps steps of
-    size step (ns)."""
+    size step (ns): states stacks one record per time, each shaped like
+    the initial state or block."""
 
     times: np.ndarray
-    states: list
+    states: np.ndarray
     steps: int
     step: float
 
     @property
     def final(self):
         return self.states[-1]
-
-
-def _as_control(h_of_t) -> ControlHamiltonian:
-    """The control form of a generator.  A plain callable t -> H(t)
-    (matrix or Operator) becomes one coefficient per matrix entry."""
-    if isinstance(h_of_t, ControlHamiltonian):
-        return h_of_t
-
-    def fn(t):
-        h = h_of_t(t)
-        return h.matrix if isinstance(h, Operator) else np.asarray(h)
-
-    d = fn(0.0).shape[0]
-    return ControlHamiltonian(
-        np.zeros((d, d)),
-        np.eye(d * d).reshape(d * d, d, d),
-        lambda times: np.array([fn(t) for t in times], dtype=complex).reshape(-1, d * d),
-    )
 
 
 _CHUNK = 256  # steps per coefficient table, which keeps the tables small
@@ -129,19 +114,21 @@ def _lindblad_stack(gen: ControlHamiltonian, channels: Sequence) -> sparse.csr_m
 
 def _rk4(stack, gen: ControlHamiltonian, x0, tau: float, cfg) -> Trajectory:
     """Classical RK4 for dx/dt = S_0 x + sum_j c_j(t) S_j x, where the
-    (1 + J) blocks of stack are S_0..S_J.  For each chunk of steps the
-    table holds (1, c(t)) on the half-step times, so rows 2k, 2k + 1 and
-    2k + 2 are the start, midpoint and end of step k, and the stage
-    derivative at row s is table[s] @ (stack @ x)."""
+    (1 + J) blocks of stack are S_0..S_J and x0 is a vector or a block of
+    columns.  For each chunk of steps the table holds (1, c(t)) on the
+    half-step times, so rows 2k, 2k + 1 and 2k + 2 are the start, midpoint
+    and end of step k, and the stage derivative at row s is
+    table[s] @ (stack @ x), over the (blocks, rows x columns) reshape."""
     n, dt = _grid(tau, cfg.step)
     blocks = stack.shape[0] // stack.shape[1]
     weights = np.array([1.0, 2.0, 2.0, 1.0], dtype=complex) * (dt / 6.0)
-    k = np.empty((4, stack.shape[1]), dtype=complex)
+    x = np.array(x0, dtype=complex)
+    k = np.empty((4,) + x.shape, dtype=complex)
+    flat = k.reshape(4, -1)  # a view: the stages write into k
 
     def stage(i, x, c):
-        return np.dot(c, (stack @ x).reshape(blocks, -1), out=k[i])
+        np.dot(c, (stack @ x).reshape(blocks, -1), out=flat[i])
 
-    x = np.array(x0, dtype=complex)
     times, states = [0.0], [x.copy()]
     for first in range(0, n, _CHUNK):
         steps = range(first, min(n, first + _CHUNK))
@@ -153,9 +140,9 @@ def _rk4(stack, gen: ControlHamiltonian, x0, tau: float, cfg) -> Trajectory:
             stage(1, x + 0.5 * dt * k[0], table[s + 1])
             stage(2, x + 0.5 * dt * k[1], table[s + 1])
             stage(3, x + dt * k[2], table[s + 2])
-            x = x + weights @ k
+            x = x + (weights @ flat).reshape(x.shape)
             _record(times, states, x, step, n, dt, cfg)
-    return Trajectory(np.array(times), states, n, dt)
+    return Trajectory(np.array(times), np.array(states), n, dt)
 
 
 def _step_maps(gen: ControlHamiltonian, s0, s, first: int, last: int, dt: float):
@@ -196,20 +183,18 @@ def _step_maps(gen: ControlHamiltonian, s0, s, first: int, last: int, dt: float)
 
 
 def propagate_schrodinger(
-    h_of_t, psi0: PureState | np.ndarray, tau: float,
+    gen: ControlHamiltonian, psi0: PureState | np.ndarray, tau: float,
     cfg: PropagationConfig | None = None,
 ) -> Trajectory:
     """Integrate i d|psi>/dt = H(t)|psi> from 0 to tau by RK4 step maps
-    (_step_maps), one M @ X per step.  h_of_t is a ControlHamiltonian or
-    any callable t -> H(t); psi0 is a PureState, or a (d, k) array whose
-    k columns are propagated together, and each recorded state has the
-    same shape.
+    (_step_maps), one M @ X per step.  psi0 is a PureState, or a (d, k)
+    array whose k columns are propagated together, and each recorded
+    state has the same shape.
 
     Raises StepTooLargeError when the norm of any column drifts by more
     than 1e-6.
     """
     cfg = cfg or PropagationConfig()
-    gen = _as_control(h_of_t)
     s0, s = -1j * gen.h0, -1j * gen.ops.reshape(len(gen.ops), -1)
     chunk = max(1, _MAP_ENTRIES // gen.dim**2)
     n, dt = _grid(tau, cfg.step)
@@ -222,7 +207,7 @@ def propagate_schrodinger(
             x = maps[step - first] @ x
             _record(times, states, x, step, n, dt, cfg)
         del maps  # free this chunk's maps before the next chunk's are formed
-    traj = Trajectory(np.array(times), states, n, dt)
+    traj = Trajectory(np.array(times), np.array(states), n, dt)
     drift = np.max(np.abs(np.linalg.norm(traj.final, axis=0)
                           - np.linalg.norm(x0, axis=0)))
     if drift > 1e-6:
@@ -237,46 +222,42 @@ def _record(times, states, state, k, n, dt, cfg):
 
 
 def integrate_master(
-    h_fn, channels: Sequence, rho0: np.ndarray, tau: float, cfg: PropagationConfig
+    gen: ControlHamiltonian, channels: Sequence, rho0: np.ndarray, tau: float,
+    cfg: PropagationConfig,
 ) -> Trajectory:
-    """RK4 integration of the master equation from rho0, with no
-    invariant checks: callers run check_density on the states they use
-    (propagate_lindblad does so on the final state).  h_fn is a
-    ControlHamiltonian or any callable t -> H(t)."""
-    gen = _as_control(h_fn)
-    traj = _rk4(_lindblad_stack(gen, channels), gen, np.ravel(rho0), tau, cfg)
-    traj.states = [s.reshape(gen.dim, gen.dim) for s in traj.states]
-    return traj
-
-
-def check_density(rho: np.ndarray):
-    """Raise IntegratorError unless rho has unit trace (1e-8), is
-    Hermitian (1e-9) and has no eigenvalue below -1e-6."""
-    tr = np.trace(rho)
-    if abs(tr.real - 1.0) > 1e-8 or abs(tr.imag) > 1e-8:
-        raise IntegratorError(f"trace drifted to {tr!r}; reduce the step")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-9:
-        raise IntegratorError("final state lost Hermiticity; reduce the step")
-    if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() < -1e-6:
-        raise IntegratorError("final state lost positivity; reduce the step")
-
-
-def propagate_lindblad(
-    h_of_t, channels: Sequence, rho0: DensityMatrix, tau: float,
-    cfg: PropagationConfig | None = None,
-) -> Trajectory:
-    """Integrate drho/dt = i[rho, H(t)] + sum_k Gamma_k L(O_k).
-
-    The final state must pass check_density, else IntegratorError.
-    """
-    cfg = cfg or PropagationConfig(step=0.005)
-    traj = integrate_master(h_of_t, channels, rho0.entries, tau, cfg)
+    """RK4 integration of drho/dt = i[rho, H(t)] + sum_k Gamma_k L(O_k)
+    from rho0: one (d, d) density matrix, or a (k, d, d) block propagated
+    together as the k columns of vec rho.  Each recorded state has rho0's
+    shape, and every final member must pass check_density, else
+    IntegratorError."""
+    rho0 = np.asarray(rho0)
+    d = gen.dim
+    x0 = rho0.reshape(-1, d * d).T.copy() if rho0.ndim == 3 else rho0.ravel()
+    traj = _rk4(_lindblad_stack(gen, channels), gen, x0, tau, cfg)
+    x = np.moveaxis(traj.states.reshape(len(traj.times), d * d, -1), 2, 1)
+    traj.states = x.reshape((len(traj.times),) + rho0.shape)
     check_density(traj.final)
     return traj
 
 
+def check_density(rho: np.ndarray):
+    """Raise IntegratorError unless rho, or every member of a (k, d, d)
+    block, has unit trace (1e-8), is Hermitian (1e-9) and has no
+    eigenvalue below -1e-6."""
+    rho = np.reshape(rho, (-1,) + np.shape(rho)[-2:])
+    tr = np.trace(rho, axis1=1, axis2=2)
+    bad = np.flatnonzero((np.abs(tr.real - 1.0) > 1e-8) | (np.abs(tr.imag) > 1e-8))
+    if bad.size:
+        raise IntegratorError(f"trace drifted to {complex(tr[bad[0]])!r}; reduce the step")
+    adjoint = rho.conj().transpose(0, 2, 1)
+    if np.max(np.abs(rho - adjoint)) > 1e-9:
+        raise IntegratorError("final state lost Hermiticity; reduce the step")
+    if np.linalg.eigvalsh(0.5 * (rho + adjoint)).min() < -1e-6:
+        raise IntegratorError("final state lost positivity; reduce the step")
+
+
 def evolution_operator_oracle(
-    h_of_t, tau: float, cfg: PropagationConfig | None = None, basis=None
+    gen: ControlHamiltonian, tau: float, cfg: PropagationConfig | None = None, basis=None
 ) -> Operator:
     """Time-ordered product of per-step midpoint exponentials.
 
@@ -285,7 +266,7 @@ def evolution_operator_oracle(
     """
     cfg = cfg or PropagationConfig(step=0.001)
     n, dt = _grid(tau, cfg.step)
-    hs = _as_control(h_of_t).matrices((np.arange(n) + 0.5) * dt)
+    hs = gen.matrices((np.arange(n) + 0.5) * dt)
     w, v = np.linalg.eigh(hs)
     phases = np.exp(-1j * w * dt)
     steps = np.einsum("kij,kj,klj->kil", v, phases, v.conj())

@@ -21,10 +21,6 @@ class DimensionMismatchError(ValueError):
     pass
 
 
-class NonHermitianError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class BasisLabel:
     """A named basis vector with its position in the basis ordering."""
@@ -81,9 +77,6 @@ class Operator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol
 
 
 @dataclass(frozen=True)
@@ -174,40 +167,3 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-
-def tensor_product(a: Operator, b: Operator) -> Operator:
-    """Kronecker product with a-major concatenated basis labels."""
-    labels = [
-        la.name + lb.name for la in a.basis for lb in b.basis
-    ]
-    return Operator(np.kron(a.matrix, b.matrix), make_basis(labels))
-
-
-def matrix_exponential_step(h: Operator, dt: float) -> Operator:
-    """exp(-i*h*dt) for Hermitian h, via eigendecomposition.
-
-    Raises NonHermitianError if h deviates from Hermiticity by more
-    than 1e-9 in max-abs entry.
-    """
-    if not h.is_hermitian():
-        raise NonHermitianError("matrix_exponential_step requires a Hermitian input")
-    w, v = np.linalg.eigh(h.matrix)
-    u = (v * np.exp(-1j * w * dt)) @ v.conj().T
-    return Operator(u, h.basis)
-
-
-def fidelity_pure_target(target: PureState, rho: DensityMatrix) -> float:
-    """<target|rho|target>, clamped to [0, 1].
-
-    Raises DimensionMismatchError on dimension mismatch and ValueError
-    if the expectation value has an imaginary part above 1e-9.
-    """
-    if target.dim != rho.dim:
-        raise DimensionMismatchError(
-            f"target dim {target.dim} != density matrix dim {rho.dim}"
-        )
-    val = complex(target.amplitudes.conj() @ rho.entries @ target.amplitudes)
-    if abs(val.imag) > 1e-9:
-        raise ValueError(f"fidelity expectation has imaginary part {val.imag}")
-    return float(min(1.0, max(0.0, val.real)))

@@ -39,10 +39,10 @@ from nonrecip.propagation import (
     PropagationConfig,
     evolution_operator_oracle,
     global_phase_distance,
-    propagate_lindblad,
+    integrate_master,
     propagate_schrodinger,
 )
-from nonrecip.statespace import DensityMatrix, PureState, make_basis
+from nonrecip.statespace import ControlHamiltonian, PureState, make_basis
 
 TAU = 145.0
 LAMBDA_REF = 0.4974
@@ -240,8 +240,8 @@ class TestPropertySuite:
         i0 = device.logical_index("100")
         rho0 = np.zeros((device.dim, device.dim), dtype=complex)
         rho0[i0, i0] = 1.0
-        out = propagate_lindblad(
-            device.hamiltonian, device.channels, DensityMatrix(rho0), 5.0,
+        out = integrate_master(
+            device.hamiltonian, device.channels, rho0, 5.0,
             PropagationConfig(step=device.default_step),
         ).final
         tr_ok = abs(np.trace(out).real - 1.0) < 1e-9
@@ -250,14 +250,15 @@ class TestPropertySuite:
         sub("trace/Hermiticity/positivity", tr_ok and herm_ok and pos_ok)
 
         # fixed-step integrator converges at fourth order
-        h = 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        sx = 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        h = ControlHamiltonian(np.zeros((2, 2)), sx[None],
+                               lambda t: np.cos(0.7 * t)[:, None])
         psi0 = PureState.basis_state(2, 0)
         ref = propagate_schrodinger(
-            lambda t: np.cos(0.7 * t) * h, psi0, 4.0,
-            PropagationConfig(step=0.0005)).final
+            h, psi0, 4.0, PropagationConfig(step=0.0005)).final
         errs = [
             np.linalg.norm(propagate_schrodinger(
-                lambda t: np.cos(0.7 * t) * h, psi0, 4.0,
+                h, psi0, 4.0,
                 PropagationConfig(step=s)).final - ref)
             for s in (0.08, 0.04)
         ]

@@ -22,7 +22,7 @@ from nonrecip.config import (
     serialize_config,
     with_overrides,
 )
-from nonrecip.propagation import IntegratorError
+from nonrecip.propagation import IntegratorError, PropagationConfig
 
 
 class TestConfig:
@@ -138,6 +138,26 @@ class TestDesignCommand:
         assert summary["lambda_residual_rad"] == abs(
             summary["theta_plus_rad"] - 1.5 * np.pi)
         assert summary["lambda_residual_rad"] < 1e-12
+
+
+class TestNonFiniteScenarioValues:
+    @pytest.mark.parametrize("key, value", [
+        ("tau_ns", "nan"), ("tau_ns", "inf"),
+        ("step_ns", "nan"), ("step_ns", "inf"), ("step_ns", "0"), ("step_ns", "-0.05"),
+    ])
+    def test_simulate_exits_1_naming_the_field(self, tmp_path, capsys, key, value):
+        cfg_path = tmp_path / "bad.ini"
+        cfg_path.write_text(f"[scenario]\n{key} = {value}\n")
+        code = main(["--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                     "simulate", "--initial", "100"])
+        assert code == EXIT_FAILURE
+        assert f"{key} must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_propagation_config_rejects_non_finite_step(self):
+        for step in (float("nan"), float("inf"), 0.0):
+            with pytest.raises(ValueError, match="step must be finite"):
+                PropagationConfig(step=step)
 
 
 class TestSolveLambdaCommand:

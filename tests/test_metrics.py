@@ -23,10 +23,10 @@ from nonrecip.propagation import (
     IntegratorError,
     PropagationConfig,
     check_density,
-    propagate_lindblad,
+    integrate_master,
     propagate_schrodinger,
 )
-from nonrecip.statespace import DensityMatrix, PureState
+from nonrecip.statespace import PureState
 
 TAU = 145.0
 LAMBDA = 0.4974
@@ -135,9 +135,9 @@ class TestEnsembleFidelity:
             target = np.zeros(model.dim, dtype=complex)
             target[[i100, i010]] = 1j * np.cos(v), 1j * np.sin(v)
             if noise:
-                rho = propagate_lindblad(
+                rho = integrate_master(
                     model.hamiltonian, model.channels,
-                    DensityMatrix(np.outer(psi, psi.conj())), model.tau, cfg).final
+                    np.outer(psi, psi.conj()), model.tau, cfg).final
             else:
                 final = propagate_schrodinger(
                     model.hamiltonian, PureState(psi), model.tau, cfg).final

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -14,18 +16,19 @@ from nonrecip.invariant import (
     synthesize_pulses,
     target_unitary,
 )
+from nonrecip import propagation
 from nonrecip.propagation import (
+    IntegratorError,
     PropagationConfig,
     StepTooLargeError,
     _rk4,
     evolution_operator_oracle,
     global_phase_distance,
-    propagate_lindblad,
+    integrate_master,
     propagate_schrodinger,
 )
 from nonrecip.statespace import (
     ControlHamiltonian,
-    DensityMatrix,
     Operator,
     PureState,
     make_basis,
@@ -43,6 +46,16 @@ def ket(dim, idx):
     return PureState.basis_state(dim, idx)
 
 
+def modulated(h, f=np.ones_like):
+    """H(t) = f(t) h in control form: no drift, one operator."""
+    h = np.asarray(h, dtype=complex)
+    return ControlHamiltonian(np.zeros_like(h), h[None], lambda t: f(t)[:, None])
+
+
+def projector(psi):
+    return np.outer(psi.amplitudes, psi.amplitudes.conj())
+
+
 @pytest.fixture(scope="module")
 def pulses():
     return synthesize_pulses(AuxiliaryTrajectory(LAMBDA, TAU))
@@ -52,7 +65,7 @@ class TestSchrodinger:
     def test_zero_hamiltonian_is_identity(self):
         psi0 = PureState(np.array([0.6, 0.8j]))
         traj = propagate_schrodinger(
-            lambda t: np.zeros((2, 2)), psi0, 10.0, PropagationConfig(step=0.1)
+            modulated(np.zeros((2, 2))), psi0, 10.0, PropagationConfig(step=0.1)
         )
         assert np.allclose(traj.final, psi0.amplitudes, atol=1e-12)
 
@@ -61,7 +74,7 @@ class TestSchrodinger:
         omega = 1.0
         h = 0.5 * omega * SIGMA_X
         traj = propagate_schrodinger(
-            lambda t: h, ket(2, 0), np.pi / omega,
+            modulated(h), ket(2, 0), np.pi / omega,
             PropagationConfig(step=0.001),
         )
         assert abs(traj.final[0]) < 1e-9
@@ -69,11 +82,7 @@ class TestSchrodinger:
 
     def test_expm_method_matches_rk4(self):
         # RK4 against the oracle's product of midpoint exponentials
-        h = 0.5 * SIGMA_X
-
-        def h_t(t):
-            return np.cos(0.3 * t) * h
-
+        h_t = modulated(0.5 * SIGMA_X, lambda t: np.cos(0.3 * t))
         psi0 = ket(2, 0)
         cfg = PropagationConfig(step=0.002)
         a = propagate_schrodinger(h_t, psi0, 5.0, cfg)
@@ -93,12 +102,12 @@ class TestSchrodinger:
         h = 50.0 * SIGMA_X
         with pytest.raises(StepTooLargeError):
             propagate_schrodinger(
-                lambda t: h, ket(2, 0), 10.0, PropagationConfig(step=0.5)
+                modulated(h), ket(2, 0), 10.0, PropagationConfig(step=0.5)
             )
 
     def test_recording_stride(self):
         traj = propagate_schrodinger(
-            lambda t: np.zeros((2, 2)), ket(2, 0), 1.0,
+            modulated(np.zeros((2, 2))), ket(2, 0), 1.0,
             PropagationConfig(step=0.01, record_stride=10),
         )
         assert len(traj.times) == len(traj.states) == 11
@@ -163,9 +172,15 @@ class TestStepMaps:
         h[0, 1] = h[1, 0] = 0.3
         cfg = PropagationConfig(step=0.05)
         block = np.eye(3, dtype=complex)
-        propagate_schrodinger(lambda t: h, block[:, :2], 10.0, cfg)
+        propagate_schrodinger(modulated(h), block[:, :2], 10.0, cfg)
         with pytest.raises(StepTooLargeError):
-            propagate_schrodinger(lambda t: h, block, 10.0, cfg)
+            propagate_schrodinger(modulated(h), block, 10.0, cfg)
+
+
+@pytest.fixture(scope="module")
+def device(pulses):
+    chain = ChainSpec.reference_defaults()
+    return single_excitation_model(chain, invert_bessel_drive(pulses, chain))
 
 
 class TestLindblad:
@@ -174,9 +189,7 @@ class TestLindblad:
         psi0 = ket(3, 0)
         cfg = PropagationConfig(step=model.default_step)
         pure = propagate_schrodinger(model.hamiltonian, psi0, TAU, cfg)
-        rho0 = DensityMatrix(np.outer(psi0.amplitudes,
-                                      psi0.amplitudes.conj()))
-        mixed = propagate_lindblad(model.hamiltonian, [], rho0, TAU, cfg)
+        mixed = integrate_master(model.hamiltonian, [], projector(psi0), TAU, cfg)
         expected = np.outer(pure.final, pure.final.conj())
         assert np.max(np.abs(mixed.final - expected)) < 1e-8
 
@@ -184,12 +197,11 @@ class TestLindblad:
         # O = |0><1| + |0><0| - |1><1| drains the excited population
         op = Operator(np.array([[1.0, 1.0], [0.0, -1.0]], dtype=complex), B2)
         chan = LindbladChannel(operator=op, rate=khz(50.0))
-        rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
-        traj = propagate_lindblad(
-            lambda t: np.zeros((2, 2)), [chan], rho0, 500.0,
+        traj = integrate_master(
+            modulated(np.zeros((2, 2))), [chan], projector(ket(2, 1)), 500.0,
             PropagationConfig(step=0.05, record_stride=200),
         )
-        p1 = np.array([s[1, 1].real for s in traj.states])
+        p1 = traj.states[:, 1, 1].real
         assert np.all(np.diff(p1) < 0)
         assert p1[-1] < 0.9
         for s in traj.states:
@@ -197,41 +209,69 @@ class TestLindblad:
             assert np.max(np.abs(s - s.conj().T)) < 1e-9
             assert np.linalg.eigvalsh(s).min() > -1e-9
 
-    def test_vanishing_rates_recover_closed_system(self, pulses):
-        chain = ChainSpec.reference_defaults()
-        model = single_excitation_model(chain, invert_bessel_drive(pulses, chain))
+    def test_vanishing_rates_recover_closed_system(self, device):
         weak = [
             LindbladChannel(operator=c.operator, rate=1e-12)
-            for c in model.channels
+            for c in device.channels
         ]
-        psi0 = ket(model.dim, model.logical_index("100"))
-        rho0 = DensityMatrix(np.outer(psi0.amplitudes,
-                                      psi0.amplitudes.conj()))
-        cfg = PropagationConfig(step=model.default_step)
-        closed = propagate_schrodinger(model.hamiltonian, psi0, TAU, cfg)
-        damped = propagate_lindblad(model.hamiltonian, weak, rho0, TAU, cfg)
+        psi0 = ket(device.dim, device.logical_index("100"))
+        cfg = PropagationConfig(step=device.default_step)
+        closed = propagate_schrodinger(device.hamiltonian, psi0, TAU, cfg)
+        damped = integrate_master(device.hamiltonian, weak, projector(psi0), TAU, cfg)
         expected = np.outer(closed.final, closed.final.conj())
         assert np.max(np.abs(damped.final - expected)) < 1e-8
 
-    def test_device_run_preserves_invariants(self, pulses):
-        chain = ChainSpec.reference_defaults()
-        model = single_excitation_model(chain, invert_bessel_drive(pulses, chain))
-        psi0 = ket(model.dim, model.logical_index("100"))
-        rho0 = DensityMatrix(np.outer(psi0.amplitudes,
-                                      psi0.amplitudes.conj()))
-        traj = propagate_lindblad(
-            model.hamiltonian, model.channels, rho0, 10.0,
-            PropagationConfig(step=model.default_step, record_stride=500),
+    def test_device_run_preserves_invariants(self, device):
+        psi0 = ket(device.dim, device.logical_index("100"))
+        traj = integrate_master(
+            device.hamiltonian, device.channels, projector(psi0), 10.0,
+            PropagationConfig(step=device.default_step, record_stride=500),
         )
         for s in traj.states:
             assert np.trace(s).real == pytest.approx(1.0, abs=1e-9)
             assert np.linalg.eigvalsh(0.5 * (s + s.conj().T)).min() > -1e-8
 
+    def test_block_equals_single_calls(self, device):
+        cfg = PropagationConfig(step=0.05, record_stride=40)
+        i100, i010, i001 = device.logical_indices
+        plus = np.zeros(device.dim)
+        plus[[i010, i001]] = 1.0 / np.sqrt(2.0)
+        block = np.stack([projector(ket(device.dim, i100)),
+                          projector(ket(device.dim, i010)), np.outer(plus, plus)])
+        together = integrate_master(device.hamiltonian, device.channels, block, 10.0, cfg)
+        assert together.states.shape == (6, 3, 8, 8)
+        for j in range(3):
+            alone = integrate_master(device.hamiltonian, device.channels, block[j],
+                                     10.0, cfg)
+            assert alone.states.shape == (6, 8, 8)
+            assert np.array_equal(together.times, alone.times)
+            assert np.array_equal(together.states[:, j], alone.states)
+
+    def test_broken_member_of_block_raises(self, device):
+        # the trace is conserved exactly, so a member that starts with
+        # trace 2 still has it at the end
+        cfg = PropagationConfig(step=0.05)
+        good = projector(ket(device.dim, device.logical_index("100")))
+        integrate_master(device.hamiltonian, device.channels, good, 2.0, cfg)
+        with pytest.raises(IntegratorError, match="trace"):
+            integrate_master(device.hamiltonian, device.channels,
+                             np.stack([good, 2.0 * good]), 2.0, cfg)
+
+
+class TestBenchmarkInterface:
+    def test_traced_worker_reads_these_parameters(self):
+        # perfbench/worker.py rebinds both functions by name and counts
+        # steps from these arguments of each call
+        for name, params in (("integrate_master", {"rho0", "channels", "tau", "cfg"}),
+                             ("propagate_schrodinger", {"psi0", "tau", "cfg"})):
+            fn = getattr(propagation, name)
+            assert params <= set(inspect.signature(fn).parameters)
+
 
 class TestOracle:
     def test_zero_hamiltonian_gives_identity(self):
         u = evolution_operator_oracle(
-            lambda t: np.zeros((3, 3)), 1.0, PropagationConfig(step=0.01)
+            modulated(np.zeros((3, 3))), 1.0, PropagationConfig(step=0.01)
         )
         assert np.allclose(u.matrix, np.eye(3), atol=1e-12)
 
@@ -240,9 +280,35 @@ class TestOracle:
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         h = 0.5 * (a + a.conj().T)
         u = evolution_operator_oracle(
-            lambda t: h, 2.0, PropagationConfig(step=0.001)
+            modulated(h), 2.0, PropagationConfig(step=0.001)
         )
         assert np.allclose(u.matrix, expm(-2.0j * h), atol=1e-9)
+
+    # one step of a constant H is the exact exponential exp(-i H dt)
+
+    def test_diagonal_case(self):
+        omega = 0.35
+        u = evolution_operator_oracle(
+            modulated(np.diag([0.0, omega])), 2.0, PropagationConfig(step=2.0))
+        assert np.allclose(
+            u.matrix, np.diag([1.0, np.exp(-1j * omega * 2.0)]), atol=1e-14
+        )
+
+    def test_rabi_half_period(self):
+        omega = 0.21
+        dt = np.pi / omega
+        u = evolution_operator_oracle(
+            modulated(0.5 * omega * SIGMA_X), dt, PropagationConfig(step=dt))
+        assert np.max(np.abs(u.matrix - (-1j) * SIGMA_X)) < 1e-10
+
+    def test_random_single_steps_are_unitary(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            dt = rng.uniform(0.1, 10.0)
+            u = evolution_operator_oracle(
+                modulated(m + m.conj().T), dt, PropagationConfig(step=dt)).matrix
+            assert np.linalg.norm(u.conj().T @ u - np.eye(4)) < 1e-10
 
     def test_columns_match_state_propagation(self, pulses):
         model = ideal_model(pulses)
@@ -266,11 +332,7 @@ class TestOracle:
 
 class TestConvergence:
     def test_rk4_step_halving_is_fourth_order(self):
-        h = 0.5 * SIGMA_X
-
-        def h_t(t):
-            return np.cos(0.7 * t) * h
-
+        h_t = modulated(0.5 * SIGMA_X, lambda t: np.cos(0.7 * t))
         psi0 = ket(2, 0)
         ref = propagate_schrodinger(
             h_t, psi0, 4.0, PropagationConfig(step=0.0005)
