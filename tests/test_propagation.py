@@ -286,6 +286,11 @@ class TestOracle:
 
     # one step of a constant H is the exact exponential exp(-i H dt)
 
+    def test_zero_hamiltonian_single_step(self):
+        u = evolution_operator_oracle(
+            modulated(np.zeros((2, 2))), 3.7, PropagationConfig(step=3.7))
+        assert np.allclose(u.matrix, np.eye(2), atol=1e-14)
+
     def test_diagonal_case(self):
         omega = 0.35
         u = evolution_operator_oracle(
