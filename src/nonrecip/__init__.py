@@ -1,12 +1,7 @@
 """Pulse design and simulation toolkit for a time-modulated
 non-reciprocal three-level circulator on a transmon chain."""
 
-from .statespace import (
-    BasisLabel,
-    DensityMatrix,
-    Operator,
-    PureState,
-)
+from .statespace import PureState
 from .invariant import (
     AuxiliaryTrajectory,
     InvariantSpec,

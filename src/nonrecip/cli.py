@@ -79,7 +79,7 @@ def _propagation_config(cfg: ScenarioConfig, model: SimulationModel) -> Propagat
 def _circulator_target(theta_plus: float, initial: str) -> PureState:
     """Image of the initial logical state under the designed unitary."""
     column = SINGLE_EXCITATION_LABELS.index(initial)
-    return PureState(inv.target_unitary(theta_plus).matrix[:, column])
+    return PureState(inv.target_unitary(theta_plus)[:, column])
 
 
 def cmd_design(cfg: ScenarioConfig, out_dir: Path) -> int:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .devices import ChainSpec, TransmonSpec
 from .reporting import fmt
@@ -52,6 +52,10 @@ class ScenarioConfig:
         if self.step_ns is not None and not (math.isfinite(self.step_ns)
                                              and self.step_ns > 0):
             raise ValueError(f"step_ns must be finite and > 0, got {self.step_ns}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
 
     def chain_spec(self) -> ChainSpec:
         d = 3 if self.model == "full_three_level" else 2

@@ -23,7 +23,7 @@ import numpy as np
 from scipy import special
 
 from .invariant import PulsePair, bisect_increasing
-from .statespace import ControlHamiltonian, Operator, make_basis
+from .statespace import ControlHamiltonian, _freeze
 
 # location and value of the first maximum of J1
 J1_PEAK_X = 1.8411837813406593
@@ -209,10 +209,6 @@ def invert_bessel_drive(pulses: PulsePair, chain: ChainSpec) -> DriveWaveform:
 SINGLE_EXCITATION_LABELS = ("100", "010", "001")
 
 
-def single_excitation_basis():
-    return make_basis(SINGLE_EXCITATION_LABELS)
-
-
 def _single_excitation_control(chain: ChainSpec, drives: DriveWaveform):
     """Phase-modulated static couplings g_j exp(i(delta_j t - F_j(t)))
     of |100> and |001> to |010>, with their conjugates, acting on the
@@ -230,11 +226,9 @@ def _single_excitation_control(chain: ChainSpec, drives: DriveWaveform):
     return ControlHamiltonian(np.zeros((8, 8)), ops, coeffs)
 
 
-def chain_basis(d: int):
-    labels = [
-        f"{a}{m}{b}" for a in range(d) for m in range(d) for b in range(d)
-    ]
-    return make_basis(labels)
+def chain_labels(d: int) -> list[str]:
+    """Occupation digits (A, M, B) of each product state, a-major."""
+    return [f"{a}{m}{b}" for a in range(d) for m in range(d) for b in range(d)]
 
 
 def single_excitation_indices(d: int) -> tuple[int, int, int]:
@@ -266,8 +260,8 @@ def _full_chain_control(chain: ChainSpec, drives: DriveWaveform):
     ops = [_kron3(ladder[s], ladder[r], eye) for s, r in pairs]
     ops += [_kron3(eye, ladder[r], ladder[s]) for s, r in pairs]
     alphas = [spec.alpha for spec in chain.transmons]
-    h0 = -np.diag([sum(a for a, n in zip(alphas, b.name) if n == "2")
-                   for b in chain_basis(d)])
+    h0 = -np.diag([sum(a for a, n in zip(alphas, label) if n == "2")
+                   for label in chain_labels(d)])
 
     def coeffs(t):
         e_a = np.exp(1j * (-chain.omega_a * t + drives.f_a(t)))
@@ -283,10 +277,14 @@ def _full_chain_control(chain: ChainSpec, drives: DriveWaveform):
 
 @dataclass(frozen=True)
 class LindbladChannel:
-    """A single-transmon collapse operator embedded in the chain space."""
+    """A collapse operator O, stored as a read-only complex (d, d) array,
+    and its rate."""
 
-    operator: Operator
+    operator: np.ndarray
     rate: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "operator", _freeze(self.operator))
 
 
 def _single_site_collapse(d: int) -> np.ndarray:
@@ -303,16 +301,13 @@ def lindblad_channels(chain: ChainSpec, d: int | None = None) -> list[LindbladCh
     """One combined decay-plus-dephasing channel per transmon, embedded
     by identity on the other factors, with the transmon's rate."""
     d = chain.d if d is None else d
-    basis = chain_basis(d)
     site_op = _single_site_collapse(d)
     eye = np.eye(d, dtype=complex)
     channels = []
     for k, spec in enumerate(chain.transmons):
         mats = [eye, eye, eye]
         mats[k] = site_op
-        channels.append(
-            LindbladChannel(Operator(_kron3(*mats), basis), spec.gamma_decoherence)
-        )
+        channels.append(LindbladChannel(_kron3(*mats), spec.gamma_decoherence))
     return channels
 
 
@@ -322,13 +317,11 @@ class SimulationModel:
     and the location of the logical circulator states in its basis."""
 
     name: str
-    basis: tuple
     hamiltonian: ControlHamiltonian
     channels: tuple[LindbladChannel, ...]
     logical_indices: tuple[int, int, int]
     default_step: float
     tau: float
-    logical_labels: tuple[str, str, str] = SINGLE_EXCITATION_LABELS
 
     @property
     def dim(self) -> int:
@@ -336,10 +329,11 @@ class SimulationModel:
 
     def logical_index(self, label: str) -> int:
         try:
-            return self.logical_indices[self.logical_labels.index(label)]
+            return self.logical_indices[SINGLE_EXCITATION_LABELS.index(label)]
         except ValueError:
             raise ValueError(
-                f"unknown logical label {label!r}; expected one of {self.logical_labels}"
+                f"unknown logical label {label!r}; "
+                f"expected one of {SINGLE_EXCITATION_LABELS}"
             ) from None
 
     def embed_logical(self, amplitudes: np.ndarray) -> np.ndarray:
@@ -358,7 +352,6 @@ def ideal_model(pulses: PulsePair) -> SimulationModel:
     """Closed-system ideal three-level model driven by the pulse pair."""
     return SimulationModel(
         name="ideal",
-        basis=single_excitation_basis(),
         hamiltonian=pulses.hamiltonian(),
         channels=(),
         logical_indices=(0, 1, 2),
@@ -371,7 +364,6 @@ def _chain_model(name: str, chain: ChainSpec, drives: DriveWaveform,
                  hamiltonian: ControlHamiltonian, d: int) -> SimulationModel:
     return SimulationModel(
         name=name,
-        basis=chain_basis(d),
         hamiltonian=hamiltonian,
         channels=tuple(lindblad_channels(chain, d)),
         logical_indices=single_excitation_indices(d),

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .statespace import ControlHamiltonian, Operator, PureState, three_level_basis
+from .statespace import ControlHamiltonian, PureState
 
 
 class TrajectoryRangeError(ValueError):
@@ -224,9 +224,9 @@ def _invariant_stack(traj: AuxiliaryTrajectory, spec: InvariantSpec, t):
 
 def invariant_at(
     traj: AuxiliaryTrajectory, spec: InvariantSpec, t: float
-) -> Operator:
+) -> np.ndarray:
     """The dynamical invariant I(t) in the {A, M, B} basis."""
-    return Operator(_invariant_stack(traj, spec, t)[0][0], three_level_basis())
+    return _invariant_stack(traj, spec, t)[0][0]
 
 
 def invariant_eigenstates(traj: AuxiliaryTrajectory, t: float):
@@ -383,6 +383,8 @@ def solve_lambda(
     cell's ends, and re-verified to phase_tol by the adaptive
     quadrature.  tau (> 0) drops out.
     """
+    if not math.isfinite(target_phase):
+        raise ValueError(f"target phase must be finite, got {target_phase}")
     lo, hi = bracket
     if not (0.0 < lo < hi):
         raise ValueError("bracket must satisfy 0 < lo < hi")
@@ -416,10 +418,10 @@ def solve_lambda(
     return lam
 
 
-def target_unitary(theta_plus: float) -> Operator:
+def target_unitary(theta_plus: float) -> np.ndarray:
     """The designed evolution operator U[theta_plus] in the {A, M, B} basis."""
     c, s = math.cos(theta_plus), math.sin(theta_plus)
-    m = np.array(
+    return np.array(
         [
             [0.0, -1j * s, c],
             [0.0, c, -1j * s],
@@ -427,18 +429,15 @@ def target_unitary(theta_plus: float) -> Operator:
         ],
         dtype=complex,
     )
-    return Operator(m, three_level_basis())
 
 
-def lr_predicted_evolution(
-    traj: AuxiliaryTrajectory, pulses: PulsePair, spec: InvariantSpec
-) -> Operator:
+def lr_predicted_evolution(traj: AuxiliaryTrajectory, pulses: PulsePair) -> np.ndarray:
     """Evolution operator from the invariant-eigenstate expansion.
 
     Sum over n in {0, +, -} of exp(-i*theta_n) |mu_n(tau)><mu_n(0)|,
     with the same positive theta_plus convention as target_unitary.
+    The invariant scale mu drops out of the eigenstates.
     """
-    del spec  # the invariant scale drops out of the eigenstates
     phases = lr_phase(traj, pulses)
     start = invariant_eigenstates(traj, 0.0)
     end = invariant_eigenstates(traj, traj.tau)
@@ -446,7 +445,7 @@ def lr_predicted_evolution(
     u = np.zeros((3, 3), dtype=complex)
     for theta, s0, s1 in zip(thetas, start, end):
         u += np.exp(-1j * theta) * np.outer(s1.amplitudes, s0.amplitudes.conj())
-    return Operator(u, three_level_basis())
+    return u
 
 
 @dataclass(frozen=True)

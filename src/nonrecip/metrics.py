@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import SimulationModel
+from .devices import SINGLE_EXCITATION_LABELS, SimulationModel
 from .propagation import (
     IntegratorError,
     PropagationConfig,
@@ -16,7 +16,7 @@ from .propagation import (
     integrate_master,
     propagate_schrodinger,
 )
-from .statespace import Operator, PureState
+from .statespace import PureState
 
 ISOLATION_FLOOR_DB = -120.0
 
@@ -160,7 +160,7 @@ def transfer_fidelity(
 
     populations = {
         label: rhos[:, i, i].real
-        for label, i in zip(model.logical_labels, model.logical_indices)
+        for label, i in zip(SINGLE_EXCITATION_LABELS, model.logical_indices)
     }
     fidelity_curve = (rhos @ target_vec @ target_vec.conj()).real
     leakage = None
@@ -242,7 +242,7 @@ def ensemble_fidelity(
 
 def transmission_matrix(u) -> np.ndarray:
     """T[i][j] = |<i|U|j>|^2 for a unitary U; columns sum to 1."""
-    m = u.matrix if isinstance(u, Operator) else np.asarray(u)
+    m = np.asarray(u)
     if np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])) > 1e-6:
         raise ValueError("transmission matrix requires a unitary input")
     return np.abs(m) ** 2

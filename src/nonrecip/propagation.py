@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .statespace import ControlHamiltonian, Operator, PureState, make_basis
+from .statespace import ControlHamiltonian, PureState
 
 
 class StepTooLargeError(RuntimeError):
@@ -103,7 +103,7 @@ def _lindblad_stack(gen: ControlHamiltonian, channels: Sequence) -> sparse.csr_m
 
     drift = commutator(gen.h0)
     for c in channels:
-        op = sparse.csr_matrix(c.operator.matrix)
+        op = sparse.csr_matrix(c.operator)
         sq = op.conj().T @ op
         drift = drift + c.rate * (
             sparse.kron(op, op.conj())
@@ -257,9 +257,10 @@ def check_density(rho: np.ndarray):
 
 
 def evolution_operator_oracle(
-    gen: ControlHamiltonian, tau: float, cfg: PropagationConfig | None = None, basis=None
-) -> Operator:
-    """Time-ordered product of per-step midpoint exponentials.
+    gen: ControlHamiltonian, tau: float, cfg: PropagationConfig | None = None
+) -> np.ndarray:
+    """U(tau), as a complex (d, d) array: the time-ordered product of
+    per-step midpoint exponentials exp(-i H(t_k + dt/2) dt).
 
     This is the brute-force reference for any designed evolution
     operator; accuracy is limited only by the step size.
@@ -270,20 +271,16 @@ def evolution_operator_oracle(
     w, v = np.linalg.eigh(hs)
     phases = np.exp(-1j * w * dt)
     steps = np.einsum("kij,kj,klj->kil", v, phases, v.conj())
-    dim = steps.shape[1]
-    u = np.eye(dim, dtype=complex)
+    u = np.eye(gen.dim, dtype=complex)
     for k in range(n):
         u = steps[k] @ u
-    if basis is None:
-        basis = make_basis([str(i) for i in range(dim)])
-    return Operator(u, tuple(basis))
+    return u
 
 
 def global_phase_distance(u1, u2) -> tuple[float, float]:
     """(distance, phi) minimizing ||u1 - exp(i*phi)*u2|| over the global
     phase, measured in the operator (spectral) norm."""
-    m1 = u1.matrix if isinstance(u1, Operator) else np.asarray(u1)
-    m2 = u2.matrix if isinstance(u2, Operator) else np.asarray(u2)
+    m1, m2 = np.asarray(u1), np.asarray(u2)
     phi = float(np.angle(np.trace(m2.conj().T @ m1)))
     dist = float(np.linalg.norm(m1 - np.exp(1j * phi) * m2, 2))
     return dist, phi

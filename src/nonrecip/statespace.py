@@ -1,19 +1,20 @@
-"""Labeled finite-dimensional complex state-space primitives.
+"""Finite-dimensional complex state-space primitives.
 
-Dense complex matrices over explicitly labeled bases are the universal
-carrier for Hamiltonians, invariants, unitaries and density matrices in
-this package.  All value types are immutable after construction and all
-operations here are pure functions.
+Plain complex ndarrays carry every Hamiltonian, invariant, unitary and
+density matrix in this package.  The two value types here add what an
+array cannot check by itself: ControlHamiltonian, the control form
+H(t) = H0 + sum_j c_j(t) A_j with its shapes checked, and PureState, a
+finite unit-norm amplitude vector.  Both are immutable after
+construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-9
 NORM_TOL = 1e-9
 
 
@@ -21,62 +22,10 @@ class DimensionMismatchError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class BasisLabel:
-    """A named basis vector with its position in the basis ordering."""
-
-    name: str
-    index: int
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise ValueError(f"basis index must be non-negative, got {self.index}")
-
-
-def make_basis(names) -> tuple[BasisLabel, ...]:
-    """Basis labels with contiguous indices, in the given name order."""
-    return tuple(BasisLabel(str(n), i) for i, n in enumerate(names))
-
-
-def three_level_basis() -> tuple[BasisLabel, ...]:
-    """The {|A>, |M>, |B>} basis of the ideal three-level system."""
-    return make_basis(["A", "M", "B"])
-
-
-def _check_contiguous(basis: tuple[BasisLabel, ...]):
-    if [b.index for b in basis] != list(range(len(basis))):
-        raise ValueError("basis indices must be distinct and contiguous from 0")
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=complex)
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True)
-class Operator:
-    """A dense complex square matrix over a labeled basis."""
-
-    matrix: np.ndarray
-    basis: tuple[BasisLabel, ...]
-
-    def __post_init__(self):
-        m = _freeze(self.matrix)
-        object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"operator matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m.view(float))):
-            raise ValueError("operator entries must be finite")
-        if m.shape[0] != len(self.basis):
-            raise DimensionMismatchError(
-                f"dim {m.shape[0]} != basis length {len(self.basis)}"
-            )
-        _check_contiguous(self.basis)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -112,11 +61,9 @@ class ControlHamiltonian:
 
 @dataclass(frozen=True)
 class PureState:
-    """A complex amplitude vector, unit-norm unless flagged otherwise
-    (normalized is keyword-only)."""
+    """A finite, unit-norm complex amplitude vector."""
 
     amplitudes: np.ndarray
-    normalized: bool = field(default=True, kw_only=True)
 
     def __post_init__(self):
         a = _freeze(self.amplitudes)
@@ -125,45 +72,16 @@ class PureState:
             raise ValueError("amplitudes must be a vector")
         if not np.all(np.isfinite(a.view(float))):
             raise ValueError("amplitudes must be finite")
-        if self.normalized:
-            norm_sq = float(np.sum(np.abs(a) ** 2))
-            if abs(norm_sq - 1.0) > NORM_TOL:
-                raise ValueError(f"state not normalized: |psi|^2 = {norm_sq!r}")
+        norm_sq = float(np.sum(np.abs(a) ** 2))
+        if abs(norm_sq - 1.0) > NORM_TOL:
+            raise ValueError(f"state not normalized: |psi|^2 = {norm_sq!r}")
 
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
-
-    def density_matrix(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
     @staticmethod
     def basis_state(dim: int, index: int) -> "PureState":
         v = np.zeros(dim, dtype=complex)
         v[index] = 1.0
         return PureState(v)
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """A Hermitian, unit-trace, positive-semidefinite matrix."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = _freeze(self.entries)
-        object.__setattr__(self, "entries", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("density matrix must be square")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("density matrix not Hermitian within 1e-9")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > NORM_TOL:
-            raise ValueError(f"density matrix trace {tr!r} != 1 within 1e-9")
-        evals = np.linalg.eigvalsh(m)
-        if evals.min() < -NORM_TOL:
-            raise ValueError(f"density matrix has eigenvalue {evals.min()} < -1e-9")
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]

@@ -42,7 +42,7 @@ from nonrecip.propagation import (
     integrate_master,
     propagate_schrodinger,
 )
-from nonrecip.statespace import ControlHamiltonian, PureState, make_basis
+from nonrecip.statespace import ControlHamiltonian, PureState
 
 TAU = 145.0
 LAMBDA_REF = 0.4974
@@ -94,7 +94,7 @@ def full_qubit(pulses, chain):
 
 def _target(theta_plus, initial):
     column = ("100", "010", "001").index(initial)
-    return PureState(target_unitary(theta_plus).matrix[:, column])
+    return PureState(target_unitary(theta_plus)[:, column])
 
 
 def _transfers(model, theta_plus, noise):
@@ -132,7 +132,7 @@ class TestOperatorCirculator:
                                       PropagationConfig(step=0.001))
         d_target, _ = global_phase_distance(u, target_unitary(THETA_CIRC))
         d_lr, _ = global_phase_distance(
-            u, lr_predicted_evolution(traj, pulses, InvariantSpec()))
+            u, lr_predicted_evolution(traj, pulses))
         elapsed = time.monotonic() - start
         ok = d_target < 1e-3 and d_lr < 1e-3 and elapsed < 5.0
         check("operator-level circulator", ok,
@@ -211,7 +211,7 @@ class TestPropertySuite:
         rng = np.random.default_rng(0)
         worst = 0.0
         for t in rng.uniform(0.0, TAU, 50):
-            w = np.sort(np.linalg.eigvalsh(invariant_at(traj, spec, t).matrix))
+            w = np.sort(np.linalg.eigvalsh(invariant_at(traj, spec, t)))
             worst = max(worst, np.max(np.abs(w - np.array([-0.5, 0.0, 0.5]))))
         sub("spectrum constancy", worst < 1e-10, f"{worst:.1e}")
 

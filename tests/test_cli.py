@@ -154,6 +154,31 @@ class TestNonFiniteScenarioValues:
         assert f"{key} must be finite and > 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("section, key, field", [
+        ("scenario", "lambda", "lambda_"),
+        ("scenario", "target_phase_rad", "target_phase_rad"),
+    ] + [("coupling", k, k) for k in
+         ("g_a_mhz", "g_b_mhz", "delta_mhz", "nu_mhz", "omega_m_ghz")] + [
+        (f"transmon_{s}", f"{q}_{u}", f"{q}_{s}_{u}")
+        for s in "amb" for q, u in (("alpha", "mhz"), ("gamma", "khz"))
+    ])
+    def test_non_finite_float_exits_1_naming_the_field(self, tmp_path, capsys,
+                                                        section, key, field, value):
+        cfg_path = tmp_path / "bad.ini"
+        cfg_path.write_text(f"[{section}]\n{key} = {value}\n")
+        code = main(["--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                     "simulate", "--initial", "100"])
+        assert code == EXIT_FAILURE
+        assert f"{field} must be finite, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_target_phase_flag_exits_1(self, tmp_path, capsys):
+        code = main(["--out", str(tmp_path / "out"), "solve-lambda",
+                     "--target-phase-rad", "nan"])
+        assert code == EXIT_FAILURE
+        assert "target_phase_rad must be finite" in capsys.readouterr().err
+
     def test_propagation_config_rejects_non_finite_step(self):
         for step in (float("nan"), float("inf"), 0.0):
             with pytest.raises(ValueError, match="step must be finite"):

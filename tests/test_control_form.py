@@ -141,7 +141,7 @@ class TestSeedFidelities:
     def test_transfer(self, setup, initial):
         model, theta, cfg = setup
         column = ("100", "010", "001").index(initial)
-        target = PureState(target_unitary(theta).matrix[:, column])
+        target = PureState(target_unitary(theta)[:, column])
         report = transfer_fidelity(model, initial, target, cfg=cfg)
         assert report.fidelity == pytest.approx(SEED_F_S[initial], abs=1e-10)
 

@@ -13,7 +13,7 @@ from nonrecip.devices import (
     TransmonSpec,
     UnattainableDriveError,
     bessel_j1,
-    chain_basis,
+    chain_labels,
     full_chain_model,
     ideal_model,
     invert_bessel_drive,
@@ -208,21 +208,21 @@ class TestFullChainHamiltonian:
         drives3 = DriveWaveform(drives.times, drives.eta_a, drives.eta_b,
                                 drives.nu_a, drives.nu_b)
         h = full_chain_h(chain3, drives3, 3.0)
-        basis = [b.name for b in chain_basis(3)]
+        labels = chain_labels(3)
         # A-transmon 1<->2 ladder with M 0<->1: |210> vs |100> coupling
-        hi = abs(h[basis.index("200"), basis.index("110")])
-        lo = abs(h[basis.index("100"), basis.index("010")])
+        hi = abs(h[labels.index("200"), labels.index("110")])
+        lo = abs(h[labels.index("100"), labels.index("010")])
         assert hi == pytest.approx(math.sqrt(2) * lo, rel=1e-12)
 
     def test_three_level_anharmonicity_on_diagonal(self):
         chain3 = ChainSpec.reference_defaults(d=3)
         quiet = DriveWaveform.zero(TAU, chain3.nu_a, chain3.nu_b)
         h = full_chain_h(chain3, quiet, 0.0)
-        basis = [b.name for b in chain_basis(3)]
-        assert h[basis.index("200"), basis.index("200")] == pytest.approx(
+        labels = chain_labels(3)
+        assert h[labels.index("200"), labels.index("200")] == pytest.approx(
             -mhz(220.0), abs=1e-15
         )
-        assert h[basis.index("020"), basis.index("020")] == pytest.approx(
+        assert h[labels.index("020"), labels.index("020")] == pytest.approx(
             -mhz(210.0), abs=1e-15
         )
 
@@ -245,7 +245,7 @@ class TestLindbladChannels:
         idx100, idx010, _ = single_excitation_indices(2)
         v = np.zeros(8, dtype=complex)
         v[idx100] = 1.0
-        out = channels[0].operator.matrix @ v
+        out = channels[0].operator @ v
         expected = np.zeros(8, dtype=complex)
         expected[0] = 1.0
         expected[idx100] = -1.0
@@ -257,19 +257,30 @@ class TestLindbladChannels:
             mats = [np.eye(2, dtype=complex)] * 3
             mats[k] = site
             expected = np.kron(np.kron(mats[0], mats[1]), mats[2])
-            assert np.array_equal(channel.operator.matrix, expected)
+            assert np.array_equal(channel.operator, expected)
+
+    def test_operator_is_read_only_complex(self, chain):
+        op = lindblad_channels(chain)[0].operator
+        assert op.dtype == complex and op.shape == (8, 8)
+        with pytest.raises(ValueError):
+            op[0, 0] = 2.0
 
     def test_three_level_channel_annihilates_top_level(self):
         chain3 = ChainSpec.reference_defaults(d=3)
         channels = lindblad_channels(chain3)
-        m = channels[2].operator.matrix  # B transmon
-        basis = [b.name for b in chain_basis(3)]
+        m = channels[2].operator  # B transmon
+        labels = chain_labels(3)
         v = np.zeros(27, dtype=complex)
-        v[basis.index("002")] = 1.0
+        v[labels.index("002")] = 1.0
         assert np.allclose(m @ v, 0.0, atol=1e-15)
 
 
 class TestEmbedding:
+    def test_chain_labels_are_a_major(self):
+        assert chain_labels(2) == ["000", "001", "010", "011", "100", "101", "110", "111"]
+        labels = chain_labels(3)
+        assert [labels[i] for i in single_excitation_indices(3)] == ["100", "010", "001"]
+
     def test_chain_spec_validation(self):
         t = TransmonSpec("A", 1.0, 0.1, 0.0)
         with pytest.raises(ValueError):

@@ -123,14 +123,14 @@ class TestSynthesizePulses:
 class TestInvariant:
     def test_start_form(self, traj):
         spec = InvariantSpec(mu=2.0)
-        m = invariant_at(traj, spec, 0.0).matrix
+        m = invariant_at(traj, spec, 0.0)
         expected = np.zeros((3, 3), dtype=complex)
         expected[1, 2] = expected[2, 1] = 1.0  # (mu/2)(|M><B| + |B><M|)
         assert np.allclose(m, expected, atol=1e-12)
 
     def test_end_form(self, traj):
         spec = InvariantSpec(mu=2.0)
-        m = invariant_at(traj, spec, TAU).matrix
+        m = invariant_at(traj, spec, TAU)
         expected = np.zeros((3, 3), dtype=complex)
         expected[0, 1] = expected[1, 0] = 1.0
         assert np.allclose(m, expected, atol=1e-12)
@@ -139,7 +139,7 @@ class TestInvariant:
         spec = InvariantSpec(mu=1.0)
         rng = np.random.default_rng(42)
         for t in rng.uniform(0.0, TAU, 100):
-            evals = np.sort(np.linalg.eigvalsh(invariant_at(traj, spec, t).matrix))
+            evals = np.sort(np.linalg.eigvalsh(invariant_at(traj, spec, t)))
             assert np.max(np.abs(evals - [-0.5, 0.0, 0.5])) < 1e-10
 
     def test_eigenstate_endpoints(self, traj):
@@ -154,7 +154,7 @@ class TestInvariant:
         spec = InvariantSpec(mu=1.0)
         rng = np.random.default_rng(5)
         for t in rng.uniform(0.0, TAU, 100):
-            i_mat = invariant_at(traj, spec, t).matrix
+            i_mat = invariant_at(traj, spec, t)
             mu0, mup, mum = invariant_eigenstates(traj, t)
             for state, eig in ((mu0, 0.0), (mup, 0.5), (mum, -0.5)):
                 resid = i_mat @ state.amplitudes - eig * state.amplitudes
@@ -274,6 +274,12 @@ class TestSolveLambda:
         with pytest.raises(RootBracketError):
             solve_lambda(100.0, TAU, bracket=(0.3, 1.0))
 
+    @pytest.mark.parametrize("target", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_target_raises_value_error(self, target):
+        with pytest.raises(ValueError, match="target phase must be finite") as exc:
+            solve_lambda(target, TAU)
+        assert exc.type is ValueError
+
     def test_bracket_spanning_phase_minimum_raises(self):
         # theta_plus(lambda) turns around near lambda ~ 1.9
         with pytest.raises(NonMonotonicBracketError):
@@ -284,22 +290,22 @@ class TestSolveLambda:
         traj_pi = AuxiliaryTrajectory(lam, TAU)
         model = ideal_model(synthesize_pulses(traj_pi))
         u = evolution_operator_oracle(model.hamiltonian, TAU, PropagationConfig(step=0.001))
-        expected = target_unitary(np.pi).matrix
+        expected = target_unitary(np.pi)
         assert expected[1, 1] == -1.0 and expected[0, 2] == -1.0
-        dist, _ = global_phase_distance(u.matrix, expected)
+        dist, _ = global_phase_distance(u, expected)
         assert dist < 2e-3
 
 
 class TestTargetUnitary:
     def test_circulator_form(self):
-        u = target_unitary(THETA_CIRC).matrix
+        u = target_unitary(THETA_CIRC)
         expected = np.array(
             [[0, 1j, 0], [0, 0, 1j], [-1, 0, 0]], dtype=complex
         )
         assert np.allclose(u, expected, atol=1e-12)
 
     def test_reciprocal_form(self):
-        u = target_unitary(np.pi).matrix
+        u = target_unitary(np.pi)
         expected = np.array(
             [[0, 0, -1], [0, -1, 0], [-1, 0, 0]], dtype=complex
         )
@@ -308,32 +314,32 @@ class TestTargetUnitary:
     def test_a_maps_to_minus_b(self):
         for theta in np.linspace(0, 2 * np.pi, 13):
             assert np.allclose(
-                target_unitary(theta).matrix[:, 0], [0, 0, -1], atol=1e-12
+                target_unitary(theta)[:, 0], [0, 0, -1], atol=1e-12
             )
 
     def test_unitarity(self):
         for theta in np.linspace(0, 2 * np.pi, 29):
-            u = target_unitary(theta).matrix
+            u = target_unitary(theta)
             assert np.linalg.norm(u.conj().T @ u - np.eye(3)) < 1e-12
 
 
 class TestLRPredictedEvolution:
     def test_zero_branch_contribution(self, traj, pulses):
-        u = lr_predicted_evolution(traj, pulses, InvariantSpec()).matrix
+        u = lr_predicted_evolution(traj, pulses)
         assert u[2, 0] == pytest.approx(-1.0, abs=1e-9)
         assert abs(u[0, 0]) < 1e-9 and abs(u[1, 0]) < 1e-9
 
     def test_matches_target_unitary(self, traj, pulses):
-        u = lr_predicted_evolution(traj, pulses, InvariantSpec()).matrix
+        u = lr_predicted_evolution(traj, pulses)
         theta = lr_phase(traj, pulses).theta_plus
-        assert np.max(np.abs(u - target_unitary(theta).matrix)) < 1e-9
+        assert np.max(np.abs(u - target_unitary(theta))) < 1e-9
 
     def test_unitary(self, traj, pulses):
-        u = lr_predicted_evolution(traj, pulses, InvariantSpec()).matrix
+        u = lr_predicted_evolution(traj, pulses)
         assert np.linalg.norm(u.conj().T @ u - np.eye(3)) < 1e-9
 
     def test_matches_time_ordered_oracle(self, traj, pulses):
-        u_pred = lr_predicted_evolution(traj, pulses, InvariantSpec())
+        u_pred = lr_predicted_evolution(traj, pulses)
         model = ideal_model(pulses)
         u_num = evolution_operator_oracle(
             model.hamiltonian, TAU, PropagationConfig(step=0.001)

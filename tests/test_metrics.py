@@ -72,7 +72,7 @@ def run(request):
 
 class TestTransferFidelity:
     def test_ideal_forward_transfer(self, model):
-        target = logical_state(target_unitary(THETA_CIRC).matrix[:, 0])
+        target = logical_state(target_unitary(THETA_CIRC)[:, 0])
         report = transfer_fidelity(model, "100", target, noise=False)
         assert report.fidelity > 0.999
 
@@ -84,7 +84,7 @@ class TestTransferFidelity:
         assert report.fidelity < 1e-3
 
     def test_global_phase_of_target_is_irrelevant(self, model):
-        base = target_unitary(THETA_CIRC).matrix[:, 0]
+        base = target_unitary(THETA_CIRC)[:, 0]
         r1 = transfer_fidelity(model, "100", logical_state(base), noise=False)
         r2 = transfer_fidelity(
             model, "100", logical_state(np.exp(0.4j) * base), noise=False
@@ -92,7 +92,7 @@ class TestTransferFidelity:
         assert r1.fidelity == pytest.approx(r2.fidelity, abs=1e-12)
 
     def test_population_curves_are_stochastic(self, model):
-        target = logical_state(target_unitary(THETA_CIRC).matrix[:, 0])
+        target = logical_state(target_unitary(THETA_CIRC)[:, 0])
         report = transfer_fidelity(model, "100", target, noise=False)
         total = sum(report.populations.values())
         assert np.allclose(total, 1.0, atol=1e-9)
@@ -100,7 +100,7 @@ class TestTransferFidelity:
         assert report.leakage is None
 
     def test_csv_round_trip(self, model, tmp_path):
-        target = logical_state(target_unitary(THETA_CIRC).matrix[:, 0])
+        target = logical_state(target_unitary(THETA_CIRC)[:, 0])
         report = transfer_fidelity(model, "100", target, noise=False)
         path = tmp_path / "transfer.csv"
         report.write_csv(path)
@@ -206,7 +206,7 @@ class TestInvariantChecks:
 
     def test_transfer_fidelity_checks_final_state(self, run, break_hermiticity):
         model, noise, cfg = run
-        target = logical_state(target_unitary(THETA_CIRC).matrix[:, 0])
+        target = logical_state(target_unitary(THETA_CIRC)[:, 0])
         with pytest.raises(IntegratorError, match="Hermiticity"):
             transfer_fidelity(break_hermiticity(model), "100", target,
                               noise=noise, cfg=cfg)

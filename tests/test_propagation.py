@@ -27,18 +27,12 @@ from nonrecip.propagation import (
     integrate_master,
     propagate_schrodinger,
 )
-from nonrecip.statespace import (
-    ControlHamiltonian,
-    Operator,
-    PureState,
-    make_basis,
-)
+from nonrecip.statespace import ControlHamiltonian, PureState
 from nonrecip.units import khz
 
 TAU = 145.0
 LAMBDA = 0.4974
 
-B2 = make_basis(["0", "1"])
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
@@ -86,7 +80,7 @@ class TestSchrodinger:
         psi0 = ket(2, 0)
         cfg = PropagationConfig(step=0.002)
         a = propagate_schrodinger(h_t, psi0, 5.0, cfg)
-        b = evolution_operator_oracle(h_t, 5.0, cfg).matrix @ psi0.amplitudes
+        b = evolution_operator_oracle(h_t, 5.0, cfg) @ psi0.amplitudes
         assert np.allclose(a.final, b, atol=1e-9)
 
     def test_ideal_circulator_sends_a_to_minus_b(self, pulses):
@@ -95,7 +89,7 @@ class TestSchrodinger:
         traj = propagate_schrodinger(
             model.hamiltonian, psi0, TAU, PropagationConfig(step=model.default_step)
         )
-        target = target_unitary(1.5 * np.pi).matrix[:, 0]  # -|B>
+        target = target_unitary(1.5 * np.pi)[:, 0]  # -|B>
         assert np.linalg.norm(traj.final - target) < 1e-3
 
     def test_norm_drift_raises(self):
@@ -195,7 +189,7 @@ class TestLindblad:
 
     def test_single_qubit_decay(self):
         # O = |0><1| + |0><0| - |1><1| drains the excited population
-        op = Operator(np.array([[1.0, 1.0], [0.0, -1.0]], dtype=complex), B2)
+        op = np.array([[1.0, 1.0], [0.0, -1.0]], dtype=complex)
         chan = LindbladChannel(operator=op, rate=khz(50.0))
         traj = integrate_master(
             modulated(np.zeros((2, 2))), [chan], projector(ket(2, 1)), 500.0,
@@ -273,7 +267,7 @@ class TestOracle:
         u = evolution_operator_oracle(
             modulated(np.zeros((3, 3))), 1.0, PropagationConfig(step=0.01)
         )
-        assert np.allclose(u.matrix, np.eye(3), atol=1e-12)
+        assert np.allclose(u, np.eye(3), atol=1e-12)
 
     def test_constant_hamiltonian_matches_expm(self):
         rng = np.random.default_rng(3)
@@ -282,21 +276,21 @@ class TestOracle:
         u = evolution_operator_oracle(
             modulated(h), 2.0, PropagationConfig(step=0.001)
         )
-        assert np.allclose(u.matrix, expm(-2.0j * h), atol=1e-9)
+        assert np.allclose(u, expm(-2.0j * h), atol=1e-9)
 
     # one step of a constant H is the exact exponential exp(-i H dt)
 
     def test_zero_hamiltonian_single_step(self):
         u = evolution_operator_oracle(
             modulated(np.zeros((2, 2))), 3.7, PropagationConfig(step=3.7))
-        assert np.allclose(u.matrix, np.eye(2), atol=1e-14)
+        assert np.allclose(u, np.eye(2), atol=1e-14)
 
     def test_diagonal_case(self):
         omega = 0.35
         u = evolution_operator_oracle(
             modulated(np.diag([0.0, omega])), 2.0, PropagationConfig(step=2.0))
         assert np.allclose(
-            u.matrix, np.diag([1.0, np.exp(-1j * omega * 2.0)]), atol=1e-14
+            u, np.diag([1.0, np.exp(-1j * omega * 2.0)]), atol=1e-14
         )
 
     def test_rabi_half_period(self):
@@ -304,7 +298,7 @@ class TestOracle:
         dt = np.pi / omega
         u = evolution_operator_oracle(
             modulated(0.5 * omega * SIGMA_X), dt, PropagationConfig(step=dt))
-        assert np.max(np.abs(u.matrix - (-1j) * SIGMA_X)) < 1e-10
+        assert np.max(np.abs(u - (-1j) * SIGMA_X)) < 1e-10
 
     def test_random_single_steps_are_unitary(self):
         rng = np.random.default_rng(11)
@@ -312,26 +306,25 @@ class TestOracle:
             m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             dt = rng.uniform(0.1, 10.0)
             u = evolution_operator_oracle(
-                modulated(m + m.conj().T), dt, PropagationConfig(step=dt)).matrix
+                modulated(m + m.conj().T), dt, PropagationConfig(step=dt))
             assert np.linalg.norm(u.conj().T @ u - np.eye(4)) < 1e-10
 
     def test_columns_match_state_propagation(self, pulses):
         model = ideal_model(pulses)
         u = evolution_operator_oracle(
-            model.hamiltonian, TAU, PropagationConfig(step=0.01), basis=model.basis
-        )
+            model.hamiltonian, TAU, PropagationConfig(step=0.01))
         for col in range(3):
             traj = propagate_schrodinger(
                 model.hamiltonian, ket(3, col), TAU,
                 PropagationConfig(step=0.01),
             )
-            assert np.linalg.norm(u.matrix[:, col] - traj.final) < 1e-7
+            assert np.linalg.norm(u[:, col] - traj.final) < 1e-7
 
     def test_unitarity(self, pulses):
         model = ideal_model(pulses)
         u = evolution_operator_oracle(
             model.hamiltonian, TAU, PropagationConfig(step=0.01)
-        ).matrix
+        )
         assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-10
 
 
