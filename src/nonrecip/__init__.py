@@ -4,7 +4,6 @@ non-reciprocal three-level circulator on a transmon chain."""
 from .statespace import PureState
 from .invariant import (
     AuxiliaryTrajectory,
-    InvariantSpec,
     LRPhaseResult,
     PulsePair,
     check_boundary,

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import invariant as inv
 from .config import (
+    MODELS,
     ScenarioConfig,
     THETA_CIRCULATOR,
     load_config,
@@ -90,7 +91,7 @@ def cmd_design(cfg: ScenarioConfig, out_dir: Path) -> int:
         "tau_ns": traj.tau,
         "theta_plus_rad": phases.theta_plus,
         "theta_plus_mod_2pi_rad": phases.theta_plus_mod_2pi,
-        "theta_plus_raw_rad": phases.theta_plus_raw,
+        "theta_plus_raw_rad": -phases.theta_plus,
         "theta_plus_quad_error": phases.quad_error,
         "character": (
             "reciprocal"
@@ -113,7 +114,7 @@ def cmd_design(cfg: ScenarioConfig, out_dir: Path) -> int:
 
 
 def cmd_solve_lambda(cfg: ScenarioConfig, out_dir: Path | None,
-                     bracket=(0.1, 1.0)) -> int:
+                     bracket: tuple[float, float]) -> int:
     target = cfg.target_phase_rad
     if target is None:
         target = THETA_CIRCULATOR
@@ -244,8 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=Path, help="scenario config file")
     parser.add_argument("--out", type=Path, default=Path("out"),
                         help="output directory")
-    parser.add_argument("--model", choices=(
-        "ideal", "single_excitation", "full_qubit", "full_three_level"))
+    parser.add_argument("--model", choices=MODELS)
     parser.add_argument("--no-noise", action="store_true",
                         help="disable the Lindblad channels")
     sub = parser.add_subparsers(dest="command", required=True)

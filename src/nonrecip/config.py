@@ -56,18 +56,18 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
+        for name in ("g_a_mhz", "g_b_mhz"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
 
     def chain_spec(self) -> ChainSpec:
         d = 3 if self.model == "full_three_level" else 2
         omega_m = ghz(self.omega_m_ghz)
         delta = mhz(self.delta_mhz)
         transmons = (
-            TransmonSpec("A", omega_m + delta, mhz(self.alpha_a_mhz),
-                         khz(self.gamma_a_khz)),
-            TransmonSpec("M", omega_m, mhz(self.alpha_m_mhz),
-                         khz(self.gamma_m_khz)),
-            TransmonSpec("B", omega_m + delta, mhz(self.alpha_b_mhz),
-                         khz(self.gamma_b_khz)),
+            TransmonSpec(omega_m + delta, mhz(self.alpha_a_mhz), khz(self.gamma_a_khz)),
+            TransmonSpec(omega_m, mhz(self.alpha_m_mhz), khz(self.gamma_m_khz)),
+            TransmonSpec(omega_m + delta, mhz(self.alpha_b_mhz), khz(self.gamma_b_khz)),
         )
         nu = mhz(self.nu_mhz)
         return ChainSpec(transmons, mhz(self.g_a_mhz), mhz(self.g_b_mhz),

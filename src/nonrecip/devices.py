@@ -17,7 +17,7 @@ principal branch of the Bessel function J1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -47,14 +47,11 @@ class UnattainableDriveError(ValueError):
 class TransmonSpec:
     """Single-transmon parameters, angular frequencies in rad/ns."""
 
-    label: str
     omega: float
     alpha: float
     gamma_decoherence: float
 
     def __post_init__(self):
-        if self.label not in ("A", "M", "B"):
-            raise ValueError(f"label must be A, M or B, got {self.label!r}")
         if self.alpha <= 0:
             raise ValueError("anharmonicity must be > 0")
         if self.gamma_decoherence < 0:
@@ -63,7 +60,8 @@ class TransmonSpec:
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Three coupled transmons with drive frequencies and level truncation."""
+    """Three coupled transmons, ordered (A, M, B), with drive frequencies
+    and level truncation."""
 
     transmons: tuple[TransmonSpec, TransmonSpec, TransmonSpec]
     g_a: float
@@ -73,8 +71,6 @@ class ChainSpec:
     d: int = 2
 
     def __post_init__(self):
-        if tuple(t.label for t in self.transmons) != ("A", "M", "B"):
-            raise ValueError("transmons must be ordered (A, M, B)")
         if self.d not in (2, 3):
             raise ValueError("level truncation d must be 2 or 3")
 
@@ -104,15 +100,6 @@ class ChainSpec:
                 "resonance condition delta_j = nu_j not satisfied by this chain"
             )
 
-    @staticmethod
-    def reference_defaults(d: int = 2, omega_m_ghz: float = 5.0) -> "ChainSpec":
-        """The reference chain, ScenarioConfig's default: g = 2pi x 10 MHz,
-        delta = nu = 2pi x 345 MHz, alphas 220/210/230 MHz, decoherence
-        rates 3/4/5 kHz."""
-        from .config import ScenarioConfig  # config imports this module
-
-        return replace(ScenarioConfig(omega_m_ghz=omega_m_ghz).chain_spec(), d=d)
-
 
 def bessel_j1(x):
     """Bessel function of the first kind, order one."""
@@ -128,7 +115,7 @@ def invert_bessel_j1(y):
         raise ValueError(f"J1 values span [{y.min()}, {y.max()}], outside the "
                          f"principal range [0, {J1_PEAK}]")
     eta = np.where(y == J1_PEAK, J1_PEAK_X,
-                   bisect_increasing(special.j1, y, 0.0, J1_PEAK_X))
+                   bisect_increasing(bessel_j1, y, 0.0, J1_PEAK_X))
     return float(eta) if eta.ndim == 0 else eta
 
 
@@ -297,10 +284,10 @@ def _single_site_collapse(d: int) -> np.ndarray:
     return o
 
 
-def lindblad_channels(chain: ChainSpec, d: int | None = None) -> list[LindbladChannel]:
-    """One combined decay-plus-dephasing channel per transmon, embedded
-    by identity on the other factors, with the transmon's rate."""
-    d = chain.d if d is None else d
+def lindblad_channels(chain: ChainSpec, d: int) -> list[LindbladChannel]:
+    """One combined decay-plus-dephasing channel per transmon on d levels
+    per site, embedded by identity on the other factors, with the
+    transmon's rate."""
     site_op = _single_site_collapse(d)
     eye = np.eye(d, dtype=complex)
     channels = []
@@ -335,13 +322,6 @@ class SimulationModel:
                 f"unknown logical label {label!r}; "
                 f"expected one of {SINGLE_EXCITATION_LABELS}"
             ) from None
-
-    def embed_logical(self, amplitudes: np.ndarray) -> np.ndarray:
-        """Lift a 3-component logical vector into the model space."""
-        v = np.zeros(self.dim, dtype=complex)
-        for amp, idx in zip(amplitudes, self.logical_indices):
-            v[idx] = amp
-        return v
 
 
 IDEAL_STEP = 0.05

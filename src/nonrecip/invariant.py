@@ -4,9 +4,11 @@ An auxiliary trajectory (gamma(t), beta(t)) parameterized by a single
 dimensionless knob lambda determines, in closed form, a pair of effective
 coupling pulses.  The associated dynamical invariant commutes with the
 Hamiltonian at the protocol endpoints, and the phase accumulated by its
-eigenstates over one period fixes the realized evolution operator.  A
-phase of 3*pi/2 yields the one-way circulator; pi yields a reciprocal
-swap.
+eigenstates over one period fixes the realized evolution operator.  The
+invariant's scale is arbitrary and fixed at one, so its eigenvalues are
+0 and +-1/2; its three branches accumulate the phases (0, +theta_plus,
+-theta_plus).  A phase of 3*pi/2 yields the one-way circulator; pi
+yields a reciprocal swap.
 """
 
 from __future__ import annotations
@@ -86,11 +88,6 @@ class AuxiliaryTrajectory:
         """
         u = self._check_range(t) / self.tau
         return 35.0 * np.pi * u * (1.0 - u) / (8.0 * self.lambda_ * self.tau)
-
-
-def eval_trajectory(traj: AuxiliaryTrajectory, t):
-    """(gamma, beta, gamma_dot, beta_dot) at time t in [0, tau]."""
-    return (traj.gamma(t), traj.beta(t), traj.gamma_dot(t), traj.beta_dot(t))
 
 
 def _gamma_over_tan(gamma):
@@ -194,21 +191,11 @@ def synthesize_pulses(traj: AuxiliaryTrajectory, n_samples: int = 2001) -> Pulse
     return PulsePair(times, g_a, g_b)
 
 
-@dataclass(frozen=True)
-class InvariantSpec:
-    """Overall invariant scale mu (rad/ns); arbitrary, structure-irrelevant."""
-
-    mu: float = 1.0
-
-    def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError("mu must be > 0")
-
-
-def _invariant_stack(traj: AuxiliaryTrajectory, spec: InvariantSpec, t):
+def _invariant_stack(traj: AuxiliaryTrajectory, t):
     """I(t) and dI/dt (closed-form derivative of the entries) in the
     {A, M, B} basis, each stacked to shape (m, 3, 3) over the times t."""
-    g, b, gd, bd = (np.atleast_1d(x) for x in eval_trajectory(traj, t))
+    g, b, gd, bd = (np.atleast_1d(f(t)) for f in (
+        traj.gamma, traj.beta, traj.gamma_dot, traj.beta_dot))
     cg, sg, cb, sb = np.cos(g), np.sin(g), np.cos(b), np.sin(b)
 
     def matrix(am, ab, mb):
@@ -216,23 +203,21 @@ def _invariant_stack(traj: AuxiliaryTrajectory, spec: InvariantSpec, t):
         m[:, 0, 1] = m[:, 1, 0] = am
         m[:, 0, 2], m[:, 2, 0] = -1j * ab, 1j * ab
         m[:, 1, 2] = m[:, 2, 1] = mb
-        return 0.5 * spec.mu * m
+        return 0.5 * m
 
     return (matrix(cg * sb, sg, cg * cb),
             matrix(-gd * sg * sb + bd * cg * cb, gd * cg, -gd * sg * cb - bd * cg * sb))
 
 
-def invariant_at(
-    traj: AuxiliaryTrajectory, spec: InvariantSpec, t: float
-) -> np.ndarray:
-    """The dynamical invariant I(t) in the {A, M, B} basis."""
-    return _invariant_stack(traj, spec, t)[0][0]
+def invariant_at(traj: AuxiliaryTrajectory, t: float) -> np.ndarray:
+    """The unit-scale dynamical invariant I(t) in the {A, M, B} basis."""
+    return _invariant_stack(traj, t)[0][0]
 
 
 def invariant_eigenstates(traj: AuxiliaryTrajectory, t: float):
     """(mu_0, mu_plus, mu_minus): closed-form eigenstates of the invariant.
 
-    Eigenvalues are 0, +mu/2 and -mu/2 respectively, independent of t.
+    Eigenvalues are 0, +1/2 and -1/2 respectively, independent of t.
     """
     g = float(traj.gamma(t))
     b = float(traj.beta(t))
@@ -249,19 +234,16 @@ def invariant_eigenstates(traj: AuxiliaryTrajectory, t: float):
 
 @dataclass(frozen=True)
 class LRPhaseResult:
-    """Accumulated invariant-eigenstate phases over one period.
+    """Accumulated invariant-eigenstate phase over one period.
 
-    theta_plus is the positive reported value (the sign convention is
-    fixed so the designed evolution operator matches target_unitary);
-    theta_plus_raw is the signed defining integral, and
-    theta_plus_mod_2pi the reported value reduced to [0, 2*pi).
-    quad_error is the quadrature's error estimate for theta_plus.
+    The branches (0, +, -) accumulate (0, theta_plus, -theta_plus), with
+    theta_plus > 0 in the convention of target_unitary; the signed
+    defining integral of the plus branch is -theta_plus.
+    theta_plus_mod_2pi is theta_plus reduced to [0, 2*pi), and
+    quad_error the quadrature's error estimate for theta_plus.
     """
 
     theta_plus: float
-    theta_minus: float
-    theta_zero: float
-    theta_plus_raw: float
     quad_error: float
 
     @property
@@ -341,12 +323,12 @@ def lr_phase(
     The defining integral reduces in closed form to
     d(theta)/dt = -beta_dot/sin(gamma) for the plus branch, whose
     magnitude theta_plus_magnitudes integrates (ValueError for
-    lambda >= pi); the raw phase is its negative.
+    lambda >= pi).
     """
     if pulses is not None:
         _validate_pulses_match(traj, pulses)
     mag, err = (float(v[0]) for v in theta_plus_magnitudes(traj.lambda_))
-    return LRPhaseResult(mag, -mag, 0.0, -mag, quad_error=err)
+    return LRPhaseResult(mag, quad_error=err)
 
 
 def bisect_increasing(f, targets, lo: float, hi: float):
@@ -367,20 +349,22 @@ def bisect_increasing(f, targets, lo: float, hi: float):
     return lo
 
 
+PRESCAN_POINTS = 32
+ROOT_PHASE_TOL = 1e-6
+
+
 def solve_lambda(
     target_phase: float,
     tau: float,
     bracket: tuple[float, float] = (0.1, 1.0),
-    n_prescan: int = 32,
-    phase_tol: float = 1e-6,
 ) -> float:
     """Find lambda with |theta_plus(lambda)| equal to target_phase.
 
-    One vectorised prescan of n_prescan points validates strict
+    One vectorised prescan of PRESCAN_POINTS points validates strict
     monotonicity and a sign change on the bracket; the root is then
     bisected to floating-point resolution inside the prescan cell that
     holds it, with the one Gauss-Legendre rule that converged at the
-    cell's ends, and re-verified to phase_tol by the adaptive
+    cell's ends, and re-verified to ROOT_PHASE_TOL (rad) by the adaptive
     quadrature.  tau (> 0) drops out.
     """
     if not math.isfinite(target_phase):
@@ -391,7 +375,7 @@ def solve_lambda(
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
 
-    scan = np.linspace(lo, hi, n_prescan)
+    scan = np.linspace(lo, hi, PRESCAN_POINTS)
     vals, _, nodes = _theta_plus(scan)
     diffs = np.diff(vals)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
@@ -413,7 +397,7 @@ def solve_lambda(
         lambda l: sign * _theta_plus_rule(l, n), [sign * target_phase],
         scan[max(k - 1, 0)], scan[k])[0])
     residual = abs(theta_plus_magnitudes(lam)[0][0] - target_phase)
-    if residual > phase_tol:
+    if residual > ROOT_PHASE_TOL:
         raise RootBracketError(f"root refinement stalled at residual {residual}")
     return lam
 
@@ -435,13 +419,13 @@ def lr_predicted_evolution(traj: AuxiliaryTrajectory, pulses: PulsePair) -> np.n
     """Evolution operator from the invariant-eigenstate expansion.
 
     Sum over n in {0, +, -} of exp(-i*theta_n) |mu_n(tau)><mu_n(0)|,
-    with the same positive theta_plus convention as target_unitary.
-    The invariant scale mu drops out of the eigenstates.
+    theta_n = (0, theta_plus, -theta_plus), in the convention of
+    target_unitary.
     """
-    phases = lr_phase(traj, pulses)
+    theta_plus = lr_phase(traj, pulses).theta_plus
     start = invariant_eigenstates(traj, 0.0)
     end = invariant_eigenstates(traj, traj.tau)
-    thetas = (phases.theta_zero, phases.theta_plus, phases.theta_minus)
+    thetas = (0.0, theta_plus, -theta_plus)
     u = np.zeros((3, 3), dtype=complex)
     for theta, s0, s1 in zip(thetas, start, end):
         u += np.exp(-1j * theta) * np.outer(s1.amplitudes, s0.amplitudes.conj())
@@ -455,14 +439,10 @@ class BoundaryDiagnostics:
     commutator_start: float
     commutator_end: float
     max_von_neumann_residual: float
-    mu: float
 
 
 def check_boundary(
-    traj: AuxiliaryTrajectory,
-    pulses: PulsePair,
-    spec: InvariantSpec,
-    n_grid: int = 10001,
+    traj: AuxiliaryTrajectory, pulses: PulsePair, n_grid: int = 10001
 ) -> BoundaryDiagnostics:
     """Frobenius norms of [H, I] at the endpoints and of the von-Neumann
     residual dI/dt + i[H(t), I(t)] over a uniform grid of n_grid >= 2
@@ -471,7 +451,7 @@ def check_boundary(
         raise ValueError("n_grid must be >= 2")
     times = np.linspace(0.0, traj.tau, n_grid)
     h = pulses.hamiltonian().matrices(times)
-    i_mat, di = _invariant_stack(traj, spec, times)
+    i_mat, di = _invariant_stack(traj, times)
     comm = h @ i_mat - i_mat @ h
     return BoundaryDiagnostics(
         commutator_start=float(np.linalg.norm(comm[0])),
@@ -479,5 +459,4 @@ def check_boundary(
         max_von_neumann_residual=float(
             np.linalg.norm(di + 1j * comm, axis=(1, 2)).max()
         ),
-        mu=spec.mu,
     )

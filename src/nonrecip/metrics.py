@@ -26,7 +26,6 @@ class TransferReport:
     """Populations and final fidelity for a single basis-state transfer."""
 
     initial_label: str
-    target: PureState
     fidelity: float
     times: np.ndarray
     populations: dict[str, np.ndarray]
@@ -132,17 +131,6 @@ def _evolve(model: SimulationModel, initial_states, noise: bool,
     return traj, x[..., :, None] * x[..., None, :].conj()
 
 
-def _embed_target(model: SimulationModel, target: PureState) -> np.ndarray:
-    if target.dim == model.dim:
-        return np.array(target.amplitudes)
-    if target.dim == 3:
-        return model.embed_logical(target.amplitudes)
-    raise ValueError(
-        f"target dim {target.dim} matches neither the model dim {model.dim} "
-        "nor the 3-dimensional logical space"
-    )
-
-
 def transfer_fidelity(
     model: SimulationModel,
     initial: str,
@@ -151,10 +139,15 @@ def transfer_fidelity(
     cfg: PropagationConfig | None = None,
 ) -> TransferReport:
     """Propagate a logical basis state and report its fidelity to the
-    target, with per-state population curves and (for models larger
-    than the logical space) the leakage out of it."""
+    target, a state of the 3-dimensional logical space placed at the
+    model's logical indices, with per-state population curves and (for
+    models larger than the logical space) the leakage out of it."""
+    if target.dim != 3:
+        raise ValueError(f"target dim {target.dim} is not the 3-dimensional "
+                         "logical space")
     cfg = cfg or PropagationConfig(step=model.default_step)
-    target_vec = _embed_target(model, target)
+    target_vec = np.zeros(model.dim, dtype=complex)
+    target_vec[list(model.logical_indices)] = target.amplitudes
     initial_vec = np.eye(model.dim)[model.logical_index(initial)]
     traj, (rhos,) = _evolve(model, [initial_vec], noise, cfg)
 
@@ -169,7 +162,6 @@ def transfer_fidelity(
         leakage = np.clip(np.trace(rhos, axis1=1, axis2=2).real - total, 0.0, None)
     return TransferReport(
         initial_label=initial,
-        target=target,
         fidelity=float(np.clip(fidelity_curve[-1], 0.0, 1.0)),
         times=traj.times,
         populations=populations,

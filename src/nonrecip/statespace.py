@@ -18,10 +18,6 @@ import numpy as np
 NORM_TOL = 1e-9
 
 
-class DimensionMismatchError(ValueError):
-    pass
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=complex)
     out.setflags(write=False)
@@ -44,7 +40,7 @@ class ControlHamiltonian:
         object.__setattr__(self, "h0", _freeze(self.h0))
         object.__setattr__(self, "ops", _freeze(self.ops))
         if self.ops.ndim != 3 or self.ops.shape[1:] != self.h0.shape:
-            raise DimensionMismatchError(f"ops {self.ops.shape} vs h0 {self.h0.shape}")
+            raise ValueError(f"ops {self.ops.shape} vs h0 {self.h0.shape}")
 
     @property
     def dim(self) -> int:
@@ -79,9 +75,3 @@ class PureState:
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
-
-    @staticmethod
-    def basis_state(dim: int, index: int) -> "PureState":
-        v = np.zeros(dim, dtype=complex)
-        v[index] = 1.0
-        return PureState(v)

@@ -173,6 +173,19 @@ class TestNonFiniteScenarioValues:
         assert f"{field} must be finite, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", [["design"], ["simulate", "--initial", "100"]])
+    @pytest.mark.parametrize("value", ["0", "-10"])
+    @pytest.mark.parametrize("key", ["g_a_mhz", "g_b_mhz"])
+    def test_non_positive_coupling_exits_1_naming_the_field(self, tmp_path, capsys,
+                                                           key, value, command):
+        cfg_path = tmp_path / "bad.ini"
+        cfg_path.write_text(f"[coupling]\n{key} = {value}\n")
+        out = tmp_path / "out"
+        code = main(["--config", str(cfg_path), "--out", str(out)] + command)
+        assert code == EXIT_FAILURE
+        assert f"{key} must be > 0" in capsys.readouterr().err
+        assert not (out / "design_summary.json").exists()
+
     def test_non_finite_target_phase_flag_exits_1(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path / "out"), "solve-lambda",
                      "--target-phase-rad", "nan"])

@@ -3,12 +3,13 @@ the noisy fidelities of the propagation kernels against those of the
 earlier dense propagator (step 0.05 ns)."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from nonrecip.config import ScenarioConfig
 from nonrecip.devices import (
-    ChainSpec,
     full_chain_model,
     ideal_model,
     invert_bessel_drive,
@@ -17,7 +18,6 @@ from nonrecip.devices import (
 )
 from nonrecip.invariant import (
     AuxiliaryTrajectory,
-    InvariantSpec,
     PulsePair,
     check_boundary,
     lr_phase,
@@ -46,7 +46,7 @@ def pulses():
 
 @pytest.fixture(scope="module")
 def drives(pulses):
-    return invert_bessel_drive(pulses, ChainSpec.reference_defaults())
+    return invert_bessel_drive(pulses, ScenarioConfig().chain_spec())
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +104,7 @@ class TestControlFormMatchesDenseFormulas:
             assert np.max(np.abs(h(t) - dense)) < 1e-12
 
     def test_single_excitation(self, drives, times):
-        chain = ChainSpec.reference_defaults()
+        chain = ScenarioConfig().chain_spec()
         h = single_excitation_model(chain, drives).hamiltonian
         for t in times:
             dense = embed(single_excitation_dense(chain, drives, t))
@@ -112,14 +112,15 @@ class TestControlFormMatchesDenseFormulas:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_full_chain(self, drives, times, d):
-        chain = ChainSpec.reference_defaults(d=d)
+        chain = replace(ScenarioConfig().chain_spec(), d=d)
         h = full_chain_model(chain, drives).hamiltonian
         for t in times:
             dense = full_chain_dense(chain, drives, t)
             assert np.max(np.abs(h(t) - dense)) < 1e-12
 
     def test_vectorised_matches_pointwise(self, drives, times):
-        h = full_chain_model(ChainSpec.reference_defaults(d=3), drives).hamiltonian
+        chain3 = replace(ScenarioConfig().chain_spec(), d=3)
+        h = full_chain_model(chain3, drives).hamiltonian
         stacked = h.matrices(times)
         assert stacked.shape == (len(times), 27, 27)
         for t, m in zip(times, stacked):
@@ -134,7 +135,7 @@ class TestSeedFidelities:
     def setup(self, pulses, drives):
         traj = AuxiliaryTrajectory(LAMBDA_SOLVED, TAU)
         theta = lr_phase(traj, pulses).theta_plus
-        model = single_excitation_model(ChainSpec.reference_defaults(), drives)
+        model = single_excitation_model(ScenarioConfig().chain_spec(), drives)
         return model, theta, PropagationConfig(step=0.05)
 
     @pytest.mark.parametrize("initial", ["100", "010", "001"])
@@ -152,7 +153,7 @@ class TestSeedFidelities:
 
 
 def invariant_and_derivative(traj, t):
-    """I(t) and dI/dt at one time, entry by entry (mu = 1)."""
+    """I(t) and dI/dt at one time, entry by entry."""
     g, b = float(traj.gamma(t)), float(traj.beta(t))
     gd, bd = float(traj.gamma_dot(t)), float(traj.beta_dot(t))
     cg, sg, cb, sb = math.cos(g), math.sin(g), math.cos(b), math.sin(b)
@@ -177,7 +178,7 @@ class TestCheckBoundaryMatchesPointwiseLoop:
                 i_mat, di = invariant_and_derivative(traj, t)
                 comms.append(np.linalg.norm(h @ i_mat - i_mat @ h))
                 worst = max(worst, np.linalg.norm(di + 1j * (h @ i_mat - i_mat @ h)))
-            diag = check_boundary(traj, pp, InvariantSpec(), n_grid=501)
+            diag = check_boundary(traj, pp, n_grid=501)
             assert diag.commutator_start == pytest.approx(comms[0], abs=1e-12)
             assert diag.commutator_end == pytest.approx(comms[-1], abs=1e-12)
             assert diag.max_von_neumann_residual == pytest.approx(worst, abs=1e-12)
@@ -190,17 +191,17 @@ class TestCheckBoundarySeedValues:
     def test_designed_and_perturbed_pulses(self):
         traj = AuxiliaryTrajectory(0.4974, TAU)
         pulses = synthesize_pulses(traj)
-        diag = check_boundary(traj, pulses, InvariantSpec())
+        diag = check_boundary(traj, pulses)
         assert diag.commutator_start == pytest.approx(0.0, abs=1e-12)
         assert diag.commutator_end == pytest.approx(0.0, abs=1e-12)
         assert diag.max_von_neumann_residual == pytest.approx(
             1.3965051558032531e-08, abs=1e-12)
         perturbed = PulsePair(pulses.times, 1.01 * pulses.g_a, pulses.g_b)
-        diag = check_boundary(traj, perturbed, InvariantSpec())
+        diag = check_boundary(traj, perturbed)
         assert diag.max_von_neumann_residual == pytest.approx(
             1.709827343220283e-04, abs=1e-12)
 
     def test_grid_must_include_both_ends(self, pulses):
         with pytest.raises(ValueError):
             check_boundary(AuxiliaryTrajectory(LAMBDA_SOLVED, TAU), pulses,
-                           InvariantSpec(), n_grid=1)
+                           n_grid=1)

@@ -1,16 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import optimize, special
 
+from nonrecip.config import ScenarioConfig
 from nonrecip.devices import (
     BESSEL_CLAMP_RTOL,
-    ChainSpec,
     DriveWaveform,
     J1_PEAK,
     J1_PEAK_X,
-    TransmonSpec,
     UnattainableDriveError,
     bessel_j1,
     chain_labels,
@@ -35,7 +35,7 @@ def pulses():
 
 @pytest.fixture(scope="module")
 def chain():
-    return ChainSpec.reference_defaults()
+    return ScenarioConfig().chain_spec()
 
 
 @pytest.fixture(scope="module")
@@ -204,7 +204,7 @@ class TestFullChainHamiltonian:
             assert np.linalg.norm(h @ n_op - n_op @ h) == 0.0
 
     def test_three_level_ladder_enhancement(self, drives):
-        chain3 = ChainSpec.reference_defaults(d=3)
+        chain3 = replace(ScenarioConfig().chain_spec(), d=3)
         drives3 = DriveWaveform(drives.times, drives.eta_a, drives.eta_b,
                                 drives.nu_a, drives.nu_b)
         h = full_chain_h(chain3, drives3, 3.0)
@@ -215,7 +215,7 @@ class TestFullChainHamiltonian:
         assert hi == pytest.approx(math.sqrt(2) * lo, rel=1e-12)
 
     def test_three_level_anharmonicity_on_diagonal(self):
-        chain3 = ChainSpec.reference_defaults(d=3)
+        chain3 = replace(ScenarioConfig().chain_spec(), d=3)
         quiet = DriveWaveform.zero(TAU, chain3.nu_a, chain3.nu_b)
         h = full_chain_h(chain3, quiet, 0.0)
         labels = chain_labels(3)
@@ -235,12 +235,12 @@ class TestFullChainHamiltonian:
 
 class TestLindbladChannels:
     def test_reference_rates(self, chain):
-        channels = lindblad_channels(chain)
+        channels = lindblad_channels(chain, 2)
         assert [c.rate for c in channels] == [khz(3.0), khz(4.0), khz(5.0)]
         assert channels[0].rate == pytest.approx(2 * np.pi * 3e-6)
 
     def test_collapse_action_on_excited(self, chain):
-        channels = lindblad_channels(chain)
+        channels = lindblad_channels(chain, 2)
         # A-transmon channel applied to |100>: |1>_A -> |0>_A - |1>_A
         idx100, idx010, _ = single_excitation_indices(2)
         v = np.zeros(8, dtype=complex)
@@ -253,21 +253,21 @@ class TestLindbladChannels:
 
     def test_acts_on_one_factor(self, chain):
         site = np.array([[1, 1], [0, -1]], dtype=complex)
-        for k, channel in enumerate(lindblad_channels(chain)):
+        for k, channel in enumerate(lindblad_channels(chain, 2)):
             mats = [np.eye(2, dtype=complex)] * 3
             mats[k] = site
             expected = np.kron(np.kron(mats[0], mats[1]), mats[2])
             assert np.array_equal(channel.operator, expected)
 
     def test_operator_is_read_only_complex(self, chain):
-        op = lindblad_channels(chain)[0].operator
+        op = lindblad_channels(chain, 2)[0].operator
         assert op.dtype == complex and op.shape == (8, 8)
         with pytest.raises(ValueError):
             op[0, 0] = 2.0
 
     def test_three_level_channel_annihilates_top_level(self):
-        chain3 = ChainSpec.reference_defaults(d=3)
-        channels = lindblad_channels(chain3)
+        chain3 = replace(ScenarioConfig().chain_spec(), d=3)
+        channels = lindblad_channels(chain3, 3)
         m = channels[2].operator  # B transmon
         labels = chain_labels(3)
         v = np.zeros(27, dtype=complex)
@@ -282,8 +282,5 @@ class TestEmbedding:
         assert [labels[i] for i in single_excitation_indices(3)] == ["100", "010", "001"]
 
     def test_chain_spec_validation(self):
-        t = TransmonSpec("A", 1.0, 0.1, 0.0)
         with pytest.raises(ValueError):
-            ChainSpec((t, t, t), 0.1, 0.1, 0.3, 0.3, 2)
-        with pytest.raises(ValueError):
-            ChainSpec.reference_defaults(d=4)
+            replace(ScenarioConfig().chain_spec(), d=4)

@@ -6,14 +6,12 @@ from scipy import integrate, optimize
 
 from nonrecip.invariant import (
     AuxiliaryTrajectory,
-    InvariantSpec,
     NonMonotonicBracketError,
     PulseDivergenceError,
     RootBracketError,
     TrajectoryRangeError,
     check_boundary,
     coupling_values,
-    eval_trajectory,
     invariant_at,
     invariant_eigenstates,
     lr_phase,
@@ -48,13 +46,13 @@ def pulses(traj):
 
 class TestTrajectory:
     def test_midpoint_values(self, traj):
-        g, b, _, _ = eval_trajectory(traj, TAU / 2)
+        g, b = traj.gamma(TAU / 2), traj.beta(TAU / 2)
         assert g == pytest.approx(LAMBDA_REF, abs=1e-12)
         assert b == pytest.approx(np.pi / 4, abs=1e-12)
 
     def test_boundary_conditions(self, traj):
-        g0, b0, _, _ = eval_trajectory(traj, 0.0)
-        g1, b1, _, _ = eval_trajectory(traj, TAU)
+        g0, b0 = traj.gamma(0.0), traj.beta(0.0)
+        g1, b1 = traj.gamma(TAU), traj.beta(TAU)
         assert abs(g0) < 1e-12 and abs(g1) < 1e-12
         assert abs(b0) < 1e-12
         assert b1 == pytest.approx(np.pi / 2, abs=1e-12)
@@ -122,24 +120,21 @@ class TestSynthesizePulses:
 
 class TestInvariant:
     def test_start_form(self, traj):
-        spec = InvariantSpec(mu=2.0)
-        m = invariant_at(traj, spec, 0.0)
+        m = invariant_at(traj, 0.0)
         expected = np.zeros((3, 3), dtype=complex)
-        expected[1, 2] = expected[2, 1] = 1.0  # (mu/2)(|M><B| + |B><M|)
+        expected[1, 2] = expected[2, 1] = 0.5  # (|M><B| + |B><M|)/2
         assert np.allclose(m, expected, atol=1e-12)
 
     def test_end_form(self, traj):
-        spec = InvariantSpec(mu=2.0)
-        m = invariant_at(traj, spec, TAU)
+        m = invariant_at(traj, TAU)
         expected = np.zeros((3, 3), dtype=complex)
-        expected[0, 1] = expected[1, 0] = 1.0
+        expected[0, 1] = expected[1, 0] = 0.5
         assert np.allclose(m, expected, atol=1e-12)
 
     def test_spectrum_constancy(self, traj):
-        spec = InvariantSpec(mu=1.0)
         rng = np.random.default_rng(42)
         for t in rng.uniform(0.0, TAU, 100):
-            evals = np.sort(np.linalg.eigvalsh(invariant_at(traj, spec, t)))
+            evals = np.sort(np.linalg.eigvalsh(invariant_at(traj, t)))
             assert np.max(np.abs(evals - [-0.5, 0.0, 0.5])) < 1e-10
 
     def test_eigenstate_endpoints(self, traj):
@@ -151,10 +146,9 @@ class TestInvariant:
         assert np.allclose(mu0_end.amplitudes, [0, 0, -1], atol=1e-12)
 
     def test_eigen_residual(self, traj):
-        spec = InvariantSpec(mu=1.0)
         rng = np.random.default_rng(5)
         for t in rng.uniform(0.0, TAU, 100):
-            i_mat = invariant_at(traj, spec, t)
+            i_mat = invariant_at(traj, t)
             mu0, mup, mum = invariant_eigenstates(traj, t)
             for state, eig in ((mu0, 0.0), (mup, 0.5), (mum, -0.5)):
                 resid = i_mat @ state.amplitudes - eig * state.amplitudes
@@ -188,10 +182,7 @@ class TestLRPhase:
         assert abs(result.theta_plus - THETA_CIRC) < 1e-3
 
     def test_sign_structure(self, traj):
-        result = lr_phase(traj)
-        assert result.theta_minus == pytest.approx(-result.theta_plus, abs=1e-9)
-        assert result.theta_zero == 0.0
-        assert result.theta_plus_raw < 0
+        assert lr_phase(traj).theta_plus > 0
 
     def test_matches_defining_integral(self, traj, pulses):
         # oracle: Simpson quadrature of the generic integrand; a fine pulse
@@ -202,7 +193,8 @@ class TestLRPhase:
             [generic_phase_integrand(traj, fine, t, branch=1) for t in ts]
         )
         raw = integrate.simpson(vals, x=ts)
-        assert lr_phase(traj, pulses).theta_plus_raw == pytest.approx(raw, abs=1e-6)
+        # the signed integral of the plus branch is -theta_plus
+        assert -lr_phase(traj, pulses).theta_plus == pytest.approx(raw, abs=1e-6)
 
     def test_zero_branch_integrand_vanishes(self, traj, pulses):
         for t in np.linspace(0.5, TAU - 0.5, 37):
@@ -350,18 +342,18 @@ class TestLRPredictedEvolution:
 
 class TestCheckBoundary:
     def test_commutators_vanish(self, traj, pulses):
-        diag = check_boundary(traj, pulses, InvariantSpec())
+        diag = check_boundary(traj, pulses)
         assert diag.commutator_start < 1e-9
         assert diag.commutator_end < 1e-9
 
     def test_grid_residual_small(self, traj, pulses):
-        diag = check_boundary(traj, pulses, InvariantSpec())
-        assert diag.max_von_neumann_residual < 1e-6 * diag.mu
+        diag = check_boundary(traj, pulses)
+        assert diag.max_von_neumann_residual < 1e-6
 
     def test_perturbed_pulses_detected(self, traj, pulses):
         from nonrecip.invariant import PulsePair
 
         perturbed = PulsePair(pulses.times, 1.01 * pulses.g_a, pulses.g_b)
-        diag = check_boundary(traj, perturbed, InvariantSpec())
+        diag = check_boundary(traj, perturbed)
         # an order of magnitude above the valid-design bound
-        assert diag.max_von_neumann_residual > 1e-4 * diag.mu
+        assert diag.max_von_neumann_residual > 1e-4

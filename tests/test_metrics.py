@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from nonrecip.config import ScenarioConfig
 from nonrecip.devices import (
-    ChainSpec,
     ideal_model,
     invert_bessel_drive,
     single_excitation_model,
@@ -52,7 +52,7 @@ def model(pulses):
 
 @pytest.fixture(scope="module")
 def device(pulses):
-    chain = ChainSpec.reference_defaults()
+    chain = ScenarioConfig().chain_spec()
     return single_excitation_model(chain, invert_bessel_drive(pulses, chain))
 
 
@@ -98,6 +98,11 @@ class TestTransferFidelity:
         assert np.allclose(total, 1.0, atol=1e-9)
         assert report.populations["100"][0] == pytest.approx(1.0, abs=1e-12)
         assert report.leakage is None
+
+    def test_target_outside_logical_space_rejected(self, device):
+        target = PureState(np.eye(device.dim)[device.logical_index("010")])
+        with pytest.raises(ValueError, match="logical space"):
+            transfer_fidelity(device, "100", target, noise=False)
 
     def test_csv_round_trip(self, model, tmp_path):
         target = logical_state(target_unitary(THETA_CIRC)[:, 0])

@@ -5,7 +5,6 @@ import pytest
 from scipy.linalg import expm
 
 from nonrecip.devices import (
-    ChainSpec,
     LindbladChannel,
     ideal_model,
     invert_bessel_drive,
@@ -17,6 +16,7 @@ from nonrecip.invariant import (
     target_unitary,
 )
 from nonrecip import propagation
+from nonrecip.config import ScenarioConfig
 from nonrecip.propagation import (
     IntegratorError,
     PropagationConfig,
@@ -37,7 +37,7 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def ket(dim, idx):
-    return PureState.basis_state(dim, idx)
+    return PureState(np.eye(dim)[idx])
 
 
 def modulated(h, f=np.ones_like):
@@ -173,7 +173,7 @@ class TestStepMaps:
 
 @pytest.fixture(scope="module")
 def device(pulses):
-    chain = ChainSpec.reference_defaults()
+    chain = ScenarioConfig().chain_spec()
     return single_excitation_model(chain, invert_bessel_drive(pulses, chain))
 
 
