@@ -33,7 +33,7 @@ from .devices import (
     single_excitation_model,
 )
 from .invariant import PulseDivergenceError, RootBracketError, NonMonotonicBracketError
-from .metrics import ensemble_fidelity, transfer_fidelity
+from .metrics import RunReport, ensemble_fidelity, transfer_fidelity
 from .propagation import PropagationConfig
 from .reporting import write_csv, write_json
 from .statespace import PureState
@@ -77,10 +77,21 @@ def _propagation_config(cfg: ScenarioConfig, model: SimulationModel) -> Propagat
     return PropagationConfig(step=step, record_stride=cfg.record_stride)
 
 
-def _circulator_target(theta_plus: float, initial: str) -> PureState:
-    """Image of the initial logical state under the designed unitary."""
-    column = SINGLE_EXCITATION_LABELS.index(initial)
-    return PureState(inv.target_unitary(theta_plus)[:, column])
+def _simulate(cfg: ScenarioConfig, model: SimulationModel, theta_plus: float,
+              initial: str, csv_path: Path) -> RunReport:
+    """Run the ensemble (initial "ensemble") or the transfer of one logical
+    basis state to its image under the designed unitary, write the run's
+    CSV and return its report."""
+    prop_cfg = _propagation_config(cfg, model)
+    if initial == "ensemble":
+        report = ensemble_fidelity(model, noise=cfg.noise, cfg=prop_cfg)
+    else:
+        column = SINGLE_EXCITATION_LABELS.index(initial)
+        target = PureState(inv.target_unitary(theta_plus)[:, column])
+        report = transfer_fidelity(model, initial, target, noise=cfg.noise,
+                                   cfg=prop_cfg)
+    report.write_csv(csv_path)
+    return report
 
 
 def cmd_design(cfg: ScenarioConfig, out_dir: Path) -> int:
@@ -151,20 +162,15 @@ def cmd_sweep_lambda(lo: float, hi: float, n: int, out_dir: Path) -> int:
 
 def cmd_simulate(cfg: ScenarioConfig, initial: str, out_dir: Path) -> int:
     traj, pulses, phases = _resolve_design(cfg)
-    model = _build_model(cfg, pulses)
-    prop_cfg = _propagation_config(cfg, model)
+    csv = ("ensemble_fidelity.csv" if initial == "ensemble"
+           else f"trajectory_{initial}.csv")
+    report = _simulate(cfg, _build_model(cfg, pulses), phases.theta_plus,
+                       initial, out_dir / csv)
+    write_json(out_dir / "report.json", report.to_json_dict())
     if initial == "ensemble":
-        report = ensemble_fidelity(model, count=1001, noise=cfg.noise, cfg=prop_cfg)
-        report.write_csv(out_dir / "ensemble_fidelity.csv")
-        write_json(out_dir / "report.json", report.to_json_dict())
         print(f"simulate[ensemble]: F_m = {report.f_m:.6f} "
               f"(t=0 value {report.initial_fidelity:.4f})")
     else:
-        target = _circulator_target(phases.theta_plus, initial)
-        report = transfer_fidelity(model, initial, target, noise=cfg.noise,
-                                   cfg=prop_cfg)
-        report.write_csv(out_dir / f"trajectory_{initial}.csv")
-        write_json(out_dir / "report.json", report.to_json_dict())
         print(f"simulate[{initial}]: F_s = {report.fidelity:.6f}")
     return EXIT_OK
 
@@ -175,15 +181,12 @@ def cmd_reproduce_fig3(cfg: ScenarioConfig, out_dir: Path) -> int:
         "f_s": REFERENCE_F_S,
         "f_m": REFERENCE_F_M,
     }, "model": cfg.model, "noise": cfg.noise}
-    failed = False
 
-    def run_panel(name, fn):
-        nonlocal failed
+    def run_panel(name, fn, *args):
         try:
-            summary["panels"][name] = fn()
+            summary["panels"][name] = fn(*args)
             summary["panels"][name]["status"] = "ok"
         except Exception as exc:  # noqa: BLE001 - continue past failed panels
-            failed = True
             summary["panels"][name] = {"status": "failed", "error": str(exc),
                                        "error_type": type(exc).__name__}
 
@@ -191,7 +194,6 @@ def cmd_reproduce_fig3(cfg: ScenarioConfig, out_dir: Path) -> int:
     cfg = with_overrides(cfg, lambda_=lam, target_phase_rad=None)
     traj, pulses, phases = _resolve_design(cfg)
     model = _build_model(cfg, pulses)
-    prop_cfg = _propagation_config(cfg, model)
 
     def panel_a():
         _write_sweep(out_dir / "fig3a_lambda_sweep.csv", np.linspace(0.15, 1.0, 35))
@@ -202,37 +204,32 @@ def cmd_reproduce_fig3(cfg: ScenarioConfig, out_dir: Path) -> int:
         return {"theta_plus_rad": phases.theta_plus}
 
     def panel_c():
-        report = ensemble_fidelity(model, count=1001, noise=cfg.noise, cfg=prop_cfg)
-        report.write_csv(out_dir / "fig3c_ensemble_fidelity.csv")
+        report = _simulate(cfg, model, phases.theta_plus, "ensemble",
+                           out_dir / "fig3c_ensemble_fidelity.csv")
         return {
             "f_m": report.f_m,
             "initial_fidelity": report.initial_fidelity,
             "f_m_matches": abs(report.f_m - REFERENCE_F_M) <= 5e-3,
         }
 
-    def make_transfer_panel(panel, initial):
-        def run():
-            target = _circulator_target(phases.theta_plus, initial)
-            report = transfer_fidelity(model, initial, target, noise=cfg.noise,
-                                       cfg=prop_cfg)
-            report.write_csv(out_dir / f"fig3{panel}_initial_{initial}.csv")
-            return {
-                "initial": initial,
-                "f_s": report.fidelity,
-                "f_s_matches": abs(report.fidelity - REFERENCE_F_S[initial]) <= 5e-3,
-            }
-
-        return run
+    def transfer_panel(panel, initial):
+        report = _simulate(cfg, model, phases.theta_plus, initial,
+                           out_dir / f"fig3{panel}_initial_{initial}.csv")
+        return {
+            "initial": initial,
+            "f_s": report.fidelity,
+            "f_s_matches": abs(report.fidelity - REFERENCE_F_S[initial]) <= 5e-3,
+        }
 
     run_panel("a", panel_a)
     run_panel("b", panel_b)
     run_panel("c", panel_c)
-    run_panel("d", make_transfer_panel("d", "100"))
-    run_panel("e", make_transfer_panel("e", "001"))
-    run_panel("f", make_transfer_panel("f", "010"))
+    for panel, initial in zip("def", ("100", "001", "010")):
+        run_panel(panel, transfer_panel, panel, initial)
     write_json(out_dir / "fig3_summary.json", summary)
     for name, payload in summary["panels"].items():
         print(f"panel {name}: {payload['status']}")
+    failed = any(p["status"] == "failed" for p in summary["panels"].values())
     return EXIT_FAILURE if failed else EXIT_OK
 
 

@@ -23,6 +23,7 @@ import numpy as np
 from scipy import special
 
 from .invariant import PulsePair, bisect_increasing
+from .reporting import write_csv
 from .statespace import ControlHamiltonian, _freeze
 
 # location and value of the first maximum of J1
@@ -73,6 +74,10 @@ class ChainSpec:
     def __post_init__(self):
         if self.d not in (2, 3):
             raise ValueError("level truncation d must be 2 or 3")
+        for name in ("g_a", "g_b"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
     @property
     def omega_a(self) -> float:
@@ -156,8 +161,6 @@ class DriveWaveform:
         return DriveWaveform(times, z, z, nu_a, nu_b)
 
     def write_csv(self, path):
-        from .reporting import write_csv
-
         write_csv(
             path,
             ["t_ns", "eta_a", "eta_b"],

@@ -154,7 +154,7 @@ class TestBasisTransferFidelities:
 
 class TestEnsembleFidelity:
     def test_average_over_input_circle(self, device):
-        report = ensemble_fidelity(device, count=1001, noise=True)
+        report = ensemble_fidelity(device, noise=True)
         ok = (abs(report.f_m - F_M_REF) <= 5e-3
               and abs(report.initial_fidelity - 0.125) <= 1e-2)
         check("ensemble fidelity", ok,

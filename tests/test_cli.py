@@ -260,6 +260,8 @@ class TestSimulateCommand:
                      "simulate", "--initial", "ensemble"])
         assert code == EXIT_OK
         report = json.loads((out / "report.json").read_text())
+        assert set(report) == {"model", "noise", "steps", "step_ns", "f_m",
+                               "initial_fidelity"}
         assert report["f_m"] > 0.999
         assert report["initial_fidelity"] == pytest.approx(0.125, abs=1e-6)
 

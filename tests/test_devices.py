@@ -282,5 +282,11 @@ class TestEmbedding:
         assert [labels[i] for i in single_excitation_indices(3)] == ["100", "010", "001"]
 
     def test_chain_spec_validation(self):
+        chain = ScenarioConfig().chain_spec()
         with pytest.raises(ValueError):
-            replace(ScenarioConfig().chain_spec(), d=4)
+            replace(chain, d=4)
+        # unchecked, 0 pins eta at the J1 peak and NaN gives eta = 0, silently
+        for name in ("g_a", "g_b"):
+            for value in (0.0, float("nan"), -0.05):
+                with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+                    replace(chain, **{name: value})

@@ -8,6 +8,7 @@ from nonrecip.invariant import (
     AuxiliaryTrajectory,
     NonMonotonicBracketError,
     PulseDivergenceError,
+    PulsePair,
     RootBracketError,
     TrajectoryRangeError,
     check_boundary,
@@ -76,6 +77,15 @@ class TestTrajectory:
         with pytest.raises(TrajectoryRangeError):
             traj.beta(TAU + 1.0)
 
+    @pytest.mark.parametrize("lam, tau, name", [
+        (math.nan, TAU, "lambda"), (0.0, TAU, "lambda"),
+        (LAMBDA_REF, math.inf, "tau"), (LAMBDA_REF, math.nan, "tau"),
+        (LAMBDA_REF, -1.0, "tau"),
+    ])
+    def test_rejects_non_finite_or_non_positive_inputs(self, lam, tau, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+            AuxiliaryTrajectory(lam, tau)
+
 
 class TestSynthesizePulses:
     def test_endpoints_vanish(self, pulses):
@@ -109,9 +119,15 @@ class TestSynthesizePulses:
         dense = synthesize_pulses(traj, 20001)
         assert np.all(np.isfinite(dense.g_a)) and np.all(np.isfinite(dense.g_b))
 
-    def test_divergent_trajectory_rejected(self):
+    def test_divergent_trajectory_rejected(self, traj):
         with pytest.raises(PulseDivergenceError):
             synthesize_pulses(AuxiliaryTrajectory(5.0, TAU))
+        # non-finite samples are rejected by PulsePair itself
+        pulses = synthesize_pulses(traj, 11)
+        g_a = pulses.g_a.copy()
+        g_a[5] = np.inf
+        with pytest.raises(PulseDivergenceError, match="finite"):
+            PulsePair(pulses.times, g_a, pulses.g_b)
 
     def test_requires_two_samples(self, traj):
         with pytest.raises(ValueError):

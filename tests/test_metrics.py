@@ -118,43 +118,41 @@ class TestEnsembleFidelity:
     def test_initial_average_overlap(self, model):
         # at t = 0 the average of |<target|initial>|^2 over the circle
         # is exactly 1/8
-        report = ensemble_fidelity(model, count=401, noise=False)
+        report = ensemble_fidelity(model, noise=False)
         assert report.initial_fidelity == pytest.approx(0.125, abs=1e-9)
 
     def test_ideal_protocol_is_nearly_perfect(self, model):
-        report = ensemble_fidelity(model, count=401, noise=False)
+        report = ensemble_fidelity(model, noise=False)
         assert report.f_m > 0.999
 
     def test_matches_explicit_inputs(self, run):
         # brute force: propagate each input cos(v)|010> + sin(v)|001>
         # and take the trapezoid average of its fidelity to
-        # i cos(v)|100> + i sin(v)|010>
+        # i cos(v)|100> + i sin(v)|010> at every record; 9 points
+        # (8 intervals) integrate the quartic fidelity exactly
         model, noise, cfg = run
         cfg = cfg or PropagationConfig(step=model.default_step)
         i100, i010, i001 = model.logical_indices
         thetas = np.linspace(0.0, 2.0 * np.pi, 9)
-        values = []
+        curves = []
         for v in thetas:
             psi = np.zeros(model.dim, dtype=complex)
             psi[[i010, i001]] = np.cos(v), np.sin(v)
             target = np.zeros(model.dim, dtype=complex)
             target[[i100, i010]] = 1j * np.cos(v), 1j * np.sin(v)
             if noise:
-                rho = integrate_master(
+                rhos = integrate_master(
                     model.hamiltonian, model.channels,
-                    np.outer(psi, psi.conj()), model.tau, cfg).final
+                    np.outer(psi, psi.conj()), model.tau, cfg).states
             else:
-                final = propagate_schrodinger(
-                    model.hamiltonian, PureState(psi), model.tau, cfg).final
-                rho = np.outer(final, final.conj())
-            values.append((target.conj() @ rho @ target).real)
-        expected = np.trapezoid(values, thetas) / (2.0 * np.pi)
-        report = ensemble_fidelity(model, count=9, noise=noise, cfg=cfg)
-        assert report.f_m == pytest.approx(expected, abs=1e-12)
-
-    def test_count_validation(self, model):
-        with pytest.raises(ValueError):
-            ensemble_fidelity(model, count=1)
+                states = propagate_schrodinger(
+                    model.hamiltonian, PureState(psi), model.tau, cfg).states
+                rhos = states[:, :, None] * states[:, None, :].conj()
+            curves.append((rhos @ target @ target.conj()).real)
+        expected = np.trapezoid(curves, thetas, axis=0) / (2.0 * np.pi)
+        report = ensemble_fidelity(model, noise=noise, cfg=cfg)
+        assert report.f_m == pytest.approx(expected[-1], abs=1e-12)
+        assert np.max(np.abs(report.fidelity_curve - expected)) <= 1e-12
 
 
 class TestTransmissionMatrix:
@@ -220,5 +218,4 @@ class TestInvariantChecks:
                                                       break_hermiticity):
         model, noise, cfg = run
         with pytest.raises(IntegratorError, match="Hermiticity"):
-            ensemble_fidelity(break_hermiticity(model), count=11, noise=noise,
-                              cfg=cfg)
+            ensemble_fidelity(break_hermiticity(model), noise=noise, cfg=cfg)
