@@ -53,6 +53,10 @@ class TransmonSpec:
     gamma_decoherence: float
 
     def __post_init__(self):
+        for name in ("omega", "alpha", "gamma_decoherence"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.alpha <= 0:
             raise ValueError("anharmonicity must be > 0")
         if self.gamma_decoherence < 0:

@@ -24,7 +24,7 @@ ISOLATION_FLOOR_DB = -120.0
 @dataclass
 class RunReport:
     """What every fidelity run reports: the record times and the fidelity
-    at each, the model, whether its channels were on, and the RK4 step
+    at each, the model, whether its channels were on, and the step
     count and size (ns)."""
 
     times: np.ndarray
@@ -98,17 +98,23 @@ def _evolve(model: SimulationModel, initial_states, noise: bool,
     RunReport fields it fixes, all but the fidelity curve, and rho(t) as a
     (k, records, d, d) array.
 
-    A closed run (noise off, or a model without channels) propagates the
-    states as a (d, k) block of psi columns, once H is checked to be
-    Hermitian at 65 times, and forms psi psi^H; an open run propagates the
-    (k, d, d) block of psi psi^H, and integrate_master checks every final
-    state.  A single state goes in unbatched, as a PureState or one
-    (d, d) matrix: the per-state calls whose steps perfbench's traced
-    worker counts."""
+    H is first checked to be Hermitian at 65 times: a closed run would
+    not conserve the norm otherwise, and an open run's projected step maps
+    would make a non-Hermitian H unitary without a word.  A closed run
+    (noise off, or a model without channels) propagates the states as a
+    (d, k) block of psi columns and forms psi psi^H; an open run
+    propagates the (k, d, d) block of psi psi^H, and integrate_master
+    checks every final state.  A single state goes in unbatched, as a
+    PureState or one (d, d) matrix: the per-state calls whose steps
+    perfbench's traced worker counts."""
     cfg = cfg or PropagationConfig(step=model.default_step)
     noise = noise and bool(model.channels)
     psi = np.column_stack(initial_states)
     one = psi.shape[1] == 1
+    h = model.hamiltonian.matrices(np.linspace(0.0, model.tau, 65))
+    if np.max(np.abs(h - h.conj().transpose(0, 2, 1))) > 1e-9:
+        raise IntegratorError("Hamiltonian lost Hermiticity; a propagation "
+                              "would not conserve probability")
     if noise:
         rho0 = psi.T[:, :, None] * psi.T[:, None, :].conj()
         traj = integrate_master(model.hamiltonian, model.channels,
@@ -116,10 +122,6 @@ def _evolve(model: SimulationModel, initial_states, noise: bool,
         shape = (len(traj.times), -1, model.dim, model.dim)
         rhos = traj.states.reshape(shape).swapaxes(0, 1)
     else:
-        h = model.hamiltonian.matrices(np.linspace(0.0, model.tau, 65))
-        if np.max(np.abs(h - h.conj().transpose(0, 2, 1))) > 1e-9:
-            raise IntegratorError("Hamiltonian lost Hermiticity; a closed "
-                                  "run would not conserve the norm")
         traj = propagate_schrodinger(model.hamiltonian,
                                      PureState(psi[:, 0]) if one else psi,
                                      model.tau, cfg)

@@ -1,27 +1,39 @@
 """Closed-system and Lindblad propagators, plus the brute-force
 evolution-operator oracle.
 
-Fixed-step RK4 is the only integrator; the oracle's product of midpoint
-exponentials is the reference it is tested against.  Every propagation
-works on a ControlHamiltonian H(t) = H0 + sum_j c_j(t) A_j, as
-dx/dt = S_0 x + sum_j c_j(t) S_j x with constant blocks S_j, tabulates
-the coefficients on the half-step grid one chunk of steps at a time, and
-takes one state or a block of states, every one of which it checks at
-the end.  The two paths differ in how a step is applied:
+Fixed-step RK4 is the only integrator of the Hamiltonian part; the
+oracle's product of midpoint exponentials is the reference it is tested
+against.  Every propagation works on a ControlHamiltonian
+H(t) = H0 + sum_j c_j(t) A_j, tabulates the coefficients on the half-step
+grid one chunk of steps at a time, and takes one state or a block of
+states, every one of which it checks at the end.  One RK4 step of
+dX/dt = -iH(t) X is a fixed polynomial M_k in the generator at the start,
+midpoint and end of the step, so each chunk's d x d maps are formed in
+one batched pass (about 3 d^3 multiply-adds a map):
 
-- closed runs (x = psi, S_j = -i A_j, d x d) multiply step maps: one RK4
-  step is a fixed polynomial M_k in the generator at the start, midpoint
-  and end of the step, so each chunk's maps are formed in one batched
-  pass and a step is one M_k @ X for a (d, k) block X of states.  A map
-  costs about 3 d^3 multiply-adds, cheap for d x d generators;
-- open runs (x = vec(rho), sparse CSR d^2 x d^2 blocks: the commutators
-  with A_j, the dissipators folded into S_0) apply the four stages to the
-  vector, or to the (d^2, k) columns of a (k, d, d) block, because
-  d^2 x d^2 maps were measured slower (24 s against about 3 s for the
-  noisy single-excitation transfer).
+- closed runs apply one M_k @ X per step to a (d, k) block X of states,
+  and raise StepTooLargeError when a column's norm drifts by over 1e-6;
+- open runs Strang-split drho/dt = -i[H, rho] + D(rho) (Strang, SIAM J.
+  Numer. Anal. 5, 506 (1968)): a step is rho <- E(M_k rho M_k^H) for a
+  (k, d, d) block, with the constant E = exp(D dt) formed once by a
+  sparse Taylor sum, and E_half = exp(D dt/2) opening the run and closing
+  each recorded state.  The split is second order in D, fourth order in
+  the Hamiltonian part.  RK4's maps do not keep the trace (it drifts by
+  6e-8 over the noisy single-excitation run from |010> at step 0.05 ns,
+  above check_density's 1e-8), so each map first takes one Newton-Schulz
+  polar step towards the unitaries (a projection method, Hairer, Lubich
+  & Wanner, Geometric Numerical Integration, IV.4), an O(dt^6) change.
+  So that the projection cannot hide a step that is too large, an open
+  run adds up the trace that each raw map would take from the state it
+  acts on, tr(K rho) with K = I - M^H M, and may change it by no more
+  than 2e-6:
+  a pure state's trace is its squared norm, so this is the closed path's
+  1e-6 norm-drift bound, and a noiseless open run is refused where the
+  closed run of the same state is.
 
 Fixed-step, fixed-order arithmetic throughout: identical inputs produce
-bit-identical outputs.
+bit-identical outputs, and a block member's arithmetic does not depend
+on the block.
 """
 
 from __future__ import annotations
@@ -37,7 +49,8 @@ from .statespace import ControlHamiltonian, PureState
 
 
 class StepTooLargeError(RuntimeError):
-    """Norm drift exceeded the closed-system tolerance."""
+    """A closed run's norm drift exceeded 1e-6, or an open run's raw step
+    maps changed the trace by more than 2e-6."""
 
 
 class IntegratorError(RuntimeError):
@@ -80,7 +93,6 @@ class Trajectory:
         return self.states[-1]
 
 
-_CHUNK = 256  # steps per coefficient table, which keeps the tables small
 # matrix entries per table of step maps, 96 kB: 682 steps per chunk at
 # d = 3, 8 at d = 27.  Larger tables raise the peak RSS of a design-and-
 # verify process (by about 0.2 MB at 128 kB); smaller ones slow d = 27.
@@ -92,59 +104,6 @@ def _grid(tau: float, step: float) -> tuple[int, float]:
     return n, tau / n
 
 
-def _lindblad_stack(gen: ControlHamiltonian, channels: Sequence) -> sparse.csr_matrix:
-    """[S_0; S_1; ...; S_J] for vec(rho): S_0 holds -i[H0, .] and the
-    dissipators, S_j the commutator with A_j."""
-    eye = sparse.identity(gen.dim, dtype=complex, format="csr")
-
-    def commutator(a):
-        a = sparse.csr_matrix(a)
-        return -1j * (sparse.kron(a, eye) - sparse.kron(eye, a.T))
-
-    drift = commutator(gen.h0)
-    for c in channels:
-        op = sparse.csr_matrix(c.operator)
-        sq = op.conj().T @ op
-        drift = drift + c.rate * (
-            sparse.kron(op, op.conj())
-            - 0.5 * (sparse.kron(sq, eye) + sparse.kron(eye, sq.T))
-        )
-    return sparse.vstack([drift] + [commutator(a) for a in gen.ops], format="csr")
-
-
-def _rk4(stack, gen: ControlHamiltonian, x0, tau: float, cfg) -> Trajectory:
-    """Classical RK4 for dx/dt = S_0 x + sum_j c_j(t) S_j x, where the
-    (1 + J) blocks of stack are S_0..S_J and x0 is a vector or a block of
-    columns.  For each chunk of steps the table holds (1, c(t)) on the
-    half-step times, so rows 2k, 2k + 1 and 2k + 2 are the start, midpoint
-    and end of step k, and the stage derivative at row s is
-    table[s] @ (stack @ x), over the (blocks, rows x columns) reshape."""
-    n, dt = _grid(tau, cfg.step)
-    blocks = stack.shape[0] // stack.shape[1]
-    weights = np.array([1.0, 2.0, 2.0, 1.0], dtype=complex) * (dt / 6.0)
-    x = np.array(x0, dtype=complex)
-    k = np.empty((4,) + x.shape, dtype=complex)
-    flat = k.reshape(4, -1)  # a view: the stages write into k
-
-    def stage(i, x, c):
-        np.dot(c, (stack @ x).reshape(blocks, -1), out=flat[i])
-
-    times, states = [0.0], [x.copy()]
-    for first in range(0, n, _CHUNK):
-        steps = range(first, min(n, first + _CHUNK))
-        half = np.arange(2 * first, 2 * steps[-1] + 3) * (0.5 * dt)
-        table = np.column_stack([np.ones(len(half)), gen.coeffs(half)])
-        for step in steps:
-            s = 2 * (step - first)
-            stage(0, x, table[s])
-            stage(1, x + 0.5 * dt * k[0], table[s + 1])
-            stage(2, x + 0.5 * dt * k[1], table[s + 1])
-            stage(3, x + dt * k[2], table[s + 2])
-            x = x + (weights @ flat).reshape(x.shape)
-            _record(times, states, x, step, n, dt, cfg)
-    return Trajectory(np.array(times), np.array(states), n, dt)
-
-
 def _step_maps(gen: ControlHamiltonian, s0, s, first: int, last: int, dt: float):
     """The RK4 step maps of steps first..last - 1 for dX/dt = L(t) X with
     L = S_0 + sum_j c_j S_j, where S_0 = s0 and the rows of s are the
@@ -152,8 +111,9 @@ def _step_maps(gen: ControlHamiltonian, s0, s, first: int, last: int, dt: float)
     midpoint and end of a step, P2 = Lm + (dt/2) Lm L0,
     P3 = Lm + (dt/2) Lm P2, P4 = L1 + dt L1 P3 and
     M = I + (dt/6)(L0 + 2 P2 + 2 P3 + P4), the polynomial that the four
-    stages of _rk4 apply.  Formed in place, so that a chunk holds four
-    tables (L at the step ends, Lm, P2 and P3), and M takes Lm's place."""
+    stages of classical RK4 apply.  Formed in place, so that a chunk holds
+    four tables (L at the step ends, Lm, P2 and P3), and M takes Lm's
+    place."""
     c = gen.coeffs(np.arange(2 * first, 2 * last + 1) * (0.5 * dt))
     d = gen.dim
     # separate contiguous tables: in-place updates of strided views copy
@@ -205,7 +165,9 @@ def propagate_schrodinger(
         maps = _step_maps(gen, s0, s, first, min(n, first + chunk), dt)
         for step in range(first, first + len(maps)):
             x = maps[step - first] @ x
-            _record(times, states, x, step, n, dt, cfg)
+            if _due(step, n, cfg):
+                times.append((step + 1) * dt)
+                states.append(x.copy())
         del maps  # free this chunk's maps before the next chunk's are formed
     traj = Trajectory(np.array(times), np.array(states), n, dt)
     drift = np.max(np.abs(np.linalg.norm(traj.final, axis=0)
@@ -215,27 +177,117 @@ def propagate_schrodinger(
     return traj
 
 
-def _record(times, states, state, k, n, dt, cfg):
-    if (k + 1) % cfg.record_stride == 0 or k == n - 1:
-        times.append((k + 1) * dt)
-        states.append(state.copy())
+def _due(k: int, n: int, cfg: PropagationConfig) -> bool:
+    """Whether the state after step k of n is recorded."""
+    return (k + 1) % cfg.record_stride == 0 or k == n - 1
+
+
+def _expm_taylor(a: sparse.csr_matrix) -> sparse.csr_matrix:
+    """exp(a) for a sparse a: the Taylor sum of a / 2^s, scaled to a
+    1-norm of at most 1/2, squared s times.  The sum stops before the
+    first term with no entry above 2^-53; since |(T b)_ij| <= max|T| |b|_1,
+    the terms left out change no entry by more than 4/3 of that.  A small
+    a keeps s = 0 and the sparsity of its first few powers."""
+    norm = float(abs(a).sum(axis=0).max())
+    squarings = math.ceil(math.log2(2.0 * norm)) if norm > 0.5 else 0
+    a = a / 2.0**squarings
+    e = term = sparse.identity(a.shape[0], dtype=complex, format="csr")
+    k = 1
+    while True:
+        term = (term @ a) / k
+        if abs(term).max() <= 2.0**-53:
+            break
+        e = e + term
+        k += 1
+    for _ in range(squarings):
+        e = e @ e
+    return e
+
+
+def _dissipator_propagators(channels: Sequence, d: int, dt: float):
+    """(exp(D dt/2), exp(D dt)), as CSR, for the dissipator
+    D = sum_k Gamma_k (O_k (x) O_k^* - ((O_k^H O_k) (x) I +
+    I (x) (O_k^H O_k)^T) / 2) on row-major vec rho.  D maps every matrix
+    to a traceless one, so each Taylor term does too and both preserve
+    the trace."""
+    eye = sparse.identity(d, dtype=complex, format="csr")
+    gen = sparse.csr_matrix((d * d, d * d), dtype=complex)
+    for c in channels:
+        op = sparse.csr_matrix(c.operator)
+        sq = op.conj().T @ op
+        gen = gen + c.rate * (sparse.kron(op, op.conj())
+                              - 0.5 * (sparse.kron(sq, eye) + sparse.kron(eye, sq.T)))
+    return _expm_taylor(gen * (0.5 * dt)), _expm_taylor(gen * dt)
+
+
+def _unitary_maps(gen: ControlHamiltonian, s0, s, first: int, last: int, dt: float):
+    """The _step_maps of steps first..last - 1 after one Newton-Schulz
+    polar step M (3I - M^H M) / 2 = M + M K / 2, and the raw maps'
+    defects K = I - M^H M.  RK4's K is O(dt^6) for an anti-Hermitian
+    generator, so the projection changes a map by O(dt^6), keeping RK4
+    fourth order, and leaves K = O(|K|^2)."""
+    maps = _step_maps(gen, s0, s, first, last, dt)
+    k = np.matmul(maps.conj().transpose(0, 2, 1), maps)
+    k *= -1.0
+    k.reshape(len(k), -1)[:, ::gen.dim + 1] += 1.0
+    maps += 0.5 * (maps @ k)
+    return maps, k
 
 
 def integrate_master(
     gen: ControlHamiltonian, channels: Sequence, rho0: np.ndarray, tau: float,
     cfg: PropagationConfig,
 ) -> Trajectory:
-    """RK4 integration of drho/dt = i[rho, H(t)] + sum_k Gamma_k L(O_k)
-    from rho0: one (d, d) density matrix, or a (k, d, d) block propagated
-    together as the k columns of vec rho.  Each recorded state has rho0's
-    shape, and every final member must pass check_density, else
-    IntegratorError."""
+    """Strang-split integration of drho/dt = i[rho, H(t)] + sum_k
+    Gamma_k L(O_k) from rho0: one (d, d) density matrix, or a (k, d, d)
+    block propagated together.  A step is rho <- E(M rho M^H), with M a
+    unitary-projected RK4 step map of the closed part (_unitary_maps) and
+    E = exp(D dt) the constant dissipator propagator; E_half opens the run
+    and closes each recorded state, so the record after n steps is
+    E_half M E M ... E M E_half rho0.  Each recorded state has rho0's shape.
+
+    Raises StepTooLargeError once the raw maps have changed the trace of
+    any member by more than 2e-6, summed over the steps as tr(K rho) for
+    each map's defect K and the state it acts on (the trace form of the
+    closed path's 1e-6 norm-drift bound), and IntegratorError unless
+    every final member passes check_density."""
     rho0 = np.asarray(rho0)
     d = gen.dim
-    x0 = rho0.reshape(-1, d * d).T.copy() if rho0.ndim == 3 else rho0.ravel()
-    traj = _rk4(_lindblad_stack(gen, channels), gen, x0, tau, cfg)
-    x = np.moveaxis(traj.states.reshape(len(traj.times), d * d, -1), 2, 1)
-    traj.states = x.reshape((len(traj.times),) + rho0.shape)
+    n, dt = _grid(tau, cfg.step)
+    half, full = _dissipator_propagators(channels, d, dt)
+    s0, s = -1j * gen.h0, -1j * gen.ops.reshape(len(gen.ops), -1)
+    chunk = max(1, _MAP_ENTRIES // d**2)
+
+    def dissipate(e, r):
+        """e applied to the vec rho of each member of the (k, d, d) block
+        r, as the (d^2, k) columns of one CSR product, so that a member's
+        arithmetic does not depend on k."""
+        return np.ascontiguousarray((e @ r.reshape(len(r), -1).T).T).reshape(r.shape)
+
+    r = np.array(rho0, dtype=complex).reshape(-1, d, d)
+    times, states = [0.0], [r]
+    r = dissipate(half, r)
+    lost = np.zeros(len(r))
+    for first in range(0, n, chunk):
+        maps, defects = _unitary_maps(gen, s0, s, first, min(n, first + chunk), dt)
+        adjoints = maps.conj().transpose(0, 2, 1)
+        acted_on = np.empty((len(maps),) + r.shape, dtype=complex)
+        for step in range(first, first + len(maps)):
+            acted_on[step - first] = r
+            r = maps[step - first] @ r @ adjoints[step - first]
+            if _due(step, n, cfg):
+                times.append((step + 1) * dt)
+                states.append(dissipate(half, r))
+            r = dissipate(full, r)
+        # tr(K rho) = sum_ij K_ij conj(rho_ij) for a Hermitian rho
+        lost += (acted_on.reshape(len(maps), len(r), -1).conj()
+                 @ defects.reshape(len(maps), -1, 1)).real.sum(axis=(0, 2))
+        if np.max(np.abs(lost)) > 2e-6:
+            raise StepTooLargeError("the raw step maps changed the trace by "
+                                    f"{np.max(np.abs(lost)):.3e}, over 2e-6; "
+                                    "reduce the step")
+    traj = Trajectory(np.array(times), np.array(states).reshape(
+        (len(times),) + rho0.shape), n, dt)
     check_density(traj.final)
     return traj
 

@@ -242,6 +242,24 @@ class TestImports:
                              capture_output=True, text=True).stdout.splitlines()
         assert out[0] == "[]" and out[-1] == "[]"
 
+    def test_noisy_simulate_leaves_scipy_linalg_unloaded(self, tmp_path):
+        # the dissipator propagator is a sparse Taylor sum: expm would cost
+        # 0.45 s at d = 27, and importing scipy.linalg about 58 ms
+        import nonrecip
+
+        cfg_path = tmp_path / "coarse.ini"
+        save_config(ScenarioConfig(step_ns=0.05), cfg_path)
+        code = ("import sys, nonrecip.cli as cli\n"
+                f"assert cli.main(['--config', {str(cfg_path)!r}, '--out', "
+                f"{str(tmp_path / 'out')!r}, 'simulate', '--initial', '100']) == 0\n"
+                "print([m for m in sys.modules if m == 'scipy.linalg'"
+                " or m.startswith(('scipy.linalg.', 'scipy.sparse.linalg'))])\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(nonrecip.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout.splitlines()
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["noise"]
+        assert out[-1] == "[]"
+
 
 class TestSimulateCommand:
     def test_ideal_transfer_run(self, tmp_path):

@@ -1,6 +1,6 @@
 """The control-form Hamiltonians against the direct dense formulas, and
-the noisy fidelities of the propagation kernels against those of the
-earlier dense propagator (step 0.05 ns)."""
+the noisy fidelities of the propagation kernel at step 0.05 ns against
+their pinned and converged (step 0.0025 ns) values."""
 
 import math
 from dataclasses import replace
@@ -31,12 +31,24 @@ from nonrecip.statespace import PureState
 TAU = 145.0
 # lambda solved from the circulator phase 3*pi/2 at tau = 145 ns
 LAMBDA_SOLVED = 0.4974732655934123
+# the Strang-split kernel at step 0.05 ns; the vec-rho RK4 kernel it
+# replaced read 0.988191733438181, 0.9894959324740917, 0.9893123603304758
+# and F_m 0.9877005179736711, 1.4e-8 to 4.5e-8 from the converged values
 SEED_F_S = {
-    "100": 0.988191733438181,
-    "010": 0.9894959324740917,
-    "001": 0.9893123603304758,
+    "100": 0.988191718987117,
+    "010": 0.9894958871584246,
+    "001": 0.9893123149632091,
 }
-SEED_F_M = 0.9877005179736711
+SEED_F_M = 0.9877004784804755
+# the same runs at step 0.0025 ns
+CONVERGED_F_S = {
+    "100": 0.9881917199552182,
+    "010": 0.9894958877363955,
+    "001": 0.9893123162517494,
+}
+CONVERGED_F_M = 0.987700479287333
+# noisy full_qubit leakage after the transfer from |100> at step 0.0025 ns
+CONVERGED_FULL_QUBIT_LEAKAGE = 3.646188317750765e-3
 
 
 @pytest.fixture(scope="module")
@@ -128,8 +140,8 @@ class TestControlFormMatchesDenseFormulas:
 
 
 class TestSeedFidelities:
-    """Noisy single-excitation fidelities at step 0.05 ns, as computed
-    by the dense per-step propagator this kernel replaced."""
+    """Noisy single-excitation fidelities at step 0.05 ns: pinned, and
+    within 2e-9 of their converged values."""
 
     @pytest.fixture(scope="class")
     def setup(self, pulses, drives):
@@ -145,11 +157,37 @@ class TestSeedFidelities:
         target = PureState(target_unitary(theta)[:, column])
         report = transfer_fidelity(model, initial, target, cfg=cfg)
         assert report.fidelity == pytest.approx(SEED_F_S[initial], abs=1e-10)
+        assert report.fidelity == pytest.approx(CONVERGED_F_S[initial], abs=2e-9)
 
     def test_ensemble(self, setup):
         model, _, cfg = setup
         report = ensemble_fidelity(model, cfg=cfg)
         assert report.f_m == pytest.approx(SEED_F_M, abs=1e-10)
+        assert report.f_m == pytest.approx(CONVERGED_F_M, abs=2e-9)
+
+    def test_full_qubit_leakage_at_default_step(self, setup, drives):
+        _, theta, _ = setup
+        model = full_chain_model(ScenarioConfig().chain_spec(), drives)
+        target = PureState(target_unitary(theta)[:, 0])
+        report = transfer_fidelity(model, "100", target)
+        assert report.step_ns == 0.005
+        assert report.leakage[-1] == pytest.approx(CONVERGED_FULL_QUBIT_LEAKAGE,
+                                                   abs=1e-9)
+
+
+def test_long_three_level_run_completes():
+    # at tau = 220 ns the default step's raw maps change the trace of this
+    # run's states by 2.2e-7; a bound on their worst case over all 27
+    # levels passed 1e-6 at about 215 ns and refused the run
+    traj = AuxiliaryTrajectory(0.4974, 220.0)
+    pulses = synthesize_pulses(traj)
+    chain = ScenarioConfig(model="full_three_level").chain_spec()
+    model = full_chain_model(chain, invert_bessel_drive(pulses, chain))
+    target = PureState(target_unitary(lr_phase(traj, pulses).theta_plus)[:, 0])
+    report = transfer_fidelity(model, "100", target)
+    assert (model.dim, report.step_ns) == (27, 0.005)
+    # the vec-rho RK4 kernel read 0.9726293649267329
+    assert report.fidelity == pytest.approx(0.972629152557472, abs=1e-10)
 
 
 def invariant_and_derivative(traj, t):

@@ -290,3 +290,12 @@ class TestEmbedding:
             for value in (0.0, float("nan"), -0.05):
                 with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
                     replace(chain, **{name: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", ["omega", "alpha", "gamma_decoherence"])
+    def test_transmon_spec_rejects_non_finite(self, name, value):
+        # NaN passes the alpha > 0 and gamma >= 0 checks, and a NaN rate
+        # surfaced only as a failed eigenvalue solve after a noisy run
+        spec = ScenarioConfig().chain_spec().transmons[0]
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            replace(spec, **{name: value})

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,19 @@ class TestInvariantChecks:
         with pytest.raises(IntegratorError, match="Hermiticity"):
             transfer_fidelity(break_hermiticity(model), "100", target,
                               noise=noise, cfg=cfg)
+
+    def test_noisy_transfer_rejects_a_non_hermitian_control_form(self, device):
+        # -1e-9 i on |100> drains at most 2.9e-7 of trace over the run,
+        # under the 2e-6 bound on the raw step maps' trace loss: without
+        # the Hermiticity check the projected maps would absorb it and the
+        # run would pass
+        h = device.hamiltonian
+        drift = h.h0.copy()
+        drift[device.logical_index("100"), device.logical_index("100")] -= 1e-9j
+        broken = replace(device, hamiltonian=replace(h, h0=drift))
+        target = logical_state(target_unitary(THETA_CIRC)[:, 0])
+        with pytest.raises(IntegratorError, match="Hamiltonian lost Hermiticity"):
+            transfer_fidelity(broken, "100", target, cfg=COARSE)
 
     def test_ensemble_fidelity_checks_diagonal_blocks(self, run,
                                                       break_hermiticity):

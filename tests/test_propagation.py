@@ -21,7 +21,6 @@ from nonrecip.propagation import (
     IntegratorError,
     PropagationConfig,
     StepTooLargeError,
-    _rk4,
     evolution_operator_oracle,
     global_phase_distance,
     integrate_master,
@@ -29,6 +28,7 @@ from nonrecip.propagation import (
 )
 from nonrecip.statespace import ControlHamiltonian, PureState
 from nonrecip.units import khz
+from rk4_reference import lindblad_stack, master_rk4, rk4
 
 TAU = 145.0
 LAMBDA = 0.4974
@@ -142,7 +142,7 @@ class TestStepMaps:
         block = random_block(d, seed=10 + d)
         maps = propagate_schrodinger(gen, block, 5.0, self.CFG)
         for j in range(3):
-            ref = _rk4(stack, gen, block[:, j], 5.0, self.CFG)
+            ref = rk4(stack, gen, block[:, j], 5.0, self.CFG)
             assert np.array_equal(maps.times, ref.times)
             assert (maps.steps, maps.step) == (ref.steps, ref.step) == (500, 0.01)
             for got, want in zip(maps.states, ref.states):
@@ -242,7 +242,7 @@ class TestLindblad:
             assert np.array_equal(together.states[:, j], alone.states)
 
     def test_broken_member_of_block_raises(self, device):
-        # the trace is conserved exactly, so a member that starts with
+        # the trace is conserved to rounding, so a member that starts with
         # trace 2 still has it at the end
         cfg = PropagationConfig(step=0.05)
         good = projector(ket(device.dim, device.logical_index("100")))
@@ -250,6 +250,107 @@ class TestLindblad:
         with pytest.raises(IntegratorError, match="trace"):
             integrate_master(device.hamiltonian, device.channels,
                              np.stack([good, 2.0 * good]), 2.0, cfg)
+
+    @pytest.mark.parametrize("broken", ["Hermiticity", "positivity"])
+    def test_final_member_must_be_a_density_matrix(self, device, broken):
+        # both defects survive the run: the maps preserve Hermiticity and
+        # the spectrum, and the noise is too weak to undo them in 2 ns
+        cfg = PropagationConfig(step=0.05)
+        i100, i010 = device.logical_indices[:2]
+        good = projector(ket(device.dim, i100))
+        bad = good.astype(complex)
+        if broken == "Hermiticity":
+            bad[i100, i010] += 1e-3
+        else:
+            bad[i100, i100], bad[i010, i010] = 1.05, -0.05
+        with pytest.raises(IntegratorError, match=f"final state lost {broken}"):
+            integrate_master(device.hamiltonian, device.channels,
+                             np.stack([good, bad]), 2.0, cfg)
+
+
+def random_open_system(d, seed):
+    """random_control_form with two seeded random channels at rates 0.3
+    and 0.2, and a random pure rho."""
+    rng = np.random.default_rng(100 + seed)
+    ops = (rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))) / d
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi /= np.linalg.norm(psi)
+    return (random_control_form(d, seed),
+            [LindbladChannel(o, r) for o, r in zip(ops, (0.3, 0.2))],
+            np.outer(psi, psi.conj()))
+
+
+class TestStrangSplit:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_second_order_against_stage_by_stage_rk4(self, seed):
+        # Strang splitting is second order in the dissipator; the reference
+        # is vec-rho RK4 at a 10x finer step than the finest split run
+        gen, channels, rho0 = random_open_system(3, seed)
+        steps = (0.04, 0.02, 0.01)
+        ref = master_rk4(gen, channels, rho0, 3.0,
+                         PropagationConfig(step=steps[-1] / 10)).final
+        errs = [np.max(np.abs(integrate_master(gen, channels, rho0, 3.0,
+                                               PropagationConfig(step=h)).final - ref))
+                for h in steps]
+        assert errs[0] / errs[1] >= 3.5 and errs[1] / errs[2] >= 3.5
+
+    @pytest.mark.parametrize("dt", [0.05, 0.005])
+    def test_device_propagators_match_expm(self, device, dt):
+        gen = modulated(np.zeros((device.dim, device.dim)))
+        d2 = device.dim**2
+        generator = lindblad_stack(gen, device.channels)[:d2]
+        for e, t in zip(propagation._dissipator_propagators(device.channels,
+                                                            device.dim, dt),
+                        (0.5 * dt, dt)):
+            assert np.max(np.abs(e.toarray() - expm(generator * t))) <= 2.3e-16
+
+    def test_scaled_and_squared_propagators_match_expm(self):
+        # 1-norms of 7.5 and 15 take four and five squarings
+        gen, channels, _ = random_open_system(3, seed=4)
+        channels = [LindbladChannel(c.operator, 30.0 * c.rate) for c in channels]
+        generator = lindblad_stack(modulated(np.zeros((3, 3))), channels)[:9]
+        for e, t in zip(propagation._dissipator_propagators(channels, 3, 0.5),
+                        (0.25, 0.5)):
+            want = expm(generator * t)
+            assert np.max(np.abs(e.toarray() - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_projection_holds_the_trace_at_a_coarse_step(self, device):
+        # without the projection the trace drifts by 6.0e-8 over this run,
+        # above check_density's 1e-8
+        psi0 = ket(device.dim, device.logical_index("010"))
+        traj = integrate_master(device.hamiltonian, device.channels,
+                                projector(psi0), TAU, PropagationConfig(step=0.05))
+        trace = np.trace(traj.states, axis1=1, axis2=2)
+        assert np.max(np.abs(trace - 1.0)) < 1e-13
+
+    def test_too_large_a_step_raises(self):
+        # projecting the maps would keep the trace; the raw maps' trace
+        # loss still refuses a step that cannot resolve H
+        op = np.array([[1.0, 1.0], [0.0, -1.0]], dtype=complex)
+        chan = LindbladChannel(operator=op, rate=khz(50.0))
+        rho0 = projector(ket(2, 0))
+        integrate_master(modulated(0.5 * SIGMA_X), [chan], rho0, 10.0,
+                         PropagationConfig(step=0.05))
+        with pytest.raises(StepTooLargeError, match="changed the trace by"):
+            integrate_master(modulated(50.0 * SIGMA_X), [chan], rho0, 10.0,
+                             PropagationConfig(step=0.05))
+
+    def test_unresolved_level_that_is_never_occupied_passes(self):
+        # step 0.05 cannot resolve level 2 at energy 10 (each raw map takes
+        # 2.1e-4 of its weight), but the drive and the decay act on levels
+        # 0 and 1 only, so no state reaches it and the run is not refused
+        gen = ControlHamiltonian(np.diag([0.0, 0.0, 10.0]).astype(complex),
+                                 np.pad(0.5 * SIGMA_X, (0, 1))[None],
+                                 lambda t: np.ones((len(t), 1)))
+        op = np.zeros((3, 3), dtype=complex)
+        op[0, 1] = 1.0
+        rho0 = projector(ket(3, 0))
+        traj = integrate_master(gen, [LindbladChannel(op, khz(50.0))], rho0, 10.0,
+                                PropagationConfig(step=0.05))
+        assert np.trace(traj.final).real == pytest.approx(1.0, abs=1e-13)
+        with pytest.raises(StepTooLargeError, match="changed the trace by"):
+            integrate_master(gen, [LindbladChannel(op, khz(50.0))],
+                             projector(ket(3, 2)), 10.0, PropagationConfig(step=0.05))
 
 
 class TestBenchmarkInterface:
