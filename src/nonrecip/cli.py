@@ -142,8 +142,8 @@ def _write_sweep(path: Path, lams) -> np.ndarray:
     """Write the rows (lambda, |theta_plus|, |theta_plus| mod 2 pi) from one
     vectorised phase quadrature (tau drops out) and return |theta_plus|."""
     thetas = inv.theta_plus_magnitudes(lams)[0]
-    write_csv(path, ["lambda", "theta_plus_rad", "theta_plus_mod_2pi_rad"],
-              zip(lams, thetas, thetas % (2.0 * math.pi)))
+    write_csv(path, {"lambda": lams, "theta_plus_rad": thetas,
+                     "theta_plus_mod_2pi_rad": thetas % (2.0 * math.pi)})
     return thetas
 
 

@@ -11,7 +11,8 @@ Three models share the same designed pulses:
   optionally, the second excited level of each transmon.
 
 Drive envelopes are obtained by inverting g'(t) = 2 g J1(eta(t)) on the
-principal branch of the Bessel function J1.
+principal branch of the Bessel function J1, evaluated by its ascending
+power series.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .invariant import PulsePair, bisect_increasing
 from .reporting import write_csv
@@ -33,6 +33,11 @@ J1_PEAK = 0.5818652242815964
 # relative slack above J1_PEAK tolerated before a drive is declared
 # unattainable; requested ratios inside the slack clamp to the peak
 BESSEL_CLAMP_RTOL = 5e-4
+
+# (-1)^k / (k! (k+1)!) for k = 0..14: the ascending series of J1 in
+# q = (x/2)^2.  The first term left out is below 3e-27 on [0, J1_PEAK_X].
+_J1_SERIES = tuple((-1) ** k / (math.factorial(k) * math.factorial(k + 1))
+                   for k in range(15))
 
 
 class UnattainableDriveError(ValueError):
@@ -111,8 +116,20 @@ class ChainSpec:
 
 
 def bessel_j1(x):
-    """Bessel function of the first kind, order one."""
-    return special.j1(x)
+    """Bessel function of the first kind, order one, elementwise (a numpy
+    scalar for a scalar), by its ascending series J1(x) = h sum_k (-1)^k
+    q^k / (k! (k+1)!) with h = x/2 and q = h^2 (DLMF 10.2.2), summed by
+    Horner's rule over k = 0..14.  Within 6.2e-16 relative of
+    scipy.special.j1 on the principal branch [0, J1_PEAK_X] and 5e-16
+    absolute on [0, 3.5]; beyond, cancellation and truncation grow (the
+    error is 1.6e-4 at x = 10)."""
+    h = 0.5 * np.asarray(x, dtype=float)
+    q = h * h
+    acc = np.full(q.shape, _J1_SERIES[-1])
+    for c in _J1_SERIES[-2::-1]:
+        acc *= q
+        acc += c
+    return h * acc
 
 
 def invert_bessel_j1(y):
@@ -165,39 +182,31 @@ class DriveWaveform:
         return DriveWaveform(times, z, z, nu_a, nu_b)
 
     def write_csv(self, path):
-        write_csv(
-            path,
-            ["t_ns", "eta_a", "eta_b"],
-            zip(self.times, self.eta_a, self.eta_b),
-        )
+        write_csv(path, {"t_ns": self.times, "eta_a": self.eta_a, "eta_b": self.eta_b})
 
 
 def invert_bessel_drive(pulses: PulsePair, chain: ChainSpec) -> DriveWaveform:
-    """Solve 2 g_j J1(eta_j(t)) = g'_j(t) for every sample at once: one
-    invert_bessel_j1 bisection per track.
+    """Solve 2 g_j J1(eta_j(t)) = g'_j(t) for every sample of both tracks
+    at once: one invert_bessel_j1 bisection on the stacked (2, n) ratios.
 
     Ratios above the J1 maximum by more than BESSEL_CLAMP_RTOL raise
-    UnattainableDriveError naming the worst time point; ratios inside
-    the slack clamp to the peak argument.
+    UnattainableDriveError naming the worst time point, track A checked
+    first; ratios inside the slack clamp to the peak argument.
     """
-
-    def invert_track(samples: np.ndarray, g: float, name: str) -> np.ndarray:
-        ratios = np.abs(samples) / (2.0 * g)
-        worst = int(np.argmax(ratios))
-        if ratios[worst] > J1_PEAK * (1.0 + BESSEL_CLAMP_RTOL):
+    ratios = np.abs(np.stack([pulses.g_a, pulses.g_b])) / (
+        2.0 * np.array([[chain.g_a], [chain.g_b]]))
+    for name, track in zip("AB", ratios):
+        worst = int(np.argmax(track))
+        if track[worst] > J1_PEAK * (1.0 + BESSEL_CLAMP_RTOL):
             raise UnattainableDriveError(
-                f"effective coupling g'_{name} requires J1 = {ratios[worst]:.6f} "
+                f"effective coupling g'_{name} requires J1 = {track[worst]:.6f} "
                 f"> {J1_PEAK:.6f} at t = {pulses.times[worst]:.4f} ns",
                 worst_time=float(pulses.times[worst]),
-                worst_ratio=float(ratios[worst]),
+                worst_ratio=float(track[worst]),
             )
-        eta = invert_bessel_j1(np.minimum(ratios, J1_PEAK))
-        eta[[0, -1]] = 0.0
-        return eta
-
-    eta_a = invert_track(pulses.g_a, chain.g_a, "A")
-    eta_b = invert_track(pulses.g_b, chain.g_b, "B")
-    return DriveWaveform(pulses.times, eta_a, eta_b, chain.nu_a, chain.nu_b)
+    eta = invert_bessel_j1(np.minimum(ratios, J1_PEAK))
+    eta[:, [0, -1]] = 0.0
+    return DriveWaveform(pulses.times, eta[0], eta[1], chain.nu_a, chain.nu_b)
 
 
 SINGLE_EXCITATION_LABELS = ("100", "010", "001")

@@ -156,11 +156,8 @@ class PulsePair:
             [self.g_a_at(t), self.g_b_at(t)], axis=-1))
 
     def write_csv(self, path):
-        write_csv(
-            path,
-            ["t_ns", "gprime_a_rad_per_ns", "gprime_b_rad_per_ns"],
-            zip(self.times, self.g_a, self.g_b),
-        )
+        write_csv(path, {"t_ns": self.times, "gprime_a_rad_per_ns": self.g_a,
+                         "gprime_b_rad_per_ns": self.g_b})
 
 
 def synthesize_pulses(traj: AuxiliaryTrajectory, n_samples: int = 2001) -> PulsePair:

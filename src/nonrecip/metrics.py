@@ -43,9 +43,8 @@ class RunReport:
         return {}
 
     def write_csv(self, path):
-        columns = {"t_ns": self.times, **self.columns(),
-                   "fidelity": self.fidelity_curve}
-        write_csv(path, list(columns), zip(*columns.values()))
+        write_csv(path, {"t_ns": self.times, **self.columns(),
+                         "fidelity": self.fidelity_curve})
 
 
 @dataclass
@@ -197,7 +196,9 @@ def transmission_matrix(u) -> np.ndarray:
 
 
 def isolation(u, source: int, destination: int) -> float:
-    """Backward-to-forward transmission ratio in dB, floored at -120."""
+    """Backward-to-forward transmission ratio in dB, clamped to
+    [-120, 120]: a zero backward transmission reads -120, a zero forward
+    one +120, and so does a ratio beyond either end."""
     t = transmission_matrix(u)
     forward = t[destination][source]
     backward = t[source][destination]
@@ -205,4 +206,5 @@ def isolation(u, source: int, destination: int) -> float:
         return ISOLATION_FLOOR_DB
     if forward == 0.0:
         return -ISOLATION_FLOOR_DB
-    return max(ISOLATION_FLOOR_DB, 10.0 * math.log10(backward / forward))
+    db = 10.0 * math.log10(backward / forward)
+    return min(-ISOLATION_FLOOR_DB, max(ISOLATION_FLOOR_DB, db))

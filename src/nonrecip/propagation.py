@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .statespace import ControlHamiltonian, PureState
 
@@ -188,6 +187,8 @@ def _expm_taylor(a: sparse.csr_matrix) -> sparse.csr_matrix:
     first term with no entry above 2^-53; since |(T b)_ij| <= max|T| |b|_1,
     the terms left out change no entry by more than 4/3 of that.  A small
     a keeps s = 0 and the sparsity of its first few powers."""
+    from scipy import sparse
+
     norm = float(abs(a).sum(axis=0).max())
     squarings = math.ceil(math.log2(2.0 * norm)) if norm > 0.5 else 0
     a = a / 2.0**squarings
@@ -209,7 +210,10 @@ def _dissipator_propagators(channels: Sequence, d: int, dt: float):
     D = sum_k Gamma_k (O_k (x) O_k^* - ((O_k^H O_k) (x) I +
     I (x) (O_k^H O_k)^T) / 2) on row-major vec rho.  D maps every matrix
     to a traceless one, so each Taylor term does too and both preserve
-    the trace."""
+    the trace.  scipy.sparse is imported here, on the first open run, so
+    that designs and closed runs never load it."""
+    from scipy import sparse
+
     eye = sparse.identity(d, dtype=complex, format="csr")
     gen = sparse.csr_matrix((d * d, d * d), dtype=complex)
     for c in channels:

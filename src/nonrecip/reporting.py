@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
 
 def fmt(x) -> str:
     if isinstance(x, bool):
@@ -18,12 +20,15 @@ def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def write_csv(path, header, rows):
+def write_csv(path, columns: dict):
+    """Write the named numeric columns, of equal length, as a header and
+    one row per index, every value as fmt writes a float ('%.17g' equals
+    format(x, '.17g'))."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+    rows = np.column_stack([np.asarray(c, dtype=float) for c in columns.values()])
+    row = ",".join(["%.17g"] * len(columns))
+    lines = [",".join(columns)] + [row % tuple(r) for r in rows.tolist()]
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 

@@ -228,37 +228,50 @@ class TestSweepCommand:
         assert summary["direction"] == "decreasing"
 
 
+def _loaded_around(tmp_path, argv, prefixes):
+    """Run cli.main(argv) in a fresh process and return the modules whose
+    names start with one of prefixes, loaded before and after the run."""
+    import nonrecip
+
+    code = ("import json, sys, nonrecip.cli as cli\n"
+            f"prefixes = {tuple(prefixes)!r}\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.startswith(prefixes))\n"
+            "print(json.dumps(loaded()))\n"
+            f"assert cli.main({['--out', str(tmp_path / 'out')] + argv!r}) == 0\n"
+            "print(json.dumps(loaded()))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(nonrecip.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    return json.loads(out[0]), json.loads(out[-1])
+
+
 class TestImports:
-    def test_cli_leaves_optimize_integrate_and_multiprocessing_unloaded(self, tmp_path):
-        import nonrecip
+    @pytest.mark.parametrize("argv", [
+        ["design"],
+        ["solve-lambda"],
+        ["sweep-lambda", "--lo", "0.3", "--hi", "0.8", "-n", "6"],
+        ["--model", "ideal", "--no-noise", "simulate", "--initial", "100"],
+        ["--model", "full_qubit", "--no-noise", "simulate", "--initial", "100"],
+    ], ids=["design", "solve-lambda", "sweep-lambda", "ideal-closed",
+            "full_qubit-closed"])
+    def test_design_and_closed_runs_load_no_scipy(self, tmp_path, argv):
+        # J1 is a power series and scipy.sparse is imported by the first
+        # open run, so importing scipy (about 0.3 s) is left to noisy runs
+        heavy = ("scipy", "multiprocessing")
+        assert _loaded_around(tmp_path, argv, heavy) == ([], [])
 
-        code = ("import sys, nonrecip.cli as cli\n"
-                "heavy = ('scipy.optimize', 'scipy.integrate', 'multiprocessing')\n"
-                "print([m for m in heavy if m in sys.modules])\n"
-                f"cli.main(['--out', {str(tmp_path)!r}, 'design'])\n"
-                "print([m for m in heavy if m in sys.modules])\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(nonrecip.__file__).parents[1]))
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout.splitlines()
-        assert out[0] == "[]" and out[-1] == "[]"
-
-    def test_noisy_simulate_leaves_scipy_linalg_unloaded(self, tmp_path):
+    def test_noisy_simulate_loads_sparse_but_not_scipy_linalg(self, tmp_path):
         # the dissipator propagator is a sparse Taylor sum: expm would cost
         # 0.45 s at d = 27, and importing scipy.linalg about 58 ms
-        import nonrecip
-
         cfg_path = tmp_path / "coarse.ini"
         save_config(ScenarioConfig(step_ns=0.05), cfg_path)
-        code = ("import sys, nonrecip.cli as cli\n"
-                f"assert cli.main(['--config', {str(cfg_path)!r}, '--out', "
-                f"{str(tmp_path / 'out')!r}, 'simulate', '--initial', '100']) == 0\n"
-                "print([m for m in sys.modules if m == 'scipy.linalg'"
-                " or m.startswith(('scipy.linalg.', 'scipy.sparse.linalg'))])\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(nonrecip.__file__).parents[1]))
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout.splitlines()
+        argv = ["--config", str(cfg_path), "simulate", "--initial", "100"]
+        before, after = _loaded_around(
+            tmp_path, argv, ("scipy.sparse", "scipy.linalg"))
         assert json.loads((tmp_path / "out" / "report.json").read_text())["noise"]
-        assert out[-1] == "[]"
+        assert before == [] and "scipy.sparse" in after
+        assert not [m for m in after if m.startswith(("scipy.linalg",
+                                                       "scipy.sparse.linalg"))]
 
 
 class TestSimulateCommand:

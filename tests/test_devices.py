@@ -75,6 +75,17 @@ class TestBesselJ1:
         assert np.max(np.abs(eta[1:-1] - ref)) <= 1e-12
         assert np.max(np.abs(bessel_j1(eta) - ys)) <= 1e-15
 
+    def test_series_matches_scipy_on_principal_branch(self):
+        x = np.linspace(0.0, J1_PEAK_X, 200001)[1:]
+        ref = special.j1(x)
+        assert np.max(np.abs(bessel_j1(x) - ref) / ref) <= 1e-15
+        assert bessel_j1(0.0) == 0.0
+
+    def test_scalar_input_gives_scalar(self):
+        value = bessel_j1(1.0)
+        assert np.shape(value) == ()
+        assert value == pytest.approx(special.j1(1.0), rel=1e-15)
+
     def test_inverse_rejects_values_outside_principal_range(self):
         for bad in ([0.1, -1e-3], [J1_PEAK * (1 + 1e-12)]):
             with pytest.raises(ValueError):

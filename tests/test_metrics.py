@@ -183,6 +183,22 @@ class TestIsolation:
         db = isolation(target_unitary(THETA_CIRC), source=0, destination=2)
         assert db == ISOLATION_FLOOR_DB
 
+    @pytest.mark.parametrize("transpose", [False, True], ids=["ceiling", "floor"])
+    def test_near_zero_transmission_is_clamped(self, transpose):
+        # the cyclic shift |A> -> |M> -> |B> -> |A>, then a rotation by
+        # 1e-16 rad between |M> and |B>: |<B|U|A>|^2 = 1e-32 while
+        # |<A|U|B>|^2 = 1, which reads +320 dB unclamped; U^T swaps the two
+        shift = np.roll(np.eye(3), 1, axis=0)
+        c, s = np.cos(1e-16), np.sin(1e-16)
+        u = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]) @ shift
+        assert 0.0 < abs(u[2, 0]) ** 2 < 1e-30
+        db = isolation(u.T if transpose else u, source=0, destination=2)
+        assert db == (ISOLATION_FLOOR_DB if transpose else -ISOLATION_FLOOR_DB)
+
+    def test_zero_forward_transmission_hits_ceiling(self):
+        shift = np.roll(np.eye(3), 1, axis=0)
+        assert isolation(shift, source=0, destination=2) == -ISOLATION_FLOOR_DB
+
     def test_reciprocal_swap_is_zero_db(self):
         db = isolation(target_unitary(np.pi), source=0, destination=2)
         assert db == pytest.approx(0.0, abs=1e-12)
