@@ -164,8 +164,8 @@ class DriveWaveform:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         for arr in (self.eta_a, self.eta_b):
-            if arr.min() < 0 or arr.max() > J1_PEAK_X + 1e-12:
-                raise ValueError("envelopes must stay in [0, 1.8412]")
+            if not (arr.min() >= 0 and arr.max() <= J1_PEAK_X + 1e-12):  # NaN fails
+                raise ValueError("envelopes must be finite and stay in [0, 1.8412]")
             if abs(arr[0]) > 1e-12 or abs(arr[-1]) > 1e-12:
                 raise ValueError("envelopes must vanish at t = 0 and t = tau")
 

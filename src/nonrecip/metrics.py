@@ -97,15 +97,15 @@ def _evolve(model: SimulationModel, initial_states, noise: bool,
     RunReport fields it fixes, all but the fidelity curve, and rho(t) as a
     (k, records, d, d) array.
 
-    H is first checked to be Hermitian at 65 times: a closed run would
-    not conserve the norm otherwise, and an open run's projected step maps
-    would make a non-Hermitian H unitary without a word.  A closed run
-    (noise off, or a model without channels) propagates the states as a
-    (d, k) block of psi columns and forms psi psi^H; an open run
-    propagates the (k, d, d) block of psi psi^H, and integrate_master
-    checks every final state.  A single state goes in unbatched, as a
-    PureState or one (d, d) matrix: the per-state calls whose steps
-    perfbench's traced worker counts."""
+    H is first checked to be Hermitian at 65 times: both kernels refuse
+    a member only once the raw step maps change its trace by over 2e-6,
+    and below that an open run's projected maps would hide a non-Hermitian
+    H.  A closed run (noise off, or a model without channels) propagates
+    the states as a (d, k) block of psi columns and forms psi psi^H; an
+    open run propagates the (k, d, d) block of psi psi^H, and also checks
+    every final state with check_density.  A single state goes in
+    unbatched, as a PureState or one (d, d) matrix: the per-state calls
+    whose steps perfbench's traced worker counts."""
     cfg = cfg or PropagationConfig(step=model.default_step)
     noise = noise and bool(model.channels)
     psi = np.column_stack(initial_states)

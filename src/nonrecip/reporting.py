@@ -33,6 +33,8 @@ def write_csv(path, columns: dict):
 
 
 def write_json(path, payload: dict):
+    """Write payload as sorted, indented, strict JSON: NaN or inf raises ValueError."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", newline="\n")
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", newline="\n")

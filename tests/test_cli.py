@@ -298,6 +298,19 @@ class TestSimulateCommand:
 
 
 class TestFailureReporting:
+    def test_overflowing_closed_run_exits_1(self, tmp_path, capsys):
+        # step 1.5 ns cannot resolve the full chain; the states overflow
+        # unless the trace-loss rule refuses the run first
+        cfg_path = tmp_path / "coarse.ini"
+        cfg_path.write_text("[scenario]\nmodel = full_three_level\n"
+                            "tau_ns = 600\nstep_ns = 1.5\n")
+        out = tmp_path / "out"
+        code = main(["--config", str(cfg_path), "--out", str(out), "--no-noise",
+                     "simulate", "--initial", "100"])
+        assert code == EXIT_FAILURE
+        assert "reduce the step" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_integrator_error_exit_code(self, tmp_path, monkeypatch, capsys,
                                         break_hermiticity):
         build = cli._build_model

@@ -141,6 +141,14 @@ class TestInvertBesselDrive:
             assert eta[0] == 0.0 and eta[-1] == 0.0
             assert eta.min() >= 0.0 and eta.max() <= J1_PEAK_X + 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_waveform_rejects_non_finite_envelope(self, bad):
+        t, ok = np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5, 0.0])
+        DriveWaveform(t, ok, ok, 1.0, 1.0)
+        for eta_a, eta_b in (([0.0, bad, 0.0], ok), (ok, [0.0, bad, 0.0])):
+            with pytest.raises(ValueError, match="finite"):
+                DriveWaveform(t, eta_a, eta_b, 1.0, 1.0)
+
 
 class TestIdealHamiltonian:
     def test_zero_at_endpoints(self, pulses):

@@ -225,6 +225,15 @@ class TestInvariantChecks:
         with pytest.raises(IntegratorError, match="positivity"):
             check_density(np.diag([1.2, -0.2, 0.0]).astype(complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_check_density_refuses_non_finite_member(self, bad):
+        # every comparison with NaN is false, so no tolerance check sees it
+        block = np.stack([np.diag([0.5, 0.5, 0.0]).astype(complex)] * 3)
+        check_density(block)
+        block[1, 0, 2] = block[1, 2, 0] = bad
+        with pytest.raises(IntegratorError, match="not finite"):
+            check_density(block)
+
     def test_transfer_fidelity_checks_final_state(self, run, break_hermiticity):
         model, noise, cfg = run
         target = logical_state(target_unitary(THETA_CIRC)[:, 0])

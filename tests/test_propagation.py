@@ -35,6 +35,9 @@ LAMBDA = 0.4974
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
+# the one StepTooLargeError message, shared by both kernels
+LOSS_MESSAGE = "the raw step maps changed the trace by .*, over 2e-6; reduce the step"
+
 
 def ket(dim, idx):
     return PureState(np.eye(dim)[idx])
@@ -94,10 +97,18 @@ class TestSchrodinger:
 
     def test_norm_drift_raises(self):
         h = 50.0 * SIGMA_X
-        with pytest.raises(StepTooLargeError):
+        with pytest.raises(StepTooLargeError, match=LOSS_MESSAGE):
             propagate_schrodinger(
                 modulated(h), ket(2, 0), 10.0, PropagationConfig(step=0.5)
             )
+
+    @pytest.mark.parametrize("step", [0.1, 0.3, 1.0, 2.0])
+    def test_overflowing_run_raises(self, step):
+        # the states overflow within the first chunk of maps; inf and NaN
+        # must be refused, and no RuntimeWarning may escape
+        with pytest.raises(StepTooLargeError, match=LOSS_MESSAGE):
+            propagate_schrodinger(modulated(50.0 * SIGMA_X), ket(2, 0), 100.0,
+                                  PropagationConfig(step=step))
 
     def test_recording_stride(self):
         traj = propagate_schrodinger(
@@ -167,7 +178,7 @@ class TestStepMaps:
         cfg = PropagationConfig(step=0.05)
         block = np.eye(3, dtype=complex)
         propagate_schrodinger(modulated(h), block[:, :2], 10.0, cfg)
-        with pytest.raises(StepTooLargeError):
+        with pytest.raises(StepTooLargeError, match=LOSS_MESSAGE):
             propagate_schrodinger(modulated(h), block, 10.0, cfg)
 
 
@@ -331,9 +342,17 @@ class TestStrangSplit:
         rho0 = projector(ket(2, 0))
         integrate_master(modulated(0.5 * SIGMA_X), [chan], rho0, 10.0,
                          PropagationConfig(step=0.05))
-        with pytest.raises(StepTooLargeError, match="changed the trace by"):
+        with pytest.raises(StepTooLargeError, match=LOSS_MESSAGE):
             integrate_master(modulated(50.0 * SIGMA_X), [chan], rho0, 10.0,
                              PropagationConfig(step=0.05))
+
+    @pytest.mark.parametrize("step", [0.2, 0.5])
+    def test_overflowing_run_raises(self, step):
+        op = np.array([[1.0, 1.0], [0.0, -1.0]], dtype=complex)
+        chan = LindbladChannel(operator=op, rate=khz(50.0))
+        with pytest.raises(StepTooLargeError, match=LOSS_MESSAGE):
+            integrate_master(modulated(50.0 * SIGMA_X), [chan], projector(ket(2, 0)),
+                             10.0, PropagationConfig(step=step))
 
     def test_unresolved_level_that_is_never_occupied_passes(self):
         # step 0.05 cannot resolve level 2 at energy 10 (each raw map takes
@@ -348,7 +367,7 @@ class TestStrangSplit:
         traj = integrate_master(gen, [LindbladChannel(op, khz(50.0))], rho0, 10.0,
                                 PropagationConfig(step=0.05))
         assert np.trace(traj.final).real == pytest.approx(1.0, abs=1e-13)
-        with pytest.raises(StepTooLargeError, match="changed the trace by"):
+        with pytest.raises(StepTooLargeError, match=LOSS_MESSAGE):
             integrate_master(gen, [LindbladChannel(op, khz(50.0))],
                              projector(ket(3, 2)), 10.0, PropagationConfig(step=0.05))
 

@@ -1,6 +1,9 @@
-import numpy as np
+import json
 
-from nonrecip.reporting import fmt, write_csv
+import numpy as np
+import pytest
+
+from nonrecip.reporting import fmt, write_csv, write_json
 
 
 def test_write_csv_matches_per_value_fmt(tmp_path):
@@ -17,3 +20,16 @@ def test_write_csv_matches_per_value_fmt(tmp_path):
         + [",".join(fmt(v) for v in row) for row in zip(*columns.values())]) + "\n"
     write_csv(tmp_path / "out.csv", columns)
     assert (tmp_path / "out.csv").read_bytes() == expected.encode()
+
+
+def test_write_json_is_strict(tmp_path):
+    # finite payloads are written as before; NaN and inf, which have no
+    # JSON token, are refused and leave no file behind
+    payload = {"b": [1.0, -0.0, 5e-324, 1e300], "a": {"n": 3, "s": "x", "f": None}}
+    write_json(tmp_path / "ok.json", payload)
+    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "ok.json").read_bytes() == expected.encode()
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "bad.json", {"fidelity": bad})
+        assert not (tmp_path / "bad.json").exists()
