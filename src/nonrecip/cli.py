@@ -57,32 +57,33 @@ def _resolve_design(cfg: ScenarioConfig):
     else:
         lam = inv.solve_lambda(cfg.target_phase_rad, cfg.tau_ns)
     traj = inv.AuxiliaryTrajectory(lam, cfg.tau_ns)
-    pulses = inv.synthesize_pulses(traj, cfg.n_samples)
+    pulses = inv.synthesize_pulses(traj)
     phases = inv.lr_phase(traj, pulses)
     return traj, pulses, phases
+
+
+def _chain_drives(cfg: ScenarioConfig, pulses):
+    """(chain, drives) of a device model: the scenario's chain and the
+    Bessel-inverted drive envelopes of the pulses on it."""
+    chain = cfg.chain_spec()
+    return chain, invert_bessel_drive(pulses, chain)
 
 
 def _build_model(cfg: ScenarioConfig, pulses) -> SimulationModel:
     if cfg.model == "ideal":
         return ideal_model(pulses)
-    chain = cfg.chain_spec()
-    drives = invert_bessel_drive(pulses, chain)
-    if cfg.model == "single_excitation":
-        return single_excitation_model(chain, drives)
-    return full_chain_model(chain, drives)
-
-
-def _propagation_config(cfg: ScenarioConfig, model: SimulationModel) -> PropagationConfig:
-    step = cfg.step_ns if cfg.step_ns is not None else model.default_step
-    return PropagationConfig(step=step, record_stride=cfg.record_stride)
+    build = (single_excitation_model if cfg.model == "single_excitation"
+             else full_chain_model)
+    return build(*_chain_drives(cfg, pulses))
 
 
 def _simulate(cfg: ScenarioConfig, model: SimulationModel, theta_plus: float,
               initial: str, csv_path: Path) -> RunReport:
     """Run the ensemble (initial "ensemble") or the transfer of one logical
     basis state to its image under the designed unitary, write the run's
-    CSV and return its report."""
-    prop_cfg = _propagation_config(cfg, model)
+    CSV and return its report.  The step is the model's default unless
+    the scenario sets step_ns."""
+    prop_cfg = None if cfg.step_ns is None else PropagationConfig(step=cfg.step_ns)
     if initial == "ensemble":
         report = ensemble_fidelity(model, noise=cfg.noise, cfg=prop_cfg)
     else:
@@ -113,8 +114,7 @@ def cmd_design(cfg: ScenarioConfig, out_dir: Path) -> int:
     if cfg.lambda_ is None:
         summary["lambda_residual_rad"] = abs(phases.theta_plus - cfg.target_phase_rad)
     if cfg.model != "ideal":
-        chain = cfg.chain_spec()
-        drives = invert_bessel_drive(pulses, chain)
+        chain, drives = _chain_drives(cfg, pulses)
         drives.write_csv(out_dir / "eta.csv")
         summary["bessel_peak_ratio_a"] = float(abs(pulses.g_a).max() / (2 * chain.g_a))
         summary["bessel_peak_ratio_b"] = float(abs(pulses.g_b).max() / (2 * chain.g_b))
@@ -292,7 +292,7 @@ def main(argv=None) -> int:
     except (RootBracketError, NonMonotonicBracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ROOT_FAILURE
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:  # OSError names its file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     return code

@@ -1,10 +1,11 @@
 """Scenario configuration: flat key-value text with one section per
-transmon, unit suffixes baked into the key names."""
+transmon, unit suffixes baked into the key names.  One table maps each
+(section, key) of the text to a ScenarioConfig field; a section, key or
+value that it cannot read is refused by name."""
 
 from __future__ import annotations
 
 import configparser
-import io
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -26,8 +27,6 @@ class ScenarioConfig:
     target_phase_rad: float | None = None
     noise: bool = True
     step_ns: float | None = None
-    n_samples: int = 2001
-    record_stride: int = 50
     g_a_mhz: float = 10.0
     g_b_mhz: float = 10.0
     delta_mhz: float = 345.0
@@ -74,74 +73,72 @@ class ScenarioConfig:
                          nu, nu, d)
 
 
-_SCENARIO_KEYS = (
-    ("model", str),
-    ("tau_ns", float),
-    ("lambda", float),
-    ("target_phase_rad", float),
-    ("noise", bool),
-    ("step_ns", float),
-    ("n_samples", int),
-    ("record_stride", int),
-)
+# (section, key) -> (ScenarioConfig field, SectionProxy getter), in the
+# order serialize_config writes them: the only keys a scenario file takes
+_KEYS = {
+    ("scenario", "model"): ("model", "get"),
+    ("scenario", "tau_ns"): ("tau_ns", "getfloat"),
+    ("scenario", "lambda"): ("lambda_", "getfloat"),
+    ("scenario", "target_phase_rad"): ("target_phase_rad", "getfloat"),
+    ("scenario", "noise"): ("noise", "getboolean"),
+    ("scenario", "step_ns"): ("step_ns", "getfloat"),
+    **{("coupling", key): (key, "getfloat")
+       for key in ("g_a_mhz", "g_b_mhz", "delta_mhz", "nu_mhz", "omega_m_ghz")},
+    **{(f"transmon_{s}", f"{q}_{unit}"): (f"{q}_{s}_{unit}", "getfloat")
+       for s in "amb" for q, unit in (("alpha", "mhz"), ("gamma", "khz"))},
+}
+_SECTIONS = tuple(dict.fromkeys(section for section, _ in _KEYS))
 
 
-_COUPLING_KEYS = ("g_a_mhz", "g_b_mhz", "delta_mhz", "nu_mhz", "omega_m_ghz")
-_TRANSMON_SECTIONS = ("transmon_a", "transmon_m", "transmon_b")
-
-
-def _field(key: str) -> str:
-    """ScenarioConfig field name of a [scenario] key."""
-    return "lambda_" if key == "lambda" else key
-
-
-def parse_config(text: str) -> ScenarioConfig:
+def parse_config(text: str, source: str = "<string>") -> ScenarioConfig:
+    """The scenario of an INI text: the defaults, overridden by each key
+    it sets.  Raises ValueError, naming the section and key, for an
+    unknown section or key (one under [DEFAULT] included), a value that
+    does not parse, and configparser's own errors (a duplicate key or
+    section, a key before any section header)."""
     parser = configparser.ConfigParser()
-    parser.read_string(text)
-    kwargs: dict = {}
-    if parser.has_section("scenario"):
-        sec = parser["scenario"]
-        getters = {bool: sec.getboolean, float: sec.getfloat, int: sec.getint,
-                   str: sec.get}
-        for key, typ in _SCENARIO_KEYS:
-            if key in sec:
-                kwargs[_field(key)] = getters[typ](key)
-    if "target_phase_rad" in kwargs and "lambda_" not in kwargs:
-        kwargs.setdefault("lambda_", None)
-    if parser.has_section("coupling"):
-        for key in _COUPLING_KEYS:
-            if key in parser["coupling"]:
-                kwargs[key] = parser["coupling"].getfloat(key)
-    for section, suffix in zip(_TRANSMON_SECTIONS, ("a", "m", "b")):
-        if parser.has_section(section):
-            sec = parser[section]
-            if "alpha_mhz" in sec:
-                kwargs[f"alpha_{suffix}_mhz"] = sec.getfloat("alpha_mhz")
-            if "gamma_khz" in sec:
-                kwargs[f"gamma_{suffix}_khz"] = sec.getfloat("gamma_khz")
-    return ScenarioConfig(**kwargs)
+    try:
+        parser.read_string(text, source)
+    except configparser.Error as exc:
+        raise ValueError(" ".join(str(exc).split())) from None  # names the source
+    for section in parser.sections():
+        if section not in _SECTIONS:
+            raise ValueError(f"[{section}]: unknown section; the sections are "
+                             + ", ".join(f"[{s}]" for s in _SECTIONS))
+    given = [("DEFAULT", key) for key in parser.defaults()]
+    given += [(section, key) for section in parser.sections() for key in parser[section]]
+    kwargs = {}
+    for section, key in given:
+        if (section, key) not in _KEYS:
+            known = [k for s, k in _KEYS if s == section]
+            raise ValueError(f"[{section}] {key}: unknown key; [{section}] takes "
+                             + (", ".join(known) or "no keys"))
+        field, getter = _KEYS[section, key]
+        try:
+            kwargs[field] = getattr(parser[section], getter)(key)
+        except (ValueError, configparser.Error) as exc:
+            raise ValueError(f"[{section}] {key}: {exc}") from None
+    return with_overrides(ScenarioConfig(), **kwargs)
 
 
 def load_config(path) -> ScenarioConfig:
+    """The scenario of an INI file.  A file that cannot be opened raises
+    OSError, one that is not UTF-8 ValueError; each names the path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    return parse_config(text, str(path))
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:
-    out = io.StringIO()
-    out.write("[scenario]\n")
-    for key, _ in _SCENARIO_KEYS:
-        value = getattr(cfg, _field(key))
-        if value is not None:
-            out.write(f"{key} = {fmt(value)}\n")
-    out.write("\n[coupling]\n")
-    for key in _COUPLING_KEYS:
-        out.write(f"{key} = {fmt(getattr(cfg, key))}\n")
-    for section, suffix in zip(_TRANSMON_SECTIONS, ("a", "m", "b")):
-        out.write(f"\n[{section}]\n")
-        out.write(f"alpha_mhz = {fmt(getattr(cfg, f'alpha_{suffix}_mhz'))}\n")
-        out.write(f"gamma_khz = {fmt(getattr(cfg, f'gamma_{suffix}_khz'))}\n")
-    return out.getvalue()
+    """The INI text that parse_config reads back as cfg."""
+    blocks = {section: f"[{section}]\n" for section in _SECTIONS}
+    for (section, key), (field, _) in _KEYS.items():
+        if getattr(cfg, field) is not None:
+            blocks[section] += f"{key} = {fmt(getattr(cfg, field))}\n"
+    return "\n".join(blocks.values())
 
 
 def save_config(cfg: ScenarioConfig, path):
@@ -150,7 +147,8 @@ def save_config(cfg: ScenarioConfig, path):
 
 
 def with_overrides(cfg: ScenarioConfig, **overrides) -> ScenarioConfig:
-    """replace() that keeps the lambda/target_phase exclusivity intact."""
+    """replace() that keeps the lambda/target_phase exclusivity intact:
+    setting one of the two clears the other."""
     if "target_phase_rad" in overrides and overrides["target_phase_rad"] is not None:
         overrides.setdefault("lambda_", None)
     if "lambda_" in overrides and overrides["lambda_"] is not None:

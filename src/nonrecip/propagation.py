@@ -60,11 +60,11 @@ class PropagationConfig:
     """Fixed-step integration settings.
 
     step is in ns; the caller is responsible for resolving the fastest
-    Hamiltonian phase (about twenty samples per period).  States are
-    recorded every record_stride steps.
+    Hamiltonian phase (about twenty samples per period; each model's
+    default_step does).  States are recorded every record_stride steps.
     """
 
-    step: float = 0.05
+    step: float
     record_stride: int = 50
 
     def __post_init__(self):
@@ -161,13 +161,12 @@ def _check_trace_loss(lost):
 @np.errstate(over="ignore", invalid="ignore")  # the rule refuses inf and NaN
 def propagate_schrodinger(
     gen: ControlHamiltonian, psi0: PureState | np.ndarray, tau: float,
-    cfg: PropagationConfig | None = None,
+    cfg: PropagationConfig,
 ) -> Trajectory:
     """Integrate i d|psi>/dt = H(t)|psi> from 0 to tau by the raw RK4 step
     maps, one M @ X per step.  psi0 is a PureState, or a (d, k) array
     whose k columns are propagated together, and each recorded state has
     the same shape.  Raises StepTooLargeError by the trace-loss rule."""
-    cfg = cfg or PropagationConfig()
     n, dt = _grid(tau, cfg.step)
     x = np.array(psi0.amplitudes if isinstance(psi0, PureState) else psi0, dtype=complex)
     norm0 = np.sum(np.abs(x) ** 2, axis=0)
@@ -286,6 +285,7 @@ def integrate_master(
         # tr(K rho) = sum_ij K_ij conj(rho_ij) for a Hermitian rho
         lost += (acted_on.reshape(len(maps), len(r), -1).conj()
                  @ defects.reshape(len(maps), -1, 1)).real.sum(axis=(0, 2))
+        del maps, defects, adjoints, acted_on  # before the next chunk's are formed
         _check_trace_loss(lost)
     check_density(states[-1])
     return Trajectory(np.array(times), np.array(states).reshape(

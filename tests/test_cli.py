@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +19,7 @@ from nonrecip.cli import (
 )
 from nonrecip.config import (
     ScenarioConfig,
+    load_config,
     parse_config,
     save_config,
     serialize_config,
@@ -59,21 +62,83 @@ class TestConfig:
         assert back.target_phase_rad is None
 
     def test_file_round_trip(self, tmp_path):
-        from nonrecip.config import load_config
-
         cfg = ScenarioConfig(model="full_qubit", noise=True)
         path = tmp_path / "scenario.ini"
         save_config(cfg, path)
         assert load_config(path) == cfg
 
-    def test_effective_step_defaults(self):
+    def test_effective_step_defaults(self, tmp_path):
         def resolved_step(cfg):
-            model = cli._build_model(cfg, cli._resolve_design(cfg)[1])
-            return cli._propagation_config(cfg, model).step
+            cfg_path, out = tmp_path / "scenario.ini", tmp_path / "out"
+            save_config(cfg, cfg_path)
+            assert main(["--config", str(cfg_path), "--out", str(out), "--no-noise",
+                         "simulate", "--initial", "100"]) == EXIT_OK
+            return json.loads((out / "report.json").read_text())["step_ns"]
 
         assert resolved_step(ScenarioConfig(model="ideal")) == 0.05
         assert resolved_step(ScenarioConfig()) == 0.005
         assert resolved_step(ScenarioConfig(step_ns=0.1)) == 0.1
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class TestScenarioReader:
+    @pytest.mark.parametrize("text, named", [
+        ("[scenario]\nmodel = ideal\ntau = 100\nlamda = 0.6\n",
+         "[scenario] tau: unknown key"),
+        ("[transmon_q]\nalpha_mhz = 220\n", "[transmon_q]: unknown section"),
+        ("[DEFAULT]\nnoise = false\n", "[DEFAULT] noise: unknown key"),
+        ("[scenario]\nn_samples = 4001\n", "[scenario] n_samples: unknown key"),
+        ("[scenario]\nrecord_stride = 10\n", "[scenario] record_stride: unknown key"),
+        ("[scenario]\ntau_ns = 100\ntau_ns = 120\n",
+         "option 'tau_ns' in section 'scenario' already exists"),
+        ("tau_ns = 100\n", "no section headers. file: '{path}', line: 1 'tau_ns = 100"),
+        ("[scenario]\ntau_ns = abc\n", "[scenario] tau_ns: could not convert"),
+    ], ids=["misspelt-keys", "unknown-section", "default-key", "n_samples",
+            "record_stride", "duplicate-key", "no-section-header", "unparsable-value"])
+    def test_refused_file_exits_1_naming_the_key(self, tmp_path, capsys, text, named):
+        cfg_path, out = tmp_path / "bad.ini", tmp_path / "out"
+        cfg_path.write_text(text)
+        code = main(["--config", str(cfg_path), "--out", str(out),
+                     "simulate", "--initial", "100"])
+        assert code == EXIT_FAILURE
+        assert named.format(path=cfg_path) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [None, b"[scenario]\nmodel = ideal\xff\n"],
+                             ids=["missing", "not-utf-8"])
+    def test_unreadable_config_file_exits_1_naming_the_path(self, tmp_path, capsys,
+                                                            content):
+        cfg_path, out = tmp_path / "scenario.ini", tmp_path / "out"
+        if content is not None:
+            cfg_path.write_bytes(content)
+        code = main(["--config", str(cfg_path), "--out", str(out), "design"])
+        assert code == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cfg_path) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workload", ["design-verify", "noisy-se"])
+    def test_accepts_every_benchmark_file(self, tmp_path, workload):
+        # the benchmark's own make_targets writes the files, so a key the
+        # reader stops taking fails here before it fails a benchmark run
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_run", ROOT / "perfbench" / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+        targets = run.make_targets(workload, 1, tmp_path / "inputs")
+        paths = {op["argv"][op["argv"].index("--config") + 1]
+                 for target in targets for op in target}
+        assert paths
+        for path in paths:
+            cfg = load_config(path)
+            assert cfg.lambda_ is None and cfg.target_phase_rad is not None
+
+    def test_readme_example_is_the_default_scenario(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        assert parse_config(example) == ScenarioConfig()
 
 
 class TestDesignCommand:
@@ -310,6 +375,13 @@ class TestFailureReporting:
         assert code == EXIT_FAILURE
         assert "reduce the step" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    def test_unwritable_output_exits_1_naming_the_path(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("a file, not a directory")
+        code = main(["--out", str(out), "--model", "ideal", "design"])
+        assert code == EXIT_FAILURE
+        assert str(out) in capsys.readouterr().err
 
     def test_integrator_error_exit_code(self, tmp_path, monkeypatch, capsys,
                                         break_hermiticity):
