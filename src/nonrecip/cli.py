@@ -148,6 +148,9 @@ def _write_sweep(path: Path, lams) -> np.ndarray:
 
 
 def cmd_sweep_lambda(lo: float, hi: float, n: int, out_dir: Path) -> int:
+    for name, value in (("--lo", lo), ("--hi", hi)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not (0.0 < lo < hi) or n < 2:
         raise ValueError("sweep requires 0 < lo < hi and n >= 2")
     diffs = np.diff(_write_sweep(out_dir / "lambda_sweep.csv", np.linspace(lo, hi, n)))

@@ -280,11 +280,14 @@ def _full_chain_control(chain: ChainSpec, drives: DriveWaveform):
 
 @dataclass(frozen=True)
 class LindbladChannel:
-    """A collapse operator O, stored as a read-only complex (d, d) array,
-    and its rate."""
+    """A collapse operator O on one site of a product space, stored as a
+    read-only complex (d_s, d_s) array, its rate and the index of its
+    site (0 for a space that is one site).  Sites are ordered as their
+    factors in the product, the first the most significant."""
 
     operator: np.ndarray
     rate: float
+    site: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "operator", _freeze(self.operator))
@@ -301,17 +304,11 @@ def _single_site_collapse(d: int) -> np.ndarray:
 
 
 def lindblad_channels(chain: ChainSpec, d: int) -> list[LindbladChannel]:
-    """One combined decay-plus-dephasing channel per transmon on d levels
-    per site, embedded by identity on the other factors, with the
+    """One combined decay-plus-dephasing channel per transmon, on the d
+    levels of its own site (A, M, B are sites 0, 1, 2), with the
     transmon's rate."""
-    site_op = _single_site_collapse(d)
-    eye = np.eye(d, dtype=complex)
-    channels = []
-    for k, spec in enumerate(chain.transmons):
-        mats = [eye, eye, eye]
-        mats[k] = site_op
-        channels.append(LindbladChannel(_kron3(*mats), spec.gamma_decoherence))
-    return channels
+    return [LindbladChannel(_single_site_collapse(d), spec.gamma_decoherence, k)
+            for k, spec in enumerate(chain.transmons)]
 
 
 @dataclass(frozen=True)

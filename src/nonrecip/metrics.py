@@ -24,8 +24,9 @@ ISOLATION_FLOOR_DB = -120.0
 @dataclass
 class RunReport:
     """What every fidelity run reports: the record times and the fidelity
-    at each, the model, whether its channels were on, and the step
-    count and size (ns)."""
+    at each, the model, whether its channels were on, the step count and
+    size (ns), and the worst member's change in trace that the raw step
+    maps caused (Trajectory.trace_loss)."""
 
     times: np.ndarray
     fidelity_curve: np.ndarray
@@ -33,10 +34,12 @@ class RunReport:
     noise: bool
     steps: int
     step_ns: float
+    trace_loss: float
 
     def to_json_dict(self) -> dict:
         return {"model": self.model_name, "noise": self.noise,
-                "steps": self.steps, "step_ns": self.step_ns}
+                "steps": self.steps, "step_ns": self.step_ns,
+                "trace_loss": self.trace_loss}
 
     def columns(self) -> dict[str, np.ndarray]:
         """The report's own CSV columns, written between t_ns and fidelity."""
@@ -127,7 +130,7 @@ def _evolve(model: SimulationModel, initial_states, noise: bool,
         x = traj.states.reshape(len(traj.times), model.dim, -1).transpose(2, 0, 1)
         rhos = x[..., :, None] * x[..., None, :].conj()
     run = dict(times=traj.times, model_name=model.name, noise=noise,
-               steps=traj.steps, step_ns=traj.step)
+               steps=traj.steps, step_ns=traj.step, trace_loss=traj.trace_loss)
     return run, rhos
 
 

@@ -13,10 +13,14 @@ a chunk at a time, in one batched pass (about 3 d^3 multiply-adds a map):
 - open runs Strang-split drho/dt = -i[H, rho] + D(rho) (Strang, SIAM J.
   Numer. Anal. 5, 506 (1968)), second order in D and fourth in H: a step
   is rho <- E(M_k rho M_k^H) for a (k, d, d) block, with E = exp(D dt)
-  formed once by a sparse Taylor sum and E_half = exp(D dt/2) opening the
-  run and closing each record.  RK4's maps do not keep the trace (it
-  drifts by 6e-8 over the noisy single-excitation run from |010> at step
-  0.05 ns, above check_density's 1e-8), so each map first takes one
+  formed once and E_half = exp(D dt/2) opening the run and closing each
+  record.  Each channel acts on one site, so E is the Kronecker product
+  of dense Taylor-summed exponentials: one 64 x 64 factor for all sites
+  at d = 8, one 9 x 9 per transmon at d = 27, applied by batched matmuls
+  along each factor's axes of rho, in numpy alone.  RK4's
+  maps do not keep the trace (it drifts by 6e-8 over the noisy
+  single-excitation run from |010> at step 0.05 ns, above
+  check_density's 1e-8), so each map first takes one
   Newton-Schulz polar step towards the unitaries (Hairer, Lubich &
   Wanner, Geometric Numerical Integration, IV.4), an O(dt^6) change.
 
@@ -78,12 +82,15 @@ class PropagationConfig:
 class Trajectory:
     """Time-stamped states from a propagation run of steps steps of
     size step (ns): states stacks one record per time, each shaped like
-    the initial state or block."""
+    the initial state or block.  trace_loss is the largest change in a
+    member's trace (a pure state's squared norm) that the raw step maps
+    caused, the quantity the trace-loss rule bounds."""
 
     times: np.ndarray
     states: np.ndarray
     steps: int
     step: float
+    trace_loss: float
 
     @property
     def final(self):
@@ -94,6 +101,13 @@ class Trajectory:
 # d = 3, 8 at d = 27.  Larger tables raise the peak RSS of a design-and-
 # verify process (by about 0.2 MB at 128 kB); smaller ones slow d = 27.
 _MAP_ENTRIES = 6144
+
+# The most entries of a dissipator propagator formed whole: a larger one
+# is formed as one factor per site.  At d = 8 one dense 64 x 64 E product
+# takes 2.8-3.5 us against 10.6-15.8 us for the CSR E it replaced; at
+# d = 27 a whole dense 729 x 729 E took the noisy transfer from 4.4 to
+# 17.8 s, where one 9 x 9 factor per site is no slower than CSR.
+_WHOLE_E_ENTRIES = 64**2
 
 
 def _grid(tau: float, step: float) -> tuple[int, float]:
@@ -149,13 +163,15 @@ def _raw_maps(gen: ControlHamiltonian, n: int, dt: float):
         yield first, _step_maps(gen, s0, s, first, min(n, first + chunk), dt)
 
 
-def _check_trace_loss(lost):
+def _check_trace_loss(lost) -> float:
     """The one trace-loss rule (see the module docstring), given the trace
-    that the raw maps have taken from each member so far."""
-    worst = np.max(np.abs(lost))
+    that the raw maps have taken from each member so far; returns the
+    worst member's."""
+    worst = float(np.max(np.abs(lost)))
     if not worst <= 2e-6:  # a NaN is refused too
         raise StepTooLargeError(f"the raw step maps changed the trace by {worst:.3e}, "
                                 "over 2e-6; reduce the step")
+    return worst
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the rule refuses inf and NaN
@@ -178,8 +194,8 @@ def propagate_schrodinger(
                 times.append((step + 1) * dt)
                 states.append(x)
         del maps  # free this chunk's maps before the next chunk's are formed
-        _check_trace_loss(norm0 - np.sum(np.abs(x) ** 2, axis=0))
-    return Trajectory(np.array(times), np.array(states), n, dt)
+        loss = _check_trace_loss(norm0 - np.sum(np.abs(x) ** 2, axis=0))
+    return Trajectory(np.array(times), np.array(states), n, dt, loss)
 
 
 def _due(k: int, n: int, cfg: PropagationConfig) -> bool:
@@ -187,22 +203,19 @@ def _due(k: int, n: int, cfg: PropagationConfig) -> bool:
     return (k + 1) % cfg.record_stride == 0 or k == n - 1
 
 
-def _expm_taylor(a: sparse.csr_matrix) -> sparse.csr_matrix:
-    """exp(a) for a sparse a: the Taylor sum of a / 2^s, scaled to a
+def _expm_taylor(a: np.ndarray) -> np.ndarray:
+    """exp(a) for a square a: the Taylor sum of a / 2^s, scaled to a
     1-norm of at most 1/2, squared s times.  The sum stops before the
     first term with no entry above 2^-53; since |(T b)_ij| <= max|T| |b|_1,
-    the terms left out change no entry by more than 4/3 of that.  A small
-    a keeps s = 0 and the sparsity of its first few powers."""
-    from scipy import sparse
-
-    norm = float(abs(a).sum(axis=0).max())
+    the terms left out change no entry by more than 4/3 of that."""
+    norm = float(np.abs(a).sum(axis=0).max())
     squarings = math.ceil(math.log2(2.0 * norm)) if norm > 0.5 else 0
     a = a / 2.0**squarings
-    e = term = sparse.identity(a.shape[0], dtype=complex, format="csr")
+    e = term = np.eye(len(a), dtype=complex)
     k = 1
     while True:
         term = (term @ a) / k
-        if abs(term).max() <= 2.0**-53:
+        if np.abs(term).max() <= 2.0**-53:
             break
         e = e + term
         k += 1
@@ -211,23 +224,82 @@ def _expm_taylor(a: sparse.csr_matrix) -> sparse.csr_matrix:
     return e
 
 
-def _dissipator_propagators(channels: Sequence, d: int, dt: float):
-    """(exp(D dt/2), exp(D dt)), as CSR, for the dissipator
-    D = sum_k Gamma_k (O_k (x) O_k^* - ((O_k^H O_k) (x) I +
-    I (x) (O_k^H O_k)^T) / 2) on row-major vec rho.  D maps every matrix
-    to a traceless one, so each Taylor term does too and both preserve
-    the trace.  scipy.sparse is imported here, on the first open run, so
-    that designs and closed runs never load it."""
-    from scipy import sparse
+class _Factored:
+    """exp(D t) for a dissipator that is a sum of one generator per site:
+    the Kronecker product of dense factors (Van Loan, J. Comput. Appl.
+    Math. 123, 85 (2000)), one per group of sites, the group dims
+    multiplying to d.  A group's factor acts on the row-major vec of its
+    (g, g) block of rho.
 
-    eye = sparse.identity(d, dtype=complex, format="csr")
-    gen = sparse.csr_matrix((d * d, d * d), dtype=complex)
+    Called on a (k, d, d) block, it interleaves the axes of each member to
+    ((i_1, j_1), ..., (i_m, j_m)) and multiplies each pair axis by its
+    factor with one batched matmul, so that a member's arithmetic does not
+    depend on k: from the left, batched over the axes before it, except
+    the last of several factors, which multiplies from the right.  With
+    one factor the interleaving is the identity; with none, E is too."""
+
+    def __init__(self, dims: Sequence[int], factors: Sequence[np.ndarray]):
+        m = len(dims)
+        self.dims, self.factors = tuple(dims), tuple(factors)
+        self._interleave = (0,) + tuple(a for s in range(1, m + 1) for a in (s, s + m))
+        self._back = tuple(int(a) for a in np.argsort(self._interleave))
+        self._pairs = tuple(g for g in self.dims for _ in "ij")
+        # (from the right, pair entries before the factor's, factor)
+        self._products = [(0 < f == m - 1, math.prod(self.dims[:f]) ** 2,
+                           e.T if 0 < f == m - 1 else e)
+                          for f, e in enumerate(self.factors)]
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        if not self.factors:
+            return r
+        k = len(r)
+        x = r.reshape((k,) + self.dims * 2).transpose(self._interleave)
+        for right, before, e in self._products:
+            x = x.reshape(k, before, -1) @ e if right else e @ x.reshape(
+                k * before, len(e), -1)
+        return x.reshape((k,) + self._pairs).transpose(self._back).reshape(r.shape)
+
+
+def _dissipator_propagators(channels: Sequence, d: int, dt: float):
+    """(exp(D dt/2), exp(D dt)) as _Factored propagators, for the
+    dissipator D = sum_k Gamma_k (O_k (x) O_k^* - ((O_k^H O_k) (x) I +
+    I (x) (O_k^H O_k)^T) / 2) on row-major vec rho, O_k acting on its
+    channel's site.  All sites form one factor when it holds at most
+    _WHOLE_E_ENTRIES entries (one 64 x 64 factor at d = 8), else each site
+    is its own (one 9 x 9 per site at d = 27), and each factor is the
+    Taylor-summed exponential of its group's part of D, with O_k embedded
+    in the group.  That part maps
+    every matrix to a traceless one, so each Taylor term does too and
+    every factor preserves the trace.  Raises ValueError unless the
+    channels' site dims multiply to d."""
+    site_dims = {}
     for c in channels:
-        op = sparse.csr_matrix(c.operator)
-        sq = op.conj().T @ op
-        gen = gen + c.rate * (sparse.kron(op, op.conj())
-                              - 0.5 * (sparse.kron(sq, eye) + sparse.kron(eye, sq.T)))
-    return _expm_taylor(gen * (0.5 * dt)), _expm_taylor(gen * dt)
+        if site_dims.setdefault(c.site, len(c.operator)) != len(c.operator):
+            raise ValueError(f"channels on site {c.site} act on different dims")
+    if not channels:
+        return _Factored((), ()), _Factored((), ())
+    shape = [site_dims.get(s, 0) for s in range(max(site_dims) + 1)]
+    if math.prod(shape) != d:
+        raise ValueError(f"the channels' site dims {shape} (0: a site without "
+                         f"a channel) do not multiply to d = {d}")
+    # the sites of each factor, as (first, last + 1)
+    groups = ([(0, len(shape))] if d**4 <= _WHOLE_E_ENTRIES
+              else [(s, s + 1) for s in range(len(shape))])
+    dims = [math.prod(shape[lo:hi]) for lo, hi in groups]
+    gens = []
+    for (lo, hi), g in zip(groups, dims):
+        eye = np.eye(g)
+        gen = np.zeros((g * g, g * g), dtype=complex)
+        for c in channels:
+            if lo <= c.site < hi:
+                op = np.kron(np.kron(np.eye(math.prod(shape[lo:c.site])), c.operator),
+                             np.eye(math.prod(shape[c.site + 1:hi])))
+                sq = op.conj().T @ op
+                gen += c.rate * (np.kron(op, op.conj())
+                                 - 0.5 * (np.kron(sq, eye) + np.kron(eye, sq.T)))
+        gens.append(gen)
+    return tuple(_Factored(dims, [_expm_taylor(gen * t) for gen in gens])
+                 for t in (0.5 * dt, dt))
 
 
 def _unitary_maps(maps: np.ndarray):
@@ -260,16 +332,9 @@ def integrate_master(
     unless every final member passes check_density."""
     n, dt = _grid(tau, cfg.step)
     half, full = _dissipator_propagators(channels, gen.dim, dt)
-
-    def dissipate(e, r):
-        """e applied to the vec rho of each member of the (k, d, d) block
-        r, as the (d^2, k) columns of one CSR product, so that a member's
-        arithmetic does not depend on k."""
-        return np.ascontiguousarray((e @ r.reshape(len(r), -1).T).T).reshape(r.shape)
-
     r = np.array(rho0, dtype=complex).reshape(-1, gen.dim, gen.dim)
     times, states = [0.0], [r]
-    r = dissipate(half, r)
+    r = half(r)
     lost = np.zeros(len(r))
     for first, maps in _raw_maps(gen, n, dt):
         maps, defects = _unitary_maps(maps)
@@ -280,16 +345,16 @@ def integrate_master(
             r = maps[step - first] @ r @ adjoints[step - first]
             if _due(step, n, cfg):
                 times.append((step + 1) * dt)
-                states.append(dissipate(half, r))
-            r = dissipate(full, r)
+                states.append(half(r))
+            r = full(r)
         # tr(K rho) = sum_ij K_ij conj(rho_ij) for a Hermitian rho
         lost += (acted_on.reshape(len(maps), len(r), -1).conj()
                  @ defects.reshape(len(maps), -1, 1)).real.sum(axis=(0, 2))
         del maps, defects, adjoints, acted_on  # before the next chunk's are formed
-        _check_trace_loss(lost)
+        loss = _check_trace_loss(lost)
     check_density(states[-1])
     return Trajectory(np.array(times), np.array(states).reshape(
-        (len(times),) + np.shape(rho0)), n, dt)
+        (len(times),) + np.shape(rho0)), n, dt, loss)
 
 
 def check_density(rho: np.ndarray):

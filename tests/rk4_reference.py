@@ -2,6 +2,8 @@
 reference that the step-map and Strang-split kernels of
 nonrecip.propagation are tested against."""
 
+import math
+
 import numpy as np
 
 from nonrecip.propagation import Trajectory, _grid
@@ -9,21 +11,39 @@ from nonrecip.propagation import Trajectory, _grid
 CHUNK = 256  # steps per coefficient table
 
 
+def embedded(channels) -> list:
+    """Each channel's operator on the whole product space: identity on the
+    other sites, whose dims are read from the channels, as the kernel
+    reads them."""
+    dims = {c.site: len(c.operator) for c in channels}
+    shape = [dims[s] for s in range(len(dims))]
+    return [np.kron(np.kron(np.eye(math.prod(shape[:c.site])), c.operator),
+                    np.eye(math.prod(shape[c.site + 1:]))) for c in channels]
+
+
+def dissipator(channels, d: int) -> np.ndarray:
+    """The (d^2, d^2) dissipator sum_k Gamma_k (O_k (x) O_k^* -
+    ((O_k^H O_k) (x) I + I (x) (O_k^H O_k)^T) / 2) on row-major vec(rho),
+    each O_k embedded in the d-dim space."""
+    eye = np.eye(d)
+    out = np.zeros((d * d, d * d), dtype=complex)
+    for c, op in zip(channels, embedded(channels)):
+        sq = op.conj().T @ op
+        out += c.rate * (np.kron(op, op.conj())
+                         - 0.5 * (np.kron(sq, eye) + np.kron(eye, sq.T)))
+    return out
+
+
 def lindblad_stack(gen, channels) -> np.ndarray:
     """[S_0; S_1; ...; S_J] for row-major vec(rho), as a dense
-    ((1 + J) d^2, d^2) array: S_0 holds -i[H0, .] and the dissipators,
+    ((1 + J) d^2, d^2) array: S_0 holds -i[H0, .] and the dissipator,
     S_j the commutator with A_j."""
     eye = np.eye(gen.dim)
 
     def commutator(a):
         return -1j * (np.kron(a, eye) - np.kron(eye, a.T))
 
-    drift = commutator(gen.h0)
-    for c in channels:
-        op = c.operator
-        sq = op.conj().T @ op
-        drift = drift + c.rate * (np.kron(op, op.conj())
-                                  - 0.5 * (np.kron(sq, eye) + np.kron(eye, sq.T)))
+    drift = commutator(gen.h0) + dissipator(channels, gen.dim)
     return np.concatenate([drift] + [commutator(a) for a in gen.ops])
 
 
@@ -59,7 +79,8 @@ def rk4(stack, gen, x0, tau: float, cfg) -> Trajectory:
             if (step + 1) % cfg.record_stride == 0 or step == n - 1:
                 times.append((step + 1) * dt)
                 states.append(x.copy())
-    return Trajectory(np.array(times), np.array(states), n, dt)
+    # the trace loss is the kernels' rule; the reference does not track it
+    return Trajectory(np.array(times), np.array(states), n, dt, math.nan)
 
 
 def master_rk4(gen, channels, rho0, tau: float, cfg) -> Trajectory:

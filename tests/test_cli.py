@@ -292,6 +292,18 @@ class TestSweepCommand:
         assert summary["monotonic"] is True
         assert summary["direction"] == "decreasing"
 
+    @pytest.mark.parametrize("bound, value", [
+        ("--hi", "inf"), ("--hi", "nan"), ("--lo", "-inf"), ("--lo", "nan")])
+    def test_non_finite_bound_is_refused_by_name(self, tmp_path, capsys, bound,
+                                                  value):
+        # an infinite --hi passed the 0 < lo < hi check and numpy warned on
+        # the grid before the error
+        out = tmp_path / "out"
+        argv = ["--out", str(out), "sweep-lambda", "-n", "6", f"{bound}={value}"]
+        assert main(argv) == EXIT_FAILURE
+        assert f"{bound} must be finite, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _loaded_around(tmp_path, argv, prefixes):
     """Run cli.main(argv) in a fresh process and return the modules whose
@@ -317,26 +329,15 @@ class TestImports:
         ["sweep-lambda", "--lo", "0.3", "--hi", "0.8", "-n", "6"],
         ["--model", "ideal", "--no-noise", "simulate", "--initial", "100"],
         ["--model", "full_qubit", "--no-noise", "simulate", "--initial", "100"],
+        ["simulate", "--initial", "100"],
+        ["simulate", "--initial", "ensemble"],
     ], ids=["design", "solve-lambda", "sweep-lambda", "ideal-closed",
-            "full_qubit-closed"])
-    def test_design_and_closed_runs_load_no_scipy(self, tmp_path, argv):
-        # J1 is a power series and scipy.sparse is imported by the first
-        # open run, so importing scipy (about 0.3 s) is left to noisy runs
+            "full_qubit-closed", "noisy-transfer", "noisy-ensemble"])
+    def test_commands_load_no_scipy(self, tmp_path, argv):
+        # J1 is a power series and the dissipator propagator a numpy Taylor
+        # sum per site, so no command pays for importing scipy (about 0.3 s)
         heavy = ("scipy", "multiprocessing")
         assert _loaded_around(tmp_path, argv, heavy) == ([], [])
-
-    def test_noisy_simulate_loads_sparse_but_not_scipy_linalg(self, tmp_path):
-        # the dissipator propagator is a sparse Taylor sum: expm would cost
-        # 0.45 s at d = 27, and importing scipy.linalg about 58 ms
-        cfg_path = tmp_path / "coarse.ini"
-        save_config(ScenarioConfig(step_ns=0.05), cfg_path)
-        argv = ["--config", str(cfg_path), "simulate", "--initial", "100"]
-        before, after = _loaded_around(
-            tmp_path, argv, ("scipy.sparse", "scipy.linalg"))
-        assert json.loads((tmp_path / "out" / "report.json").read_text())["noise"]
-        assert before == [] and "scipy.sparse" in after
-        assert not [m for m in after if m.startswith(("scipy.linalg",
-                                                       "scipy.sparse.linalg"))]
 
 
 class TestSimulateCommand:
@@ -346,8 +347,12 @@ class TestSimulateCommand:
                      "simulate", "--initial", "100"])
         assert code == EXIT_OK
         report = json.loads((out / "report.json").read_text())
+        assert set(report) == {"model", "noise", "steps", "step_ns", "trace_loss",
+                               "initial", "fidelity", "final_populations",
+                               "final_leakage"}
         assert report["fidelity"] > 0.999
         assert report["noise"] is False
+        assert 0.0 <= report["trace_loss"] <= 2e-6
         assert (out / "trajectory_100.csv").exists()
 
     def test_ideal_ensemble_run(self, tmp_path):
@@ -356,8 +361,8 @@ class TestSimulateCommand:
                      "simulate", "--initial", "ensemble"])
         assert code == EXIT_OK
         report = json.loads((out / "report.json").read_text())
-        assert set(report) == {"model", "noise", "steps", "step_ns", "f_m",
-                               "initial_fidelity"}
+        assert set(report) == {"model", "noise", "steps", "step_ns", "trace_loss",
+                               "f_m", "initial_fidelity"}
         assert report["f_m"] > 0.999
         assert report["initial_fidelity"] == pytest.approx(0.125, abs=1e-6)
 

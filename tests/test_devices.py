@@ -24,6 +24,7 @@ from nonrecip.devices import (
 )
 from nonrecip.invariant import AuxiliaryTrajectory, synthesize_pulses
 from nonrecip.units import khz, mhz
+from rk4_reference import embedded
 
 TAU = 145.0
 
@@ -264,7 +265,7 @@ class TestLindbladChannels:
         idx100, idx010, _ = single_excitation_indices(2)
         v = np.zeros(8, dtype=complex)
         v[idx100] = 1.0
-        out = channels[0].operator @ v
+        out = embedded(channels)[0] @ v
         expected = np.zeros(8, dtype=complex)
         expected[0] = 1.0
         expected[idx100] = -1.0
@@ -272,22 +273,27 @@ class TestLindbladChannels:
 
     def test_acts_on_one_factor(self, chain):
         site = np.array([[1, 1], [0, -1]], dtype=complex)
-        for k, channel in enumerate(lindblad_channels(chain, 2)):
+        channels = lindblad_channels(chain, 2)
+        for k, (channel, op) in enumerate(zip(channels, embedded(channels))):
+            assert channel.site == k
+            assert np.array_equal(channel.operator, site)
             mats = [np.eye(2, dtype=complex)] * 3
             mats[k] = site
             expected = np.kron(np.kron(mats[0], mats[1]), mats[2])
-            assert np.array_equal(channel.operator, expected)
+            assert np.array_equal(op, expected)
 
     def test_operator_is_read_only_complex(self, chain):
         op = lindblad_channels(chain, 2)[0].operator
-        assert op.dtype == complex and op.shape == (8, 8)
+        assert op.dtype == complex and op.shape == (2, 2)
         with pytest.raises(ValueError):
             op[0, 0] = 2.0
 
     def test_three_level_channel_annihilates_top_level(self):
         chain3 = replace(ScenarioConfig().chain_spec(), d=3)
         channels = lindblad_channels(chain3, 3)
-        m = channels[2].operator  # B transmon
+        assert [c.site for c in channels] == [0, 1, 2]
+        assert channels[2].operator.shape == (3, 3)
+        m = embedded(channels)[2]  # B transmon
         labels = chain_labels(3)
         v = np.zeros(27, dtype=complex)
         v[labels.index("002")] = 1.0

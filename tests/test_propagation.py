@@ -1,4 +1,5 @@
 import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy.linalg import expm
 
 from nonrecip.devices import (
     LindbladChannel,
+    full_chain_model,
     ideal_model,
     invert_bessel_drive,
     single_excitation_model,
@@ -28,7 +30,7 @@ from nonrecip.propagation import (
 )
 from nonrecip.statespace import ControlHamiltonian, PureState
 from nonrecip.units import khz
-from rk4_reference import lindblad_stack, master_rk4, rk4
+from rk4_reference import dissipator, master_rk4, rk4
 
 TAU = 145.0
 LAMBDA = 0.4974
@@ -188,6 +190,19 @@ def device(pulses):
     return single_excitation_model(chain, invert_bessel_drive(pulses, chain))
 
 
+@pytest.fixture(scope="module")
+def three_level(pulses):
+    chain = replace(ScenarioConfig().chain_spec(), d=3)
+    return full_chain_model(chain, invert_bessel_drive(pulses, chain))
+
+
+@pytest.fixture(params=["device", "three_level"])
+def noisy_model(request):
+    """The d = 8 model, whose dissipator propagator is one factor, and
+    the d = 27 one, one factor per site."""
+    return request.getfixturevalue(request.param)
+
+
 class TestLindblad:
     def test_no_channels_matches_schrodinger(self, pulses):
         model = ideal_model(pulses)
@@ -215,10 +230,7 @@ class TestLindblad:
             assert np.linalg.eigvalsh(s).min() > -1e-9
 
     def test_vanishing_rates_recover_closed_system(self, device):
-        weak = [
-            LindbladChannel(operator=c.operator, rate=1e-12)
-            for c in device.channels
-        ]
+        weak = [replace(c, rate=1e-12) for c in device.channels]
         psi0 = ket(device.dim, device.logical_index("100"))
         cfg = PropagationConfig(step=device.default_step)
         closed = propagate_schrodinger(device.hamiltonian, psi0, TAU, cfg)
@@ -236,19 +248,24 @@ class TestLindblad:
             assert np.trace(s).real == pytest.approx(1.0, abs=1e-9)
             assert np.linalg.eigvalsh(0.5 * (s + s.conj().T)).min() > -1e-8
 
-    def test_block_equals_single_calls(self, device):
-        cfg = PropagationConfig(step=0.05, record_stride=40)
-        i100, i010, i001 = device.logical_indices
-        plus = np.zeros(device.dim)
+    @pytest.mark.parametrize("model, step, tau", [
+        ("device", 0.05, 10.0), ("three_level", 0.005, 1.0)])
+    def test_block_equals_single_calls(self, request, model, step, tau):
+        # one dissipator factor at d = 8, three at d = 27
+        model = request.getfixturevalue(model)
+        d = model.dim
+        cfg = PropagationConfig(step=step, record_stride=40)
+        i100, i010, i001 = model.logical_indices
+        plus = np.zeros(d)
         plus[[i010, i001]] = 1.0 / np.sqrt(2.0)
-        block = np.stack([projector(ket(device.dim, i100)),
-                          projector(ket(device.dim, i010)), np.outer(plus, plus)])
-        together = integrate_master(device.hamiltonian, device.channels, block, 10.0, cfg)
-        assert together.states.shape == (6, 3, 8, 8)
+        block = np.stack([projector(ket(d, i100)),
+                          projector(ket(d, i010)), np.outer(plus, plus)])
+        together = integrate_master(model.hamiltonian, model.channels, block, tau, cfg)
+        assert together.states.shape == (6, 3, d, d)
         for j in range(3):
-            alone = integrate_master(device.hamiltonian, device.channels, block[j],
-                                     10.0, cfg)
-            assert alone.states.shape == (6, 8, 8)
+            alone = integrate_master(model.hamiltonian, model.channels, block[j],
+                                     tau, cfg)
+            assert alone.states.shape == (6, d, d)
             assert np.array_equal(together.times, alone.times)
             assert np.array_equal(together.states[:, j], alone.states)
 
@@ -279,6 +296,13 @@ class TestLindblad:
                              np.stack([good, bad]), 2.0, cfg)
 
 
+def assembled(e, d):
+    """The (d^2, d^2) matrix of the factored propagator e on row-major vec
+    rho: its column m is e's image of the m-th unit matrix."""
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    return e(units).reshape(d * d, d * d).T
+
+
 def random_open_system(d, seed):
     """random_control_form with two seeded random channels at rates 0.3
     and 0.2, and a random pure rho."""
@@ -306,24 +330,45 @@ class TestStrangSplit:
         assert errs[0] / errs[1] >= 3.5 and errs[1] / errs[2] >= 3.5
 
     @pytest.mark.parametrize("dt", [0.05, 0.005])
-    def test_device_propagators_match_expm(self, device, dt):
-        gen = modulated(np.zeros((device.dim, device.dim)))
-        d2 = device.dim**2
-        generator = lindblad_stack(gen, device.channels)[:d2]
-        for e, t in zip(propagation._dissipator_propagators(device.channels,
-                                                            device.dim, dt),
-                        (0.5 * dt, dt)):
-            assert np.max(np.abs(e.toarray() - expm(generator * t))) <= 2.3e-16
+    def test_device_propagators_match_expm(self, noisy_model, dt):
+        d = noisy_model.dim
+        generator = dissipator(noisy_model.channels, d)
+        for e, t in zip(propagation._dissipator_propagators(
+                noisy_model.channels, d, dt), (0.5 * dt, dt)):
+            assert np.max(np.abs(assembled(e, d) - expm(generator * t))) <= 2.3e-16
+
+    def test_factors_follow_the_sites(self, device, three_level):
+        # one factor for all sites up to 64^2 entries, else one per site
+        for model, dims in ((device, (8,)), (three_level, (3, 3, 3))):
+            for e in propagation._dissipator_propagators(model.channels,
+                                                         model.dim, 0.005):
+                assert e.dims == dims
+                assert [f.shape for f in e.factors] == [(g * g, g * g) for g in dims]
+        for e in propagation._dissipator_propagators([], 8, 0.005):
+            assert e.factors == ()
+            block = projector(ket(8, 3))[None]
+            assert e(block) is block
+
+    def test_sites_that_do_not_factor_d_are_refused(self, device):
+        with pytest.raises(ValueError, match="do not multiply to d = 27"):
+            propagation._dissipator_propagators(device.channels, 27, 0.005)
+        with pytest.raises(ValueError, match=r"\[2, 0, 2\]"):
+            propagation._dissipator_propagators(
+                [c for c in device.channels if c.site != 1], 4, 0.005)
+        mixed = [device.channels[0], replace(device.channels[1], site=0,
+                                              operator=np.eye(3))]
+        with pytest.raises(ValueError, match="site 0 act on different dims"):
+            propagation._dissipator_propagators(mixed, 2, 0.005)
 
     def test_scaled_and_squared_propagators_match_expm(self):
         # 1-norms of 7.5 and 15 take four and five squarings
         gen, channels, _ = random_open_system(3, seed=4)
         channels = [LindbladChannel(c.operator, 30.0 * c.rate) for c in channels]
-        generator = lindblad_stack(modulated(np.zeros((3, 3))), channels)[:9]
+        generator = dissipator(channels, 3)
         for e, t in zip(propagation._dissipator_propagators(channels, 3, 0.5),
                         (0.25, 0.5)):
             want = expm(generator * t)
-            assert np.max(np.abs(e.toarray() - want)) <= 1e-13 * np.max(np.abs(want))
+            assert np.max(np.abs(assembled(e, 3) - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_projection_holds_the_trace_at_a_coarse_step(self, device):
         # without the projection the trace drifts by 6.0e-8 over this run,
@@ -333,6 +378,19 @@ class TestStrangSplit:
                                 projector(psi0), TAU, PropagationConfig(step=0.05))
         trace = np.trace(traj.states, axis1=1, axis2=2)
         assert np.max(np.abs(trace - 1.0)) < 1e-13
+
+    def test_trajectory_carries_the_bounded_trace_loss(self, device):
+        # a closed run's loss is the telescoped change of the squared norm
+        psi0 = ket(device.dim, device.logical_index("100"))
+        cfg = PropagationConfig(step=0.05)
+        closed = propagate_schrodinger(device.hamiltonian, psi0, 20.0, cfg)
+        assert closed.trace_loss == abs(1.0 - np.sum(np.abs(closed.final) ** 2))
+        assert 0.0 < closed.trace_loss <= 2e-6
+        # the projected maps keep the trace, the raw maps' loss is reported
+        open_ = integrate_master(device.hamiltonian, device.channels,
+                                 projector(psi0), 20.0, cfg)
+        assert abs(np.trace(open_.final) - 1.0) < 1e-13
+        assert 0.0 < open_.trace_loss <= 2e-6
 
     def test_too_large_a_step_raises(self):
         # projecting the maps would keep the trace; the raw maps' trace
