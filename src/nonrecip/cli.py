@@ -1,8 +1,8 @@
 """Command-line front end: pulse design, lambda sweeps, simulation runs
 and the reference-figure reproduction bundle.
 
-Exit codes: 0 success, 1 generic failure, 2 unattainable drive,
-3 root-finding failure.
+Exit codes: 0 success, 1 generic failure (a command-line usage error
+included), 2 unattainable drive, 3 root-finding failure.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def _resolve_design(cfg: ScenarioConfig):
         lam = inv.solve_lambda(cfg.target_phase_rad, cfg.tau_ns)
     traj = inv.AuxiliaryTrajectory(lam, cfg.tau_ns)
     pulses = inv.synthesize_pulses(traj)
-    phases = inv.lr_phase(traj, pulses)
+    phases = inv.lr_phase(traj)
     return traj, pulses, phases
 
 
@@ -236,8 +236,18 @@ def cmd_reproduce_fig3(cfg: ScenarioConfig, out_dir: Path) -> int:
     return EXIT_FAILURE if failed else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose usage errors exit EXIT_FAILURE instead of
+    2, which is EXIT_UNATTAINABLE_DRIVE here.  Subparsers are of the same
+    class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_FAILURE, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nonrecip",
         description="Pulse design and simulation for a non-reciprocal "
                     "three-level circulator.",

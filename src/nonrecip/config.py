@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .devices import ChainSpec, TransmonSpec
-from .reporting import fmt
 from .units import ghz, khz, mhz
 
 MODELS = ("ideal", "single_excitation", "full_qubit", "full_three_level")
@@ -73,8 +72,8 @@ class ScenarioConfig:
                          nu, nu, d)
 
 
-# (section, key) -> (ScenarioConfig field, SectionProxy getter), in the
-# order serialize_config writes them: the only keys a scenario file takes
+# (section, key) -> (ScenarioConfig field, SectionProxy getter): the only
+# keys a scenario file takes
 _KEYS = {
     ("scenario", "model"): ("model", "get"),
     ("scenario", "tau_ns"): ("tau_ns", "getfloat"),
@@ -130,20 +129,6 @@ def load_config(path) -> ScenarioConfig:
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None
     return parse_config(text, str(path))
-
-
-def serialize_config(cfg: ScenarioConfig) -> str:
-    """The INI text that parse_config reads back as cfg."""
-    blocks = {section: f"[{section}]\n" for section in _SECTIONS}
-    for (section, key), (field, _) in _KEYS.items():
-        if getattr(cfg, field) is not None:
-            blocks[section] += f"{key} = {fmt(getattr(cfg, field))}\n"
-    return "\n".join(blocks.values())
-
-
-def save_config(cfg: ScenarioConfig, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_config(cfg))
 
 
 def with_overrides(cfg: ScenarioConfig, **overrides) -> ScenarioConfig:

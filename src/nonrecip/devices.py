@@ -175,12 +175,6 @@ class DriveWaveform:
     def f_b(self, t):
         return np.interp(t, self.times, self.eta_b) * np.sin(self.nu_b * t)
 
-    @staticmethod
-    def zero(tau: float, nu_a: float, nu_b: float) -> "DriveWaveform":
-        times = np.array([0.0, tau])
-        z = np.zeros(2)
-        return DriveWaveform(times, z, z, nu_a, nu_b)
-
     def write_csv(self, path):
         write_csv(path, {"t_ns": self.times, "eta_a": self.eta_a, "eta_b": self.eta_b})
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .reporting import write_csv
-from .statespace import ControlHamiltonian, PureState
+from .statespace import ControlHamiltonian
 
 
 class TrajectoryRangeError(ValueError):
@@ -160,19 +160,20 @@ class PulsePair:
                          "gprime_b_rad_per_ns": self.g_b})
 
 
-def synthesize_pulses(traj: AuxiliaryTrajectory, n_samples: int = 2001) -> PulsePair:
-    """Tabulate the coupling pulses on a uniform grid of n_samples points.
+PULSE_SAMPLES = 2001
+
+
+def synthesize_pulses(traj: AuxiliaryTrajectory) -> PulsePair:
+    """Tabulate the coupling pulses on a uniform grid of PULSE_SAMPLES points.
 
     Raises PulseDivergenceError when the trajectory passes through
     gamma = pi (lambda >= pi), where the couplings diverge.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
     if traj.lambda_ >= np.pi:
         raise PulseDivergenceError(
             f"couplings diverge for lambda = {traj.lambda_} (gamma reaches pi)"
         )
-    times = np.linspace(0.0, traj.tau, n_samples)
+    times = np.linspace(0.0, traj.tau, PULSE_SAMPLES)
     g_a, g_b = coupling_values(traj, times)
     g_a = np.array(g_a)
     g_b = np.array(g_b)
@@ -180,47 +181,6 @@ def synthesize_pulses(traj: AuxiliaryTrajectory, n_samples: int = 2001) -> Pulse
     g_a[0] = g_a[-1] = 0.0
     g_b[0] = g_b[-1] = 0.0
     return PulsePair(times, g_a, g_b)
-
-
-def _invariant_stack(traj: AuxiliaryTrajectory, t):
-    """I(t) and dI/dt (closed-form derivative of the entries) in the
-    {A, M, B} basis, each stacked to shape (m, 3, 3) over the times t."""
-    g, b, gd, bd = (np.atleast_1d(f(t)) for f in (
-        traj.gamma, traj.beta, traj.gamma_dot, traj.beta_dot))
-    cg, sg, cb, sb = np.cos(g), np.sin(g), np.cos(b), np.sin(b)
-
-    def matrix(am, ab, mb):
-        m = np.zeros((len(g), 3, 3), dtype=complex)
-        m[:, 0, 1] = m[:, 1, 0] = am
-        m[:, 0, 2], m[:, 2, 0] = -1j * ab, 1j * ab
-        m[:, 1, 2] = m[:, 2, 1] = mb
-        return 0.5 * m
-
-    return (matrix(cg * sb, sg, cg * cb),
-            matrix(-gd * sg * sb + bd * cg * cb, gd * cg, -gd * sg * cb - bd * cg * sb))
-
-
-def invariant_at(traj: AuxiliaryTrajectory, t: float) -> np.ndarray:
-    """The unit-scale dynamical invariant I(t) in the {A, M, B} basis."""
-    return _invariant_stack(traj, t)[0][0]
-
-
-def invariant_eigenstates(traj: AuxiliaryTrajectory, t: float):
-    """(mu_0, mu_plus, mu_minus): closed-form eigenstates of the invariant.
-
-    Eigenvalues are 0, +1/2 and -1/2 respectively, independent of t.
-    """
-    g = float(traj.gamma(t))
-    b = float(traj.beta(t))
-    cg, sg, cb, sb = math.cos(g), math.sin(g), math.cos(b), math.sin(b)
-    mu0 = np.array([cg * cb, -1j * sg, -cg * sb], dtype=complex)
-    mup = np.array(
-        [sg * cb + 1j * sb, 1j * cg, -sg * sb + 1j * cb], dtype=complex
-    ) / math.sqrt(2.0)
-    mum = np.array(
-        [sg * cb - 1j * sb, 1j * cg, -sg * sb - 1j * cb], dtype=complex
-    ) / math.sqrt(2.0)
-    return PureState(mu0), PureState(mup), PureState(mum)
 
 
 @dataclass(frozen=True)
@@ -240,20 +200,6 @@ class LRPhaseResult:
     @property
     def theta_plus_mod_2pi(self) -> float:
         return self.theta_plus % (2.0 * math.pi)
-
-
-def _validate_pulses_match(traj: AuxiliaryTrajectory, pulses: PulsePair):
-    if abs(pulses.tau - traj.tau) > 1e-9:
-        raise ValueError("pulse grid span does not match trajectory duration")
-    probes = traj.tau * np.array([0.211, 0.483, 0.747])
-    ga_ref, gb_ref = coupling_values(traj, probes)
-    scale = max(np.max(np.abs(ga_ref)), np.max(np.abs(gb_ref)), 1e-12)
-    err = max(
-        np.max(np.abs(pulses.g_a_at(probes) - ga_ref)),
-        np.max(np.abs(pulses.g_b_at(probes) - gb_ref)),
-    )
-    if err > 1e-3 * scale:
-        raise ValueError("pulses were not synthesized from this trajectory")
 
 
 PHASE_RTOL = 1e-12
@@ -306,9 +252,7 @@ def theta_plus_magnitudes(lams):
     return _theta_plus(lams)[:2]
 
 
-def lr_phase(
-    traj: AuxiliaryTrajectory, pulses: PulsePair | None = None
-) -> LRPhaseResult:
+def lr_phase(traj: AuxiliaryTrajectory) -> LRPhaseResult:
     """Integrate the invariant-eigenstate phase over one period.
 
     The defining integral reduces in closed form to
@@ -316,8 +260,6 @@ def lr_phase(
     magnitude theta_plus_magnitudes integrates (ValueError for
     lambda >= pi).
     """
-    if pulses is not None:
-        _validate_pulses_match(traj, pulses)
     mag, err = (float(v[0]) for v in theta_plus_magnitudes(traj.lambda_))
     return LRPhaseResult(mag, quad_error=err)
 
@@ -403,51 +345,4 @@ def target_unitary(theta_plus: float) -> np.ndarray:
             [-1.0, 0.0, 0.0],
         ],
         dtype=complex,
-    )
-
-
-def lr_predicted_evolution(traj: AuxiliaryTrajectory, pulses: PulsePair) -> np.ndarray:
-    """Evolution operator from the invariant-eigenstate expansion.
-
-    Sum over n in {0, +, -} of exp(-i*theta_n) |mu_n(tau)><mu_n(0)|,
-    theta_n = (0, theta_plus, -theta_plus), in the convention of
-    target_unitary.
-    """
-    theta_plus = lr_phase(traj, pulses).theta_plus
-    start = invariant_eigenstates(traj, 0.0)
-    end = invariant_eigenstates(traj, traj.tau)
-    thetas = (0.0, theta_plus, -theta_plus)
-    u = np.zeros((3, 3), dtype=complex)
-    for theta, s0, s1 in zip(thetas, start, end):
-        u += np.exp(-1j * theta) * np.outer(s1.amplitudes, s0.amplitudes.conj())
-    return u
-
-
-@dataclass(frozen=True)
-class BoundaryDiagnostics:
-    """Commutator and von-Neumann residual norms for a designed pulse set."""
-
-    commutator_start: float
-    commutator_end: float
-    max_von_neumann_residual: float
-
-
-def check_boundary(
-    traj: AuxiliaryTrajectory, pulses: PulsePair, n_grid: int = 10001
-) -> BoundaryDiagnostics:
-    """Frobenius norms of [H, I] at the endpoints and of the von-Neumann
-    residual dI/dt + i[H(t), I(t)] over a uniform grid of n_grid >= 2
-    points."""
-    if n_grid < 2:
-        raise ValueError("n_grid must be >= 2")
-    times = np.linspace(0.0, traj.tau, n_grid)
-    h = pulses.hamiltonian().matrices(times)
-    i_mat, di = _invariant_stack(traj, times)
-    comm = h @ i_mat - i_mat @ h
-    return BoundaryDiagnostics(
-        commutator_start=float(np.linalg.norm(comm[0])),
-        commutator_end=float(np.linalg.norm(comm[-1])),
-        max_von_neumann_residual=float(
-            np.linalg.norm(di + 1j * comm, axis=(1, 2)).max()
-        ),
     )

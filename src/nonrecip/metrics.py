@@ -1,5 +1,4 @@
-"""Fidelities, population traces, the exact ensemble average and
-non-reciprocity quantifiers."""
+"""Fidelities, population traces and the exact ensemble average."""
 
 from __future__ import annotations
 
@@ -17,8 +16,6 @@ from .propagation import (
 )
 from .reporting import write_csv
 from .statespace import PureState
-
-ISOLATION_FLOOR_DB = -120.0
 
 
 @dataclass
@@ -188,26 +185,3 @@ def ensemble_fidelity(model: SimulationModel, noise: bool = True,
     curve = (3.0 * r010[:, 0, 0] + r010[:, 1, 1] + r001[:, 0, 0]
              + 3.0 * r001[:, 1, 1] + x[:, 0, 1] + x[:, 1, 0]) / 8.0
     return EnsembleReport(**run, fidelity_curve=curve)
-
-
-def transmission_matrix(u) -> np.ndarray:
-    """T[i][j] = |<i|U|j>|^2 for a unitary U; columns sum to 1."""
-    m = np.asarray(u)
-    if np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])) > 1e-6:
-        raise ValueError("transmission matrix requires a unitary input")
-    return np.abs(m) ** 2
-
-
-def isolation(u, source: int, destination: int) -> float:
-    """Backward-to-forward transmission ratio in dB, clamped to
-    [-120, 120]: a zero backward transmission reads -120, a zero forward
-    one +120, and so does a ratio beyond either end."""
-    t = transmission_matrix(u)
-    forward = t[destination][source]
-    backward = t[source][destination]
-    if backward == 0.0:
-        return ISOLATION_FLOOR_DB
-    if forward == 0.0:
-        return -ISOLATION_FLOOR_DB
-    db = 10.0 * math.log10(backward / forward)
-    return min(-ISOLATION_FLOOR_DB, max(ISOLATION_FLOOR_DB, db))

@@ -1,15 +1,18 @@
-"""Closed-system and Lindblad propagators, plus the brute-force
-evolution-operator oracle.
+"""Closed-system and Lindblad propagators.
 
-Fixed-step RK4 is the only integrator of the Hamiltonian part (the
-oracle's product of midpoint exponentials is its test reference).  Every
-propagation works on a ControlHamiltonian H(t) = H0 + sum_j c_j(t) A_j
-and takes one state or a block of states.  One RK4 step of
+Fixed-step RK4 is the only integrator of the Hamiltonian part (a product
+of midpoint exponentials in tests/oracle_reference.py is its test
+reference).  Every propagation works on a ControlHamiltonian
+H(t) = H0 + sum_j c_j(t) A_j and takes one state or a block of states,
+and a block member's arithmetic does not depend on the block: each member
+takes the same operations as a single call, bit for bit.  One RK4 step of
 dX/dt = -iH(t) X is a fixed polynomial M_k in the generator at the start,
 midpoint and end of the step, so _raw_maps forms the maps of both kernels
 a chunk at a time, in one batched pass (about 3 d^3 multiply-adds a map):
 
-- closed runs apply one M_k @ X per step to a (d, k) block X of states;
+- closed runs apply one M_k @ x per step to a (k, d, 1) stack of kets,
+  one mat-vec per member (one gemm on a (d, k) block put its columns up
+  to 3e-14 off their single calls);
 - open runs Strang-split drho/dt = -i[H, rho] + D(rho) (Strang, SIAM J.
   Numer. Anal. 5, 506 (1968)), second order in D and fourth in H: a step
   is rho <- E(M_k rho M_k^H) for a (k, d, d) block, with E = exp(D dt)
@@ -34,8 +37,8 @@ too.  Closed maps stay raw: projecting took the maps of a 2,900-step ideal
 run from 5.1 to 8.4 ms (of 12.7), closed d = 8 and 27 runs +24% and +73%.
 
 Fixed-step, fixed-order arithmetic throughout: identical inputs produce
-bit-identical outputs, and a block member's arithmetic does not depend
-on the block.
+bit-identical outputs.  States are recorded every RECORD_STRIDE steps and
+after the last, into one array allocated for the whole run.
 """
 
 from __future__ import annotations
@@ -59,23 +62,23 @@ class IntegratorError(RuntimeError):
     transfer, violated its invariants."""
 
 
+RECORD_STRIDE = 50
+
+
 @dataclass(frozen=True)
 class PropagationConfig:
     """Fixed-step integration settings.
 
     step is in ns; the caller is responsible for resolving the fastest
     Hamiltonian phase (about twenty samples per period; each model's
-    default_step does).  States are recorded every record_stride steps.
+    default_step does).
     """
 
     step: float
-    record_stride: int = 50
 
     def __post_init__(self):
         if not (math.isfinite(self.step) and self.step > 0):
             raise ValueError(f"step must be finite and > 0, got {self.step}")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
 
 
 @dataclass
@@ -174,33 +177,47 @@ def _check_trace_loss(lost) -> float:
     return worst
 
 
+def _records(n: int, dt: float, first: np.ndarray):
+    """The record times of an n-step run of step dt, after 0, RECORD_STRIDE,
+    2 RECORD_STRIDE, ... and n steps, and an uninitialised (records,
+    *first.shape) array of states whose row 0 is first."""
+    times = np.append(np.arange(0, n, RECORD_STRIDE), n) * dt
+    states = np.empty((len(times),) + first.shape, dtype=complex)
+    states[0] = first
+    return times, states
+
+
+def _due(k: int, n: int) -> bool:
+    """Whether the state after step k of n is recorded."""
+    return (k + 1) % RECORD_STRIDE == 0 or k == n - 1
+
+
 @np.errstate(over="ignore", invalid="ignore")  # the rule refuses inf and NaN
 def propagate_schrodinger(
     gen: ControlHamiltonian, psi0: PureState | np.ndarray, tau: float,
     cfg: PropagationConfig,
 ) -> Trajectory:
     """Integrate i d|psi>/dt = H(t)|psi> from 0 to tau by the raw RK4 step
-    maps, one M @ X per step.  psi0 is a PureState, or a (d, k) array
-    whose k columns are propagated together, and each recorded state has
-    the same shape.  Raises StepTooLargeError by the trace-loss rule."""
+    maps, one M @ x per step and state.  psi0 is a PureState, or a (d, k)
+    array whose k columns are propagated together, and each recorded state
+    has the same shape.  Raises StepTooLargeError by the trace-loss rule."""
     n, dt = _grid(tau, cfg.step)
-    x = np.array(psi0.amplitudes if isinstance(psi0, PureState) else psi0, dtype=complex)
-    norm0 = np.sum(np.abs(x) ** 2, axis=0)
-    times, states = [0.0], [x]
+    x0 = np.array(psi0.amplitudes if isinstance(psi0, PureState) else psi0, dtype=complex)
+    x = x0.reshape(gen.dim, -1).T[:, :, None].copy()  # the (k, d, 1) stack of kets
+    norm0 = np.sum(np.abs(x) ** 2, axis=(1, 2))
+    times, states = _records(n, dt, x)
+    j = 0
     for first, maps in _raw_maps(gen, n, dt):
         for step in range(first, first + len(maps)):
-            x = maps[step - first] @ x  # a new array: records need no copy
-            if _due(step, n, cfg):
-                times.append((step + 1) * dt)
-                states.append(x)
+            x = maps[step - first] @ x
+            if _due(step, n):
+                j += 1
+                states[j] = x
         del maps  # free this chunk's maps before the next chunk's are formed
-        loss = _check_trace_loss(norm0 - np.sum(np.abs(x) ** 2, axis=0))
-    return Trajectory(np.array(times), np.array(states), n, dt, loss)
-
-
-def _due(k: int, n: int, cfg: PropagationConfig) -> bool:
-    """Whether the state after step k of n is recorded."""
-    return (k + 1) % cfg.record_stride == 0 or k == n - 1
+        loss = _check_trace_loss(norm0 - np.sum(np.abs(x) ** 2, axis=(1, 2)))
+    # (records, k, d, 1) to (records, d, k), or (records, d) for one ket
+    states = states[..., 0].transpose(0, 2, 1).reshape((len(times),) + x0.shape)
+    return Trajectory(times, states, n, dt, loss)
 
 
 def _expm_taylor(a: np.ndarray) -> np.ndarray:
@@ -333,7 +350,8 @@ def integrate_master(
     n, dt = _grid(tau, cfg.step)
     half, full = _dissipator_propagators(channels, gen.dim, dt)
     r = np.array(rho0, dtype=complex).reshape(-1, gen.dim, gen.dim)
-    times, states = [0.0], [r]
+    times, states = _records(n, dt, r)
+    j = 0
     r = half(r)
     lost = np.zeros(len(r))
     for first, maps in _raw_maps(gen, n, dt):
@@ -343,9 +361,9 @@ def integrate_master(
         for step in range(first, first + len(maps)):
             acted_on[step - first] = r
             r = maps[step - first] @ r @ adjoints[step - first]
-            if _due(step, n, cfg):
-                times.append((step + 1) * dt)
-                states.append(half(r))
+            if _due(step, n):
+                j += 1
+                states[j] = half(r)
             r = full(r)
         # tr(K rho) = sum_ij K_ij conj(rho_ij) for a Hermitian rho
         lost += (acted_on.reshape(len(maps), len(r), -1).conj()
@@ -353,8 +371,7 @@ def integrate_master(
         del maps, defects, adjoints, acted_on  # before the next chunk's are formed
         loss = _check_trace_loss(lost)
     check_density(states[-1])
-    return Trajectory(np.array(times), np.array(states).reshape(
-        (len(times),) + np.shape(rho0)), n, dt, loss)
+    return Trajectory(times, states.reshape((len(times),) + np.shape(rho0)), n, dt, loss)
 
 
 def check_density(rho: np.ndarray):
@@ -373,33 +390,3 @@ def check_density(rho: np.ndarray):
         raise IntegratorError("final state lost Hermiticity; reduce the step")
     if np.linalg.eigvalsh(0.5 * (rho + adjoint)).min() < -1e-6:
         raise IntegratorError("final state lost positivity; reduce the step")
-
-
-def evolution_operator_oracle(
-    gen: ControlHamiltonian, tau: float, cfg: PropagationConfig | None = None
-) -> np.ndarray:
-    """U(tau), as a complex (d, d) array: the time-ordered product of
-    per-step midpoint exponentials exp(-i H(t_k + dt/2) dt).
-
-    This is the brute-force reference for any designed evolution
-    operator; accuracy is limited only by the step size.
-    """
-    cfg = cfg or PropagationConfig(step=0.001)
-    n, dt = _grid(tau, cfg.step)
-    hs = gen.matrices((np.arange(n) + 0.5) * dt)
-    w, v = np.linalg.eigh(hs)
-    phases = np.exp(-1j * w * dt)
-    steps = np.einsum("kij,kj,klj->kil", v, phases, v.conj())
-    u = np.eye(gen.dim, dtype=complex)
-    for k in range(n):
-        u = steps[k] @ u
-    return u
-
-
-def global_phase_distance(u1, u2) -> tuple[float, float]:
-    """(distance, phi) minimizing ||u1 - exp(i*phi)*u2|| over the global
-    phase, measured in the operator (spectral) norm."""
-    m1, m2 = np.asarray(u1), np.asarray(u2)
-    phi = float(np.angle(np.trace(m2.conj().T @ m1)))
-    dist = float(np.linalg.norm(m1 - np.exp(1j * phi) * m2, 2))
-    return dist, phi

@@ -12,18 +12,10 @@ from pathlib import Path
 import numpy as np
 
 
-def fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, str)):
-        return str(x)
-    return format(float(x), ".17g")
-
-
 def write_csv(path, columns: dict):
     """Write the named numeric columns, of equal length, as a header and
-    one row per index, every value as fmt writes a float ('%.17g' equals
-    format(x, '.17g'))."""
+    one row per index, every value as '%.17g' writes it, which equals
+    format(float(x), '.17g')."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     rows = np.column_stack([np.asarray(c, dtype=float) for c in columns.values()])

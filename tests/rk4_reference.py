@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from nonrecip.propagation import Trajectory, _grid
+from nonrecip.propagation import RECORD_STRIDE, Trajectory, _grid
 
 CHUNK = 256  # steps per coefficient table
 
@@ -76,7 +76,7 @@ def rk4(stack, gen, x0, tau: float, cfg) -> Trajectory:
             stage(2, x + 0.5 * dt * k[1], table[s + 1])
             stage(3, x + dt * k[2], table[s + 2])
             x = x + (weights @ flat).reshape(x.shape)
-            if (step + 1) % cfg.record_stride == 0 or step == n - 1:
+            if (step + 1) % RECORD_STRIDE == 0 or step == n - 1:
                 times.append((step + 1) * dt)
                 states.append(x.copy())
     # the trace loss is the kernels' rule; the reference does not track it

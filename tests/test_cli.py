@@ -21,11 +21,10 @@ from nonrecip.config import (
     ScenarioConfig,
     load_config,
     parse_config,
-    save_config,
-    serialize_config,
     with_overrides,
 )
 from nonrecip.propagation import IntegratorError, PropagationConfig
+from scenario_text import serialize_config
 
 
 class TestConfig:
@@ -64,13 +63,13 @@ class TestConfig:
     def test_file_round_trip(self, tmp_path):
         cfg = ScenarioConfig(model="full_qubit", noise=True)
         path = tmp_path / "scenario.ini"
-        save_config(cfg, path)
+        path.write_text(serialize_config(cfg))
         assert load_config(path) == cfg
 
     def test_effective_step_defaults(self, tmp_path):
         def resolved_step(cfg):
             cfg_path, out = tmp_path / "scenario.ini", tmp_path / "out"
-            save_config(cfg, cfg_path)
+            cfg_path.write_text(serialize_config(cfg))
             assert main(["--config", str(cfg_path), "--out", str(out), "--no-noise",
                          "simulate", "--initial", "100"]) == EXIT_OK
             return json.loads((out / "report.json").read_text())["step_ns"]
@@ -164,7 +163,7 @@ class TestDesignCommand:
 
     def test_divergent_lambda_exit_code(self, tmp_path):
         cfg_path = tmp_path / "bad.ini"
-        save_config(with_overrides(ScenarioConfig(), lambda_=5.0), cfg_path)
+        cfg_path.write_text(serialize_config(with_overrides(ScenarioConfig(), lambda_=5.0)))
         code = main(["--config", str(cfg_path), "--out",
                      str(tmp_path / "out"), "design"])
         assert code == EXIT_UNATTAINABLE_DRIVE
@@ -190,8 +189,8 @@ class TestDesignCommand:
 
     def test_diagnostics_and_byte_identical_reruns(self, tmp_path):
         cfg_path = tmp_path / "target.ini"
-        save_config(ScenarioConfig(lambda_=None, target_phase_rad=1.5 * np.pi),
-                    cfg_path)
+        cfg_path.write_text(serialize_config(
+            ScenarioConfig(lambda_=None, target_phase_rad=1.5 * np.pi)))
         outs = [tmp_path / "a", tmp_path / "b"]
         for out in outs:
             assert main(["--config", str(cfg_path), "--out", str(out),
@@ -368,6 +367,22 @@ class TestSimulateCommand:
 
 
 class TestFailureReporting:
+    @pytest.mark.parametrize("argv, code", [
+        (["--bogus", "design"], EXIT_FAILURE),
+        (["sweep-lambda", "--lo", "-inf"], EXIT_FAILURE),
+        (["simulate", "--initial", "7"], EXIT_FAILURE),
+        (["--help"], EXIT_OK),
+    ], ids=["unknown-flag", "flag-without-value", "invalid-choice", "help"])
+    def test_usage_error_exits_1(self, tmp_path, capsys, argv, code):
+        # argparse's own usage-error code, 2, is the unattainable-drive code
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(out)] + argv)
+        assert exc.value.code == code
+        err = capsys.readouterr().err
+        assert ("error: " in err) == (code == EXIT_FAILURE)
+        assert not out.exists()
+
     def test_overflowing_closed_run_exits_1(self, tmp_path, capsys):
         # step 1.5 ns cannot resolve the full chain; the states overflow
         # unless the trace-loss rule refuses the run first

@@ -19,7 +19,6 @@ from nonrecip.devices import (
 from nonrecip.invariant import (
     AuxiliaryTrajectory,
     PulsePair,
-    check_boundary,
     lr_phase,
     synthesize_pulses,
     target_unitary,
@@ -27,6 +26,7 @@ from nonrecip.invariant import (
 from nonrecip.metrics import ensemble_fidelity, transfer_fidelity
 from nonrecip.propagation import PropagationConfig
 from nonrecip.statespace import PureState
+from lr_reference import check_boundary
 
 TAU = 145.0
 # lambda solved from the circulator phase 3*pi/2 at tau = 145 ns
@@ -146,7 +146,7 @@ class TestSeedFidelities:
     @pytest.fixture(scope="class")
     def setup(self, pulses, drives):
         traj = AuxiliaryTrajectory(LAMBDA_SOLVED, TAU)
-        theta = lr_phase(traj, pulses).theta_plus
+        theta = lr_phase(traj).theta_plus
         model = single_excitation_model(ScenarioConfig().chain_spec(), drives)
         return model, theta, PropagationConfig(step=0.05)
 
@@ -183,7 +183,7 @@ def test_long_three_level_run_completes():
     pulses = synthesize_pulses(traj)
     chain = ScenarioConfig(model="full_three_level").chain_spec()
     model = full_chain_model(chain, invert_bessel_drive(pulses, chain))
-    target = PureState(target_unitary(lr_phase(traj, pulses).theta_plus)[:, 0])
+    target = PureState(target_unitary(lr_phase(traj).theta_plus)[:, 0])
     report = transfer_fidelity(model, "100", target)
     assert (model.dim, report.step_ns) == (27, 0.005)
     # the vec-rho RK4 kernel read 0.9726293649267329

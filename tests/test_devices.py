@@ -44,6 +44,12 @@ def drives(pulses, chain):
     return invert_bessel_drive(pulses, chain)
 
 
+def quiet(chain):
+    """Drives that stay off over [0, TAU]."""
+    return DriveWaveform(np.array([0.0, TAU]), np.zeros(2), np.zeros(2),
+                         chain.nu_a, chain.nu_b)
+
+
 def single_excitation_h(chain, drives, t):
     """H(t) of the single-excitation model on |100>, |010>, |001>."""
     idx = single_excitation_indices(2)
@@ -172,8 +178,7 @@ class TestIdealHamiltonian:
 
 class TestSingleExcitationHamiltonian:
     def test_undriven_at_zero(self, chain):
-        quiet = DriveWaveform.zero(TAU, chain.nu_a, chain.nu_b)
-        h = single_excitation_h(chain, quiet, 0.0)
+        h = single_excitation_h(chain, quiet(chain), 0.0)
         g = mhz(10.0)
         assert h[0, 1] == pytest.approx(g, abs=1e-15)
         assert h[2, 1] == pytest.approx(g, abs=1e-15)
@@ -197,9 +202,8 @@ class TestSingleExcitationHamiltonian:
 
 class TestFullChainHamiltonian:
     def test_single_excitation_projection(self, chain):
-        quiet = DriveWaveform.zero(TAU, chain.nu_a, chain.nu_b)
-        h_full = full_chain_h(chain, quiet, 0.0)
-        h_sub = single_excitation_h(chain, quiet, 0.0)
+        h_full = full_chain_h(chain, quiet(chain), 0.0)
+        h_sub = single_excitation_h(chain, quiet(chain), 0.0)
         idx = list(single_excitation_indices(2))
         assert np.allclose(h_full[np.ix_(idx, idx)], h_sub, atol=1e-12)
 
@@ -236,8 +240,7 @@ class TestFullChainHamiltonian:
 
     def test_three_level_anharmonicity_on_diagonal(self):
         chain3 = replace(ScenarioConfig().chain_spec(), d=3)
-        quiet = DriveWaveform.zero(TAU, chain3.nu_a, chain3.nu_b)
-        h = full_chain_h(chain3, quiet, 0.0)
+        h = full_chain_h(chain3, quiet(chain3), 0.0)
         labels = chain_labels(3)
         assert h[labels.index("200"), labels.index("200")] == pytest.approx(
             -mhz(220.0), abs=1e-15

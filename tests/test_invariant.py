@@ -11,24 +11,23 @@ from nonrecip.invariant import (
     PulsePair,
     RootBracketError,
     TrajectoryRangeError,
-    check_boundary,
     coupling_values,
-    invariant_at,
-    invariant_eigenstates,
     lr_phase,
-    lr_predicted_evolution,
     solve_lambda,
     synthesize_pulses,
     target_unitary,
     theta_plus_magnitudes,
 )
 from nonrecip.devices import ideal_model, J1_PEAK
-from nonrecip.propagation import (
-    PropagationConfig,
-    evolution_operator_oracle,
-    global_phase_distance,
-)
+from nonrecip.propagation import PropagationConfig
 from nonrecip.units import mhz
+from lr_reference import (
+    check_boundary,
+    invariant_eigenstates,
+    invariant_stack,
+    lr_predicted_evolution,
+)
+from oracle_reference import evolution_operator_oracle, global_phase_distance
 
 TAU = 145.0
 LAMBDA_REF = 0.4974
@@ -108,41 +107,36 @@ class TestSynthesizePulses:
         assert pulses.times[np.argmax(pulses.g_b)] < pulses.times[np.argmax(pulses.g_a)]
 
     def test_peak_ratio_within_bessel_range(self, traj):
-        dense = synthesize_pulses(traj, 10001)
+        g_a, g_b = coupling_values(traj, np.linspace(0.0, TAU, 10001))
         g = mhz(10.0)
-        ratio = max(np.abs(dense.g_a).max(), np.abs(dense.g_b).max()) / (2 * g)
+        ratio = max(np.abs(g_a).max(), np.abs(g_b).max()) / (2 * g)
         # peak grazes the J1 maximum; invertible up to the clamp slack
         assert ratio == pytest.approx(J1_PEAK, rel=2e-4)
         assert ratio < J1_PEAK * (1 + 5e-4)
 
     def test_finite_everywhere(self, traj):
-        dense = synthesize_pulses(traj, 20001)
-        assert np.all(np.isfinite(dense.g_a)) and np.all(np.isfinite(dense.g_b))
+        g_a, g_b = coupling_values(traj, np.linspace(0.0, TAU, 20001))
+        assert np.all(np.isfinite(g_a)) and np.all(np.isfinite(g_b))
 
-    def test_divergent_trajectory_rejected(self, traj):
+    def test_divergent_trajectory_rejected(self, pulses):
         with pytest.raises(PulseDivergenceError):
             synthesize_pulses(AuxiliaryTrajectory(5.0, TAU))
         # non-finite samples are rejected by PulsePair itself
-        pulses = synthesize_pulses(traj, 11)
         g_a = pulses.g_a.copy()
         g_a[5] = np.inf
         with pytest.raises(PulseDivergenceError, match="finite"):
             PulsePair(pulses.times, g_a, pulses.g_b)
 
-    def test_requires_two_samples(self, traj):
-        with pytest.raises(ValueError):
-            synthesize_pulses(traj, 1)
-
 
 class TestInvariant:
     def test_start_form(self, traj):
-        m = invariant_at(traj, 0.0)
+        m = invariant_stack(traj, 0.0)[0][0]
         expected = np.zeros((3, 3), dtype=complex)
         expected[1, 2] = expected[2, 1] = 0.5  # (|M><B| + |B><M|)/2
         assert np.allclose(m, expected, atol=1e-12)
 
     def test_end_form(self, traj):
-        m = invariant_at(traj, TAU)
+        m = invariant_stack(traj, TAU)[0][0]
         expected = np.zeros((3, 3), dtype=complex)
         expected[0, 1] = expected[1, 0] = 0.5
         assert np.allclose(m, expected, atol=1e-12)
@@ -150,7 +144,7 @@ class TestInvariant:
     def test_spectrum_constancy(self, traj):
         rng = np.random.default_rng(42)
         for t in rng.uniform(0.0, TAU, 100):
-            evals = np.sort(np.linalg.eigvalsh(invariant_at(traj, t)))
+            evals = np.sort(np.linalg.eigvalsh(invariant_stack(traj, t)[0][0]))
             assert np.max(np.abs(evals - [-0.5, 0.0, 0.5])) < 1e-10
 
     def test_eigenstate_endpoints(self, traj):
@@ -164,7 +158,7 @@ class TestInvariant:
     def test_eigen_residual(self, traj):
         rng = np.random.default_rng(5)
         for t in rng.uniform(0.0, TAU, 100):
-            i_mat = invariant_at(traj, t)
+            i_mat = invariant_stack(traj, t)[0][0]
             mu0, mup, mum = invariant_eigenstates(traj, t)
             for state, eig in ((mu0, 0.0), (mup, 0.5), (mum, -0.5)):
                 resid = i_mat @ state.amplitudes - eig * state.amplitudes
@@ -193,33 +187,28 @@ def generic_phase_integrand(traj, pulses, t, branch, h=1e-6):
 
 
 class TestLRPhase:
-    def test_circulator_anchor(self, traj, pulses):
-        result = lr_phase(traj, pulses)
+    def test_circulator_anchor(self, traj):
+        result = lr_phase(traj)
         assert abs(result.theta_plus - THETA_CIRC) < 1e-3
 
     def test_sign_structure(self, traj):
         assert lr_phase(traj).theta_plus > 0
 
-    def test_matches_defining_integral(self, traj, pulses):
+    def test_matches_defining_integral(self, traj):
         # oracle: Simpson quadrature of the generic integrand; a fine pulse
         # table keeps interpolation error in the oracle's H below tolerance
-        fine = synthesize_pulses(traj, n_samples=8001)
         ts = np.linspace(0.0, TAU, 8001)
+        fine = PulsePair(ts, *coupling_values(traj, ts))
         vals = np.array(
             [generic_phase_integrand(traj, fine, t, branch=1) for t in ts]
         )
         raw = integrate.simpson(vals, x=ts)
         # the signed integral of the plus branch is -theta_plus
-        assert -lr_phase(traj, pulses).theta_plus == pytest.approx(raw, abs=1e-6)
+        assert -lr_phase(traj).theta_plus == pytest.approx(raw, abs=1e-6)
 
     def test_zero_branch_integrand_vanishes(self, traj, pulses):
         for t in np.linspace(0.5, TAU - 0.5, 37):
             assert abs(generic_phase_integrand(traj, pulses, t, branch=0)) < 1e-9
-
-    def test_rejects_foreign_pulses(self, traj):
-        other = synthesize_pulses(AuxiliaryTrajectory(0.8, TAU))
-        with pytest.raises(ValueError):
-            lr_phase(traj, other)
 
 
 def quad_theta_plus(lam, tau):
@@ -332,22 +321,22 @@ class TestTargetUnitary:
 
 
 class TestLRPredictedEvolution:
-    def test_zero_branch_contribution(self, traj, pulses):
-        u = lr_predicted_evolution(traj, pulses)
+    def test_zero_branch_contribution(self, traj):
+        u = lr_predicted_evolution(traj)
         assert u[2, 0] == pytest.approx(-1.0, abs=1e-9)
         assert abs(u[0, 0]) < 1e-9 and abs(u[1, 0]) < 1e-9
 
-    def test_matches_target_unitary(self, traj, pulses):
-        u = lr_predicted_evolution(traj, pulses)
-        theta = lr_phase(traj, pulses).theta_plus
+    def test_matches_target_unitary(self, traj):
+        u = lr_predicted_evolution(traj)
+        theta = lr_phase(traj).theta_plus
         assert np.max(np.abs(u - target_unitary(theta))) < 1e-9
 
-    def test_unitary(self, traj, pulses):
-        u = lr_predicted_evolution(traj, pulses)
+    def test_unitary(self, traj):
+        u = lr_predicted_evolution(traj)
         assert np.linalg.norm(u.conj().T @ u - np.eye(3)) < 1e-9
 
     def test_matches_time_ordered_oracle(self, traj, pulses):
-        u_pred = lr_predicted_evolution(traj, pulses)
+        u_pred = lr_predicted_evolution(traj)
         model = ideal_model(pulses)
         u_num = evolution_operator_oracle(
             model.hamiltonian, TAU, PropagationConfig(step=0.001)
@@ -367,8 +356,6 @@ class TestCheckBoundary:
         assert diag.max_von_neumann_residual < 1e-6
 
     def test_perturbed_pulses_detected(self, traj, pulses):
-        from nonrecip.invariant import PulsePair
-
         perturbed = PulsePair(pulses.times, 1.01 * pulses.g_a, pulses.g_b)
         diag = check_boundary(traj, perturbed)
         # an order of magnitude above the valid-design bound

@@ -1,0 +1,50 @@
+"""Every public top-level name that a module of src/nonrecip defines is
+used by the program: loaded as a Name or an Attribute node outside its own
+definition, somewhere in src/ or perfbench/.  A name that only the tests
+use belongs in tests/, as the references there do."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PROGRAM = sorted((ROOT / "src" / "nonrecip").glob("*.py")) + sorted(
+    (ROOT / "perfbench").glob("*.py"))
+
+
+def defined(statement) -> list[str]:
+    """The public names that a top-level statement defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [statement.name]
+    elif isinstance(statement, ast.Assign):
+        names = [t.id for t in statement.targets if isinstance(t, ast.Name)]
+    elif isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+        names = [statement.target.id]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("_")]
+
+
+def loaded(statement) -> set[str]:
+    """The names and attributes that a statement loads, anywhere inside it."""
+    names = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_name_is_used_by_the_program():
+    definitions, uses = [], []
+    for path in PROGRAM:
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            uses.append((statement, loaded(statement)))
+            if path.parent.name == "nonrecip":
+                definitions += [(f"{path.stem}.{name}", name, statement)
+                                for name in defined(statement)]
+    unused = [qualified for qualified, name, where in definitions
+              if not any(name in names for statement, names in uses
+                         if statement is not where)]
+    assert definitions
+    assert unused == []

@@ -23,13 +23,12 @@ from nonrecip.propagation import (
     IntegratorError,
     PropagationConfig,
     StepTooLargeError,
-    evolution_operator_oracle,
-    global_phase_distance,
     integrate_master,
     propagate_schrodinger,
 )
 from nonrecip.statespace import ControlHamiltonian, PureState
 from nonrecip.units import khz
+from oracle_reference import evolution_operator_oracle, global_phase_distance
 from rk4_reference import dissipator, master_rk4, rk4
 
 TAU = 145.0
@@ -113,13 +112,12 @@ class TestSchrodinger:
                                   PropagationConfig(step=step))
 
     def test_recording_stride(self):
+        # every RECORD_STRIDE = 50 steps and after the last: 0, 50, 100, 123
         traj = propagate_schrodinger(
-            modulated(np.zeros((2, 2))), ket(2, 0), 1.0,
-            PropagationConfig(step=0.01, record_stride=10),
-        )
-        assert len(traj.times) == len(traj.states) == 11
+            modulated(np.zeros((2, 2))), ket(2, 0), 1.23, PropagationConfig(step=0.01))
+        assert len(traj.times) == len(traj.states) == 4
         assert traj.times[0] == 0.0
-        assert traj.times[-1] == pytest.approx(1.0)
+        assert traj.times[1:] == pytest.approx([0.5, 1.0, 1.23])
 
 
 def random_control_form(d, seed):
@@ -146,7 +144,7 @@ def random_block(d, seed):
 
 
 class TestStepMaps:
-    CFG = PropagationConfig(step=0.01, record_stride=40)
+    CFG = PropagationConfig(step=0.01)
 
     @pytest.mark.parametrize("d", [3, 8])
     def test_matches_stage_by_stage_rk4(self, d):
@@ -170,8 +168,7 @@ class TestStepMaps:
         for j in range(3):
             alone = propagate_schrodinger(gen, PureState(block[:, j]), 5.0, self.CFG)
             assert alone.final.shape == (d,)
-            for got, want in zip(together.states, alone.states):
-                assert np.max(np.abs(got[:, j] - want)) < 1e-14
+            assert np.array_equal(together.states[:, :, j], alone.states)
 
     def test_norm_drift_of_one_column_raises(self):
         # the anti-Hermitian term -0.2i|2><2| drains only basis state 2
@@ -219,7 +216,7 @@ class TestLindblad:
         chan = LindbladChannel(operator=op, rate=khz(50.0))
         traj = integrate_master(
             modulated(np.zeros((2, 2))), [chan], projector(ket(2, 1)), 500.0,
-            PropagationConfig(step=0.05, record_stride=200),
+            PropagationConfig(step=0.05),
         )
         p1 = traj.states[:, 1, 1].real
         assert np.all(np.diff(p1) < 0)
@@ -242,32 +239,42 @@ class TestLindblad:
         psi0 = ket(device.dim, device.logical_index("100"))
         traj = integrate_master(
             device.hamiltonian, device.channels, projector(psi0), 10.0,
-            PropagationConfig(step=device.default_step, record_stride=500),
+            PropagationConfig(step=device.default_step),
         )
         for s in traj.states:
             assert np.trace(s).real == pytest.approx(1.0, abs=1e-9)
             assert np.linalg.eigvalsh(0.5 * (s + s.conj().T)).min() > -1e-8
 
+    @pytest.mark.parametrize("kernel", ["master", "schrodinger"])
     @pytest.mark.parametrize("model, step, tau", [
         ("device", 0.05, 10.0), ("three_level", 0.005, 1.0)])
-    def test_block_equals_single_calls(self, request, model, step, tau):
-        # one dissipator factor at d = 8, three at d = 27
+    def test_block_equals_single_calls(self, request, kernel, model, step, tau):
+        # one dissipator factor at d = 8, three at d = 27; a closed block
+        # steps each ket by its own mat-vec, as a single call does
         model = request.getfixturevalue(model)
         d = model.dim
-        cfg = PropagationConfig(step=step, record_stride=40)
+        cfg = PropagationConfig(step=step)
         i100, i010, i001 = model.logical_indices
         plus = np.zeros(d)
         plus[[i010, i001]] = 1.0 / np.sqrt(2.0)
-        block = np.stack([projector(ket(d, i100)),
-                          projector(ket(d, i010)), np.outer(plus, plus)])
-        together = integrate_master(model.hamiltonian, model.channels, block, tau, cfg)
-        assert together.states.shape == (6, 3, d, d)
-        for j in range(3):
-            alone = integrate_master(model.hamiltonian, model.channels, block[j],
-                                     tau, cfg)
-            assert alone.states.shape == (6, d, d)
+        kets = [ket(d, i100), ket(d, i010), PureState(plus)]
+        if kernel == "master":
+            singles = [projector(k) for k in kets]
+            block = np.stack(singles)
+            run = lambda x: integrate_master(model.hamiltonian, model.channels, x, tau, cfg)
+            member = lambda states, j: states[:, j]
+        else:
+            singles = kets
+            block = np.column_stack([k.amplitudes for k in kets])
+            run = lambda x: propagate_schrodinger(model.hamiltonian, x, tau, cfg)
+            member = lambda states, j: states[:, :, j]
+        together = run(block)
+        assert together.states.shape == (5,) + block.shape
+        for j, single in enumerate(singles):
+            alone = run(single)
             assert np.array_equal(together.times, alone.times)
-            assert np.array_equal(together.states[:, j], alone.states)
+            assert alone.states.shape == member(together.states, j).shape
+            assert np.array_equal(member(together.states, j), alone.states)
 
     def test_broken_member_of_block_raises(self, device):
         # the trace is conserved to rounding, so a member that starts with

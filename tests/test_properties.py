@@ -9,15 +9,11 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nonrecip.devices import LindbladChannel
-from nonrecip.propagation import (
-    PropagationConfig,
-    check_density,
-    evolution_operator_oracle,
-    integrate_master,
-)
+from nonrecip.propagation import PropagationConfig, check_density, integrate_master
 from nonrecip.statespace import ControlHamiltonian
+from oracle_reference import evolution_operator_oracle
 
-CFG = PropagationConfig(step=0.01, record_stride=25)
+CFG = PropagationConfig(step=0.01)
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=25)
 
 unit = st.floats(-1.0, 1.0)

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from nonrecip.reporting import fmt, write_csv, write_json
+from nonrecip.reporting import write_csv, write_json
+from scenario_text import fmt
 
 
 def test_write_csv_matches_per_value_fmt(tmp_path):
