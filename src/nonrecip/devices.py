@@ -13,6 +13,10 @@ Three models share the same designed pulses:
 Drive envelopes are obtained by inverting g'(t) = 2 g J1(eta(t)) on the
 principal branch of the Bessel function J1, evaluated by its ascending
 power series.
+
+Every model's default step comes from one rule (_model), on the pulse-
+sample grid, from a bound on the rate of its fastest coefficient phase
+that its control builder takes from the carriers and drives.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .invariant import PulsePair, bisect_increasing
+from .invariant import PulsePair
 from .reporting import write_csv
 from .statespace import ControlHamiltonian, _freeze
 
@@ -38,6 +42,13 @@ BESSEL_CLAMP_RTOL = 5e-4
 # q = (x/2)^2.  The first term left out is below 3e-27 on [0, J1_PEAK_X].
 _J1_SERIES = tuple((-1) ** k / (math.factorial(k) * math.factorial(k + 1))
                    for k in range(15))
+# (-1)^k / (k!)^2 for k = 0..15: the ascending series of J0 in q (DLMF
+# 10.2.2); the first term left out is below 2e-27 on [0, J1_PEAK_X]
+_J0_SERIES = tuple((-1) ** k / math.factorial(k) ** 2 for k in range(16))
+
+# the fewest steps per period of the fastest coefficient phase that a
+# model's default step gives
+STEPS_PER_PERIOD = 20
 
 
 class UnattainableDriveError(ValueError):
@@ -115,6 +126,15 @@ class ChainSpec:
             )
 
 
+def _series(coefficients, q):
+    """sum_k coefficients[k] q^k by Horner's rule, elementwise."""
+    acc = np.full(q.shape, coefficients[-1])
+    for c in coefficients[-2::-1]:
+        acc *= q
+        acc += c
+    return acc
+
+
 def bessel_j1(x):
     """Bessel function of the first kind, order one, elementwise (a numpy
     scalar for a scalar), by its ascending series J1(x) = h sum_k (-1)^k
@@ -124,24 +144,38 @@ def bessel_j1(x):
     absolute on [0, 3.5]; beyond, cancellation and truncation grow (the
     error is 1.6e-4 at x = 10)."""
     h = 0.5 * np.asarray(x, dtype=float)
-    q = h * h
-    acc = np.full(q.shape, _J1_SERIES[-1])
-    for c in _J1_SERIES[-2::-1]:
-        acc *= q
-        acc += c
-    return h * acc
+    return h * _series(_J1_SERIES, h * h)
 
 
+# 129 equally spaced points of J1's principal branch, against
+# s = sqrt(J1_PEAK - J1), increasing: the inverse is smooth in s up to the
+# peak, where it is J1_PEAK_X - s / sqrt(-J1''(J1_PEAK_X) / 2) + O(s^2)
+_J1_TABLE_X = np.linspace(J1_PEAK_X, 0.0, 129)
+_J1_TABLE_S = np.sqrt(np.maximum(J1_PEAK - bessel_j1(_J1_TABLE_X), 0.0))
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # J1' = 0 only at y = J1_PEAK
 def invert_bessel_j1(y):
     """Principal-branch inverse of J1 on [0, J1_PEAK_X], elementwise for
-    an array (a float for a scalar): bisection, on which 0 and J1_PEAK
-    map to 0 and J1_PEAK_X exactly."""
+    an array (a float for a scalar): six Newton steps
+    x <- x - (J1(x) - y) / J1'(x), with J1' = J0 - J1/x (DLMF 10.6.2) and
+    J1/x = J1's series over 2, from linear interpolation in a 129-point
+    table of the inverse against sqrt(J1_PEAK - y).  Three steps reach a
+    relative residual below 1e-15 for every y, up to one rounding unit
+    below the peak; the count is fixed because J1' vanishes at the peak,
+    where a step-size stop test is never met.  0 and J1_PEAK map to 0 and
+    J1_PEAK_X exactly."""
     y = np.asarray(y, dtype=float)
     if np.any(y < 0) or np.any(y > J1_PEAK):
         raise ValueError(f"J1 values span [{y.min()}, {y.max()}], outside the "
                          f"principal range [0, {J1_PEAK}]")
-    eta = np.where(y == J1_PEAK, J1_PEAK_X,
-                   bisect_increasing(bessel_j1, y, 0.0, J1_PEAK_X))
+    x = np.interp(np.sqrt(J1_PEAK - y), _J1_TABLE_S, _J1_TABLE_X)
+    for _ in range(6):
+        h = 0.5 * x
+        q = h * h
+        j1_over_h = _series(_J1_SERIES, q)
+        x = x - (h * j1_over_h - y) / (_series(_J0_SERIES, q) - 0.5 * j1_over_h)
+    eta = np.where(y == J1_PEAK, J1_PEAK_X, x)
     return float(eta) if eta.ndim == 0 else eta
 
 
@@ -175,13 +209,20 @@ class DriveWaveform:
     def f_b(self, t):
         return np.interp(t, self.times, self.eta_b) * np.sin(self.nu_b * t)
 
+    def phase_rates(self) -> tuple[float, float]:
+        """Bounds on |dF_a/dt| and |dF_b/dt|: nu_j max eta_j plus the
+        steepest slope of the interpolated eta_j."""
+        dt = np.diff(self.times)
+        return tuple(nu * float(eta.max()) + float(np.max(np.abs(np.diff(eta)) / dt))
+                     for nu, eta in ((self.nu_a, self.eta_a), (self.nu_b, self.eta_b)))
+
     def write_csv(self, path):
         write_csv(path, {"t_ns": self.times, "eta_a": self.eta_a, "eta_b": self.eta_b})
 
 
 def invert_bessel_drive(pulses: PulsePair, chain: ChainSpec) -> DriveWaveform:
     """Solve 2 g_j J1(eta_j(t)) = g'_j(t) for every sample of both tracks
-    at once: one invert_bessel_j1 bisection on the stacked (2, n) ratios.
+    at once: one invert_bessel_j1 call on the stacked (2, n) ratios.
 
     Ratios above the J1 maximum by more than BESSEL_CLAMP_RTOL raise
     UnattainableDriveError naming the worst time point, track A checked
@@ -209,7 +250,7 @@ SINGLE_EXCITATION_LABELS = ("100", "010", "001")
 def _single_excitation_control(chain: ChainSpec, drives: DriveWaveform):
     """Phase-modulated static couplings g_j exp(i(delta_j t - F_j(t)))
     of |100> and |001> to |010>, with their conjugates, acting on the
-    qubit product space."""
+    qubit product space, and a bound on the rate of their phases."""
     i100, i010, i001 = single_excitation_indices(2)
 
     def coeffs(t):
@@ -220,7 +261,9 @@ def _single_excitation_control(chain: ChainSpec, drives: DriveWaveform):
     ops = np.zeros((4, 8, 8))
     for j, (r, c) in enumerate([(i100, i010), (i010, i100), (i001, i010), (i010, i001)]):
         ops[j, r, c] = 1.0
-    return ControlHamiltonian(np.zeros((8, 8)), ops, coeffs)
+    rate = max(abs(delta) + f for delta, f in zip((chain.delta_a, chain.delta_b),
+                                                  drives.phase_rates()))
+    return ControlHamiltonian(np.zeros((8, 8)), ops, coeffs), rate
 
 
 def chain_labels(d: int) -> list[str]:
@@ -249,7 +292,8 @@ def _full_chain_control(chain: ChainSpec, drives: DriveWaveform):
     x_k = a exp(i phi_k) + h.c., phi_a = -omega_a t + F_a(t),
     phi_m = -omega_m t, phi_b = -omega_b t + F_b(t): each product
     expands into four carrier-phase terms.  For d = 3 the anharmonic
-    shift -alpha_k on level 2 of each transmon is the drift."""
+    shift -alpha_k on level 2 of each transmon is the drift.  Also
+    returns a bound on the rate of the terms' phases."""
     d = chain.d
     eye = np.eye(d)
     ladder = (_lowering(d), _lowering(d).T)
@@ -269,7 +313,9 @@ def _full_chain_control(chain: ChainSpec, drives: DriveWaveform):
         cols += [chain.g_b * b[s] * m[r] for s, r in pairs]
         return np.stack(cols, axis=-1)
 
-    return ControlHamiltonian(h0, np.array(ops), coeffs)
+    rate = max(abs(omega) + abs(chain.omega_m) + f
+               for omega, f in zip((chain.omega_a, chain.omega_b), drives.phase_rates()))
+    return ControlHamiltonian(h0, np.array(ops), coeffs), rate
 
 
 @dataclass(frozen=True)
@@ -307,8 +353,10 @@ def lindblad_channels(chain: ChainSpec, d: int) -> list[LindbladChannel]:
 
 @dataclass(frozen=True)
 class SimulationModel:
-    """A propagatable model: control-form Hamiltonian, collapse channels
-    and the location of the logical circulator states in its basis."""
+    """A propagatable model: control-form Hamiltonian, collapse channels,
+    the location of the logical circulator states in its basis, its
+    default step (ns, see _model) and phase_rate, the bound (rad/ns) on
+    the rate of its fastest coefficient phase that set it."""
 
     name: str
     hamiltonian: ControlHamiltonian
@@ -316,6 +364,7 @@ class SimulationModel:
     logical_indices: tuple[int, int, int]
     default_step: float
     tau: float
+    phase_rate: float
 
     @property
     def dim(self) -> int:
@@ -331,32 +380,31 @@ class SimulationModel:
             ) from None
 
 
-IDEAL_STEP = 0.05
-DEVICE_STEP = 0.005
+def _model(name: str, control: tuple[ControlHamiltonian, float], channels,
+           logical_indices, times: np.ndarray) -> SimulationModel:
+    """The model of a control builder's (Hamiltonian, phase rate) whose
+    coefficients are sampled at times.  Its default step divides each
+    sample interval into the fewest m parts that keep the rate times the
+    step at most 2 pi / STEPS_PER_PERIOD, so that every m-th step ends on
+    a sample, at a kink of the interpolated coefficients (m = 1 for the
+    ideal model, whose real couplings have rate 0)."""
+    hamiltonian, rate = control
+    tau, intervals = float(times[-1]), len(times) - 1
+    m = max(1, math.ceil(rate * tau * STEPS_PER_PERIOD / (2.0 * math.pi * intervals)))
+    return SimulationModel(name, hamiltonian, tuple(channels), logical_indices,
+                           default_step=tau / (intervals * m), tau=tau,
+                           phase_rate=rate)
 
 
 def ideal_model(pulses: PulsePair) -> SimulationModel:
     """Closed-system ideal three-level model driven by the pulse pair."""
-    return SimulationModel(
-        name="ideal",
-        hamiltonian=pulses.hamiltonian(),
-        channels=(),
-        logical_indices=(0, 1, 2),
-        default_step=IDEAL_STEP,
-        tau=pulses.tau,
-    )
+    return _model("ideal", (pulses.hamiltonian(), 0.0), (), (0, 1, 2), pulses.times)
 
 
 def _chain_model(name: str, chain: ChainSpec, drives: DriveWaveform,
-                 hamiltonian: ControlHamiltonian, d: int) -> SimulationModel:
-    return SimulationModel(
-        name=name,
-        hamiltonian=hamiltonian,
-        channels=tuple(lindblad_channels(chain, d)),
-        logical_indices=single_excitation_indices(d),
-        default_step=DEVICE_STEP,
-        tau=float(drives.times[-1]),
-    )
+                 control: tuple[ControlHamiltonian, float], d: int) -> SimulationModel:
+    return _model(name, control, lindblad_channels(chain, d),
+                  single_excitation_indices(d), drives.times)
 
 
 def single_excitation_model(

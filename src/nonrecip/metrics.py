@@ -22,8 +22,9 @@ from .statespace import PureState
 class RunReport:
     """What every fidelity run reports: the record times and the fidelity
     at each, the model, whether its channels were on, the step count and
-    size (ns), and the worst member's change in trace that the raw step
-    maps caused (Trajectory.trace_loss)."""
+    size (ns), the model's phase-rate bound times that size (rad; at most
+    2 pi / 20 at the default step), and the worst member's change in
+    trace that the raw step maps caused (Trajectory.trace_loss)."""
 
     times: np.ndarray
     fidelity_curve: np.ndarray
@@ -31,11 +32,13 @@ class RunReport:
     noise: bool
     steps: int
     step_ns: float
+    phase_per_step_rad: float
     trace_loss: float
 
     def to_json_dict(self) -> dict:
         return {"model": self.model_name, "noise": self.noise,
                 "steps": self.steps, "step_ns": self.step_ns,
+                "phase_per_step_rad": self.phase_per_step_rad,
                 "trace_loss": self.trace_loss}
 
     def columns(self) -> dict[str, np.ndarray]:
@@ -127,7 +130,9 @@ def _evolve(model: SimulationModel, initial_states, noise: bool,
         x = traj.states.reshape(len(traj.times), model.dim, -1).transpose(2, 0, 1)
         rhos = x[..., :, None] * x[..., None, :].conj()
     run = dict(times=traj.times, model_name=model.name, noise=noise,
-               steps=traj.steps, step_ns=traj.step, trace_loss=traj.trace_loss)
+               steps=traj.steps, step_ns=traj.step,
+               phase_per_step_rad=model.phase_rate * traj.step,
+               trace_loss=traj.trace_loss)
     return run, rhos
 
 

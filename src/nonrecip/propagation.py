@@ -69,9 +69,11 @@ RECORD_STRIDE = 50
 class PropagationConfig:
     """Fixed-step integration settings.
 
-    step is in ns; the caller is responsible for resolving the fastest
-    Hamiltonian phase (about twenty samples per period; each model's
-    default_step does).
+    step is in ns, and tau is divided into the nearest whole number of
+    steps.  The caller is responsible for resolving the fastest
+    coefficient phase: each model's default_step gives it at least twenty
+    steps per period, on a refinement of the pulse-sample grid (see
+    nonrecip.devices).
     """
 
     step: float

@@ -15,13 +15,14 @@ import numpy as np
 def write_csv(path, columns: dict):
     """Write the named numeric columns, of equal length, as a header and
     one row per index, every value as '%.17g' writes it, which equals
-    format(float(x), '.17g')."""
+    format(float(x), '.17g'): one % over the row template repeated once
+    per row."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     rows = np.column_stack([np.asarray(c, dtype=float) for c in columns.values()])
-    row = ",".join(["%.17g"] * len(columns))
-    lines = [",".join(columns)] + [row % tuple(r) for r in rows.tolist()]
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    body = row * len(rows) % tuple(rows.ravel().tolist())
+    path.write_text(",".join(columns) + "\n" + body, newline="\n")
 
 
 def write_json(path, payload: dict):

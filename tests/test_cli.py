@@ -74,8 +74,10 @@ class TestConfig:
                          "simulate", "--initial", "100"]) == EXIT_OK
             return json.loads((out / "report.json").read_text())["step_ns"]
 
-        assert resolved_step(ScenarioConfig(model="ideal")) == 0.05
-        assert resolved_step(ScenarioConfig()) == 0.005
+        # the pulse-sample grid of 2,000 intervals, refined twofold for the
+        # single-excitation carrier
+        assert resolved_step(ScenarioConfig(model="ideal")) == 145.0 / 2000
+        assert resolved_step(ScenarioConfig()) == 145.0 / 4000
         assert resolved_step(ScenarioConfig(step_ns=0.1)) == 0.1
 
 
@@ -184,8 +186,8 @@ class TestDesignCommand:
             for name in ("report.json", csv):
                 assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
             report = json.loads((outs[0] / "report.json").read_text())
-            assert report["steps"] == 2900
-            assert report["step_ns"] == 145.0 / 2900
+            assert report["steps"] == 2000
+            assert report["step_ns"] == 145.0 / 2000
 
     def test_diagnostics_and_byte_identical_reruns(self, tmp_path):
         cfg_path = tmp_path / "target.ini"
@@ -347,8 +349,8 @@ class TestSimulateCommand:
         assert code == EXIT_OK
         report = json.loads((out / "report.json").read_text())
         assert set(report) == {"model", "noise", "steps", "step_ns", "trace_loss",
-                               "initial", "fidelity", "final_populations",
-                               "final_leakage"}
+                               "phase_per_step_rad", "initial", "fidelity",
+                               "final_populations", "final_leakage"}
         assert report["fidelity"] > 0.999
         assert report["noise"] is False
         assert 0.0 <= report["trace_loss"] <= 2e-6
@@ -361,7 +363,7 @@ class TestSimulateCommand:
         assert code == EXIT_OK
         report = json.loads((out / "report.json").read_text())
         assert set(report) == {"model", "noise", "steps", "step_ns", "trace_loss",
-                               "f_m", "initial_fidelity"}
+                               "phase_per_step_rad", "f_m", "initial_fidelity"}
         assert report["f_m"] > 0.999
         assert report["initial_fidelity"] == pytest.approx(0.125, abs=1e-6)
 

@@ -1,6 +1,7 @@
-"""The control-form Hamiltonians against the direct dense formulas, and
-the noisy fidelities of the propagation kernel at step 0.05 ns against
-their pinned and converged (step 0.0025 ns) values."""
+"""The control-form Hamiltonians against the direct dense formulas, the
+noisy fidelities of the propagation kernel at step 0.05 ns against
+their pinned and converged (step 0.0025 ns) values, and each model's
+default step against the coefficient phases that it has to resolve."""
 
 import math
 from dataclasses import replace
@@ -10,6 +11,7 @@ import pytest
 
 from nonrecip.config import ScenarioConfig
 from nonrecip.devices import (
+    STEPS_PER_PERIOD,
     full_chain_model,
     ideal_model,
     invert_bessel_drive,
@@ -17,6 +19,7 @@ from nonrecip.devices import (
     single_excitation_model,
 )
 from nonrecip.invariant import (
+    PULSE_SAMPLES,
     AuxiliaryTrajectory,
     PulsePair,
     lr_phase,
@@ -24,8 +27,8 @@ from nonrecip.invariant import (
     target_unitary,
 )
 from nonrecip.metrics import ensemble_fidelity, transfer_fidelity
-from nonrecip.propagation import PropagationConfig
-from nonrecip.statespace import PureState
+from nonrecip.propagation import PropagationConfig, propagate_schrodinger
+from nonrecip.statespace import ControlHamiltonian, PureState
 from lr_reference import check_boundary
 
 TAU = 145.0
@@ -170,21 +173,77 @@ class TestSeedFidelities:
         model = full_chain_model(ScenarioConfig().chain_spec(), drives)
         target = PureState(target_unitary(theta)[:, 0])
         report = transfer_fidelity(model, "100", target)
-        assert report.step_ns == 0.005
+        assert report.step_ns == TAU / 32000  # 2,000 intervals, refined 16-fold
         assert report.leakage[-1] == pytest.approx(CONVERGED_FULL_QUBIT_LEAKAGE,
                                                    abs=1e-9)
 
 
+class TestDefaultStepRule:
+    """Each model's default step: the 2,000 pulse-sample intervals refined
+    until the fastest coefficient phase takes at most 2 pi / 20 a step."""
+
+    def test_ideal_steps_end_on_the_pulse_samples(self, pulses):
+        model = ideal_model(pulses)
+        gen, calls = model.hamiltonian, []
+        spy = ControlHamiltonian(gen.h0, gen.ops,
+                                 lambda t: (calls.append(t), gen.coeffs(t))[1])
+        traj = propagate_schrodinger(spy, PureState(np.eye(3)[0]), model.tau,
+                                     PropagationConfig(step=model.default_step))
+        assert traj.steps == PULSE_SAMPLES - 1
+        # the start, midpoint and end of every step; chunks share their ends
+        nodes = np.unique(np.concatenate(calls))
+        assert len(nodes) == 2 * traj.steps + 1
+        assert np.max(np.abs(nodes[::2] - pulses.times)) <= 1e-12
+        assert model.phase_rate == 0.0
+
+    @pytest.mark.parametrize("build, d, steps", [
+        (single_excitation_model, 2, 4000), (full_chain_model, 2, 32000),
+        (full_chain_model, 3, 32000)])
+    def test_bound_covers_the_coefficient_phases(self, drives, build, d, steps):
+        model = build(replace(ScenarioConfig().chain_spec(), d=d), drives)
+        dt, n, fastest = 1e-4, round(TAU / 1e-4), 0.0
+        for first in range(0, n, 100_000):  # the 1e-4 ns table in slices
+            c = model.hamiltonian.coeffs(np.arange(first, min(n, first + 100_000) + 1) * dt)
+            fastest = max(fastest, float(np.max(np.abs(np.angle(c[1:] / c[:-1])))) / dt)
+        # 6.127 and 68.959 rad/ns against bounds of 6.169 and 69.001
+        assert fastest <= model.phase_rate <= 1.01 * fastest
+        assert model.phase_rate * model.default_step <= 2.0 * math.pi / STEPS_PER_PERIOD
+        assert round(TAU / model.default_step) == steps
+
+    # |F(default step) - F(half of it)| measured at the fig3 design: 2.7e-15
+    # and 1.1e-14 (ideal), 1.9e-10 (noisy single_excitation) and 3.0e-8
+    # (closed full_qubit)
+    @pytest.mark.parametrize("name, initial, noise, bound", [
+        ("ideal", "100", False, 1e-13), ("ideal", "ensemble", False, 1e-13),
+        ("single_excitation", "100", True, 5e-10), ("full_qubit", "100", False, 5e-8)])
+    def test_default_step_is_converged(self, pulses, drives, name, initial, noise, bound):
+        chain = ScenarioConfig().chain_spec()
+        model = (ideal_model(pulses) if name == "ideal" else
+                 single_excitation_model(chain, drives) if name == "single_excitation"
+                 else full_chain_model(chain, drives))
+        theta = lr_phase(AuxiliaryTrajectory(LAMBDA_SOLVED, TAU)).theta_plus
+
+        def fidelity(cfg):
+            if initial == "ensemble":
+                return ensemble_fidelity(model, noise=noise, cfg=cfg).f_m
+            target = PureState(target_unitary(theta)[:, 0])
+            return transfer_fidelity(model, initial, target, noise=noise, cfg=cfg).fidelity
+
+        half = PropagationConfig(step=0.5 * model.default_step)
+        assert abs(fidelity(None) - fidelity(half)) <= bound
+
+
 def test_long_three_level_run_completes():
-    # at tau = 220 ns the default step's raw maps change the trace of this
-    # run's states by 2.2e-7; a bound on their worst case over all 27
+    # at tau = 220 ns a step of 0.005 ns (the device default before the
+    # step rule, which gives 0.0046) has raw maps that change the trace of
+    # this run's states by 2.2e-7; a bound on their worst case over all 27
     # levels passed 1e-6 at about 215 ns and refused the run
     traj = AuxiliaryTrajectory(0.4974, 220.0)
     pulses = synthesize_pulses(traj)
     chain = ScenarioConfig(model="full_three_level").chain_spec()
     model = full_chain_model(chain, invert_bessel_drive(pulses, chain))
     target = PureState(target_unitary(lr_phase(traj).theta_plus)[:, 0])
-    report = transfer_fidelity(model, "100", target)
+    report = transfer_fidelity(model, "100", target, cfg=PropagationConfig(step=0.005))
     assert (model.dim, report.step_ns) == (27, 0.005)
     # the vec-rho RK4 kernel read 0.9726293649267329
     assert report.fidelity == pytest.approx(0.972629152557472, abs=1e-10)

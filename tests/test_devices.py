@@ -22,7 +22,12 @@ from nonrecip.devices import (
     single_excitation_indices,
     single_excitation_model,
 )
-from nonrecip.invariant import AuxiliaryTrajectory, synthesize_pulses
+from nonrecip.invariant import (
+    AuxiliaryTrajectory,
+    bisect_increasing,
+    solve_lambda,
+    synthesize_pulses,
+)
 from nonrecip.units import khz, mhz
 from rk4_reference import embedded
 
@@ -93,10 +98,13 @@ class TestBesselJ1:
         assert np.shape(value) == ()
         assert value == pytest.approx(special.j1(1.0), rel=1e-15)
 
-    def test_inverse_rejects_values_outside_principal_range(self):
-        for bad in ([0.1, -1e-3], [J1_PEAK * (1 + 1e-12)]):
-            with pytest.raises(ValueError):
-                invert_bessel_j1(np.array(bad))
+    @pytest.mark.parametrize("bad", [-1e-300, -1e-3, np.nextafter(J1_PEAK, 1.0),
+                                     J1_PEAK * (1 + 1e-12)])
+    def test_inverse_rejects_values_outside_principal_range(self, bad):
+        with pytest.raises(ValueError, match=r"outside the principal range \[0, "):
+            invert_bessel_j1(np.array([0.1, bad]))
+        with pytest.raises(ValueError, match="outside the principal range"):
+            invert_bessel_j1(bad)
 
     def test_against_series_oracle(self):
         for x in np.linspace(0.0, 3.5, 71):
@@ -115,6 +123,59 @@ class TestBesselJ1:
         etas = np.linspace(0.0, J1_PEAK_X, 200)
         vals = bessel_j1(etas)
         assert np.all(np.diff(vals) > 0)
+
+
+def design_ratios(phase, tau):
+    """The (2, samples) J1 values that invert_bessel_drive inverts for the
+    design of the LR phase at tau on the default chain."""
+    chain = ScenarioConfig().chain_spec()
+    pulses = synthesize_pulses(AuxiliaryTrajectory(solve_lambda(phase, tau), tau))
+    ratios = np.abs(np.stack([pulses.g_a, pulses.g_b])) / (
+        2.0 * np.array([[chain.g_a], [chain.g_b]]))
+    return np.minimum(ratios, J1_PEAK)
+
+
+# the circulator design of fig3 (peak ratio 0.99993 of J1_PEAK), and the
+# corners and centre of perfbench's design-verify box of (phase, tau)
+DESIGNS = [(1.5 * math.pi, 145.0), (4.0, 180.0), (5.2, 180.0), (4.0, 260.0),
+           (5.2, 260.0), (4.6, 220.0)]
+
+
+class TestNewtonInversion:
+    """invert_bessel_j1's Newton steps against bisect_increasing, the
+    bisection that it replaced, on a 200,001-point grid of [0, J1_PEAK]
+    and on designed drives."""
+
+    @pytest.fixture(scope="class", params=["grid", "peak"] + DESIGNS)
+    def values(self, request):
+        if request.param == "grid":
+            return np.linspace(0.0, J1_PEAK, 200001)
+        if request.param == "peak":  # the 2,000 doubles just below J1_PEAK
+            return J1_PEAK - np.arange(2000, 0, -1) * 2.0**-53
+        return design_ratios(*request.param)
+
+    def test_matches_bisection_below_the_peak(self, values):
+        eta = invert_bessel_j1(values)
+        ref = bisect_increasing(bessel_j1, values, 0.0, J1_PEAK_X)
+        below = values < 0.9999 * J1_PEAK
+        assert np.max(np.abs(eta - ref)[below], initial=0.0) <= 3e-14
+        assert 0.0 <= eta.min() and eta.max() <= J1_PEAK_X
+
+    def test_relative_residual(self, values):
+        # the bisection's 64 halvings leave 1.5e-14 at small y
+        y = values[values > 0]
+        assert np.max(np.abs(bessel_j1(invert_bessel_j1(y)) - y) / y) <= 1e-15
+
+    def test_ends_of_the_branch_are_exact(self):
+        assert invert_bessel_j1(0.0) == 0.0
+        assert invert_bessel_j1(J1_PEAK) == J1_PEAK_X
+        assert np.array_equal(invert_bessel_j1(np.array([0.0, J1_PEAK, 0.0])),
+                              [0.0, J1_PEAK_X, 0.0])
+
+    def test_scalar_gives_float(self):
+        for y in (0.3, np.float64(0.3), np.array(0.3)):
+            assert type(invert_bessel_j1(y)) is float
+        assert invert_bessel_j1(np.array([0.3])).shape == (1,)
 
 
 class TestInvertBesselDrive:
