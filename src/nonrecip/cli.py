@@ -179,11 +179,15 @@ def cmd_simulate(cfg: ScenarioConfig, initial: str, out_dir: Path) -> int:
 
 
 def cmd_reproduce_fig3(cfg: ScenarioConfig, out_dir: Path) -> int:
+    lam = inv.solve_lambda(THETA_CIRCULATOR, cfg.tau_ns)
+    cfg = with_overrides(cfg, lambda_=lam, target_phase_rad=None)
+    traj, pulses, phases = _resolve_design(cfg)
+    model = _build_model(cfg, pulses)
     summary: dict = {"panels": {}, "reference": {
         "lambda": REFERENCE_LAMBDA,
         "f_s": REFERENCE_F_S,
         "f_m": REFERENCE_F_M,
-    }, "model": cfg.model, "noise": cfg.noise}
+    }, "model": cfg.model, "noise": model.is_open(cfg.noise)}
 
     def run_panel(name, fn, *args):
         try:
@@ -192,11 +196,6 @@ def cmd_reproduce_fig3(cfg: ScenarioConfig, out_dir: Path) -> int:
         except Exception as exc:  # noqa: BLE001 - continue past failed panels
             summary["panels"][name] = {"status": "failed", "error": str(exc),
                                        "error_type": type(exc).__name__}
-
-    lam = inv.solve_lambda(THETA_CIRCULATOR, cfg.tau_ns)
-    cfg = with_overrides(cfg, lambda_=lam, target_phase_rad=None)
-    traj, pulses, phases = _resolve_design(cfg)
-    model = _build_model(cfg, pulses)
 
     def panel_a():
         _write_sweep(out_dir / "fig3a_lambda_sweep.csv", np.linspace(0.15, 1.0, 35))

@@ -12,7 +12,7 @@ Three models share the same designed pulses:
 
 Drive envelopes are obtained by inverting g'(t) = 2 g J1(eta(t)) on the
 principal branch of the Bessel function J1, evaluated by its ascending
-power series.
+power series, and its odd reflection J1(-eta) = -J1(eta) for g' < 0.
 
 Every model's default step comes from one rule (_model), on the pulse-
 sample grid, from a bound on the rate of its fastest coefficient phase
@@ -181,7 +181,9 @@ def invert_bessel_j1(y):
 
 @dataclass(frozen=True)
 class DriveWaveform:
-    """Dimensionless frequency-drive envelopes eta_j(t) on a time grid.
+    """Dimensionless frequency-drive envelopes eta_j(t) on a time grid,
+    signed as the effective couplings they drive, with |eta_j| at most
+    J1_PEAK_X.
 
     The instantaneous drive phase is F_j(t) = eta_j(t) * sin(nu_j * t).
     """
@@ -198,8 +200,9 @@ class DriveWaveform:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         for arr in (self.eta_a, self.eta_b):
-            if not (arr.min() >= 0 and arr.max() <= J1_PEAK_X + 1e-12):  # NaN fails
-                raise ValueError("envelopes must be finite and stay in [0, 1.8412]")
+            if not np.max(np.abs(arr)) <= J1_PEAK_X + 1e-12:  # NaN fails
+                raise ValueError("envelopes must be finite and stay in "
+                                 "[-1.8412, 1.8412]")
             if abs(arr[0]) > 1e-12 or abs(arr[-1]) > 1e-12:
                 raise ValueError("envelopes must vanish at t = 0 and t = tau")
 
@@ -210,10 +213,11 @@ class DriveWaveform:
         return np.interp(t, self.times, self.eta_b) * np.sin(self.nu_b * t)
 
     def phase_rates(self) -> tuple[float, float]:
-        """Bounds on |dF_a/dt| and |dF_b/dt|: nu_j max eta_j plus the
+        """Bounds on |dF_a/dt| and |dF_b/dt|: nu_j max |eta_j| plus the
         steepest slope of the interpolated eta_j."""
         dt = np.diff(self.times)
-        return tuple(nu * float(eta.max()) + float(np.max(np.abs(np.diff(eta)) / dt))
+        return tuple(nu * float(np.abs(eta).max())
+                     + float(np.max(np.abs(np.diff(eta)) / dt))
                      for nu, eta in ((self.nu_a, self.eta_a), (self.nu_b, self.eta_b)))
 
     def write_csv(self, path):
@@ -222,14 +226,16 @@ class DriveWaveform:
 
 def invert_bessel_drive(pulses: PulsePair, chain: ChainSpec) -> DriveWaveform:
     """Solve 2 g_j J1(eta_j(t)) = g'_j(t) for every sample of both tracks
-    at once: one invert_bessel_j1 call on the stacked (2, n) ratios.
+    at once: one invert_bessel_j1 call on the stacked (2, n) ratios
+    |g'_j| / 2 g_j, and eta_j negated where g'_j < 0, as J1(-eta) =
+    -J1(eta).
 
     Ratios above the J1 maximum by more than BESSEL_CLAMP_RTOL raise
     UnattainableDriveError naming the worst time point, track A checked
     first; ratios inside the slack clamp to the peak argument.
     """
-    ratios = np.abs(np.stack([pulses.g_a, pulses.g_b])) / (
-        2.0 * np.array([[chain.g_a], [chain.g_b]]))
+    signed = np.stack([pulses.g_a, pulses.g_b])
+    ratios = np.abs(signed) / (2.0 * np.array([[chain.g_a], [chain.g_b]]))
     for name, track in zip("AB", ratios):
         worst = int(np.argmax(track))
         if track[worst] > J1_PEAK * (1.0 + BESSEL_CLAMP_RTOL):
@@ -240,6 +246,7 @@ def invert_bessel_drive(pulses: PulsePair, chain: ChainSpec) -> DriveWaveform:
                 worst_ratio=float(track[worst]),
             )
     eta = invert_bessel_j1(np.minimum(ratios, J1_PEAK))
+    eta = np.where(signed < 0, -eta, eta)
     eta[:, [0, -1]] = 0.0
     return DriveWaveform(pulses.times, eta[0], eta[1], chain.nu_a, chain.nu_b)
 
@@ -369,6 +376,11 @@ class SimulationModel:
     @property
     def dim(self) -> int:
         return self.hamiltonian.dim
+
+    def is_open(self, noise: bool) -> bool:
+        """Whether a run with noise requested propagates rho under the
+        model's channels: only when the model has some."""
+        return noise and bool(self.channels)
 
     def logical_index(self, label: str) -> int:
         try:

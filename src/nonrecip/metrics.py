@@ -94,25 +94,27 @@ class EnsembleReport(RunReport):
 
 
 def _evolve(model: SimulationModel, initial_states, noise: bool,
-            cfg: PropagationConfig | None) -> tuple[dict, np.ndarray]:
+            cfg: PropagationConfig | None) -> tuple[dict, np.ndarray, np.ndarray]:
     """Propagate the k initial model-space vectors from 0 to tau in one
     call (at the model's default step when cfg is None) and return the
-    RunReport fields it fixes, all but the fidelity curve, and rho(t) as a
-    (k, records, d, d) array.
+    RunReport fields it fixes, all but the fidelity curve, the (k,
+    records, 3, 3) block of rho(t) on the logical indices and the (k,
+    records) trace of rho(t).
 
     H is first checked to be Hermitian at 65 times: both kernels refuse
     a member only once the raw step maps change its trace by over 2e-6,
     and below that an open run's projected maps would hide a non-Hermitian
-    H.  A closed run (noise off, or a model without channels) propagates
-    the states as a (d, k) block of psi columns and forms psi psi^H; an
-    open run propagates the (k, d, d) block of psi psi^H, and also checks
-    every final state with check_density.  A single state goes in
+    H.  A closed run (not model.is_open(noise)) propagates a (d, k) block
+    of psi columns and forms the block from the logical amplitudes only;
+    an open run propagates the (k, d, d) block of psi psi^H, and also
+    checks every final state with check_density.  A single state goes in
     unbatched, as a PureState or one (d, d) matrix: the per-state calls
     whose steps perfbench's traced worker counts."""
     cfg = cfg or PropagationConfig(step=model.default_step)
-    noise = noise and bool(model.channels)
+    noise = model.is_open(noise)
+    idx = np.array(model.logical_indices)
     psi = np.column_stack(initial_states)
-    one = psi.shape[1] == 1
+    d, k = psi.shape
     h = model.hamiltonian.matrices(np.linspace(0.0, model.tau, 65))
     if np.max(np.abs(h - h.conj().transpose(0, 2, 1))) > 1e-9:
         raise IntegratorError("Hamiltonian lost Hermiticity; a propagation "
@@ -120,46 +122,45 @@ def _evolve(model: SimulationModel, initial_states, noise: bool,
     if noise:
         rho0 = psi.T[:, :, None] * psi.T[:, None, :].conj()
         traj = integrate_master(model.hamiltonian, model.channels,
-                                rho0[0] if one else rho0, model.tau, cfg)
-        shape = (len(traj.times), -1, model.dim, model.dim)
-        rhos = traj.states.reshape(shape).swapaxes(0, 1)
+                                rho0[0] if k == 1 else rho0, model.tau, cfg)
+        rhos = traj.states.reshape(len(traj.times), k, d, d).swapaxes(0, 1)
+        # one advanced index: chained ones make a (k, records, 3, d) copy
+        blocks = rhos[..., idx[:, None], idx]
+        traces = np.trace(rhos, axis1=2, axis2=3).real
     else:
         traj = propagate_schrodinger(model.hamiltonian,
-                                     PureState(psi[:, 0]) if one else psi,
+                                     PureState(psi[:, 0]) if k == 1 else psi,
                                      model.tau, cfg)
-        x = traj.states.reshape(len(traj.times), model.dim, -1).transpose(2, 0, 1)
-        rhos = x[..., :, None] * x[..., None, :].conj()
+        x = traj.states.reshape(len(traj.times), d, k).transpose(2, 0, 1)
+        amps = x[..., idx]
+        blocks = amps[..., :, None] * amps[..., None, :].conj()
+        # np.trace(psi psi^H) bit for bit; (x * x.conj()).real.sum() is not
+        traces = (x * x.conj()).sum(axis=-1).real
     run = dict(times=traj.times, model_name=model.name, noise=noise,
                steps=traj.steps, step_ns=traj.step,
                phase_per_step_rad=model.phase_rate * traj.step,
                trace_loss=traj.trace_loss)
-    return run, rhos
+    return run, blocks, traces
 
 
 def transfer_fidelity(model: SimulationModel, initial: str, target: PureState,
                       noise: bool = True,
                       cfg: PropagationConfig | None = None) -> TransferReport:
     """Propagate a logical basis state and report its fidelity to the
-    target, a state of the 3-dimensional logical space placed at the
-    model's logical indices, with per-state population curves and (for
-    models larger than the logical space) the leakage out of it."""
+    target, a state of the 3-dimensional logical space, with per-state
+    population curves and (for models larger than the logical space) the
+    leakage out of it, the trace of rho(t) less the three populations."""
     if target.dim != 3:
         raise ValueError(f"target dim {target.dim} is not the 3-dimensional "
                          "logical space")
-    target_vec = np.zeros(model.dim, dtype=complex)
-    target_vec[list(model.logical_indices)] = target.amplitudes
     initial_vec = np.eye(model.dim)[model.logical_index(initial)]
-    run, (rhos,) = _evolve(model, [initial_vec], noise, cfg)
+    run, (block,), (trace,) = _evolve(model, [initial_vec], noise, cfg)
 
-    populations = {
-        label: rhos[:, i, i].real
-        for label, i in zip(SINGLE_EXCITATION_LABELS, model.logical_indices)
-    }
-    leakage = None
-    if model.dim > 3:
-        total = sum(populations.values())
-        leakage = np.clip(np.trace(rhos, axis1=1, axis2=2).real - total, 0.0, None)
-    curve = (rhos @ target_vec @ target_vec.conj()).real
+    populations = {label: block[:, i, i].real
+                   for i, label in enumerate(SINGLE_EXCITATION_LABELS)}
+    leakage = (np.clip(trace - sum(populations.values()), 0.0, None)
+               if model.dim > 3 else None)
+    curve = (block @ target.amplitudes @ target.amplitudes.conj()).real
     return TransferReport(**run, fidelity_curve=curve, initial_label=initial,
                           populations=populations, leakage=leakage)
 
@@ -179,13 +180,11 @@ def ensemble_fidelity(model: SimulationModel, noise: bool = True,
     b_X) / 8, with a and e the <100|.|100> and <010|.|010> entries and
     b_X = <100|X|010> + <010|X|100>, all real parts.
     """
-    i100, i010, i001 = model.logical_indices
-    e010, e001 = np.eye(model.dim)[[i010, i001]]
-    run, (rho_010, rho_001, rho_plus) = _evolve(
+    e010, e001 = np.eye(model.dim)[list(model.logical_indices[1:])]
+    run, blocks, _ = _evolve(
         model, [e010, e001, (e010 + e001) / math.sqrt(2.0)], noise, cfg)
     # the (records, 2, 2) stacks of (|100>, |010>) blocks, the targets' span
-    block = (slice(None),) + np.ix_([i100, i010], [i100, i010])
-    r010, r001, r_plus = (r[block].real for r in (rho_010, rho_001, rho_plus))
+    r010, r001, r_plus = blocks[..., :2, :2].real
     x = 2.0 * r_plus - r010 - r001
     curve = (3.0 * r010[:, 0, 0] + r010[:, 1, 1] + r001[:, 0, 0]
              + 3.0 * r001[:, 1, 1] + x[:, 0, 1] + x[:, 1, 0]) / 8.0

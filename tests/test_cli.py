@@ -428,3 +428,13 @@ class TestFailureReporting:
         assert panels["c"] == {"status": "failed", "error": "forced failure",
                                "error_type": "IntegratorError"}
         assert all(p["status"] == "ok" for name, p in panels.items() if name != "c")
+
+    def test_ideal_fig3_summary_reports_no_noise(self, tmp_path):
+        # the ideal model has no channels, so its panels run closed even
+        # with noise on, and the summary says so as report.json does
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--model", "ideal", "reproduce-fig3"]) == 0
+        assert json.loads((out / "fig3_summary.json").read_text())["noise"] is False
+        assert main(["--out", str(out), "--model", "ideal", "simulate",
+                     "--initial", "ensemble"]) == 0
+        assert json.loads((out / "report.json").read_text())["noise"] is False

@@ -25,9 +25,13 @@ from nonrecip.devices import (
 from nonrecip.invariant import (
     AuxiliaryTrajectory,
     bisect_increasing,
+    lr_phase,
     solve_lambda,
     synthesize_pulses,
+    target_unitary,
 )
+from nonrecip.metrics import transfer_fidelity
+from nonrecip.statespace import PureState
 from nonrecip.units import khz, mhz
 from rk4_reference import embedded
 
@@ -192,10 +196,33 @@ class TestInvertBesselDrive:
         recon_a = 2 * chain.g_a * bessel_j1(drives.eta_a)
         recon_b = 2 * chain.g_b * bessel_j1(drives.eta_b)
         scale = 2 * chain.g_a * J1_PEAK
-        assert np.max(np.abs(recon_a - np.abs(pulses.g_a))) < BESSEL_CLAMP_RTOL * scale
-        assert np.max(np.abs(recon_b - np.abs(pulses.g_b))) < BESSEL_CLAMP_RTOL * scale
+        assert np.max(np.abs(recon_a - pulses.g_a)) < BESSEL_CLAMP_RTOL * scale
+        assert np.max(np.abs(recon_b - pulses.g_b)) < BESSEL_CLAMP_RTOL * scale
         interior = (drives.eta_a > 0) & (drives.eta_a < J1_PEAK_X - 1e-9)
-        assert np.max(np.abs(recon_a - np.abs(pulses.g_a))[interior]) < 1e-10
+        assert np.max(np.abs(recon_a - pulses.g_a)[interior]) < 1e-10
+
+    def test_negative_coupling_gives_negative_envelope(self, chain):
+        # at lambda = 1.5 the designed g' dips to -0.00715 rad/ns (peak
+        # ratio 0.886 of J1_PEAK), so J1(-eta) = -J1(eta) must carry the sign
+        pulses = synthesize_pulses(AuxiliaryTrajectory(1.5, TAU))
+        assert min(pulses.g_a.min(), pulses.g_b.min()) < -7e-3
+        drives = invert_bessel_drive(pulses, chain)
+        for g, eta, g_static in ((pulses.g_a, drives.eta_a, chain.g_a),
+                                 (pulses.g_b, drives.eta_b, chain.g_b)):
+            assert np.array_equal(np.sign(eta[1:-1]), np.sign(g[1:-1]))
+            interior = (eta != 0) & (np.abs(eta) < J1_PEAK_X - 1e-9)
+            recon = 2 * g_static * bessel_j1(eta)
+            assert np.max(np.abs(recon - g)[interior]) < 1e-10
+
+    @pytest.mark.parametrize("build", [single_excitation_model, full_chain_model])
+    def test_negative_coupling_transfer(self, chain, build):
+        # |g'| in place of g' reads F_s 0.968 on both models
+        traj = AuxiliaryTrajectory(1.5, TAU)
+        pulses = synthesize_pulses(traj)
+        model = build(chain, invert_bessel_drive(pulses, chain))
+        target = PureState(target_unitary(lr_phase(traj).theta_plus)[:, 0])
+        report = transfer_fidelity(model, "100", target, noise=False)
+        assert report.fidelity >= 0.995
 
     def test_unattainable_drive(self, chain):
         big = synthesize_pulses(AuxiliaryTrajectory(2.5, TAU))

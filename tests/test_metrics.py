@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from nonrecip.config import ScenarioConfig
 from nonrecip.devices import (
+    full_chain_model,
     ideal_model,
     invert_bessel_drive,
     single_excitation_model,
@@ -54,11 +56,21 @@ def device(pulses):
     return single_excitation_model(chain, invert_bessel_drive(pulses, chain))
 
 
-# (model fixture, noise, config) per model: the closed ideal run and the
-# noisy single-excitation run, which take the psi and rho paths
+@pytest.fixture(scope="module")
+def full_qubit(pulses):
+    chain = ScenarioConfig().chain_spec()
+    return full_chain_model(chain, invert_bessel_drive(pulses, chain))
+
+
+# (model fixture, noise, config) per run: the closed ideal run, and the
+# single-excitation and full-qubit models closed and noisy, which take the
+# psi and rho paths; the full chain needs its default step
 RUNS = {
     "ideal": ("model", False, None),
     "single_excitation": ("device", True, COARSE),
+    "single_excitation_closed": ("device", False, COARSE),
+    "full_qubit": ("full_qubit", True, None),
+    "full_qubit_closed": ("full_qubit", False, None),
 }
 
 
@@ -66,6 +78,48 @@ RUNS = {
 def run(request):
     name, noise, cfg = RUNS[request.param]
     return request.getfixturevalue(name), noise, cfg
+
+
+def full_rho_history(model, states, noise, cfg):
+    """The reference rho(t) of the fidelity reports: the model-space
+    states propagated as _evolve propagates them (one state unbatched),
+    as a (k, records, d, d) array, with psi psi^H formed for every record
+    of a closed run."""
+    cfg = cfg or PropagationConfig(step=model.default_step)
+    psi = np.column_stack(states)
+    d, k = psi.shape
+    if noise and model.channels:
+        rho0 = psi.T[:, :, None] * psi.T[:, None, :].conj()
+        traj = integrate_master(model.hamiltonian, model.channels,
+                                rho0[0] if k == 1 else rho0, model.tau, cfg)
+        return traj.states.reshape(len(traj.times), k, d, d).swapaxes(0, 1)
+    traj = propagate_schrodinger(model.hamiltonian,
+                                 PureState(psi[:, 0]) if k == 1 else psi,
+                                 model.tau, cfg)
+    x = traj.states.reshape(len(traj.times), d, k).transpose(2, 0, 1)
+    return x[..., :, None] * x[..., None, :].conj()
+
+
+def reference_transfer(model, rhos, target):
+    """(populations, leakage, fidelity curve) of one (records, d, d)
+    history, the target embedded at the model's logical indices."""
+    target_vec = np.zeros(model.dim, dtype=complex)
+    target_vec[list(model.logical_indices)] = target
+    populations = [rhos[:, i, i].real for i in model.logical_indices]
+    leakage = np.clip(np.trace(rhos, axis1=1, axis2=2).real - sum(populations),
+                      0.0, None)
+    return populations, leakage, (rhos @ target_vec @ target_vec.conj()).real
+
+
+def reference_ensemble_curve(model, rhos):
+    """F_m(t) of ensemble_fidelity's formula from the histories of |010>,
+    |001> and |+>, read through np.ix_ on the (|100>, |010>) block."""
+    i100, i010, _ = model.logical_indices
+    block = (slice(None),) + np.ix_([i100, i010], [i100, i010])
+    r010, r001, r_plus = (r[block].real for r in rhos)
+    x = 2.0 * r_plus - r010 - r001
+    return (3.0 * r010[:, 0, 0] + r010[:, 1, 1] + r001[:, 0, 0]
+            + 3.0 * r001[:, 1, 1] + x[:, 0, 1] + x[:, 1, 0]) / 8.0
 
 
 class TestTransferFidelity:
@@ -102,6 +156,36 @@ class TestTransferFidelity:
         with pytest.raises(ValueError, match="logical space"):
             transfer_fidelity(device, "100", target, noise=False)
 
+    def test_matches_full_density_formulas(self, run):
+        # the report reads the logical block and the trace; the reference
+        # reads the full rho(t): bit for bit the same for the designed
+        # targets, which have at most two nonzero amplitudes.  A third
+        # one makes <t|rho|t> sum in logical order, not in model-index
+        # order, which moves the curve by rounding only.
+        model, noise, cfg = run
+        designed = target_unitary(THETA_CIRC).T
+        generic = np.array([0.6, -0.48j, 0.64 * np.exp(0.3j)])
+        for initial, targets in (("100", [designed[0]]),
+                                 ("010", [designed[1], generic]),
+                                 ("001", [designed[2]])):
+            (rhos,) = full_rho_history(
+                model, [np.eye(model.dim)[model.logical_index(initial)]],
+                noise, cfg)
+            for target in targets:
+                report = transfer_fidelity(model, initial, PureState(target),
+                                           noise=noise, cfg=cfg)
+                populations, leakage, curve = reference_transfer(model, rhos,
+                                                                 target)
+                assert report.noise == (noise and bool(model.channels))
+                for ours, ref in zip(report.populations.values(), populations):
+                    assert np.array_equal(ours, ref)
+                if model.dim > 3:
+                    assert np.array_equal(report.leakage, leakage)
+                if target is generic:
+                    assert np.max(np.abs(report.fidelity_curve - curve)) <= 4e-16
+                else:
+                    assert np.array_equal(report.fidelity_curve, curve)
+
     def test_csv_round_trip(self, model, tmp_path):
         target = logical_state(target_unitary(THETA_CIRC)[:, 0])
         report = transfer_fidelity(model, "100", target, noise=False)
@@ -127,30 +211,39 @@ class TestEnsembleFidelity:
         # brute force: propagate each input cos(v)|010> + sin(v)|001>
         # and take the trapezoid average of its fidelity to
         # i cos(v)|100> + i sin(v)|010> at every record; 9 points
-        # (8 intervals) integrate the quartic fidelity exactly
+        # (8 intervals) integrate the quartic fidelity exactly.  The
+        # report also equals its formula on the full rho(t) bit for bit.
         model, noise, cfg = run
-        cfg = cfg or PropagationConfig(step=model.default_step)
         i100, i010, i001 = model.logical_indices
         thetas = np.linspace(0.0, 2.0 * np.pi, 9)
-        curves = []
-        for v in thetas:
-            psi = np.zeros(model.dim, dtype=complex)
-            psi[[i010, i001]] = np.cos(v), np.sin(v)
-            target = np.zeros(model.dim, dtype=complex)
-            target[[i100, i010]] = 1j * np.cos(v), 1j * np.sin(v)
-            if noise:
-                rhos = integrate_master(
-                    model.hamiltonian, model.channels,
-                    np.outer(psi, psi.conj()), model.tau, cfg).states
-            else:
-                states = propagate_schrodinger(
-                    model.hamiltonian, PureState(psi), model.tau, cfg).states
-                rhos = states[:, :, None] * states[:, None, :].conj()
-            curves.append((rhos @ target @ target.conj()).real)
+        inputs = np.zeros((9, model.dim), dtype=complex)
+        inputs[:, i010], inputs[:, i001] = np.cos(thetas), np.sin(thetas)
+        targets = np.zeros((9, model.dim), dtype=complex)
+        targets[:, i100], targets[:, i010] = 1j * np.cos(thetas), 1j * np.sin(thetas)
+        rhos = full_rho_history(model, list(inputs), noise, cfg)
+        curves = np.einsum("vi,vrij,vj->vr", targets.conj(), rhos, targets).real
         expected = np.trapezoid(curves, thetas, axis=0) / (2.0 * np.pi)
         report = ensemble_fidelity(model, noise=noise, cfg=cfg)
         assert report.f_m == pytest.approx(expected[-1], abs=1e-12)
         assert np.max(np.abs(report.fidelity_curve - expected)) <= 1e-12
+        e010, e001 = np.eye(model.dim)[[i010, i001]]
+        rhos = full_rho_history(
+            model, [e010, e001, (e010 + e001) / np.sqrt(2.0)], noise, cfg)
+        assert np.array_equal(report.fidelity_curve,
+                              reference_ensemble_curve(model, rhos))
+
+    def test_closed_d27_memory_peak(self, pulses):
+        # the closed run forms only the 3x3 logical block of each record,
+        # not a (3, records, 27, 27) history of psi psi^H (25 MB)
+        chain = replace(ScenarioConfig().chain_spec(), d=3)
+        model = full_chain_model(chain, invert_bessel_drive(pulses, chain))
+        tracemalloc.start()
+        try:
+            ensemble_fidelity(model, noise=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5e6
 
 
 class TestTransmissionMatrix:
