@@ -24,7 +24,6 @@ from .config import (
     with_overrides,
 )
 from .devices import (
-    SINGLE_EXCITATION_LABELS,
     SimulationModel,
     UnattainableDriveError,
     full_chain_model,
@@ -33,10 +32,9 @@ from .devices import (
     single_excitation_model,
 )
 from .invariant import PulseDivergenceError, RootBracketError, NonMonotonicBracketError
-from .metrics import RunReport, ensemble_fidelity, transfer_fidelity
+from .metrics import RunReport, fidelity_reports
 from .propagation import PropagationConfig
 from .reporting import write_csv, write_json
-from .statespace import PureState
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -77,22 +75,14 @@ def _build_model(cfg: ScenarioConfig, pulses) -> SimulationModel:
     return build(*_chain_drives(cfg, pulses))
 
 
-def _simulate(cfg: ScenarioConfig, model: SimulationModel, theta_plus: float,
-              initial: str, csv_path: Path) -> RunReport:
-    """Run the ensemble (initial "ensemble") or the transfer of one logical
-    basis state to its image under the designed unitary, write the run's
-    CSV and return its report.  The step is the model's default unless
-    the scenario sets step_ns."""
+def _reports(cfg: ScenarioConfig, model: SimulationModel, theta_plus: float,
+             initials) -> dict[str, RunReport]:
+    """The report of each initial, "ensemble" or a logical basis label,
+    against the designed unitary, all from one propagation at the model's
+    default step unless the scenario sets step_ns."""
     prop_cfg = None if cfg.step_ns is None else PropagationConfig(step=cfg.step_ns)
-    if initial == "ensemble":
-        report = ensemble_fidelity(model, noise=cfg.noise, cfg=prop_cfg)
-    else:
-        column = SINGLE_EXCITATION_LABELS.index(initial)
-        target = PureState(inv.target_unitary(theta_plus)[:, column])
-        report = transfer_fidelity(model, initial, target, noise=cfg.noise,
-                                   cfg=prop_cfg)
-    report.write_csv(csv_path)
-    return report
+    return fidelity_reports(model, inv.target_unitary(theta_plus), initials,
+                            noise=cfg.noise, cfg=prop_cfg)
 
 
 def cmd_design(cfg: ScenarioConfig, out_dir: Path) -> int:
@@ -165,10 +155,10 @@ def cmd_sweep_lambda(lo: float, hi: float, n: int, out_dir: Path) -> int:
 
 def cmd_simulate(cfg: ScenarioConfig, initial: str, out_dir: Path) -> int:
     traj, pulses, phases = _resolve_design(cfg)
-    csv = ("ensemble_fidelity.csv" if initial == "ensemble"
-           else f"trajectory_{initial}.csv")
-    report = _simulate(cfg, _build_model(cfg, pulses), phases.theta_plus,
-                       initial, out_dir / csv)
+    report = _reports(cfg, _build_model(cfg, pulses), phases.theta_plus,
+                      [initial])[initial]
+    report.write_csv(out_dir / ("ensemble_fidelity.csv" if initial == "ensemble"
+                                else f"trajectory_{initial}.csv"))
     write_json(out_dir / "report.json", report.to_json_dict())
     if initial == "ensemble":
         print(f"simulate[ensemble]: F_m = {report.f_m:.6f} "
@@ -179,59 +169,48 @@ def cmd_simulate(cfg: ScenarioConfig, initial: str, out_dir: Path) -> int:
 
 
 def cmd_reproduce_fig3(cfg: ScenarioConfig, out_dir: Path) -> int:
+    """Panels a (lambda sweep) and b (pulses), then c (ensemble) and d-f
+    (transfers from 100, 001, 010) from one propagation.  When that
+    propagation fails, panels c-f are failed with its error and the
+    summary is still written; a failed write ends the command."""
     lam = inv.solve_lambda(THETA_CIRCULATOR, cfg.tau_ns)
     cfg = with_overrides(cfg, lambda_=lam, target_phase_rad=None)
     traj, pulses, phases = _resolve_design(cfg)
     model = _build_model(cfg, pulses)
-    summary: dict = {"panels": {}, "reference": {
-        "lambda": REFERENCE_LAMBDA,
-        "f_s": REFERENCE_F_S,
-        "f_m": REFERENCE_F_M,
-    }, "model": cfg.model, "noise": model.is_open(cfg.noise)}
-
-    def run_panel(name, fn, *args):
-        try:
-            summary["panels"][name] = fn(*args)
-            summary["panels"][name]["status"] = "ok"
-        except Exception as exc:  # noqa: BLE001 - continue past failed panels
-            summary["panels"][name] = {"status": "failed", "error": str(exc),
-                                       "error_type": type(exc).__name__}
-
-    def panel_a():
-        _write_sweep(out_dir / "fig3a_lambda_sweep.csv", np.linspace(0.15, 1.0, 35))
-        return {"lambda": lam, "lambda_matches": abs(lam - REFERENCE_LAMBDA) <= 5e-4}
-
-    def panel_b():
-        pulses.write_csv(out_dir / "fig3b_pulses.csv")
-        return {"theta_plus_rad": phases.theta_plus}
-
-    def panel_c():
-        report = _simulate(cfg, model, phases.theta_plus, "ensemble",
-                           out_dir / "fig3c_ensemble_fidelity.csv")
-        return {
-            "f_m": report.f_m,
-            "initial_fidelity": report.initial_fidelity,
-            "f_m_matches": abs(report.f_m - REFERENCE_F_M) <= 5e-3,
-        }
-
-    def transfer_panel(panel, initial):
-        report = _simulate(cfg, model, phases.theta_plus, initial,
-                           out_dir / f"fig3{panel}_initial_{initial}.csv")
-        return {
-            "initial": initial,
-            "f_s": report.fidelity,
-            "f_s_matches": abs(report.fidelity - REFERENCE_F_S[initial]) <= 5e-3,
-        }
-
-    run_panel("a", panel_a)
-    run_panel("b", panel_b)
-    run_panel("c", panel_c)
-    for panel, initial in zip("def", ("100", "001", "010")):
-        run_panel(panel, transfer_panel, panel, initial)
-    write_json(out_dir / "fig3_summary.json", summary)
-    for name, payload in summary["panels"].items():
+    _write_sweep(out_dir / "fig3a_lambda_sweep.csv", np.linspace(0.15, 1.0, 35))
+    pulses.write_csv(out_dir / "fig3b_pulses.csv")
+    panels = {
+        "a": {"lambda": lam, "lambda_matches": abs(lam - REFERENCE_LAMBDA) <= 5e-4,
+              "status": "ok"},
+        "b": {"theta_plus_rad": phases.theta_plus, "status": "ok"},
+    }
+    initials = {"c": "ensemble", "d": "100", "e": "001", "f": "010"}
+    try:
+        reports = _reports(cfg, model, phases.theta_plus, initials.values())
+    except Exception as exc:  # noqa: BLE001 - panels a and b still stand
+        panels.update(dict.fromkeys(initials, {
+            "status": "failed", "error": str(exc), "error_type": type(exc).__name__}))
+    else:
+        for panel, initial in initials.items():
+            report = reports[initial]
+            if initial == "ensemble":
+                report.write_csv(out_dir / "fig3c_ensemble_fidelity.csv")
+                panels[panel] = {
+                    "f_m": report.f_m, "initial_fidelity": report.initial_fidelity,
+                    "f_m_matches": abs(report.f_m - REFERENCE_F_M) <= 5e-3}
+            else:
+                report.write_csv(out_dir / f"fig3{panel}_initial_{initial}.csv")
+                panels[panel] = {
+                    "initial": initial, "f_s": report.fidelity,
+                    "f_s_matches": abs(report.fidelity - REFERENCE_F_S[initial]) <= 5e-3}
+            panels[panel]["status"] = "ok"
+    write_json(out_dir / "fig3_summary.json", {
+        "panels": panels, "model": cfg.model, "noise": model.is_open(cfg.noise),
+        "reference": {"lambda": REFERENCE_LAMBDA, "f_s": REFERENCE_F_S,
+                      "f_m": REFERENCE_F_M}})
+    for name, payload in panels.items():
         print(f"panel {name}: {payload['status']}")
-    failed = any(p["status"] == "failed" for p in summary["panels"].values())
+    failed = any(p["status"] == "failed" for p in panels.values())
     return EXIT_FAILURE if failed else EXIT_OK
 
 

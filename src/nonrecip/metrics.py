@@ -143,49 +143,66 @@ def _evolve(model: SimulationModel, initial_states, noise: bool,
     return run, blocks, traces
 
 
-def transfer_fidelity(model: SimulationModel, initial: str, target: PureState,
-                      noise: bool = True,
-                      cfg: PropagationConfig | None = None) -> TransferReport:
-    """Propagate a logical basis state and report its fidelity to the
-    target, a state of the 3-dimensional logical space, with per-state
-    population curves and (for models larger than the logical space) the
-    leakage out of it, the trace of rho(t) less the three populations."""
-    if target.dim != 3:
-        raise ValueError(f"target dim {target.dim} is not the 3-dimensional "
-                         "logical space")
-    initial_vec = np.eye(model.dim)[model.logical_index(initial)]
-    run, (block,), (trace,) = _evolve(model, [initial_vec], noise, cfg)
-
-    populations = {label: block[:, i, i].real
-                   for i, label in enumerate(SINGLE_EXCITATION_LABELS)}
-    leakage = (np.clip(trace - sum(populations.values()), 0.0, None)
-               if model.dim > 3 else None)
-    curve = (block @ target.amplitudes @ target.amplitudes.conj()).real
-    return TransferReport(**run, fidelity_curve=curve, initial_label=initial,
-                          populations=populations, leakage=leakage)
+def _expect(rho: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """<u|rho|w> at every record of a (records, 3, 3) stack."""
+    return rho @ w @ u.conj()
 
 
-def ensemble_fidelity(model: SimulationModel, noise: bool = True,
-                      cfg: PropagationConfig | None = None) -> EnsembleReport:
-    """Average fidelity of the send-and-receive protocol.
+def fidelity_reports(model: SimulationModel, unitary, initials, noise: bool = True,
+                     cfg: PropagationConfig | None = None) -> dict[str, RunReport]:
+    """Each initial's report, keyed by initial: a logical basis label for
+    a transfer, "ensemble" for the input ensemble.  Column j of the 3x3
+    logical matrix unitary is the target of basis state j.  One _evolve
+    call propagates the members that the reports need (each transfer's
+    basis state; |010>, |001> and |+> = (|010> + |001>)/sqrt(2) for the
+    ensemble), so every report's trace_loss is the worst member's.
 
-    Inputs cos(v)|010> + sin(v)|001> map to targets
-    i cos(v)|100> + i sin(v)|010>; F_m is the fidelity averaged uniformly
-    over v.  By linearity each input ends in c^2 rho_010 + s^2 rho_001 +
-    c s X (c = cos v, s = sin v), where X = 2 rho_+ - rho_010 - rho_001
-    and rho_010, rho_001, rho_+ propagate |010>, |001> and
-    (|010> + |001>)/sqrt(2).  Its fidelity is quartic in (c, s), so the
-    average is exact from <c^4> = <s^4> = 3/8, <c^2 s^2> = 1/8 and
-    vanishing odd moments: F_m = (3 a_010 + e_010 + a_001 + 3 e_001 +
-    b_X) / 8, with a and e the <100|.|100> and <010|.|010> entries and
-    b_X = <100|X|010> + <010|X|100>, all real parts.
+    A transfer reports its fidelity to its target, the population curves
+    and, for models larger than the logical space, the leakage: the
+    trace of rho(t) less the three populations.
+
+    The ensemble input cos(v)|010> + sin(v)|001> has the target c u1 +
+    s u2 (c = cos v, s = sin v; u1, u2 the targets of |010> and |001>)
+    and by linearity ends in c^2 rho_010 + s^2 rho_001 + c s X, with X =
+    2 rho_+ - rho_010 - rho_001.  The fidelity is quartic in (c, s), so
+    its uniform average over v is exact from <c^4> = <s^4> = 3/8,
+    <c^2 s^2> = 1/8 and vanishing odd moments: F_m = (3<u1|rho_010|u1> +
+    <u2|rho_010|u2> + <u1|rho_001|u1> + 3<u2|rho_001|u2> +
+    2 Re<u1|X|u2>) / 8.
     """
-    e010, e001 = np.eye(model.dim)[list(model.logical_indices[1:])]
-    run, blocks, _ = _evolve(
-        model, [e010, e001, (e010 + e001) / math.sqrt(2.0)], noise, cfg)
-    # the (records, 2, 2) stacks of (|100>, |010>) blocks, the targets' span
-    r010, r001, r_plus = blocks[..., :2, :2].real
-    x = 2.0 * r_plus - r010 - r001
-    curve = (3.0 * r010[:, 0, 0] + r010[:, 1, 1] + r001[:, 0, 0]
-             + 3.0 * r001[:, 1, 1] + x[:, 0, 1] + x[:, 1, 0]) / 8.0
-    return EnsembleReport(**run, fidelity_curve=curve)
+    targets = np.asarray(unitary, dtype=complex)
+    if targets.shape != (3, 3):
+        raise ValueError(f"target matrix of shape {targets.shape} does not act "
+                         "on the 3-dimensional logical space")
+    targets = np.ascontiguousarray(targets.T)  # row j: the target of state j
+    # the ensemble's own member is |+>
+    needs = {initial: ("010", "001", initial) if initial == "ensemble" else (initial,)
+             for initial in initials}
+    members = list(dict.fromkeys(m for labels in needs.values() for m in labels))
+    eye = np.eye(model.dim)
+    basis = {m: eye[model.logical_index(m)] for m in members if m != "ensemble"}
+    run, blocks, traces = _evolve(model, [
+        (basis["010"] + basis["001"]) / math.sqrt(2.0) if m == "ensemble" else basis[m]
+        for m in members], noise, cfg)
+    block, trace = dict(zip(members, blocks)), dict(zip(members, traces))
+
+    reports: dict[str, RunReport] = {}
+    for initial in needs:
+        if initial == "ensemble":
+            u1, u2 = targets[1:]
+            r010, r001 = block["010"], block["001"]
+            x = 2.0 * block[initial] - r010 - r001
+            curve = (3.0 * _expect(r010, u1, u1) + _expect(r010, u2, u2)
+                     + _expect(r001, u1, u1) + 3.0 * _expect(r001, u2, u2)
+                     + 2.0 * _expect(x, u1, u2)).real / 8.0
+            reports[initial] = EnsembleReport(**run, fidelity_curve=curve)
+            continue
+        populations = {label: block[initial][:, i, i].real
+                       for i, label in enumerate(SINGLE_EXCITATION_LABELS)}
+        leakage = (np.clip(trace[initial] - sum(populations.values()), 0.0, None)
+                   if model.dim > 3 else None)
+        u = targets[SINGLE_EXCITATION_LABELS.index(initial)]
+        reports[initial] = TransferReport(
+            **run, fidelity_curve=_expect(block[initial], u, u).real,
+            initial_label=initial, populations=populations, leakage=leakage)
+    return reports

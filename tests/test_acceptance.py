@@ -24,7 +24,7 @@ from nonrecip.invariant import (
     synthesize_pulses,
     target_unitary,
 )
-from nonrecip.metrics import ensemble_fidelity, transfer_fidelity
+from nonrecip.metrics import fidelity_reports
 from nonrecip.propagation import (
     PropagationConfig,
     integrate_master,
@@ -89,27 +89,17 @@ def full_qubit(pulses, chain):
     return full_chain_model(chain, invert_bessel_drive(pulses, chain))
 
 
-def _target(theta_plus, initial):
-    column = ("100", "010", "001").index(initial)
-    return PureState(target_unitary(theta_plus)[:, column])
-
-
-def _transfers(model, theta_plus, noise):
-    return {
-        initial: transfer_fidelity(model, initial, _target(theta_plus, initial),
-                                   noise=noise)
-        for initial in INITIALS
-    }
+@pytest.fixture(scope="module")
+def noisy_reports(device, theta_plus):
+    """The three noisy transfers and the noisy ensemble, from one call."""
+    return fidelity_reports(device, target_unitary(theta_plus),
+                            INITIALS + ("ensemble",), noise=True)
 
 
 @pytest.fixture(scope="module")
-def noisy_transfers(device, theta_plus):
-    return _transfers(device, theta_plus, noise=True)
-
-
-@pytest.fixture(scope="module")
-def clean_transfers(device, theta_plus):
-    return _transfers(device, theta_plus, noise=False)
+def clean_reports(device, theta_plus):
+    return fidelity_reports(device, target_unitary(theta_plus), INITIALS,
+                            noise=False)
 
 
 class TestLambdaAnchor:
@@ -138,11 +128,11 @@ class TestOperatorCirculator:
 
 
 class TestBasisTransferFidelities:
-    def test_single_excitation_transfers_with_noise(self, noisy_transfers):
+    def test_single_excitation_transfers_with_noise(self, noisy_reports):
         details = []
         ok = True
         for initial in INITIALS:
-            f = noisy_transfers[initial].fidelity
+            f = noisy_reports[initial].fidelity
             ok = ok and abs(f - F_S_REF[initial]) <= 5e-3
             details.append(f"F_s[{initial}] = {f:.5f} (ref {F_S_REF[initial]})")
         check("basis-transfer fidelities", ok,
@@ -151,8 +141,8 @@ class TestBasisTransferFidelities:
 
 
 class TestEnsembleFidelity:
-    def test_average_over_input_circle(self, device):
-        report = ensemble_fidelity(device, noise=True)
+    def test_average_over_input_circle(self, noisy_reports):
+        report = noisy_reports["ensemble"]
         ok = (abs(report.f_m - F_M_REF) <= 5e-3
               and abs(report.initial_fidelity - 0.125) <= 1e-2)
         check("ensemble fidelity", ok,
@@ -178,17 +168,17 @@ class TestNonReciprocity:
 
 
 class TestNoiseBudget:
-    def test_decoherence_contribution(self, noisy_transfers, clean_transfers):
-        noisy = np.mean([noisy_transfers[i].fidelity for i in INITIALS])
-        clean = np.mean([clean_transfers[i].fidelity for i in INITIALS])
+    def test_decoherence_contribution(self, noisy_reports, clean_reports):
+        noisy = np.mean([noisy_reports[i].fidelity for i in INITIALS])
+        clean = np.mean([clean_reports[i].fidelity for i in INITIALS])
         drop = clean - noisy
         ok = abs(drop - 0.0052) <= 3e-3
         check("noise budget: decoherence", ok,
               f"(infidelity rises by {drop:.5f} with channels on, ref 0.0052)")
 
     def test_leakage_contribution(self, full_qubit, theta_plus):
-        report = transfer_fidelity(full_qubit, "100",
-                                   _target(theta_plus, "100"), noise=True)
+        report = fidelity_reports(full_qubit, target_unitary(theta_plus), ["100"],
+                                  noise=True)["100"]
         leak = float(report.leakage[-1])
         ok = abs(leak - 0.0025) <= 2e-3
         check("noise budget: leakage", ok,

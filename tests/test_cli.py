@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nonrecip import cli
+from nonrecip import cli, metrics
 from nonrecip.cli import (
     EXIT_FAILURE,
     EXIT_OK,
@@ -24,6 +24,7 @@ from nonrecip.config import (
     with_overrides,
 )
 from nonrecip.propagation import IntegratorError, PropagationConfig
+from nonrecip.statespace import PureState
 from scenario_text import serialize_config
 
 
@@ -368,6 +369,83 @@ class TestSimulateCommand:
         assert report["initial_fidelity"] == pytest.approx(0.125, abs=1e-6)
 
 
+class TestOnePropagation:
+    """Each command's reports come from one kernel call on the union of
+    the members they need, and score against the designed unitary."""
+
+    @staticmethod
+    def members_per_call(monkeypatch) -> list[int]:
+        """The member count of every kernel call that the reports make."""
+        calls = []
+        master, schrodinger = metrics.integrate_master, metrics.propagate_schrodinger
+
+        def spy_master(h, channels, rho0, tau, cfg):
+            calls.append(1 if rho0.ndim == 2 else len(rho0))
+            return master(h, channels, rho0, tau, cfg)
+
+        def spy_schrodinger(h, psi, tau, cfg):
+            calls.append(1 if isinstance(psi, PureState) else psi.shape[1])
+            return schrodinger(h, psi, tau, cfg)
+
+        monkeypatch.setattr(metrics, "integrate_master", spy_master)
+        monkeypatch.setattr(metrics, "propagate_schrodinger", spy_schrodinger)
+        return calls
+
+    @pytest.mark.parametrize("model, noise", [("single_excitation", True),
+                                              ("ideal", False)])
+    @pytest.mark.parametrize("argv, members", [
+        (["simulate", "--initial", "100"], [1]),
+        (["simulate", "--initial", "ensemble"], [3]),
+        (["reproduce-fig3"], [4])])
+    def test_kernel_calls_per_command(self, tmp_path, monkeypatch, model, noise,
+                                      argv, members):
+        cfg_path = tmp_path / "coarse.ini"
+        cfg_path.write_text(serialize_config(ScenarioConfig(
+            model=model, noise=noise, step_ns=0.05)))
+        calls = self.members_per_call(monkeypatch)
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]
+                    + argv) == EXIT_OK
+        assert calls == members
+
+    @pytest.mark.parametrize("noise", [True, False], ids=["noisy", "closed"])
+    def test_fig3_panels_equal_simulate_runs(self, tmp_path, noise):
+        # 1.5 pi solves the same lambda that reproduce-fig3 solves
+        cfg_path = tmp_path / "circulator.ini"
+        cfg_path.write_text(serialize_config(ScenarioConfig(
+            lambda_=None, target_phase_rad=4.71238898038469, step_ns=0.05)))
+        flags = ["--config", str(cfg_path)] + ([] if noise else ["--no-noise"])
+        fig3 = tmp_path / "fig3"
+        assert main(flags + ["--out", str(fig3), "reproduce-fig3"]) == EXIT_OK
+        panels = json.loads((fig3 / "fig3_summary.json").read_text())["panels"]
+        for panel, initial, csv in (("c", "ensemble", "ensemble_fidelity.csv"),
+                                    ("d", "100", "trajectory_100.csv"),
+                                    ("e", "001", "trajectory_001.csv"),
+                                    ("f", "010", "trajectory_010.csv")):
+            out = tmp_path / initial
+            assert main(flags + ["--out", str(out), "simulate",
+                                 "--initial", initial]) == EXIT_OK
+            name = ("fig3c_ensemble_fidelity.csv" if panel == "c"
+                    else f"fig3{panel}_initial_{initial}.csv")
+            assert (fig3 / name).read_bytes() == (out / csv).read_bytes()
+            report = json.loads((out / "report.json").read_text())
+            assert report["noise"] is noise
+            key = "f_m" if panel == "c" else "fidelity"
+            assert panels[panel]["f_m" if panel == "c" else "f_s"] == report[key]
+
+    def test_ensemble_scores_the_designed_unitary(self, tmp_path, capsys):
+        # the ideal model realises U(theta_plus) for any designed phase;
+        # fixed circulator targets read F_m = 0.786374 here
+        cfg_path = tmp_path / "phase4.ini"
+        cfg_path.write_text(serialize_config(ScenarioConfig(
+            model="ideal", tau_ns=200.0, lambda_=None, target_phase_rad=4.0)))
+        for initial in ("ensemble", "100", "010", "001"):
+            out = tmp_path / initial
+            assert main(["--config", str(cfg_path), "--out", str(out), "simulate",
+                         "--initial", initial]) == EXIT_OK
+            report = json.loads((out / "report.json").read_text())
+            assert report["f_m" if initial == "ensemble" else "fidelity"] >= 1.0 - 1e-9
+
+
 class TestFailureReporting:
     @pytest.mark.parametrize("argv, code", [
         (["--bogus", "design"], EXIT_FAILURE),
@@ -416,18 +494,21 @@ class TestFailureReporting:
         assert "lost Hermiticity" in capsys.readouterr().err
 
     def test_failed_panel_records_error_type(self, tmp_path, monkeypatch):
+        # panels c-f share one propagation, so they fail together
         def broken(*args, **kwargs):
             raise IntegratorError("forced failure")
 
-        monkeypatch.setattr(cli, "ensemble_fidelity", broken)
+        monkeypatch.setattr(cli, "fidelity_reports", broken)
         out = tmp_path / "out"
         code = main(["--out", str(out), "--model", "ideal", "--no-noise",
                      "reproduce-fig3"])
         assert code == EXIT_FAILURE
         panels = json.loads((out / "fig3_summary.json").read_text())["panels"]
-        assert panels["c"] == {"status": "failed", "error": "forced failure",
-                               "error_type": "IntegratorError"}
-        assert all(p["status"] == "ok" for name, p in panels.items() if name != "c")
+        failed = {"status": "failed", "error": "forced failure",
+                  "error_type": "IntegratorError"}
+        assert [panels[name] for name in "cdef"] == [failed] * 4
+        assert panels["a"]["status"] == panels["b"]["status"] == "ok"
+        assert not list(out.glob("fig3[c-f]_*.csv"))
 
     def test_ideal_fig3_summary_reports_no_noise(self, tmp_path):
         # the ideal model has no channels, so its panels run closed even

@@ -26,7 +26,7 @@ from nonrecip.invariant import (
     synthesize_pulses,
     target_unitary,
 )
-from nonrecip.metrics import ensemble_fidelity, transfer_fidelity
+from nonrecip.metrics import fidelity_reports
 from nonrecip.propagation import PropagationConfig, propagate_schrodinger
 from nonrecip.statespace import ControlHamiltonian, PureState
 from lr_reference import check_boundary
@@ -153,26 +153,27 @@ class TestSeedFidelities:
         model = single_excitation_model(ScenarioConfig().chain_spec(), drives)
         return model, theta, PropagationConfig(step=0.05)
 
-    @pytest.mark.parametrize("initial", ["100", "010", "001"])
-    def test_transfer(self, setup, initial):
+    @pytest.fixture(scope="class")
+    def reports(self, setup):
         model, theta, cfg = setup
-        column = ("100", "010", "001").index(initial)
-        target = PureState(target_unitary(theta)[:, column])
-        report = transfer_fidelity(model, initial, target, cfg=cfg)
+        return fidelity_reports(model, target_unitary(theta),
+                                ("100", "010", "001", "ensemble"), cfg=cfg)
+
+    @pytest.mark.parametrize("initial", ["100", "010", "001"])
+    def test_transfer(self, reports, initial):
+        report = reports[initial]
         assert report.fidelity == pytest.approx(SEED_F_S[initial], abs=1e-10)
         assert report.fidelity == pytest.approx(CONVERGED_F_S[initial], abs=2e-9)
 
-    def test_ensemble(self, setup):
-        model, _, cfg = setup
-        report = ensemble_fidelity(model, cfg=cfg)
+    def test_ensemble(self, reports):
+        report = reports["ensemble"]
         assert report.f_m == pytest.approx(SEED_F_M, abs=1e-10)
         assert report.f_m == pytest.approx(CONVERGED_F_M, abs=2e-9)
 
     def test_full_qubit_leakage_at_default_step(self, setup, drives):
         _, theta, _ = setup
         model = full_chain_model(ScenarioConfig().chain_spec(), drives)
-        target = PureState(target_unitary(theta)[:, 0])
-        report = transfer_fidelity(model, "100", target)
+        report = fidelity_reports(model, target_unitary(theta), ["100"])["100"]
         assert report.step_ns == TAU / 32000  # 2,000 intervals, refined 16-fold
         assert report.leakage[-1] == pytest.approx(CONVERGED_FULL_QUBIT_LEAKAGE,
                                                    abs=1e-9)
@@ -224,10 +225,9 @@ class TestDefaultStepRule:
         theta = lr_phase(AuxiliaryTrajectory(LAMBDA_SOLVED, TAU)).theta_plus
 
         def fidelity(cfg):
-            if initial == "ensemble":
-                return ensemble_fidelity(model, noise=noise, cfg=cfg).f_m
-            target = PureState(target_unitary(theta)[:, 0])
-            return transfer_fidelity(model, initial, target, noise=noise, cfg=cfg).fidelity
+            report = fidelity_reports(model, target_unitary(theta), [initial],
+                                      noise=noise, cfg=cfg)[initial]
+            return report.f_m if initial == "ensemble" else report.fidelity
 
         half = PropagationConfig(step=0.5 * model.default_step)
         assert abs(fidelity(None) - fidelity(half)) <= bound
@@ -242,8 +242,8 @@ def test_long_three_level_run_completes():
     pulses = synthesize_pulses(traj)
     chain = ScenarioConfig(model="full_three_level").chain_spec()
     model = full_chain_model(chain, invert_bessel_drive(pulses, chain))
-    target = PureState(target_unitary(lr_phase(traj).theta_plus)[:, 0])
-    report = transfer_fidelity(model, "100", target, cfg=PropagationConfig(step=0.005))
+    report = fidelity_reports(model, target_unitary(lr_phase(traj).theta_plus), ["100"],
+                              cfg=PropagationConfig(step=0.005))["100"]
     assert (model.dim, report.step_ns) == (27, 0.005)
     # the vec-rho RK4 kernel read 0.9726293649267329
     assert report.fidelity == pytest.approx(0.972629152557472, abs=1e-10)

@@ -30,8 +30,7 @@ from nonrecip.invariant import (
     synthesize_pulses,
     target_unitary,
 )
-from nonrecip.metrics import transfer_fidelity
-from nonrecip.statespace import PureState
+from nonrecip.metrics import fidelity_reports
 from nonrecip.units import khz, mhz
 from rk4_reference import embedded
 
@@ -220,8 +219,8 @@ class TestInvertBesselDrive:
         traj = AuxiliaryTrajectory(1.5, TAU)
         pulses = synthesize_pulses(traj)
         model = build(chain, invert_bessel_drive(pulses, chain))
-        target = PureState(target_unitary(lr_phase(traj).theta_plus)[:, 0])
-        report = transfer_fidelity(model, "100", target, noise=False)
+        report = fidelity_reports(model, target_unitary(lr_phase(traj).theta_plus),
+                                  ["100"], noise=False)["100"]
         assert report.fidelity >= 0.995
 
     def test_unattainable_drive(self, chain):

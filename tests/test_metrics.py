@@ -13,10 +13,11 @@ from nonrecip.devices import (
 )
 from nonrecip.invariant import (
     AuxiliaryTrajectory,
+    lr_phase,
     synthesize_pulses,
     target_unitary,
 )
-from nonrecip.metrics import ensemble_fidelity, transfer_fidelity
+from nonrecip.metrics import fidelity_reports
 from nonrecip.propagation import (
     IntegratorError,
     PropagationConfig,
@@ -36,8 +37,12 @@ THETA_CIRC = 1.5 * np.pi
 COARSE = PropagationConfig(step=0.05)
 
 
-def logical_state(amps):
-    return PureState(np.asarray(amps, dtype=complex))
+U_CIRC = target_unitary(THETA_CIRC)
+
+
+def report_of(model, unitary, initial, noise=True, cfg=None):
+    """The report of one initial against the 3x3 logical target matrix."""
+    return fidelity_reports(model, unitary, [initial], noise=noise, cfg=cfg)[initial]
 
 
 @pytest.fixture(scope="module")
@@ -111,50 +116,54 @@ def reference_transfer(model, rhos, target):
     return populations, leakage, (rhos @ target_vec @ target_vec.conj()).real
 
 
-def reference_ensemble_curve(model, rhos):
-    """F_m(t) of ensemble_fidelity's formula from the histories of |010>,
-    |001> and |+>, read through np.ix_ on the (|100>, |010>) block."""
-    i100, i010, _ = model.logical_indices
-    block = (slice(None),) + np.ix_([i100, i010], [i100, i010])
-    r010, r001, r_plus = (r[block].real for r in rhos)
+def reference_ensemble_curve(model, rhos, unitary):
+    """F_m(t) of the ensemble formula from the histories of |010>, |001>
+    and |+>, read through np.ix_ on the logical block, with u1 and u2
+    the targets of |010> and |001>."""
+    block = (slice(None),) + np.ix_(model.logical_indices, model.logical_indices)
+    r010, r001, r_plus = (r[block] for r in rhos)
     x = 2.0 * r_plus - r010 - r001
-    return (3.0 * r010[:, 0, 0] + r010[:, 1, 1] + r001[:, 0, 0]
-            + 3.0 * r001[:, 1, 1] + x[:, 0, 1] + x[:, 1, 0]) / 8.0
+    u1, u2 = np.ascontiguousarray(unitary.T)[1:]
+
+    def expect(rho, u, w):
+        return rho @ w @ u.conj()
+
+    return (3.0 * expect(r010, u1, u1) + expect(r010, u2, u2)
+            + expect(r001, u1, u1) + 3.0 * expect(r001, u2, u2)
+            + 2.0 * expect(x, u1, u2)).real / 8.0
 
 
 class TestTransferFidelity:
     def test_ideal_forward_transfer(self, model):
-        target = logical_state(target_unitary(THETA_CIRC)[:, 0])
-        report = transfer_fidelity(model, "100", target, noise=False)
+        report = report_of(model, U_CIRC, "100", noise=False)
         assert report.fidelity > 0.999
 
     def test_reversed_direction_is_blocked(self, model):
         # |001> ends on |100>, so its overlap with any |001>-like target
         # must vanish
-        target = logical_state([0.0, 0.0, 1.0])
-        report = transfer_fidelity(model, "001", target, noise=False)
+        report = report_of(model, np.eye(3), "001", noise=False)
         assert report.fidelity < 1e-3
 
     def test_global_phase_of_target_is_irrelevant(self, model):
-        base = target_unitary(THETA_CIRC)[:, 0]
-        r1 = transfer_fidelity(model, "100", logical_state(base), noise=False)
-        r2 = transfer_fidelity(
-            model, "100", logical_state(np.exp(0.4j) * base), noise=False
-        )
+        r1 = report_of(model, U_CIRC, "100", noise=False)
+        r2 = report_of(model, np.exp(0.4j) * U_CIRC, "100", noise=False)
         assert r1.fidelity == pytest.approx(r2.fidelity, abs=1e-12)
 
     def test_population_curves_are_stochastic(self, model):
-        target = logical_state(target_unitary(THETA_CIRC)[:, 0])
-        report = transfer_fidelity(model, "100", target, noise=False)
+        report = report_of(model, U_CIRC, "100", noise=False)
         total = sum(report.populations.values())
         assert np.allclose(total, 1.0, atol=1e-9)
         assert report.populations["100"][0] == pytest.approx(1.0, abs=1e-12)
         assert report.leakage is None
 
-    def test_target_outside_logical_space_rejected(self, device):
-        target = PureState(np.eye(device.dim)[device.logical_index("010")])
+    @pytest.mark.parametrize("shape", [(8, 8), (3,), (3, 2)])
+    def test_target_outside_logical_space_rejected(self, device, shape):
         with pytest.raises(ValueError, match="logical space"):
-            transfer_fidelity(device, "100", target, noise=False)
+            report_of(device, np.ones(shape), "100", noise=False)
+
+    def test_unknown_initial_rejected(self, model):
+        with pytest.raises(ValueError, match="unknown logical label"):
+            report_of(model, U_CIRC, "+", noise=False)
 
     def test_matches_full_density_formulas(self, run):
         # the report reads the logical block and the trace; the reference
@@ -162,33 +171,34 @@ class TestTransferFidelity:
         # targets, which have at most two nonzero amplitudes.  A third
         # one makes <t|rho|t> sum in logical order, not in model-index
         # order, which moves the curve by rounding only.
+        # The three designed transfers come from one call and one
+        # reference block, the generic target's from a second call.
         model, noise, cfg = run
-        designed = target_unitary(THETA_CIRC).T
+        initials = ("100", "010", "001")
         generic = np.array([0.6, -0.48j, 0.64 * np.exp(0.3j)])
-        for initial, targets in (("100", [designed[0]]),
-                                 ("010", [designed[1], generic]),
-                                 ("001", [designed[2]])):
-            (rhos,) = full_rho_history(
-                model, [np.eye(model.dim)[model.logical_index(initial)]],
-                noise, cfg)
-            for target in targets:
-                report = transfer_fidelity(model, initial, PureState(target),
-                                           noise=noise, cfg=cfg)
-                populations, leakage, curve = reference_transfer(model, rhos,
-                                                                 target)
-                assert report.noise == (noise and bool(model.channels))
-                for ours, ref in zip(report.populations.values(), populations):
-                    assert np.array_equal(ours, ref)
-                if model.dim > 3:
-                    assert np.array_equal(report.leakage, leakage)
-                if target is generic:
-                    assert np.max(np.abs(report.fidelity_curve - curve)) <= 4e-16
-                else:
-                    assert np.array_equal(report.fidelity_curve, curve)
+        mixed = U_CIRC.copy()
+        mixed[:, 1] = generic
+        designed = fidelity_reports(model, U_CIRC, initials, noise=noise, cfg=cfg)
+        history = dict(zip(initials, full_rho_history(
+            model, np.eye(model.dim)[[model.logical_index(i) for i in initials]],
+            noise, cfg)))
+        cases = [(i, U_CIRC[:, j], designed[i]) for j, i in enumerate(initials)]
+        cases.append(("010", generic, report_of(model, mixed, "010", noise, cfg)))
+        for initial, target, report in cases:
+            populations, leakage, curve = reference_transfer(
+                model, history[initial], target)
+            assert report.noise == (noise and bool(model.channels))
+            for ours, ref in zip(report.populations.values(), populations):
+                assert np.array_equal(ours, ref)
+            if model.dim > 3:
+                assert np.array_equal(report.leakage, leakage)
+            if target is generic:
+                assert np.max(np.abs(report.fidelity_curve - curve)) <= 4e-16
+            else:
+                assert np.array_equal(report.fidelity_curve, curve)
 
     def test_csv_round_trip(self, model, tmp_path):
-        target = logical_state(target_unitary(THETA_CIRC)[:, 0])
-        report = transfer_fidelity(model, "100", target, noise=False)
+        report = report_of(model, U_CIRC, "100", noise=False)
         path = tmp_path / "transfer.csv"
         report.write_csv(path)
         rows = np.loadtxt(path, delimiter=",", skiprows=1)
@@ -196,41 +206,62 @@ class TestTransferFidelity:
         assert rows[-1, -1] == pytest.approx(report.fidelity, abs=1e-12)
 
 
+def explicit_ensemble_curve(model, unitary, noise, cfg):
+    """Brute force: propagate each input cos(v)|010> + sin(v)|001> and
+    take the trapezoid average of its fidelity to cos(v) u1 + sin(v) u2
+    (u1, u2 the targets of |010> and |001>) at every record; 9 points (8
+    intervals) integrate the quartic fidelity exactly."""
+    _, i010, i001 = model.logical_indices
+    thetas = np.linspace(0.0, 2.0 * np.pi, 9)
+    inputs = np.zeros((9, model.dim), dtype=complex)
+    inputs[:, i010], inputs[:, i001] = np.cos(thetas), np.sin(thetas)
+    targets = np.zeros((9, model.dim), dtype=complex)
+    targets[:, list(model.logical_indices)] = (np.cos(thetas)[:, None] * unitary[:, 1]
+                                               + np.sin(thetas)[:, None] * unitary[:, 2])
+    rhos = full_rho_history(model, list(inputs), noise, cfg)
+    curves = np.einsum("vi,vrij,vj->vr", targets.conj(), rhos, targets).real
+    return np.trapezoid(curves, thetas, axis=0) / (2.0 * np.pi)
+
+
 class TestEnsembleFidelity:
     def test_initial_average_overlap(self, model):
         # at t = 0 the average of |<target|initial>|^2 over the circle
         # is exactly 1/8
-        report = ensemble_fidelity(model, noise=False)
+        report = report_of(model, U_CIRC, "ensemble", noise=False)
         assert report.initial_fidelity == pytest.approx(0.125, abs=1e-9)
 
     def test_ideal_protocol_is_nearly_perfect(self, model):
-        report = ensemble_fidelity(model, noise=False)
+        report = report_of(model, U_CIRC, "ensemble", noise=False)
         assert report.f_m > 0.999
 
     def test_matches_explicit_inputs(self, run):
-        # brute force: propagate each input cos(v)|010> + sin(v)|001>
-        # and take the trapezoid average of its fidelity to
-        # i cos(v)|100> + i sin(v)|010> at every record; 9 points
-        # (8 intervals) integrate the quartic fidelity exactly.  The
+        # the circulator's targets are i cos(v)|100> + i sin(v)|010>.  The
         # report also equals its formula on the full rho(t) bit for bit.
         model, noise, cfg = run
-        i100, i010, i001 = model.logical_indices
-        thetas = np.linspace(0.0, 2.0 * np.pi, 9)
-        inputs = np.zeros((9, model.dim), dtype=complex)
-        inputs[:, i010], inputs[:, i001] = np.cos(thetas), np.sin(thetas)
-        targets = np.zeros((9, model.dim), dtype=complex)
-        targets[:, i100], targets[:, i010] = 1j * np.cos(thetas), 1j * np.sin(thetas)
-        rhos = full_rho_history(model, list(inputs), noise, cfg)
-        curves = np.einsum("vi,vrij,vj->vr", targets.conj(), rhos, targets).real
-        expected = np.trapezoid(curves, thetas, axis=0) / (2.0 * np.pi)
-        report = ensemble_fidelity(model, noise=noise, cfg=cfg)
+        expected = explicit_ensemble_curve(model, U_CIRC, noise, cfg)
+        report = report_of(model, U_CIRC, "ensemble", noise=noise, cfg=cfg)
         assert report.f_m == pytest.approx(expected[-1], abs=1e-12)
         assert np.max(np.abs(report.fidelity_curve - expected)) <= 1e-12
+        _, i010, i001 = model.logical_indices
         e010, e001 = np.eye(model.dim)[[i010, i001]]
         rhos = full_rho_history(
             model, [e010, e001, (e010 + e001) / np.sqrt(2.0)], noise, cfg)
         assert np.array_equal(report.fidelity_curve,
-                              reference_ensemble_curve(model, rhos))
+                              reference_ensemble_curve(model, rhos, U_CIRC))
+
+    def test_scores_the_designed_unitary(self):
+        # away from the circulator phase the inputs' targets are still
+        # the designed unitary's columns, as the transfers' are: the ideal
+        # model realises U(theta_plus), so every report reads 1, where the
+        # fixed targets i cos(v)|100> + i sin(v)|010> read F_m 0.761
+        traj = AuxiliaryTrajectory(0.6, TAU)
+        model = ideal_model(synthesize_pulses(traj))
+        unitary = target_unitary(lr_phase(traj).theta_plus)
+        reports = fidelity_reports(model, unitary, ("ensemble", "100", "010", "001"),
+                                   noise=False)
+        assert min(r.fidelity_curve[-1] for r in reports.values()) >= 1.0 - 1e-9
+        expected = explicit_ensemble_curve(model, unitary, False, None)
+        assert np.max(np.abs(reports["ensemble"].fidelity_curve - expected)) <= 1e-12
 
     def test_closed_d27_memory_peak(self, pulses):
         # the closed run forms only the 3x3 logical block of each record,
@@ -239,7 +270,7 @@ class TestEnsembleFidelity:
         model = full_chain_model(chain, invert_bessel_drive(pulses, chain))
         tracemalloc.start()
         try:
-            ensemble_fidelity(model, noise=False)
+            report_of(model, U_CIRC, "ensemble", noise=False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -323,10 +354,8 @@ class TestInvariantChecks:
 
     def test_transfer_fidelity_checks_final_state(self, run, break_hermiticity):
         model, noise, cfg = run
-        target = logical_state(target_unitary(THETA_CIRC)[:, 0])
         with pytest.raises(IntegratorError, match="Hermiticity"):
-            transfer_fidelity(break_hermiticity(model), "100", target,
-                              noise=noise, cfg=cfg)
+            report_of(break_hermiticity(model), U_CIRC, "100", noise=noise, cfg=cfg)
 
     def test_noisy_transfer_rejects_a_non_hermitian_control_form(self, device):
         # -1e-9 i on |100> drains at most 2.9e-7 of trace over the run,
@@ -337,12 +366,12 @@ class TestInvariantChecks:
         drift = h.h0.copy()
         drift[device.logical_index("100"), device.logical_index("100")] -= 1e-9j
         broken = replace(device, hamiltonian=replace(h, h0=drift))
-        target = logical_state(target_unitary(THETA_CIRC)[:, 0])
         with pytest.raises(IntegratorError, match="Hamiltonian lost Hermiticity"):
-            transfer_fidelity(broken, "100", target, cfg=COARSE)
+            report_of(broken, U_CIRC, "100", cfg=COARSE)
 
     def test_ensemble_fidelity_checks_diagonal_blocks(self, run,
                                                       break_hermiticity):
         model, noise, cfg = run
         with pytest.raises(IntegratorError, match="Hermiticity"):
-            ensemble_fidelity(break_hermiticity(model), noise=noise, cfg=cfg)
+            report_of(break_hermiticity(model), U_CIRC, "ensemble", noise=noise,
+                      cfg=cfg)
