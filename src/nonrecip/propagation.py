@@ -8,7 +8,11 @@ and a block member's arithmetic does not depend on the block: each member
 takes the same operations as a single call, bit for bit.  One RK4 step of
 dX/dt = -iH(t) X is a fixed polynomial M_k in the generator at the start,
 midpoint and end of the step, so _raw_maps forms the maps of both kernels
-a chunk at a time, in one batched pass (about 3 d^3 multiply-adds a map):
+a chunk at a time, in one batched pass (about 3 w^3 multiply-adds a map).
+It forms them on the span of H only, the w = hi - lo basis states that
+H0 or an A_j touches (states 1-4 of the single-excitation model, all of
+the others): outside it a map is exactly I, and _embedder writes the
+span block into d x d identity tables that serve the whole run.
 
 - closed runs apply one M_k @ x per step to a (k, d, 1) stack of kets,
   one mat-vec per member (one gemm on a (d, k) block put its columns up
@@ -20,21 +24,26 @@ a chunk at a time, in one batched pass (about 3 d^3 multiply-adds a map):
   record.  Each channel acts on one site, so E is the Kronecker product
   of dense Taylor-summed exponentials: one 64 x 64 factor for all sites
   at d = 8, one 9 x 9 per transmon at d = 27, applied by batched matmuls
-  along each factor's axes of rho, in numpy alone.  RK4's
-  maps do not keep the trace (it drifts by 6e-8 over the noisy
-  single-excitation run from |010> at step 0.05 ns, above
-  check_density's 1e-8), so each map first takes one
-  Newton-Schulz polar step towards the unitaries (Hairer, Lubich &
-  Wanner, Geometric Numerical Integration, IV.4), an O(dt^6) change.
+  along each factor's axes of rho, in numpy alone.  A step takes three
+  numpy calls, each writing into a buffer: M_k rho, then (M_k rho) M_k^H,
+  then E of that into the chunk's (m + 1, k, d, d) buffer of the states
+  that its maps act on, which the trace-loss sum reads.  RK4's maps do
+  not keep the trace (it drifts by 6e-8 over the noisy single-excitation
+  run from |010> at step 0.05 ns, above check_density's 1e-8), so each
+  map first takes one Newton-Schulz polar step towards the unitaries
+  (Hairer, Lubich & Wanner, Geometric Numerical Integration, IV.4), an
+  O(dt^6) change, on the span, where it leaves I.
 
 One rule refuses a step that is too large: StepTooLargeError once the raw
 maps have changed a member's trace by more than 2e-6, checked after every
 chunk.  With K = I - M^H M, an open run sums tr(K rho) over the states the
-maps act on, which the projection cannot hide.  A pure state's trace is
-its squared norm, and sum_k psi_k^H K_k psi_k telescopes to its change, so
-a closed run checks one norm a chunk.  An overflow's inf or NaN is refused
-too.  Closed maps stay raw: projecting took the maps of a 2,900-step ideal
-run from 5.1 to 8.4 ms (of 12.7), closed d = 8 and 27 runs +24% and +73%.
+maps act on, which the projection cannot hide; K is 0 outside the span,
+so the sum reads the span block.  A pure state's trace is its squared
+norm, and sum_k psi_k^H K_k psi_k telescopes to its change, so a closed
+run checks one norm a chunk.  An overflow's inf or NaN is refused too.
+Closed maps stay raw: projecting takes the maps of the 2,000-step ideal
+run from 2.3 to 3.7 ms (of 5.1), and took closed d = 8 and 27 runs +24%
+and +73%.
 
 Fixed-step, fixed-order arithmetic throughout: identical inputs produce
 bit-identical outputs.  States are recorded every RECORD_STRIDE steps and
@@ -102,9 +111,15 @@ class Trajectory:
         return self.states[-1]
 
 
-# matrix entries per table of step maps, 96 kB: 682 steps per chunk at
-# d = 3, 8 at d = 27.  Larger tables raise the peak RSS of a design-and-
-# verify process (by about 0.2 MB at 128 kB); smaller ones slow d = 27.
+# matrix entries per table of d x d step maps, 96 kB: 682 steps per chunk
+# at d = 3, 96 at d = 8, 8 at d = 27.  Larger tables raise the peak RSS of
+# a design-and-verify process (by about 0.2 MB at 128 kB); smaller ones
+# slow d = 27.  With formation on the span, fresh `simulate --initial 100`
+# processes (tools/cli_times.py, best of 5, alternating; 1x against 2x and
+# 4x) took: noisy single_excitation 0.206 s / 33.1 MB at 1x, 0.206 s /
+# 33.3 MB at 2x, 0.202 s / 33.8 MB at 4x; noisy full_three_level 2.96 s /
+# 41.0 MB at 1x, 2.84 s / 41.4 MB at 2x, 3.07 s / 41.1 MB against 2.81 s /
+# 43.1 MB at 4x.  d = 8 does not gain, and the d = 27 gain costs RSS.
 _MAP_ENTRIES = 6144
 
 # The most entries of a dissipator propagator formed whole: a larger one
@@ -131,11 +146,11 @@ def _step_maps(gen: ControlHamiltonian, s0, s, first: int, last: int, dt: float)
     four tables (L at the step ends, Lm, P2 and P3), and M takes Lm's
     place."""
     c = gen.coeffs(np.arange(2 * first, 2 * last + 1) * (0.5 * dt))
-    d = gen.dim
+    d = len(s0)
     # separate contiguous tables: in-place updates of strided views copy
-    ends = (c[::2] @ s).reshape(-1, d, d)
+    ends = (c[::2] @ s).reshape(last - first + 1, d, d)
     ends += s0
-    lm = (c[1::2] @ s).reshape(-1, d, d)
+    lm = (c[1::2] @ s).reshape(last - first, d, d)
     lm += s0
     l0, l1 = ends[:-1], ends[1:]
     p2 = lm @ l0
@@ -158,14 +173,42 @@ def _step_maps(gen: ControlHamiltonian, s0, s, first: int, last: int, dt: float)
     return maps
 
 
+def _chunk(d: int) -> int:
+    """Steps per chunk: _MAP_ENTRIES entries of d x d maps."""
+    return max(1, _MAP_ENTRIES // d**2)
+
+
 def _raw_maps(gen: ControlHamiltonian, n: int, dt: float):
     """(first, maps) for each chunk of the n steps of size dt: _step_maps
-    of -iH(t) from step first, at most _MAP_ENTRIES entries.  A chunk is
-    formed when asked for, so a caller that drops its maps never holds two."""
-    s0, s = -1j * gen.h0, -1j * gen.ops.reshape(len(gen.ops), -1)
-    chunk = max(1, _MAP_ENTRIES // gen.dim**2)
+    of -iH(t) from step first, on gen.span only.  Outside the span H is 0,
+    so a d x d map is exactly I there, and maps holds the (w, w) block
+    that is not, w = hi - lo (_embedder writes it into d x d tables).  A
+    chunk is formed when asked for, so a caller that drops its maps never
+    holds two."""
+    lo, hi = gen.span
+    s0 = -1j * gen.h0[lo:hi, lo:hi]
+    s = -1j * gen.ops[:, lo:hi, lo:hi].reshape(len(gen.ops), -1)
+    chunk = _chunk(gen.dim)
     for first in range(0, n, chunk):
         yield first, _step_maps(gen, s0, s, first, min(n, first + chunk), dt)
+
+
+def _embedder(gen: ControlHamiltonian, n: int):
+    """The function that takes a chunk's span maps from _raw_maps to its
+    (m, d, d) step maps: it writes them into the span block of identity
+    tables, one set of which serves every chunk of an n-step run.  A span
+    that is the whole space needs no tables."""
+    d, (lo, hi) = gen.dim, gen.span
+    if (lo, hi) == (0, d):
+        return lambda maps: maps
+    tables = np.zeros((min(n, _chunk(d)), d, d), dtype=complex)
+    tables.reshape(len(tables), -1)[:, ::d + 1] = 1.0
+
+    def embed(maps):
+        out = tables[:len(maps)]
+        out[:, lo:hi, lo:hi] = maps
+        return out
+    return embed
 
 
 def _check_trace_loss(lost) -> float:
@@ -209,7 +252,9 @@ def propagate_schrodinger(
     norm0 = np.sum(np.abs(x) ** 2, axis=(1, 2))
     times, states = _records(n, dt, x)
     j = 0
+    embed = _embedder(gen, n)
     for first, maps in _raw_maps(gen, n, dt):
+        maps = embed(maps)
         for step in range(first, first + len(maps)):
             x = maps[step - first] @ x
             if _due(step, n):
@@ -267,16 +312,30 @@ class _Factored:
         self._products = [(0 < f == m - 1, math.prod(self.dims[:f]) ** 2,
                            e.T if 0 < f == m - 1 else e)
                           for f, e in enumerate(self.factors)]
+        # one factor: the one matmul on each member's vec writes the result
+        self._whole = self.factors[0] if m == 1 else None
 
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        if not self.factors:
-            return r
-        k = len(r)
-        x = r.reshape((k,) + self.dims * 2).transpose(self._interleave)
-        for right, before, e in self._products:
-            x = x.reshape(k, before, -1) @ e if right else e @ x.reshape(
-                k * before, len(e), -1)
-        return x.reshape((k,) + self._pairs).transpose(self._back).reshape(r.shape)
+    def __call__(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """E applied to each member of the (k, d, d) block r, written into
+        out (a C-contiguous complex array of r's shape) when it is given."""
+        if self._whole is not None:
+            if out is None:
+                out = np.empty(r.shape, dtype=complex)
+            vecs = (len(r), -1, 1)
+            np.matmul(self._whole, r.reshape(vecs), out=out.reshape(vecs))
+            return out
+        x = r
+        if self.factors:
+            k = len(r)
+            x = r.reshape((k,) + self.dims * 2).transpose(self._interleave)
+            for right, before, e in self._products:
+                x = x.reshape(k, before, -1) @ e if right else e @ x.reshape(
+                    k * before, len(e), -1)
+            x = x.reshape((k,) + self._pairs).transpose(self._back)
+        if out is None:
+            return x.reshape(r.shape) if self.factors else r
+        np.copyto(out.reshape(x.shape), x)
+        return out
 
 
 def _dissipator_propagators(channels: Sequence, d: int, dt: float):
@@ -350,27 +409,36 @@ def integrate_master(
     Raises StepTooLargeError by the trace-loss rule, and IntegratorError
     unless every final member passes check_density."""
     n, dt = _grid(tau, cfg.step)
-    half, full = _dissipator_propagators(channels, gen.dim, dt)
-    r = np.array(rho0, dtype=complex).reshape(-1, gen.dim, gen.dim)
+    d, (lo, hi) = gen.dim, gen.span
+    half, full = _dissipator_propagators(channels, d, dt)
+    r = np.array(rho0, dtype=complex).reshape(-1, d, d)
     times, states = _records(n, dt, r)
+    # acted_on[i] is the state that map i of a chunk acts on; acted_on[m]
+    # ends the chunk and starts the next
+    acted_on = np.empty((min(n, _chunk(d)) + 1,) + r.shape, dtype=complex)
+    half(r, out=acted_on[0])
+    a, b = np.empty_like(acted_on[0]), np.empty_like(acted_on[0])
+    embed = _embedder(gen, n)
     j = 0
-    r = half(r)
     lost = np.zeros(len(r))
     for first, maps in _raw_maps(gen, n, dt):
         maps, defects = _unitary_maps(maps)
+        m = len(maps)
+        maps = embed(maps)
         adjoints = maps.conj().transpose(0, 2, 1)
-        acted_on = np.empty((len(maps),) + r.shape, dtype=complex)
-        for step in range(first, first + len(maps)):
-            acted_on[step - first] = r
-            r = maps[step - first] @ r @ adjoints[step - first]
-            if _due(step, n):
+        for i in range(m):
+            np.matmul(maps[i], acted_on[i], out=a)
+            np.matmul(a, adjoints[i], out=b)
+            if _due(first + i, n):
                 j += 1
-                states[j] = half(r)
-            r = full(r)
-        # tr(K rho) = sum_ij K_ij conj(rho_ij) for a Hermitian rho
-        lost += (acted_on.reshape(len(maps), len(r), -1).conj()
-                 @ defects.reshape(len(maps), -1, 1)).real.sum(axis=(0, 2))
-        del maps, defects, adjoints, acted_on  # before the next chunk's are formed
+                half(b, out=states[j])
+            full(b, out=acted_on[i + 1])
+        # tr(K rho) = sum_ij K_ij conj(rho_ij) for a Hermitian rho, and K
+        # is 0 outside the span
+        span = acted_on[:m, :, lo:hi, lo:hi].reshape(m, len(r), -1)
+        lost += (span.conj() @ defects.reshape(m, -1, 1)).real.sum(axis=(0, 2))
+        acted_on[0] = acted_on[m]
+        del maps, defects, adjoints  # before the next chunk's are formed
         loss = _check_trace_loss(lost)
     check_density(states[-1])
     return Trajectory(times, states.reshape((len(times),) + np.shape(rho0)), n, dt, loss)

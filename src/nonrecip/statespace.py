@@ -10,7 +10,7 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -30,17 +30,27 @@ class ControlHamiltonian:
     ops = (A_1..A_J) of shape (J, d, d), and coeffs mapping m times to
     the (m, J) coefficient table.  A Hermitian H pairs a non-Hermitian
     A_j with its adjoint under the conjugate coefficient.  Calling the
-    instance returns the d x d matrix H(t)."""
+    instance returns the d x d matrix H(t).
+
+    span = (lo, hi) is the smallest index range [lo, hi) that holds every
+    nonzero entry of h0 and ops, read from their pattern with no
+    tolerance ((0, 0) for an H that is zero): outside the block
+    [lo, hi) x [lo, hi), H(t) is exactly 0 at every t."""
 
     h0: np.ndarray
     ops: np.ndarray
     coeffs: Callable[[np.ndarray], np.ndarray]
+    span: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "h0", _freeze(self.h0))
         object.__setattr__(self, "ops", _freeze(self.ops))
         if self.ops.ndim != 3 or self.ops.shape[1:] != self.h0.shape:
             raise ValueError(f"ops {self.ops.shape} vs h0 {self.h0.shape}")
+        pattern = (self.h0 != 0) | np.any(self.ops != 0, axis=0)
+        touched = np.flatnonzero(pattern.any(axis=0) | pattern.any(axis=1))
+        object.__setattr__(self, "span", (int(touched[0]), int(touched[-1]) + 1)
+                           if touched.size else (0, 0))
 
     @property
     def dim(self) -> int:

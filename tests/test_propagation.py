@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -435,6 +436,89 @@ class TestStrangSplit:
         with pytest.raises(StepTooLargeError, match=LOSS_MESSAGE):
             integrate_master(gen, [LindbladChannel(op, khz(50.0))],
                              projector(ket(3, 2)), 10.0, PropagationConfig(step=0.05))
+
+
+@pytest.fixture(scope="module")
+def full_qubit(pulses):
+    chain = ScenarioConfig().chain_spec()
+    return full_chain_model(chain, invert_bessel_drive(pulses, chain))
+
+
+def full_maps(gen, first, last, dt):
+    """_step_maps of steps first..last - 1 formed over the whole space."""
+    return propagation._step_maps(gen, -1j * gen.h0, -1j * gen.ops.reshape(
+        len(gen.ops), -1), first, last, dt)
+
+
+class TestSpan:
+    def test_spans_of_the_models(self, pulses, device, full_qubit, three_level):
+        # single_excitation: |000> and the one-excitation states 1..4; the
+        # full chain's counter-rotating terms reach every state
+        assert ideal_model(pulses).hamiltonian.span == (0, 3)
+        assert device.hamiltonian.span == (1, 5)
+        assert full_qubit.hamiltonian.span == (0, 8)
+        assert three_level.hamiltonian.span == (0, 27)
+        assert modulated(np.zeros((2, 2))).span == (0, 0)
+
+    def test_embedded_maps_equal_whole_space_formation(self, device):
+        gen, dt = device.hamiltonian, device.default_step
+        n = 3 * propagation._chunk(device.dim) // 2  # a full chunk and a short one
+        embed = propagation._embedder(gen, n)
+        chunks = list(propagation._raw_maps(gen, n, dt))
+        assert [len(maps) for _, maps in chunks] == [96, 48]
+        for first, maps in chunks:
+            assert maps.shape[1:] == (4, 4)
+            want = full_maps(gen, first, first + len(maps), dt)
+            assert np.array_equal(embed(maps), want)
+            # projected on the span, then embedded: the projected whole maps
+            span_maps, span_defects = propagation._unitary_maps(maps.copy())
+            whole_maps, whole_defects = propagation._unitary_maps(want.copy())
+            assert np.array_equal(embed(span_maps), whole_maps)
+            assert np.array_equal(span_defects, whole_defects[:, 1:5, 1:5])
+
+    def test_maps_outside_the_span_are_identity(self, device):
+        gen, d = device.hamiltonian, device.dim
+        outside = np.ones((d, d), dtype=bool)
+        outside[1:5, 1:5] = False
+        raw = full_maps(gen, 0, 96, device.default_step)
+        projected, defects = propagation._unitary_maps(raw.copy())
+        for maps in (raw, projected):
+            assert np.all(maps[:, outside] == np.eye(d)[outside])
+        assert np.all(defects[:, outside] == 0.0)
+        assert np.any(defects[:, ~outside] != 0.0)
+
+    def test_zero_hamiltonian_has_identity_maps(self):
+        gen = modulated(np.zeros((2, 2)))
+        (first, maps), = propagation._raw_maps(gen, 5, 0.1)
+        assert first == 0 and maps.shape == (5, 0, 0)
+        assert np.array_equal(propagation._embedder(gen, 5)(maps),
+                              np.broadcast_to(np.eye(2), (5, 2, 2)))
+
+    def test_factored_propagator_writes_into_out(self, noisy_model):
+        # one factor at d = 8, three at d = 27
+        d = noisy_model.dim
+        rng = np.random.default_rng(d)
+        r = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
+        for e in propagation._dissipator_propagators(noisy_model.channels, d, 0.005):
+            out = np.empty_like(r)
+            assert e(r, out=out) is out
+            assert np.array_equal(out, e(r))
+        none, _ = propagation._dissipator_propagators([], d, 0.005)
+        assert np.array_equal(none(r, out=out), r)
+
+    def test_open_run_memory_peak(self, device):
+        # the (m + 1, k, d, d) chunk buffer holds the states that the maps
+        # act on, and the maps are formed and projected on the 4 x 4 span
+        # block; 0.701 MB before both, 0.58 MB after
+        rho0 = projector(ket(device.dim, device.logical_index("100")))
+        cfg = PropagationConfig(step=0.05)
+        tracemalloc.start()
+        try:
+            integrate_master(device.hamiltonian, device.channels, rho0, TAU, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.70e6
 
 
 class TestBenchmarkInterface:
