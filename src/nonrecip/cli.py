@@ -33,7 +33,6 @@ from .devices import (
 )
 from .invariant import PulseDivergenceError, RootBracketError, NonMonotonicBracketError
 from .metrics import RunReport, fidelity_reports
-from .propagation import PropagationConfig
 from .reporting import write_csv, write_json
 
 EXIT_OK = 0
@@ -80,9 +79,8 @@ def _reports(cfg: ScenarioConfig, model: SimulationModel, theta_plus: float,
     """The report of each initial, "ensemble" or a logical basis label,
     against the designed unitary, all from one propagation at the model's
     default step unless the scenario sets step_ns."""
-    prop_cfg = None if cfg.step_ns is None else PropagationConfig(step=cfg.step_ns)
     return fidelity_reports(model, inv.target_unitary(theta_plus), initials,
-                            noise=cfg.noise, cfg=prop_cfg)
+                            noise=cfg.noise, step=cfg.step_ns)
 
 
 def cmd_design(cfg: ScenarioConfig, out_dir: Path) -> int:

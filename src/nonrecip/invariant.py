@@ -75,10 +75,6 @@ class AuxiliaryTrajectory:
         u = self._check_range(t) / self.tau
         return 32.0 * self.lambda_ * u * (1.0 - u) * (1.0 - 2.0 * u) / self.tau
 
-    def beta_dot(self, t):
-        u = self._check_range(t) / self.tau
-        return 70.0 * np.pi * u**3 * (1.0 - u) ** 3 / self.tau
-
     def beta_dot_over_gamma(self, t):
         """beta_dot/gamma with the common t^2 (tau-t)^2 factor cancelled.
 

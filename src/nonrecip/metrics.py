@@ -1,4 +1,5 @@
-"""Fidelities, population traces and the exact ensemble average."""
+"""Fidelities, population traces and the exact ensemble average, each
+command's read from one block of states propagated together."""
 
 from __future__ import annotations
 
@@ -8,14 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .devices import SINGLE_EXCITATION_LABELS, SimulationModel
-from .propagation import (
-    IntegratorError,
-    PropagationConfig,
-    integrate_master,
-    propagate_schrodinger,
-)
+from .propagation import IntegratorError, integrate_master, propagate_schrodinger
 from .reporting import write_csv
-from .statespace import PureState
 
 
 @dataclass
@@ -94,9 +89,9 @@ class EnsembleReport(RunReport):
 
 
 def _evolve(model: SimulationModel, initial_states, noise: bool,
-            cfg: PropagationConfig | None) -> tuple[dict, np.ndarray, np.ndarray]:
+            step: float | None) -> tuple[dict, np.ndarray, np.ndarray]:
     """Propagate the k initial model-space vectors from 0 to tau in one
-    call (at the model's default step when cfg is None) and return the
+    call (at the model's default step when step is None) and return the
     RunReport fields it fixes, all but the fidelity curve, the (k,
     records, 3, 3) block of rho(t) on the logical indices and the (k,
     records) trace of rho(t).
@@ -104,34 +99,28 @@ def _evolve(model: SimulationModel, initial_states, noise: bool,
     H is first checked to be Hermitian at 65 times: both kernels refuse
     a member only once the raw step maps change its trace by over 2e-6,
     and below that an open run's projected maps would hide a non-Hermitian
-    H.  A closed run (not model.is_open(noise)) propagates a (d, k) block
-    of psi columns and forms the block from the logical amplitudes only;
-    an open run propagates the (k, d, d) block of psi psi^H, and also
-    checks every final state with check_density.  A single state goes in
-    unbatched, as a PureState or one (d, d) matrix: the per-state calls
-    whose steps perfbench's traced worker counts."""
-    cfg = cfg or PropagationConfig(step=model.default_step)
+    H.  A closed run (not model.is_open(noise)) propagates the (k, d)
+    block of kets and forms the 3x3 block from the logical amplitudes
+    only; an open run propagates the (k, d, d) block of psi psi^H, and
+    also checks every final state with check_density."""
+    step = model.default_step if step is None else step
     noise = model.is_open(noise)
     idx = np.array(model.logical_indices)
-    psi = np.column_stack(initial_states)
-    d, k = psi.shape
+    psi = np.stack(initial_states)
     h = model.hamiltonian.matrices(np.linspace(0.0, model.tau, 65))
     if np.max(np.abs(h - h.conj().transpose(0, 2, 1))) > 1e-9:
         raise IntegratorError("Hamiltonian lost Hermiticity; a propagation "
                               "would not conserve probability")
     if noise:
-        rho0 = psi.T[:, :, None] * psi.T[:, None, :].conj()
-        traj = integrate_master(model.hamiltonian, model.channels,
-                                rho0[0] if k == 1 else rho0, model.tau, cfg)
-        rhos = traj.states.reshape(len(traj.times), k, d, d).swapaxes(0, 1)
+        rho0 = psi[:, :, None] * psi[:, None, :].conj()
+        traj = integrate_master(model.hamiltonian, model.channels, rho0, model.tau, step)
+        rhos = traj.states.swapaxes(0, 1)
         # one advanced index: chained ones make a (k, records, 3, d) copy
         blocks = rhos[..., idx[:, None], idx]
         traces = np.trace(rhos, axis1=2, axis2=3).real
     else:
-        traj = propagate_schrodinger(model.hamiltonian,
-                                     PureState(psi[:, 0]) if k == 1 else psi,
-                                     model.tau, cfg)
-        x = traj.states.reshape(len(traj.times), d, k).transpose(2, 0, 1)
+        traj = propagate_schrodinger(model.hamiltonian, psi, model.tau, step)
+        x = traj.states.swapaxes(0, 1)
         amps = x[..., idx]
         blocks = amps[..., :, None] * amps[..., None, :].conj()
         # np.trace(psi psi^H) bit for bit; (x * x.conj()).real.sum() is not
@@ -149,13 +138,14 @@ def _expect(rho: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def fidelity_reports(model: SimulationModel, unitary, initials, noise: bool = True,
-                     cfg: PropagationConfig | None = None) -> dict[str, RunReport]:
+                     step: float | None = None) -> dict[str, RunReport]:
     """Each initial's report, keyed by initial: a logical basis label for
     a transfer, "ensemble" for the input ensemble.  Column j of the 3x3
     logical matrix unitary is the target of basis state j.  One _evolve
     call propagates the members that the reports need (each transfer's
     basis state; |010>, |001> and |+> = (|010> + |001>)/sqrt(2) for the
-    ensemble), so every report's trace_loss is the worst member's.
+    ensemble) as one block, at the model's default step when step is
+    None, so every report's trace_loss is the worst member's.
 
     A transfer reports its fidelity to its target, the population curves
     and, for models larger than the logical space, the leakage: the
@@ -183,7 +173,7 @@ def fidelity_reports(model: SimulationModel, unitary, initials, noise: bool = Tr
     basis = {m: eye[model.logical_index(m)] for m in members if m != "ensemble"}
     run, blocks, traces = _evolve(model, [
         (basis["010"] + basis["001"]) / math.sqrt(2.0) if m == "ensemble" else basis[m]
-        for m in members], noise, cfg)
+        for m in members], noise, step)
     block, trace = dict(zip(members, blocks)), dict(zip(members, traces))
 
     reports: dict[str, RunReport] = {}

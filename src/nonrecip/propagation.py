@@ -3,9 +3,10 @@
 Fixed-step RK4 is the only integrator of the Hamiltonian part (a product
 of midpoint exponentials in tests/oracle_reference.py is its test
 reference).  Every propagation works on a ControlHamiltonian
-H(t) = H0 + sum_j c_j(t) A_j and takes one state or a block of states,
-and a block member's arithmetic does not depend on the block: each member
-takes the same operations as a single call, bit for bit.  One RK4 step of
+H(t) = H0 + sum_j c_j(t) A_j and takes a block of k states, a (k, d)
+array of kets or a (k, d, d) array of density matrices, and a member's
+arithmetic does not depend on the block: each member takes the same
+operations as a one-member block, bit for bit.  One RK4 step of
 dX/dt = -iH(t) X is a fixed polynomial M_k in the generator at the start,
 midpoint and end of the step, so _raw_maps forms the maps of both kernels
 a chunk at a time, in one batched pass (about 3 w^3 multiply-adds a map).
@@ -15,8 +16,8 @@ the others): outside it a map is exactly I, and _embedder writes the
 span block into d x d identity tables that serve the whole run.
 
 - closed runs apply one M_k @ x per step to a (k, d, 1) stack of kets,
-  one mat-vec per member (one gemm on a (d, k) block put its columns up
-  to 3e-14 off their single calls);
+  one mat-vec per member (one gemm on a (d, k) block of columns put them
+  up to 3e-14 off their one-member runs);
 - open runs Strang-split drho/dt = -i[H, rho] + D(rho) (Strang, SIAM J.
   Numer. Anal. 5, 506 (1968)), second order in D and fourth in H: a step
   is rho <- E(M_k rho M_k^H) for a (k, d, d) block, with E = exp(D dt)
@@ -58,7 +59,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .statespace import ControlHamiltonian, PureState
+from .statespace import ControlHamiltonian
 
 
 class StepTooLargeError(RuntimeError):
@@ -74,31 +75,13 @@ class IntegratorError(RuntimeError):
 RECORD_STRIDE = 50
 
 
-@dataclass(frozen=True)
-class PropagationConfig:
-    """Fixed-step integration settings.
-
-    step is in ns, and tau is divided into the nearest whole number of
-    steps.  The caller is responsible for resolving the fastest
-    coefficient phase: each model's default_step gives it at least twenty
-    steps per period, on a refinement of the pulse-sample grid (see
-    nonrecip.devices).
-    """
-
-    step: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.step) and self.step > 0):
-            raise ValueError(f"step must be finite and > 0, got {self.step}")
-
-
 @dataclass
 class Trajectory:
     """Time-stamped states from a propagation run of steps steps of
-    size step (ns): states stacks one record per time, each shaped like
-    the initial state or block.  trace_loss is the largest change in a
-    member's trace (a pure state's squared norm) that the raw step maps
-    caused, the quantity the trace-loss rule bounds."""
+    size step (ns): states stacks one record per time, each a (k, d) block
+    of kets or a (k, d, d) block of matrices.  trace_loss is the largest
+    change in a member's trace (a pure state's squared norm) that the raw
+    step maps caused, the quantity the trace-loss rule bounds."""
 
     times: np.ndarray
     states: np.ndarray
@@ -131,6 +114,10 @@ _WHOLE_E_ENTRIES = 64**2
 
 
 def _grid(tau: float, step: float) -> tuple[int, float]:
+    """(n, dt): tau in the nearest whole number n of steps of about step
+    ns.  Each model's default_step resolves its fastest phase (devices)."""
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and > 0, got {step}")
     n = max(1, int(round(tau / step)))
     return n, tau / n
 
@@ -225,7 +212,7 @@ def _check_trace_loss(lost) -> float:
 def _records(n: int, dt: float, first: np.ndarray):
     """The record times of an n-step run of step dt, after 0, RECORD_STRIDE,
     2 RECORD_STRIDE, ... and n steps, and an uninitialised (records,
-    *first.shape) array of states whose row 0 is first."""
+    *first.shape) array of blocks whose row 0 is first."""
     times = np.append(np.arange(0, n, RECORD_STRIDE), n) * dt
     states = np.empty((len(times),) + first.shape, dtype=complex)
     states[0] = first
@@ -239,18 +226,16 @@ def _due(k: int, n: int) -> bool:
 
 @np.errstate(over="ignore", invalid="ignore")  # the rule refuses inf and NaN
 def propagate_schrodinger(
-    gen: ControlHamiltonian, psi0: PureState | np.ndarray, tau: float,
-    cfg: PropagationConfig,
+    gen: ControlHamiltonian, psi0: np.ndarray, tau: float, step: float,
 ) -> Trajectory:
     """Integrate i d|psi>/dt = H(t)|psi> from 0 to tau by the raw RK4 step
-    maps, one M @ x per step and state.  psi0 is a PureState, or a (d, k)
-    array whose k columns are propagated together, and each recorded state
-    has the same shape.  Raises StepTooLargeError by the trace-loss rule."""
-    n, dt = _grid(tau, cfg.step)
-    x0 = np.array(psi0.amplitudes if isinstance(psi0, PureState) else psi0, dtype=complex)
-    x = x0.reshape(gen.dim, -1).T[:, :, None].copy()  # the (k, d, 1) stack of kets
+    maps of about step ns, one M @ x per step and ket of the (k, d) block
+    psi0, recording (k, d) blocks.  Raises StepTooLargeError by the
+    trace-loss rule."""
+    n, dt = _grid(tau, step)
+    x = np.array(psi0, dtype=complex)[:, :, None]  # the (k, d, 1) stack of kets
     norm0 = np.sum(np.abs(x) ** 2, axis=(1, 2))
-    times, states = _records(n, dt, x)
+    times, states = _records(n, dt, x[..., 0])
     j = 0
     embed = _embedder(gen, n)
     for first, maps in _raw_maps(gen, n, dt):
@@ -259,11 +244,9 @@ def propagate_schrodinger(
             x = maps[step - first] @ x
             if _due(step, n):
                 j += 1
-                states[j] = x
+                states[j] = x[..., 0]
         del maps  # free this chunk's maps before the next chunk's are formed
         loss = _check_trace_loss(norm0 - np.sum(np.abs(x) ** 2, axis=(1, 2)))
-    # (records, k, d, 1) to (records, d, k), or (records, d) for one ket
-    states = states[..., 0].transpose(0, 2, 1).reshape((len(times),) + x0.shape)
     return Trajectory(times, states, n, dt, loss)
 
 
@@ -396,22 +379,22 @@ def _unitary_maps(maps: np.ndarray):
 @np.errstate(over="ignore", invalid="ignore")  # the rule refuses inf and NaN
 def integrate_master(
     gen: ControlHamiltonian, channels: Sequence, rho0: np.ndarray, tau: float,
-    cfg: PropagationConfig,
+    step: float,
 ) -> Trajectory:
     """Strang-split integration of drho/dt = i[rho, H(t)] + sum_k
-    Gamma_k L(O_k) from rho0: one (d, d) density matrix, or a (k, d, d)
-    block propagated together.  A step is rho <- E(M rho M^H), with M a
-    unitary-projected RK4 step map of the closed part (_unitary_maps) and
-    E = exp(D dt) the constant dissipator propagator; E_half opens the run
-    and closes each recorded state, so the record after n steps is
-    E_half M E M ... E M E_half rho0.  Each recorded state has rho0's shape.
+    Gamma_k L(O_k) at about step ns from rho0, a (k, d, d) block of density
+    matrices.  A step is rho <- E(M rho M^H), with M a unitary-projected
+    RK4 step map of the closed part (_unitary_maps) and E = exp(D dt) the
+    constant dissipator propagator; E_half opens the run and closes each
+    recorded block, so the record after n steps is
+    E_half M E M ... E M E_half rho0.  Each record is a (k, d, d) block.
 
     Raises StepTooLargeError by the trace-loss rule, and IntegratorError
     unless every final member passes check_density."""
-    n, dt = _grid(tau, cfg.step)
+    n, dt = _grid(tau, step)
     d, (lo, hi) = gen.dim, gen.span
     half, full = _dissipator_propagators(channels, d, dt)
-    r = np.array(rho0, dtype=complex).reshape(-1, d, d)
+    r = np.array(rho0, dtype=complex)
     times, states = _records(n, dt, r)
     # acted_on[i] is the state that map i of a chunk acts on; acted_on[m]
     # ends the chunk and starts the next
@@ -441,7 +424,7 @@ def integrate_master(
         del maps, defects, adjoints  # before the next chunk's are formed
         loss = _check_trace_loss(lost)
     check_density(states[-1])
-    return Trajectory(times, states.reshape((len(times),) + np.shape(rho0)), n, dt, loss)
+    return Trajectory(times, states, n, dt, loss)
 
 
 def check_density(rho: np.ndarray):

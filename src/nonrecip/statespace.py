@@ -1,11 +1,11 @@
 """Finite-dimensional complex state-space primitives.
 
-Plain complex ndarrays carry every Hamiltonian, invariant, unitary and
-density matrix in this package.  The two value types here add what an
-array cannot check by itself: ControlHamiltonian, the control form
-H(t) = H0 + sum_j c_j(t) A_j with its shapes checked, and PureState, a
-finite unit-norm amplitude vector.  Both are immutable after
-construction.
+Plain complex ndarrays carry every Hamiltonian, invariant, unitary, ket
+and density matrix in this package; the propagators take and record
+blocks of them, (k, d) kets or (k, d, d) matrices.  The one value type
+here adds what an array cannot check by itself: ControlHamiltonian, the
+control form H(t) = H0 + sum_j c_j(t) A_j with its shapes checked,
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-
-NORM_TOL = 1e-9
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -63,25 +61,3 @@ class ControlHamiltonian:
 
     def __call__(self, t) -> np.ndarray:
         return self.matrices(t)[0]
-
-
-@dataclass(frozen=True)
-class PureState:
-    """A finite, unit-norm complex amplitude vector."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        a = _freeze(self.amplitudes)
-        object.__setattr__(self, "amplitudes", a)
-        if a.ndim != 1:
-            raise ValueError("amplitudes must be a vector")
-        if not np.all(np.isfinite(a.view(float))):
-            raise ValueError("amplitudes must be finite")
-        norm_sq = float(np.sum(np.abs(a) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(f"state not normalized: |psi|^2 = {norm_sq!r}")
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]

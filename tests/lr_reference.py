@@ -11,16 +11,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from nonrecip.invariant import AuxiliaryTrajectory, PulsePair, lr_phase
-from nonrecip.statespace import PureState
 
 ISOLATION_FLOOR_DB = -120.0
+
+
+def beta_dot(traj: AuxiliaryTrajectory, t):
+    """d(beta)/dt = 70 pi u^3 (1 - u)^3 / tau, u = t / tau: the closed-form
+    derivative of the trajectory's beta ramp."""
+    u = np.asarray(t, dtype=float) / traj.tau
+    return 70.0 * np.pi * u**3 * (1.0 - u) ** 3 / traj.tau
 
 
 def invariant_stack(traj: AuxiliaryTrajectory, t):
     """I(t) and dI/dt (closed-form derivative of the entries) in the
     {A, M, B} basis, each stacked to shape (m, 3, 3) over the times t."""
     g, b, gd, bd = (np.atleast_1d(f(t)) for f in (
-        traj.gamma, traj.beta, traj.gamma_dot, traj.beta_dot))
+        traj.gamma, traj.beta, traj.gamma_dot, lambda t: beta_dot(traj, t)))
     cg, sg, cb, sb = np.cos(g), np.sin(g), np.cos(b), np.sin(b)
 
     def matrix(am, ab, mb):
@@ -35,7 +41,8 @@ def invariant_stack(traj: AuxiliaryTrajectory, t):
 
 
 def invariant_eigenstates(traj: AuxiliaryTrajectory, t: float):
-    """(mu_0, mu_plus, mu_minus): closed-form eigenstates of the invariant.
+    """(mu_0, mu_plus, mu_minus): closed-form eigenstates of the invariant,
+    as unit-norm amplitude vectors.
 
     Eigenvalues are 0, +1/2 and -1/2 respectively, independent of t.
     """
@@ -49,7 +56,7 @@ def invariant_eigenstates(traj: AuxiliaryTrajectory, t: float):
     mum = np.array(
         [sg * cb - 1j * sb, 1j * cg, -sg * sb - 1j * cb], dtype=complex
     ) / math.sqrt(2.0)
-    return PureState(mu0), PureState(mup), PureState(mum)
+    return mu0, mup, mum
 
 
 def lr_predicted_evolution(traj: AuxiliaryTrajectory) -> np.ndarray:
@@ -65,7 +72,7 @@ def lr_predicted_evolution(traj: AuxiliaryTrajectory) -> np.ndarray:
     thetas = (0.0, theta_plus, -theta_plus)
     u = np.zeros((3, 3), dtype=complex)
     for theta, s0, s1 in zip(thetas, start, end):
-        u += np.exp(-1j * theta) * np.outer(s1.amplitudes, s0.amplitudes.conj())
+        u += np.exp(-1j * theta) * np.outer(s1, s0.conj())
     return u
 
 

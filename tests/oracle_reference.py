@@ -5,12 +5,12 @@ nonrecip are tested against."""
 
 import numpy as np
 
-from nonrecip.propagation import PropagationConfig, _grid
+from nonrecip.propagation import _grid
 from nonrecip.statespace import ControlHamiltonian
 
 
 def evolution_operator_oracle(
-    gen: ControlHamiltonian, tau: float, cfg: PropagationConfig | None = None
+    gen: ControlHamiltonian, tau: float, step: float = 0.001
 ) -> np.ndarray:
     """U(tau), as a complex (d, d) array: the time-ordered product of
     per-step midpoint exponentials exp(-i H(t_k + dt/2) dt).
@@ -18,8 +18,7 @@ def evolution_operator_oracle(
     This is the brute-force reference for any designed evolution
     operator; accuracy is limited only by the step size.
     """
-    cfg = cfg or PropagationConfig(step=0.001)
-    n, dt = _grid(tau, cfg.step)
+    n, dt = _grid(tau, step)
     hs = gen.matrices((np.arange(n) + 0.5) * dt)
     w, v = np.linalg.eigh(hs)
     phases = np.exp(-1j * w * dt)

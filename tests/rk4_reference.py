@@ -47,14 +47,14 @@ def lindblad_stack(gen, channels) -> np.ndarray:
     return np.concatenate([drift] + [commutator(a) for a in gen.ops])
 
 
-def rk4(stack, gen, x0, tau: float, cfg) -> Trajectory:
+def rk4(stack, gen, x0, tau: float, step: float) -> Trajectory:
     """Classical RK4 for dx/dt = S_0 x + sum_j c_j(t) S_j x, where the
     (1 + J) blocks of stack are S_0..S_J and x0 is a vector or a block of
     columns.  For each chunk of steps the table holds (1, c(t)) on the
     half-step times, so rows 2k, 2k + 1 and 2k + 2 are the start, midpoint
     and end of step k, and the stage derivative at row s is
     table[s] @ (stack @ x), over the (blocks, rows x columns) reshape."""
-    n, dt = _grid(tau, cfg.step)
+    n, dt = _grid(tau, step)
     blocks = stack.shape[0] // stack.shape[1]
     weights = np.array([1.0, 2.0, 2.0, 1.0], dtype=complex) * (dt / 6.0)
     x = np.array(x0, dtype=complex)
@@ -83,10 +83,10 @@ def rk4(stack, gen, x0, tau: float, cfg) -> Trajectory:
     return Trajectory(np.array(times), np.array(states), n, dt, math.nan)
 
 
-def master_rk4(gen, channels, rho0, tau: float, cfg) -> Trajectory:
+def master_rk4(gen, channels, rho0, tau: float, step: float) -> Trajectory:
     """Vec-rho RK4 of the master equation from one (d, d) rho0; each
     recorded state is a (d, d) matrix."""
     d = gen.dim
-    traj = rk4(lindblad_stack(gen, channels), gen, np.ravel(rho0), tau, cfg)
+    traj = rk4(lindblad_stack(gen, channels), gen, np.ravel(rho0), tau, step)
     traj.states = traj.states.reshape(-1, d, d)
     return traj

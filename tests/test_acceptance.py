@@ -25,12 +25,8 @@ from nonrecip.invariant import (
     target_unitary,
 )
 from nonrecip.metrics import fidelity_reports
-from nonrecip.propagation import (
-    PropagationConfig,
-    integrate_master,
-    propagate_schrodinger,
-)
-from nonrecip.statespace import ControlHamiltonian, PureState
+from nonrecip.propagation import integrate_master, propagate_schrodinger
+from nonrecip.statespace import ControlHamiltonian
 from lr_reference import (
     check_boundary,
     invariant_eigenstates,
@@ -115,8 +111,7 @@ class TestLambdaAnchor:
 class TestOperatorCirculator:
     def test_oracle_matches_designed_unitary(self, ideal, traj):
         start = time.monotonic()
-        u = evolution_operator_oracle(ideal.hamiltonian, TAU,
-                                      PropagationConfig(step=0.001))
+        u = evolution_operator_oracle(ideal.hamiltonian, TAU, 0.001)
         d_target, _ = global_phase_distance(u, target_unitary(THETA_CIRC))
         d_lr, _ = global_phase_distance(
             u, lr_predicted_evolution(traj))
@@ -152,8 +147,7 @@ class TestEnsembleFidelity:
 
 class TestNonReciprocity:
     def test_forward_backward_asymmetry(self, ideal):
-        u = evolution_operator_oracle(ideal.hamiltonian, TAU,
-                                      PropagationConfig(step=0.005))
+        u = evolution_operator_oracle(ideal.hamiltonian, TAU, 0.005)
         t = transmission_matrix(u)
         forward = t[2, 0]   # A -> B
         backward = t[0, 2]  # B -> A
@@ -204,9 +198,7 @@ class TestPropertySuite:
         # eigenstates stay orthonormal
         worst = 0.0
         for t in rng.uniform(0.0, TAU, 50):
-            v = np.column_stack(
-                [s.amplitudes for s in invariant_eigenstates(traj, t)]
-            )
+            v = np.column_stack(invariant_eigenstates(traj, t))
             worst = max(worst, np.max(np.abs(v.conj().T @ v - np.eye(3))))
         sub("orthonormality", worst < 1e-10, f"{worst:.1e}")
 
@@ -219,12 +211,12 @@ class TestPropertySuite:
 
         # density-matrix invariants survive an open-system run
         i0 = device.logical_index("100")
-        rho0 = np.zeros((device.dim, device.dim), dtype=complex)
-        rho0[i0, i0] = 1.0
+        rho0 = np.zeros((1, device.dim, device.dim), dtype=complex)
+        rho0[0, i0, i0] = 1.0
         out = integrate_master(
             device.hamiltonian, device.channels, rho0, 5.0,
-            PropagationConfig(step=device.default_step),
-        ).final
+            device.default_step,
+        ).final[0]
         tr_ok = abs(np.trace(out).real - 1.0) < 1e-9
         herm_ok = np.max(np.abs(out - out.conj().T)) < 1e-9
         pos_ok = np.linalg.eigvalsh(0.5 * (out + out.conj().T)).min() > -1e-8
@@ -234,15 +226,10 @@ class TestPropertySuite:
         sx = 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         h = ControlHamiltonian(np.zeros((2, 2)), sx[None],
                                lambda t: np.cos(0.7 * t)[:, None])
-        psi0 = PureState(np.array([1.0, 0.0]))
-        ref = propagate_schrodinger(
-            h, psi0, 4.0, PropagationConfig(step=0.0005)).final
-        errs = [
-            np.linalg.norm(propagate_schrodinger(
-                h, psi0, 4.0,
-                PropagationConfig(step=s)).final - ref)
-            for s in (0.08, 0.04)
-        ]
+        psi0 = np.array([[1.0, 0.0]])
+        ref = propagate_schrodinger(h, psi0, 4.0, 0.0005).final[0]
+        errs = [np.linalg.norm(propagate_schrodinger(h, psi0, 4.0, s).final[0] - ref)
+                for s in (0.08, 0.04)]
         ratio = errs[0] / errs[1]
         sub("order-4 convergence", 12.0 < ratio < 20.0, f"ratio {ratio:.1f}")
 

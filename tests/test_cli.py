@@ -23,8 +23,9 @@ from nonrecip.config import (
     parse_config,
     with_overrides,
 )
-from nonrecip.propagation import IntegratorError, PropagationConfig
-from nonrecip.statespace import PureState
+from nonrecip.devices import ideal_model
+from nonrecip.invariant import AuxiliaryTrajectory, synthesize_pulses
+from nonrecip.propagation import IntegratorError
 from scenario_text import serialize_config
 
 
@@ -259,10 +260,13 @@ class TestNonFiniteScenarioValues:
         assert code == EXIT_FAILURE
         assert "target_phase_rad must be finite" in capsys.readouterr().err
 
-    def test_propagation_config_rejects_non_finite_step(self):
+    def test_reports_refuse_a_non_finite_or_zero_step(self):
+        # the step goes straight to the kernels: 0 is refused, not read as
+        # the model's default step
+        model = ideal_model(synthesize_pulses(AuxiliaryTrajectory(0.4974, 145.0)))
         for step in (float("nan"), float("inf"), 0.0):
             with pytest.raises(ValueError, match="step must be finite"):
-                PropagationConfig(step=step)
+                metrics.fidelity_reports(model, np.eye(3), ["100"], step=step)
 
 
 class TestSolveLambdaCommand:
@@ -375,17 +379,18 @@ class TestOnePropagation:
 
     @staticmethod
     def members_per_call(monkeypatch) -> list[int]:
-        """The member count of every kernel call that the reports make."""
+        """The member count of every kernel call that the reports make, or
+        the shape of an input that is not a (k, d) or (k, d, d) block."""
         calls = []
         master, schrodinger = metrics.integrate_master, metrics.propagate_schrodinger
 
-        def spy_master(h, channels, rho0, tau, cfg):
-            calls.append(1 if rho0.ndim == 2 else len(rho0))
-            return master(h, channels, rho0, tau, cfg)
+        def spy_master(h, channels, rho0, tau, step):
+            calls.append(len(rho0) if rho0.ndim == 3 else np.shape(rho0))
+            return master(h, channels, rho0, tau, step)
 
-        def spy_schrodinger(h, psi, tau, cfg):
-            calls.append(1 if isinstance(psi, PureState) else psi.shape[1])
-            return schrodinger(h, psi, tau, cfg)
+        def spy_schrodinger(h, psi, tau, step):
+            calls.append(len(psi) if np.ndim(psi) == 2 else np.shape(psi))
+            return schrodinger(h, psi, tau, step)
 
         monkeypatch.setattr(metrics, "integrate_master", spy_master)
         monkeypatch.setattr(metrics, "propagate_schrodinger", spy_schrodinger)

@@ -27,9 +27,9 @@ from nonrecip.invariant import (
     target_unitary,
 )
 from nonrecip.metrics import fidelity_reports
-from nonrecip.propagation import PropagationConfig, propagate_schrodinger
-from nonrecip.statespace import ControlHamiltonian, PureState
-from lr_reference import check_boundary
+from nonrecip.propagation import propagate_schrodinger
+from nonrecip.statespace import ControlHamiltonian
+from lr_reference import beta_dot, check_boundary
 
 TAU = 145.0
 # lambda solved from the circulator phase 3*pi/2 at tau = 145 ns
@@ -151,13 +151,13 @@ class TestSeedFidelities:
         traj = AuxiliaryTrajectory(LAMBDA_SOLVED, TAU)
         theta = lr_phase(traj).theta_plus
         model = single_excitation_model(ScenarioConfig().chain_spec(), drives)
-        return model, theta, PropagationConfig(step=0.05)
+        return model, theta, 0.05
 
     @pytest.fixture(scope="class")
     def reports(self, setup):
-        model, theta, cfg = setup
+        model, theta, step = setup
         return fidelity_reports(model, target_unitary(theta),
-                                ("100", "010", "001", "ensemble"), cfg=cfg)
+                                ("100", "010", "001", "ensemble"), step=step)
 
     @pytest.mark.parametrize("initial", ["100", "010", "001"])
     def test_transfer(self, reports, initial):
@@ -188,8 +188,8 @@ class TestDefaultStepRule:
         gen, calls = model.hamiltonian, []
         spy = ControlHamiltonian(gen.h0, gen.ops,
                                  lambda t: (calls.append(t), gen.coeffs(t))[1])
-        traj = propagate_schrodinger(spy, PureState(np.eye(3)[0]), model.tau,
-                                     PropagationConfig(step=model.default_step))
+        traj = propagate_schrodinger(spy, np.eye(3)[:1], model.tau,
+                                     model.default_step)
         assert traj.steps == PULSE_SAMPLES - 1
         # the start, midpoint and end of every step; chunks share their ends
         nodes = np.unique(np.concatenate(calls))
@@ -224,12 +224,12 @@ class TestDefaultStepRule:
                  else full_chain_model(chain, drives))
         theta = lr_phase(AuxiliaryTrajectory(LAMBDA_SOLVED, TAU)).theta_plus
 
-        def fidelity(cfg):
+        def fidelity(step):
             report = fidelity_reports(model, target_unitary(theta), [initial],
-                                      noise=noise, cfg=cfg)[initial]
+                                      noise=noise, step=step)[initial]
             return report.f_m if initial == "ensemble" else report.fidelity
 
-        half = PropagationConfig(step=0.5 * model.default_step)
+        half = 0.5 * model.default_step
         assert abs(fidelity(None) - fidelity(half)) <= bound
 
 
@@ -243,7 +243,7 @@ def test_long_three_level_run_completes():
     chain = ScenarioConfig(model="full_three_level").chain_spec()
     model = full_chain_model(chain, invert_bessel_drive(pulses, chain))
     report = fidelity_reports(model, target_unitary(lr_phase(traj).theta_plus), ["100"],
-                              cfg=PropagationConfig(step=0.005))["100"]
+                              step=0.005)["100"]
     assert (model.dim, report.step_ns) == (27, 0.005)
     # the vec-rho RK4 kernel read 0.9726293649267329
     assert report.fidelity == pytest.approx(0.972629152557472, abs=1e-10)
@@ -252,7 +252,7 @@ def test_long_three_level_run_completes():
 def invariant_and_derivative(traj, t):
     """I(t) and dI/dt at one time, entry by entry."""
     g, b = float(traj.gamma(t)), float(traj.beta(t))
-    gd, bd = float(traj.gamma_dot(t)), float(traj.beta_dot(t))
+    gd, bd = float(traj.gamma_dot(t)), float(beta_dot(traj, t))
     cg, sg, cb, sb = math.cos(g), math.sin(g), math.cos(b), math.sin(b)
 
     def matrix(am, ab, mb):

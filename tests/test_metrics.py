@@ -20,12 +20,10 @@ from nonrecip.invariant import (
 from nonrecip.metrics import fidelity_reports
 from nonrecip.propagation import (
     IntegratorError,
-    PropagationConfig,
     check_density,
     integrate_master,
     propagate_schrodinger,
 )
-from nonrecip.statespace import PureState
 from lr_reference import ISOLATION_FLOOR_DB, isolation, transmission_matrix
 from oracle_reference import evolution_operator_oracle
 
@@ -34,15 +32,15 @@ LAMBDA = 0.4974
 THETA_CIRC = 1.5 * np.pi
 # the single-excitation model is run at 0.05 ns, within 2e-8 of its
 # step-0.005 fidelities
-COARSE = PropagationConfig(step=0.05)
+COARSE = 0.05
 
 
 U_CIRC = target_unitary(THETA_CIRC)
 
 
-def report_of(model, unitary, initial, noise=True, cfg=None):
+def report_of(model, unitary, initial, noise=True, step=None):
     """The report of one initial against the 3x3 logical target matrix."""
-    return fidelity_reports(model, unitary, [initial], noise=noise, cfg=cfg)[initial]
+    return fidelity_reports(model, unitary, [initial], noise=noise, step=step)[initial]
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +65,7 @@ def full_qubit(pulses):
     return full_chain_model(chain, invert_bessel_drive(pulses, chain))
 
 
-# (model fixture, noise, config) per run: the closed ideal run, and the
+# (model fixture, noise, step) per run: the closed ideal run, and the
 # single-excitation and full-qubit models closed and noisy, which take the
 # psi and rho paths; the full chain needs its default step
 RUNS = {
@@ -81,27 +79,22 @@ RUNS = {
 
 @pytest.fixture(params=sorted(RUNS))
 def run(request):
-    name, noise, cfg = RUNS[request.param]
-    return request.getfixturevalue(name), noise, cfg
+    name, noise, step = RUNS[request.param]
+    return request.getfixturevalue(name), noise, step
 
 
-def full_rho_history(model, states, noise, cfg):
+def full_rho_history(model, states, noise, step):
     """The reference rho(t) of the fidelity reports: the model-space
-    states propagated as _evolve propagates them (one state unbatched),
-    as a (k, records, d, d) array, with psi psi^H formed for every record
-    of a closed run."""
-    cfg = cfg or PropagationConfig(step=model.default_step)
-    psi = np.column_stack(states)
-    d, k = psi.shape
+    states propagated as _evolve propagates them, as one block, as a (k,
+    records, d, d) array, with psi psi^H formed for every record of a
+    closed run."""
+    step = model.default_step if step is None else step
+    psi = np.stack(states)
     if noise and model.channels:
-        rho0 = psi.T[:, :, None] * psi.T[:, None, :].conj()
-        traj = integrate_master(model.hamiltonian, model.channels,
-                                rho0[0] if k == 1 else rho0, model.tau, cfg)
-        return traj.states.reshape(len(traj.times), k, d, d).swapaxes(0, 1)
-    traj = propagate_schrodinger(model.hamiltonian,
-                                 PureState(psi[:, 0]) if k == 1 else psi,
-                                 model.tau, cfg)
-    x = traj.states.reshape(len(traj.times), d, k).transpose(2, 0, 1)
+        rho0 = psi[:, :, None] * psi[:, None, :].conj()
+        traj = integrate_master(model.hamiltonian, model.channels, rho0, model.tau, step)
+        return traj.states.swapaxes(0, 1)
+    x = propagate_schrodinger(model.hamiltonian, psi, model.tau, step).states.swapaxes(0, 1)
     return x[..., :, None] * x[..., None, :].conj()
 
 
@@ -173,17 +166,17 @@ class TestTransferFidelity:
         # order, which moves the curve by rounding only.
         # The three designed transfers come from one call and one
         # reference block, the generic target's from a second call.
-        model, noise, cfg = run
+        model, noise, step = run
         initials = ("100", "010", "001")
         generic = np.array([0.6, -0.48j, 0.64 * np.exp(0.3j)])
         mixed = U_CIRC.copy()
         mixed[:, 1] = generic
-        designed = fidelity_reports(model, U_CIRC, initials, noise=noise, cfg=cfg)
+        designed = fidelity_reports(model, U_CIRC, initials, noise=noise, step=step)
         history = dict(zip(initials, full_rho_history(
             model, np.eye(model.dim)[[model.logical_index(i) for i in initials]],
-            noise, cfg)))
+            noise, step)))
         cases = [(i, U_CIRC[:, j], designed[i]) for j, i in enumerate(initials)]
-        cases.append(("010", generic, report_of(model, mixed, "010", noise, cfg)))
+        cases.append(("010", generic, report_of(model, mixed, "010", noise, step)))
         for initial, target, report in cases:
             populations, leakage, curve = reference_transfer(
                 model, history[initial], target)
@@ -206,7 +199,7 @@ class TestTransferFidelity:
         assert rows[-1, -1] == pytest.approx(report.fidelity, abs=1e-12)
 
 
-def explicit_ensemble_curve(model, unitary, noise, cfg):
+def explicit_ensemble_curve(model, unitary, noise, step):
     """Brute force: propagate each input cos(v)|010> + sin(v)|001> and
     take the trapezoid average of its fidelity to cos(v) u1 + sin(v) u2
     (u1, u2 the targets of |010> and |001>) at every record; 9 points (8
@@ -218,7 +211,7 @@ def explicit_ensemble_curve(model, unitary, noise, cfg):
     targets = np.zeros((9, model.dim), dtype=complex)
     targets[:, list(model.logical_indices)] = (np.cos(thetas)[:, None] * unitary[:, 1]
                                                + np.sin(thetas)[:, None] * unitary[:, 2])
-    rhos = full_rho_history(model, list(inputs), noise, cfg)
+    rhos = full_rho_history(model, list(inputs), noise, step)
     curves = np.einsum("vi,vrij,vj->vr", targets.conj(), rhos, targets).real
     return np.trapezoid(curves, thetas, axis=0) / (2.0 * np.pi)
 
@@ -237,15 +230,15 @@ class TestEnsembleFidelity:
     def test_matches_explicit_inputs(self, run):
         # the circulator's targets are i cos(v)|100> + i sin(v)|010>.  The
         # report also equals its formula on the full rho(t) bit for bit.
-        model, noise, cfg = run
-        expected = explicit_ensemble_curve(model, U_CIRC, noise, cfg)
-        report = report_of(model, U_CIRC, "ensemble", noise=noise, cfg=cfg)
+        model, noise, step = run
+        expected = explicit_ensemble_curve(model, U_CIRC, noise, step)
+        report = report_of(model, U_CIRC, "ensemble", noise=noise, step=step)
         assert report.f_m == pytest.approx(expected[-1], abs=1e-12)
         assert np.max(np.abs(report.fidelity_curve - expected)) <= 1e-12
         _, i010, i001 = model.logical_indices
         e010, e001 = np.eye(model.dim)[[i010, i001]]
         rhos = full_rho_history(
-            model, [e010, e001, (e010 + e001) / np.sqrt(2.0)], noise, cfg)
+            model, [e010, e001, (e010 + e001) / np.sqrt(2.0)], noise, step)
         assert np.array_equal(report.fidelity_curve,
                               reference_ensemble_curve(model, rhos, U_CIRC))
 
@@ -324,9 +317,7 @@ class TestIsolation:
         assert db == pytest.approx(0.0, abs=1e-12)
 
     def test_simulated_circulator_is_strongly_isolating(self, model):
-        u = evolution_operator_oracle(
-            model.hamiltonian, TAU, PropagationConfig(step=0.01)
-        )
+        u = evolution_operator_oracle(model.hamiltonian, TAU, 0.01)
         assert isolation(u, source=0, destination=2) < -30.0
 
 
@@ -353,9 +344,9 @@ class TestInvariantChecks:
             check_density(block)
 
     def test_transfer_fidelity_checks_final_state(self, run, break_hermiticity):
-        model, noise, cfg = run
+        model, noise, step = run
         with pytest.raises(IntegratorError, match="Hermiticity"):
-            report_of(break_hermiticity(model), U_CIRC, "100", noise=noise, cfg=cfg)
+            report_of(break_hermiticity(model), U_CIRC, "100", noise=noise, step=step)
 
     def test_noisy_transfer_rejects_a_non_hermitian_control_form(self, device):
         # -1e-9 i on |100> drains at most 2.9e-7 of trace over the run,
@@ -367,11 +358,11 @@ class TestInvariantChecks:
         drift[device.logical_index("100"), device.logical_index("100")] -= 1e-9j
         broken = replace(device, hamiltonian=replace(h, h0=drift))
         with pytest.raises(IntegratorError, match="Hamiltonian lost Hermiticity"):
-            report_of(broken, U_CIRC, "100", cfg=COARSE)
+            report_of(broken, U_CIRC, "100", step=COARSE)
 
     def test_ensemble_fidelity_checks_diagonal_blocks(self, run,
                                                       break_hermiticity):
-        model, noise, cfg = run
+        model, noise, step = run
         with pytest.raises(IntegratorError, match="Hermiticity"):
             report_of(break_hermiticity(model), U_CIRC, "ensemble", noise=noise,
-                      cfg=cfg)
+                      step=step)

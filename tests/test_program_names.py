@@ -1,7 +1,9 @@
 """Every public top-level name that a module of src/nonrecip defines is
 used by the program: loaded as a Name or an Attribute node outside its own
-definition, somewhere in src/ or perfbench/.  A name that only the tests
-use belongs in tests/, as the references there do."""
+definition, somewhere in src/ or perfbench/.  So is every public method
+and property of a src/ class with no base class; an override, such as an
+argparse hook, is called by its base and left out.  A name that only the
+tests use belongs in tests/, as the references there do."""
 
 import ast
 from pathlib import Path
@@ -24,6 +26,16 @@ def defined(statement) -> list[str]:
     return [name for name in names if not name.startswith("_")]
 
 
+def members(statement) -> list:
+    """The public methods and properties of a top-level class with no
+    base class."""
+    if not isinstance(statement, ast.ClassDef) or statement.bases:
+        return []
+    return [node for node in statement.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")]
+
+
 def loaded(statement) -> set[str]:
     """The names and attributes that a statement loads, anywhere inside it."""
     names = set()
@@ -35,16 +47,28 @@ def loaded(statement) -> set[str]:
     return names
 
 
-def test_every_public_name_is_used_by_the_program():
+def unused_names() -> list[str]:
+    """The qualified names of the definitions that nothing else loads.  A
+    top-level name may be loaded by any other top-level statement, a
+    method by any other top-level statement or any other statement of its
+    class's body."""
     definitions, uses = [], []
     for path in PROGRAM:
         for statement in ast.parse(path.read_text(encoding="utf-8")).body:
             uses.append((statement, loaded(statement)))
-            if path.parent.name == "nonrecip":
-                definitions += [(f"{path.stem}.{name}", name, statement)
-                                for name in defined(statement)]
-    unused = [qualified for qualified, name, where in definitions
-              if not any(name in names for statement, names in uses
-                         if statement is not where)]
+            if isinstance(statement, ast.ClassDef):
+                uses += [(node, loaded(node)) for node in statement.body]
+            if path.parent.name != "nonrecip":
+                continue
+            body = statement.body if isinstance(statement, ast.ClassDef) else []
+            definitions += [(f"{path.stem}.{name}", name, {statement, *body})
+                            for name in defined(statement)]
+            definitions += [(f"{path.stem}.{statement.name}.{node.name}", node.name,
+                             {statement, node}) for node in members(statement)]
     assert definitions
-    assert unused == []
+    return [qualified for qualified, name, where in definitions
+            if not any(name in names for node, names in uses if node not in where)]
+
+
+def test_every_public_name_is_used_by_the_program():
+    assert unused_names() == []

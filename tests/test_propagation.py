@@ -22,12 +22,11 @@ from nonrecip import propagation
 from nonrecip.config import ScenarioConfig
 from nonrecip.propagation import (
     IntegratorError,
-    PropagationConfig,
     StepTooLargeError,
     integrate_master,
     propagate_schrodinger,
 )
-from nonrecip.statespace import ControlHamiltonian, PureState
+from nonrecip.statespace import ControlHamiltonian
 from nonrecip.units import khz
 from oracle_reference import evolution_operator_oracle, global_phase_distance
 from rk4_reference import dissipator, master_rk4, rk4
@@ -42,7 +41,8 @@ LOSS_MESSAGE = "the raw step maps changed the trace by .*, over 2e-6; reduce the
 
 
 def ket(dim, idx):
-    return PureState(np.eye(dim)[idx])
+    """Basis ket idx as a one-member (1, dim) block."""
+    return np.eye(dim, dtype=complex)[idx][None]
 
 
 def modulated(h, f=np.ones_like):
@@ -52,7 +52,8 @@ def modulated(h, f=np.ones_like):
 
 
 def projector(psi):
-    return np.outer(psi.amplitudes, psi.amplitudes.conj())
+    """The (k, d, d) block of |psi><psi| of each ket of a (k, d) block."""
+    return psi[:, :, None] * psi[:, None, :].conj()
 
 
 @pytest.fixture(scope="module")
@@ -62,11 +63,11 @@ def pulses():
 
 class TestSchrodinger:
     def test_zero_hamiltonian_is_identity(self):
-        psi0 = PureState(np.array([0.6, 0.8j]))
+        psi0 = np.array([[0.6, 0.8j]])
         traj = propagate_schrodinger(
-            modulated(np.zeros((2, 2))), psi0, 10.0, PropagationConfig(step=0.1)
+            modulated(np.zeros((2, 2))), psi0, 10.0, 0.1
         )
-        assert np.allclose(traj.final, psi0.amplitudes, atol=1e-12)
+        assert np.allclose(traj.final, psi0, atol=1e-12)
 
     def test_rabi_oscillation_period(self):
         # H = (Omega/2) sigma_x flips |0> -> |1> at t = pi/Omega
@@ -74,34 +75,33 @@ class TestSchrodinger:
         h = 0.5 * omega * SIGMA_X
         traj = propagate_schrodinger(
             modulated(h), ket(2, 0), np.pi / omega,
-            PropagationConfig(step=0.001),
+            0.001,
         )
-        assert abs(traj.final[0]) < 1e-9
-        assert abs(traj.final[1]) == pytest.approx(1.0, abs=1e-9)
+        assert abs(traj.final[0, 0]) < 1e-9
+        assert abs(traj.final[0, 1]) == pytest.approx(1.0, abs=1e-9)
 
     def test_expm_method_matches_rk4(self):
         # RK4 against the oracle's product of midpoint exponentials
         h_t = modulated(0.5 * SIGMA_X, lambda t: np.cos(0.3 * t))
         psi0 = ket(2, 0)
-        cfg = PropagationConfig(step=0.002)
-        a = propagate_schrodinger(h_t, psi0, 5.0, cfg)
-        b = evolution_operator_oracle(h_t, 5.0, cfg) @ psi0.amplitudes
-        assert np.allclose(a.final, b, atol=1e-9)
+        a = propagate_schrodinger(h_t, psi0, 5.0, 0.002)
+        b = evolution_operator_oracle(h_t, 5.0, 0.002) @ psi0[0]
+        assert np.allclose(a.final[0], b, atol=1e-9)
 
     def test_ideal_circulator_sends_a_to_minus_b(self, pulses):
         model = ideal_model(pulses)
         psi0 = ket(3, 0)
         traj = propagate_schrodinger(
-            model.hamiltonian, psi0, TAU, PropagationConfig(step=model.default_step)
+            model.hamiltonian, psi0, TAU, model.default_step
         )
         target = target_unitary(1.5 * np.pi)[:, 0]  # -|B>
-        assert np.linalg.norm(traj.final - target) < 1e-3
+        assert np.linalg.norm(traj.final[0] - target) < 1e-3
 
     def test_norm_drift_raises(self):
         h = 50.0 * SIGMA_X
         with pytest.raises(StepTooLargeError, match=LOSS_MESSAGE):
             propagate_schrodinger(
-                modulated(h), ket(2, 0), 10.0, PropagationConfig(step=0.5)
+                modulated(h), ket(2, 0), 10.0, 0.5
             )
 
     @pytest.mark.parametrize("step", [0.1, 0.3, 1.0, 2.0])
@@ -110,15 +110,26 @@ class TestSchrodinger:
         # must be refused, and no RuntimeWarning may escape
         with pytest.raises(StepTooLargeError, match=LOSS_MESSAGE):
             propagate_schrodinger(modulated(50.0 * SIGMA_X), ket(2, 0), 100.0,
-                                  PropagationConfig(step=step))
+                                  step)
 
     def test_recording_stride(self):
         # every RECORD_STRIDE = 50 steps and after the last: 0, 50, 100, 123
         traj = propagate_schrodinger(
-            modulated(np.zeros((2, 2))), ket(2, 0), 1.23, PropagationConfig(step=0.01))
+            modulated(np.zeros((2, 2))), ket(2, 0), 1.23, 0.01)
         assert len(traj.times) == len(traj.states) == 4
         assert traj.times[0] == 0.0
         assert traj.times[1:] == pytest.approx([0.5, 1.0, 1.23])
+
+
+@pytest.mark.parametrize("step", [0.0, -0.05, np.nan, np.inf])
+@pytest.mark.parametrize("kernel", ["master", "schrodinger"])
+def test_kernels_refuse_a_step_that_is_not_finite_and_positive(kernel, step):
+    gen, psi0 = modulated(0.5 * SIGMA_X), ket(2, 0)
+    with pytest.raises(ValueError, match="step must be finite and > 0"):
+        if kernel == "master":
+            integrate_master(gen, [], projector(psi0), 1.0, step)
+        else:
+            propagate_schrodinger(gen, psi0, 1.0, step)
 
 
 def random_control_form(d, seed):
@@ -138,48 +149,47 @@ def random_control_form(d, seed):
 
 
 def random_block(d, seed):
-    """Three orthonormal columns."""
+    """Three orthonormal kets, as a (3, d) block."""
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3)))
-    return q
+    return q.T
 
 
 class TestStepMaps:
-    CFG = PropagationConfig(step=0.01)
+    STEP = 0.01
 
     @pytest.mark.parametrize("d", [3, 8])
     def test_matches_stage_by_stage_rk4(self, d):
         gen = random_control_form(d, seed=d)
         stack = -1j * np.concatenate([gen.h0[None], gen.ops]).reshape(-1, d)
         block = random_block(d, seed=10 + d)
-        maps = propagate_schrodinger(gen, block, 5.0, self.CFG)
+        maps = propagate_schrodinger(gen, block, 5.0, self.STEP)
         for j in range(3):
-            ref = rk4(stack, gen, block[:, j], 5.0, self.CFG)
+            ref = rk4(stack, gen, block[j], 5.0, self.STEP)
             assert np.array_equal(maps.times, ref.times)
             assert (maps.steps, maps.step) == (ref.steps, ref.step) == (500, 0.01)
             for got, want in zip(maps.states, ref.states):
-                assert np.max(np.abs(got[:, j] - want)) < 1e-12
+                assert np.max(np.abs(got[j] - want)) < 1e-12
 
     @pytest.mark.parametrize("d", [3, 8])
     def test_block_equals_per_state(self, d):
         gen = random_control_form(d, seed=d)
         block = random_block(d, seed=10 + d)
-        together = propagate_schrodinger(gen, block, 5.0, self.CFG)
-        assert together.final.shape == (d, 3)
+        together = propagate_schrodinger(gen, block, 5.0, self.STEP)
+        assert together.final.shape == (3, d)
         for j in range(3):
-            alone = propagate_schrodinger(gen, PureState(block[:, j]), 5.0, self.CFG)
-            assert alone.final.shape == (d,)
-            assert np.array_equal(together.states[:, :, j], alone.states)
+            alone = propagate_schrodinger(gen, block[j:j + 1], 5.0, self.STEP)
+            assert alone.final.shape == (1, d)
+            assert np.array_equal(together.states[:, j:j + 1], alone.states)
 
     def test_norm_drift_of_one_column_raises(self):
         # the anti-Hermitian term -0.2i|2><2| drains only basis state 2
         h = 0.5 * np.diag([0.0, 0.0, -0.4j])
         h[0, 1] = h[1, 0] = 0.3
-        cfg = PropagationConfig(step=0.05)
         block = np.eye(3, dtype=complex)
-        propagate_schrodinger(modulated(h), block[:, :2], 10.0, cfg)
+        propagate_schrodinger(modulated(h), block[:2], 10.0, 0.05)
         with pytest.raises(StepTooLargeError, match=LOSS_MESSAGE):
-            propagate_schrodinger(modulated(h), block, 10.0, cfg)
+            propagate_schrodinger(modulated(h), block, 10.0, 0.05)
 
 
 @pytest.fixture(scope="module")
@@ -205,10 +215,10 @@ class TestLindblad:
     def test_no_channels_matches_schrodinger(self, pulses):
         model = ideal_model(pulses)
         psi0 = ket(3, 0)
-        cfg = PropagationConfig(step=model.default_step)
-        pure = propagate_schrodinger(model.hamiltonian, psi0, TAU, cfg)
-        mixed = integrate_master(model.hamiltonian, [], projector(psi0), TAU, cfg)
-        expected = np.outer(pure.final, pure.final.conj())
+        step = model.default_step
+        pure = propagate_schrodinger(model.hamiltonian, psi0, TAU, step)
+        mixed = integrate_master(model.hamiltonian, [], projector(psi0), TAU, step)
+        expected = projector(pure.final)
         assert np.max(np.abs(mixed.final - expected)) < 1e-8
 
     def test_single_qubit_decay(self):
@@ -217,12 +227,12 @@ class TestLindblad:
         chan = LindbladChannel(operator=op, rate=khz(50.0))
         traj = integrate_master(
             modulated(np.zeros((2, 2))), [chan], projector(ket(2, 1)), 500.0,
-            PropagationConfig(step=0.05),
+            0.05,
         )
-        p1 = traj.states[:, 1, 1].real
+        p1 = traj.states[:, 0, 1, 1].real
         assert np.all(np.diff(p1) < 0)
         assert p1[-1] < 0.9
-        for s in traj.states:
+        for s in traj.states[:, 0]:
             assert np.trace(s).real == pytest.approx(1.0, abs=1e-9)
             assert np.max(np.abs(s - s.conj().T)) < 1e-9
             assert np.linalg.eigvalsh(s).min() > -1e-9
@@ -230,19 +240,19 @@ class TestLindblad:
     def test_vanishing_rates_recover_closed_system(self, device):
         weak = [replace(c, rate=1e-12) for c in device.channels]
         psi0 = ket(device.dim, device.logical_index("100"))
-        cfg = PropagationConfig(step=device.default_step)
-        closed = propagate_schrodinger(device.hamiltonian, psi0, TAU, cfg)
-        damped = integrate_master(device.hamiltonian, weak, projector(psi0), TAU, cfg)
-        expected = np.outer(closed.final, closed.final.conj())
+        step = device.default_step
+        closed = propagate_schrodinger(device.hamiltonian, psi0, TAU, step)
+        damped = integrate_master(device.hamiltonian, weak, projector(psi0), TAU, step)
+        expected = projector(closed.final)
         assert np.max(np.abs(damped.final - expected)) < 1e-8
 
     def test_device_run_preserves_invariants(self, device):
         psi0 = ket(device.dim, device.logical_index("100"))
         traj = integrate_master(
             device.hamiltonian, device.channels, projector(psi0), 10.0,
-            PropagationConfig(step=device.default_step),
+            device.default_step,
         )
-        for s in traj.states:
+        for s in traj.states[:, 0]:
             assert np.trace(s).real == pytest.approx(1.0, abs=1e-9)
             assert np.linalg.eigvalsh(0.5 * (s + s.conj().T)).min() > -1e-8
 
@@ -251,57 +261,48 @@ class TestLindblad:
         ("device", 0.05, 10.0), ("three_level", 0.005, 1.0)])
     def test_block_equals_single_calls(self, request, kernel, model, step, tau):
         # one dissipator factor at d = 8, three at d = 27; a closed block
-        # steps each ket by its own mat-vec, as a single call does
+        # steps each ket by its own mat-vec, as a one-member block does
         model = request.getfixturevalue(model)
         d = model.dim
-        cfg = PropagationConfig(step=step)
         i100, i010, i001 = model.logical_indices
-        plus = np.zeros(d)
-        plus[[i010, i001]] = 1.0 / np.sqrt(2.0)
-        kets = [ket(d, i100), ket(d, i010), PureState(plus)]
+        block = np.zeros((3, d), dtype=complex)
+        block[0, i100] = block[1, i010] = 1.0
+        block[2, [i010, i001]] = 1.0 / np.sqrt(2.0)
         if kernel == "master":
-            singles = [projector(k) for k in kets]
-            block = np.stack(singles)
-            run = lambda x: integrate_master(model.hamiltonian, model.channels, x, tau, cfg)
-            member = lambda states, j: states[:, j]
+            block = projector(block)
+            run = lambda x: integrate_master(model.hamiltonian, model.channels, x, tau, step)
         else:
-            singles = kets
-            block = np.column_stack([k.amplitudes for k in kets])
-            run = lambda x: propagate_schrodinger(model.hamiltonian, x, tau, cfg)
-            member = lambda states, j: states[:, :, j]
+            run = lambda x: propagate_schrodinger(model.hamiltonian, x, tau, step)
         together = run(block)
         assert together.states.shape == (5,) + block.shape
-        for j, single in enumerate(singles):
-            alone = run(single)
+        for j in range(3):
+            alone = run(block[j:j + 1])
             assert np.array_equal(together.times, alone.times)
-            assert alone.states.shape == member(together.states, j).shape
-            assert np.array_equal(member(together.states, j), alone.states)
+            assert np.array_equal(together.states[:, j:j + 1], alone.states)
 
     def test_broken_member_of_block_raises(self, device):
         # the trace is conserved to rounding, so a member that starts with
         # trace 2 still has it at the end
-        cfg = PropagationConfig(step=0.05)
         good = projector(ket(device.dim, device.logical_index("100")))
-        integrate_master(device.hamiltonian, device.channels, good, 2.0, cfg)
+        integrate_master(device.hamiltonian, device.channels, good, 2.0, 0.05)
         with pytest.raises(IntegratorError, match="trace"):
             integrate_master(device.hamiltonian, device.channels,
-                             np.stack([good, 2.0 * good]), 2.0, cfg)
+                             np.concatenate([good, 2.0 * good]), 2.0, 0.05)
 
     @pytest.mark.parametrize("broken", ["Hermiticity", "positivity"])
     def test_final_member_must_be_a_density_matrix(self, device, broken):
         # both defects survive the run: the maps preserve Hermiticity and
         # the spectrum, and the noise is too weak to undo them in 2 ns
-        cfg = PropagationConfig(step=0.05)
         i100, i010 = device.logical_indices[:2]
         good = projector(ket(device.dim, i100))
-        bad = good.astype(complex)
+        bad = good.copy()
         if broken == "Hermiticity":
-            bad[i100, i010] += 1e-3
+            bad[0, i100, i010] += 1e-3
         else:
-            bad[i100, i100], bad[i010, i010] = 1.05, -0.05
+            bad[0, i100, i100], bad[0, i010, i010] = 1.05, -0.05
         with pytest.raises(IntegratorError, match=f"final state lost {broken}"):
             integrate_master(device.hamiltonian, device.channels,
-                             np.stack([good, bad]), 2.0, cfg)
+                             np.concatenate([good, bad]), 2.0, 0.05)
 
 
 def assembled(e, d):
@@ -316,11 +317,11 @@ def random_open_system(d, seed):
     and 0.2, and a random pure rho."""
     rng = np.random.default_rng(100 + seed)
     ops = (rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))) / d
-    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi = rng.normal(size=(1, d)) + 1j * rng.normal(size=(1, d))
     psi /= np.linalg.norm(psi)
     return (random_control_form(d, seed),
             [LindbladChannel(o, r) for o, r in zip(ops, (0.3, 0.2))],
-            np.outer(psi, psi.conj()))
+            projector(psi))
 
 
 class TestStrangSplit:
@@ -330,10 +331,8 @@ class TestStrangSplit:
         # is vec-rho RK4 at a 10x finer step than the finest split run
         gen, channels, rho0 = random_open_system(3, seed)
         steps = (0.04, 0.02, 0.01)
-        ref = master_rk4(gen, channels, rho0, 3.0,
-                         PropagationConfig(step=steps[-1] / 10)).final
-        errs = [np.max(np.abs(integrate_master(gen, channels, rho0, 3.0,
-                                               PropagationConfig(step=h)).final - ref))
+        ref = master_rk4(gen, channels, rho0[0], 3.0, steps[-1] / 10).final
+        errs = [np.max(np.abs(integrate_master(gen, channels, rho0, 3.0, h).final[0] - ref))
                 for h in steps]
         assert errs[0] / errs[1] >= 3.5 and errs[1] / errs[2] >= 3.5
 
@@ -354,7 +353,7 @@ class TestStrangSplit:
                 assert [f.shape for f in e.factors] == [(g * g, g * g) for g in dims]
         for e in propagation._dissipator_propagators([], 8, 0.005):
             assert e.factors == ()
-            block = projector(ket(8, 3))[None]
+            block = projector(ket(8, 3))
             assert e(block) is block
 
     def test_sites_that_do_not_factor_d_are_refused(self, device):
@@ -383,21 +382,20 @@ class TestStrangSplit:
         # above check_density's 1e-8
         psi0 = ket(device.dim, device.logical_index("010"))
         traj = integrate_master(device.hamiltonian, device.channels,
-                                projector(psi0), TAU, PropagationConfig(step=0.05))
-        trace = np.trace(traj.states, axis1=1, axis2=2)
+                                projector(psi0), TAU, 0.05)
+        trace = np.trace(traj.states, axis1=2, axis2=3)
         assert np.max(np.abs(trace - 1.0)) < 1e-13
 
     def test_trajectory_carries_the_bounded_trace_loss(self, device):
         # a closed run's loss is the telescoped change of the squared norm
         psi0 = ket(device.dim, device.logical_index("100"))
-        cfg = PropagationConfig(step=0.05)
-        closed = propagate_schrodinger(device.hamiltonian, psi0, 20.0, cfg)
+        closed = propagate_schrodinger(device.hamiltonian, psi0, 20.0, 0.05)
         assert closed.trace_loss == abs(1.0 - np.sum(np.abs(closed.final) ** 2))
         assert 0.0 < closed.trace_loss <= 2e-6
         # the projected maps keep the trace, the raw maps' loss is reported
         open_ = integrate_master(device.hamiltonian, device.channels,
-                                 projector(psi0), 20.0, cfg)
-        assert abs(np.trace(open_.final) - 1.0) < 1e-13
+                                 projector(psi0), 20.0, 0.05)
+        assert abs(np.trace(open_.final[0]) - 1.0) < 1e-13
         assert 0.0 < open_.trace_loss <= 2e-6
 
     def test_too_large_a_step_raises(self):
@@ -407,10 +405,10 @@ class TestStrangSplit:
         chan = LindbladChannel(operator=op, rate=khz(50.0))
         rho0 = projector(ket(2, 0))
         integrate_master(modulated(0.5 * SIGMA_X), [chan], rho0, 10.0,
-                         PropagationConfig(step=0.05))
+                         0.05)
         with pytest.raises(StepTooLargeError, match=LOSS_MESSAGE):
             integrate_master(modulated(50.0 * SIGMA_X), [chan], rho0, 10.0,
-                             PropagationConfig(step=0.05))
+                             0.05)
 
     @pytest.mark.parametrize("step", [0.2, 0.5])
     def test_overflowing_run_raises(self, step):
@@ -418,7 +416,7 @@ class TestStrangSplit:
         chan = LindbladChannel(operator=op, rate=khz(50.0))
         with pytest.raises(StepTooLargeError, match=LOSS_MESSAGE):
             integrate_master(modulated(50.0 * SIGMA_X), [chan], projector(ket(2, 0)),
-                             10.0, PropagationConfig(step=step))
+                             10.0, step)
 
     def test_unresolved_level_that_is_never_occupied_passes(self):
         # step 0.05 cannot resolve level 2 at energy 10 (each raw map takes
@@ -431,11 +429,11 @@ class TestStrangSplit:
         op[0, 1] = 1.0
         rho0 = projector(ket(3, 0))
         traj = integrate_master(gen, [LindbladChannel(op, khz(50.0))], rho0, 10.0,
-                                PropagationConfig(step=0.05))
-        assert np.trace(traj.final).real == pytest.approx(1.0, abs=1e-13)
+                                0.05)
+        assert np.trace(traj.final[0]).real == pytest.approx(1.0, abs=1e-13)
         with pytest.raises(StepTooLargeError, match=LOSS_MESSAGE):
             integrate_master(gen, [LindbladChannel(op, khz(50.0))],
-                             projector(ket(3, 2)), 10.0, PropagationConfig(step=0.05))
+                             projector(ket(3, 2)), 10.0, 0.05)
 
 
 @pytest.fixture(scope="module")
@@ -511,10 +509,9 @@ class TestSpan:
         # act on, and the maps are formed and projected on the 4 x 4 span
         # block; 0.701 MB before both, 0.58 MB after
         rho0 = projector(ket(device.dim, device.logical_index("100")))
-        cfg = PropagationConfig(step=0.05)
         tracemalloc.start()
         try:
-            integrate_master(device.hamiltonian, device.channels, rho0, TAU, cfg)
+            integrate_master(device.hamiltonian, device.channels, rho0, TAU, 0.05)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -523,10 +520,10 @@ class TestSpan:
 
 class TestBenchmarkInterface:
     def test_traced_worker_reads_these_parameters(self):
-        # perfbench/worker.py rebinds both functions by name and counts
-        # steps from these arguments of each call
-        for name, params in (("integrate_master", {"rho0", "channels", "tau", "cfg"}),
-                             ("propagate_schrodinger", {"psi0", "tau", "cfg"})):
+        # perfbench/worker.py rebinds both functions by name; its step
+        # counter is to read these arguments of each call
+        for name, params in (("integrate_master", {"rho0", "channels", "tau", "step"}),
+                             ("propagate_schrodinger", {"psi0", "tau", "step"})):
             fn = getattr(propagation, name)
             assert params <= set(inspect.signature(fn).parameters)
 
@@ -534,7 +531,7 @@ class TestBenchmarkInterface:
 class TestOracle:
     def test_zero_hamiltonian_gives_identity(self):
         u = evolution_operator_oracle(
-            modulated(np.zeros((3, 3))), 1.0, PropagationConfig(step=0.01)
+            modulated(np.zeros((3, 3))), 1.0, 0.01
         )
         assert np.allclose(u, np.eye(3), atol=1e-12)
 
@@ -543,7 +540,7 @@ class TestOracle:
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         h = 0.5 * (a + a.conj().T)
         u = evolution_operator_oracle(
-            modulated(h), 2.0, PropagationConfig(step=0.001)
+            modulated(h), 2.0, 0.001
         )
         assert np.allclose(u, expm(-2.0j * h), atol=1e-9)
 
@@ -551,13 +548,13 @@ class TestOracle:
 
     def test_zero_hamiltonian_single_step(self):
         u = evolution_operator_oracle(
-            modulated(np.zeros((2, 2))), 3.7, PropagationConfig(step=3.7))
+            modulated(np.zeros((2, 2))), 3.7, 3.7)
         assert np.allclose(u, np.eye(2), atol=1e-14)
 
     def test_diagonal_case(self):
         omega = 0.35
         u = evolution_operator_oracle(
-            modulated(np.diag([0.0, omega])), 2.0, PropagationConfig(step=2.0))
+            modulated(np.diag([0.0, omega])), 2.0, 2.0)
         assert np.allclose(
             u, np.diag([1.0, np.exp(-1j * omega * 2.0)]), atol=1e-14
         )
@@ -566,7 +563,7 @@ class TestOracle:
         omega = 0.21
         dt = np.pi / omega
         u = evolution_operator_oracle(
-            modulated(0.5 * omega * SIGMA_X), dt, PropagationConfig(step=dt))
+            modulated(0.5 * omega * SIGMA_X), dt, dt)
         assert np.max(np.abs(u - (-1j) * SIGMA_X)) < 1e-10
 
     def test_random_single_steps_are_unitary(self):
@@ -575,24 +572,24 @@ class TestOracle:
             m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             dt = rng.uniform(0.1, 10.0)
             u = evolution_operator_oracle(
-                modulated(m + m.conj().T), dt, PropagationConfig(step=dt))
+                modulated(m + m.conj().T), dt, dt)
             assert np.linalg.norm(u.conj().T @ u - np.eye(4)) < 1e-10
 
     def test_columns_match_state_propagation(self, pulses):
         model = ideal_model(pulses)
         u = evolution_operator_oracle(
-            model.hamiltonian, TAU, PropagationConfig(step=0.01))
+            model.hamiltonian, TAU, 0.01)
         for col in range(3):
             traj = propagate_schrodinger(
                 model.hamiltonian, ket(3, col), TAU,
-                PropagationConfig(step=0.01),
+                0.01,
             )
-            assert np.linalg.norm(u[:, col] - traj.final) < 1e-7
+            assert np.linalg.norm(u[:, col] - traj.final[0]) < 1e-7
 
     def test_unitarity(self, pulses):
         model = ideal_model(pulses)
         u = evolution_operator_oracle(
-            model.hamiltonian, TAU, PropagationConfig(step=0.01)
+            model.hamiltonian, TAU, 0.01
         )
         assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-10
 
@@ -601,14 +598,10 @@ class TestConvergence:
     def test_rk4_step_halving_is_fourth_order(self):
         h_t = modulated(0.5 * SIGMA_X, lambda t: np.cos(0.7 * t))
         psi0 = ket(2, 0)
-        ref = propagate_schrodinger(
-            h_t, psi0, 4.0, PropagationConfig(step=0.0005)
-        ).final
+        ref = propagate_schrodinger(h_t, psi0, 4.0, 0.0005).final[0]
         errs = []
         for step in (0.08, 0.04):
-            out = propagate_schrodinger(
-                h_t, psi0, 4.0, PropagationConfig(step=step)
-            ).final
+            out = propagate_schrodinger(h_t, psi0, 4.0, step).final[0]
             errs.append(np.linalg.norm(out - ref))
         ratio = errs[0] / errs[1]
         assert 12.0 < ratio < 20.0

@@ -9,11 +9,11 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nonrecip.devices import LindbladChannel
-from nonrecip.propagation import PropagationConfig, check_density, integrate_master
+from nonrecip.propagation import check_density, integrate_master
 from nonrecip.statespace import ControlHamiltonian
 from oracle_reference import evolution_operator_oracle
 
-CFG = PropagationConfig(step=0.01)
+STEP = 0.01
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=25)
 
 unit = st.floats(-1.0, 1.0)
@@ -57,8 +57,8 @@ def test_master_equation_keeps_a_pure_state_a_density_matrix(system, tau):
     gen, channels, psi = system
     assume(np.linalg.norm(psi) > 0.1)
     psi = psi / np.linalg.norm(psi)
-    traj = integrate_master(gen, channels, np.outer(psi, psi.conj()), tau, CFG)
-    trace = np.trace(traj.states, axis1=1, axis2=2)
+    traj = integrate_master(gen, channels, np.outer(psi, psi.conj())[None], tau, STEP)
+    trace = np.trace(traj.states, axis1=2, axis2=3)
     assert np.max(np.abs(trace - 1.0)) <= 1e-12
     check_density(traj.final)
 
@@ -66,5 +66,5 @@ def test_master_equation_keeps_a_pure_state_a_density_matrix(system, tau):
 @PROPERTY
 @given(st.sampled_from([2, 3, 4]).flatmap(control_forms), durations)
 def test_oracle_is_unitary(gen, tau):
-    u = evolution_operator_oracle(gen, tau, CFG)
+    u = evolution_operator_oracle(gen, tau, STEP)
     assert np.max(np.abs(u.conj().T @ u - np.eye(gen.dim))) <= 1e-12
