@@ -52,7 +52,7 @@ def _resolve_design(cfg: ScenarioConfig):
     if cfg.lambda_ is not None:
         lam = cfg.lambda_
     else:
-        lam = inv.solve_lambda(cfg.target_phase_rad, cfg.tau_ns)
+        lam = inv.solve_lambda(cfg.target_phase_rad)
     traj = inv.AuxiliaryTrajectory(lam, cfg.tau_ns)
     pulses = inv.synthesize_pulses(traj)
     phases = inv.lr_phase(traj)
@@ -112,17 +112,16 @@ def cmd_design(cfg: ScenarioConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_solve_lambda(cfg: ScenarioConfig, out_dir: Path | None,
+def cmd_solve_lambda(cfg: ScenarioConfig, out_dir: Path,
                      bracket: tuple[float, float]) -> int:
     target = cfg.target_phase_rad
     if target is None:
         target = THETA_CIRCULATOR
-    lam = inv.solve_lambda(target, cfg.tau_ns, bracket=bracket)
+    lam = inv.solve_lambda(target, bracket=bracket)
     theta = inv.lr_phase(inv.AuxiliaryTrajectory(lam, cfg.tau_ns)).theta_plus
     payload = {"lambda": lam, "target_phase_rad": target, "theta_plus_rad": theta}
     print(json.dumps(payload, sort_keys=True))
-    if out_dir is not None:
-        write_json(out_dir / "lambda_solution.json", payload)
+    write_json(out_dir / "lambda_solution.json", payload)
     return EXIT_OK
 
 
@@ -171,7 +170,7 @@ def cmd_reproduce_fig3(cfg: ScenarioConfig, out_dir: Path) -> int:
     (transfers from 100, 001, 010) from one propagation.  When that
     propagation fails, panels c-f are failed with its error and the
     summary is still written; a failed write ends the command."""
-    lam = inv.solve_lambda(THETA_CIRCULATOR, cfg.tau_ns)
+    lam = inv.solve_lambda(THETA_CIRCULATOR)
     cfg = with_overrides(cfg, lambda_=lam, target_phase_rad=None)
     traj, pulses, phases = _resolve_design(cfg)
     model = _build_model(cfg, pulses)
@@ -271,10 +270,8 @@ def main(argv=None) -> int:
             code = cmd_sweep_lambda(args.lo, args.hi, args.num, out_dir)
         elif args.command == "simulate":
             code = cmd_simulate(cfg, args.initial, out_dir)
-        elif args.command == "reproduce-fig3":
+        else:  # reproduce-fig3: argparse enforces the choices
             code = cmd_reproduce_fig3(cfg, out_dir)
-        else:  # pragma: no cover - argparse enforces the choices
-            code = EXIT_FAILURE
     except (UnattainableDriveError, PulseDivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNATTAINABLE_DRIVE

@@ -156,15 +156,14 @@ _J1_TABLE_S = np.sqrt(np.maximum(J1_PEAK - bessel_j1(_J1_TABLE_X), 0.0))
 
 @np.errstate(divide="ignore", invalid="ignore")  # J1' = 0 only at y = J1_PEAK
 def invert_bessel_j1(y):
-    """Principal-branch inverse of J1 on [0, J1_PEAK_X], elementwise for
-    an array (a float for a scalar): six Newton steps
-    x <- x - (J1(x) - y) / J1'(x), with J1' = J0 - J1/x (DLMF 10.6.2) and
-    J1/x = J1's series over 2, from linear interpolation in a 129-point
-    table of the inverse against sqrt(J1_PEAK - y).  Three steps reach a
-    relative residual below 1e-15 for every y, up to one rounding unit
-    below the peak; the count is fixed because J1' vanishes at the peak,
-    where a step-size stop test is never met.  0 and J1_PEAK map to 0 and
-    J1_PEAK_X exactly."""
+    """Principal-branch inverse of J1 on [0, J1_PEAK_X], elementwise: six
+    Newton steps x <- x - (J1(x) - y) / J1'(x), with J1' = J0 - J1/x
+    (DLMF 10.6.2) and J1/x = J1's series over 2, from linear interpolation
+    in a 129-point table of the inverse against sqrt(J1_PEAK - y).  Three
+    steps reach a relative residual below 1e-15 for every y, up to one
+    rounding unit below the peak; the count is fixed because J1' vanishes
+    at the peak, where a step-size stop test is never met.  0 and J1_PEAK
+    map to 0 and J1_PEAK_X exactly."""
     y = np.asarray(y, dtype=float)
     if np.any(y < 0) or np.any(y > J1_PEAK):
         raise ValueError(f"J1 values span [{y.min()}, {y.max()}], outside the "
@@ -175,8 +174,7 @@ def invert_bessel_j1(y):
         q = h * h
         j1_over_h = _series(_J1_SERIES, q)
         x = x - (h * j1_over_h - y) / (_series(_J0_SERIES, q) - 0.5 * j1_over_h)
-    eta = np.where(y == J1_PEAK, J1_PEAK_X, x)
-    return float(eta) if eta.ndim == 0 else eta
+    return np.where(y == J1_PEAK, J1_PEAK_X, x)
 
 
 @dataclass(frozen=True)

@@ -133,10 +133,6 @@ class PulsePair:
             if abs(arr[0]) > 1e-9 or abs(arr[-1]) > 1e-9:
                 raise ValueError("pulses must vanish at t = 0 and t = tau")
 
-    @property
-    def tau(self) -> float:
-        return float(self.times[-1])
-
     def g_a_at(self, t):
         return np.interp(t, self.times, self.g_a)
 
@@ -284,25 +280,23 @@ ROOT_PHASE_TOL = 1e-6
 
 def solve_lambda(
     target_phase: float,
-    tau: float,
     bracket: tuple[float, float] = (0.1, 1.0),
 ) -> float:
-    """Find lambda with |theta_plus(lambda)| equal to target_phase.
+    """Find lambda with |theta_plus(lambda)| equal to target_phase, at
+    any tau: the phase depends on lambda alone (theta_plus_magnitudes).
 
     One vectorised prescan of PRESCAN_POINTS points validates strict
     monotonicity and a sign change on the bracket; the root is then
     bisected to floating-point resolution inside the prescan cell that
     holds it, with the one Gauss-Legendre rule that converged at the
     cell's ends, and re-verified to ROOT_PHASE_TOL (rad) by the adaptive
-    quadrature.  tau (> 0) drops out.
+    quadrature.
     """
     if not math.isfinite(target_phase):
         raise ValueError(f"target phase must be finite, got {target_phase}")
     lo, hi = bracket
     if not (0.0 < lo < hi):
         raise ValueError("bracket must satisfy 0 < lo < hi")
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
 
     scan = np.linspace(lo, hi, PRESCAN_POINTS)
     vals, _, nodes = _theta_plus(scan)

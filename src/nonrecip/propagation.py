@@ -89,10 +89,6 @@ class Trajectory:
     step: float
     trace_loss: float
 
-    @property
-    def final(self):
-        return self.states[-1]
-
 
 # matrix entries per table of d x d step maps, 96 kB: 682 steps per chunk
 # at d = 3, 96 at d = 8, 8 at d = 27.  Larger tables raise the peak RSS of
@@ -298,12 +294,10 @@ class _Factored:
         # one factor: the one matmul on each member's vec writes the result
         self._whole = self.factors[0] if m == 1 else None
 
-    def __call__(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def __call__(self, r: np.ndarray, out: np.ndarray) -> np.ndarray:
         """E applied to each member of the (k, d, d) block r, written into
-        out (a C-contiguous complex array of r's shape) when it is given."""
+        out, a C-contiguous complex array of r's shape."""
         if self._whole is not None:
-            if out is None:
-                out = np.empty(r.shape, dtype=complex)
             vecs = (len(r), -1, 1)
             np.matmul(self._whole, r.reshape(vecs), out=out.reshape(vecs))
             return out
@@ -315,8 +309,6 @@ class _Factored:
                 x = x.reshape(k, before, -1) @ e if right else e @ x.reshape(
                     k * before, len(e), -1)
             x = x.reshape((k,) + self._pairs).transpose(self._back)
-        if out is None:
-            return x.reshape(r.shape) if self.factors else r
         np.copyto(out.reshape(x.shape), x)
         return out
 
@@ -428,10 +420,9 @@ def integrate_master(
 
 
 def check_density(rho: np.ndarray):
-    """Raise IntegratorError unless rho, or every member of a (k, d, d)
-    block, is finite, has unit trace (1e-8), is Hermitian (1e-9) and has
-    no eigenvalue below -1e-6."""
-    rho = np.reshape(rho, (-1,) + np.shape(rho)[-2:])
+    """Raise IntegratorError unless every member of the (k, d, d) block
+    rho is finite, has unit trace (1e-8), is Hermitian (1e-9) and has no
+    eigenvalue below -1e-6."""
     if not np.all(np.isfinite(rho)):
         raise IntegratorError("final state is not finite; reduce the step")
     tr = np.trace(rho, axis1=1, axis2=2)

@@ -27,8 +27,7 @@ class ControlHamiltonian:
     """H(t) = h0 + sum_j c_j(t) A_j: a constant drift h0, fixed operators
     ops = (A_1..A_J) of shape (J, d, d), and coeffs mapping m times to
     the (m, J) coefficient table.  A Hermitian H pairs a non-Hermitian
-    A_j with its adjoint under the conjugate coefficient.  Calling the
-    instance returns the d x d matrix H(t).
+    A_j with its adjoint under the conjugate coefficient.
 
     span = (lo, hi) is the smallest index range [lo, hi) that holds every
     nonzero entry of h0 and ops, read from their pattern with no
@@ -58,6 +57,3 @@ class ControlHamiltonian:
         """H at each of the given times, stacked to shape (m, d, d)."""
         c = self.coeffs(np.atleast_1d(np.asarray(times, dtype=float)))
         return self.h0 + np.tensordot(c, self.ops, axes=1)
-
-    def __call__(self, t) -> np.ndarray:
-        return self.matrices(t)[0]

@@ -101,7 +101,7 @@ def clean_reports(device, theta_plus):
 class TestLambdaAnchor:
     def test_solve_lambda_reference_point(self):
         start = time.monotonic()
-        lam = solve_lambda(THETA_CIRC, TAU, bracket=(0.1, 1.0))
+        lam = solve_lambda(THETA_CIRC, bracket=(0.1, 1.0))
         elapsed = time.monotonic() - start
         ok = abs(lam - LAMBDA_REF) <= 5e-4 and elapsed < 10.0
         check("lambda anchor",
@@ -216,7 +216,7 @@ class TestPropertySuite:
         out = integrate_master(
             device.hamiltonian, device.channels, rho0, 5.0,
             device.default_step,
-        ).final[0]
+        ).states[-1][0]
         tr_ok = abs(np.trace(out).real - 1.0) < 1e-9
         herm_ok = np.max(np.abs(out - out.conj().T)) < 1e-9
         pos_ok = np.linalg.eigvalsh(0.5 * (out + out.conj().T)).min() > -1e-8
@@ -227,8 +227,8 @@ class TestPropertySuite:
         h = ControlHamiltonian(np.zeros((2, 2)), sx[None],
                                lambda t: np.cos(0.7 * t)[:, None])
         psi0 = np.array([[1.0, 0.0]])
-        ref = propagate_schrodinger(h, psi0, 4.0, 0.0005).final[0]
-        errs = [np.linalg.norm(propagate_schrodinger(h, psi0, 4.0, s).final[0] - ref)
+        ref = propagate_schrodinger(h, psi0, 4.0, 0.0005).states[-1][0]
+        errs = [np.linalg.norm(propagate_schrodinger(h, psi0, 4.0, s).states[-1][0] - ref)
                 for s in (0.08, 0.04)]
         ratio = errs[0] / errs[1]
         sub("order-4 convergence", 12.0 < ratio < 20.0, f"ratio {ratio:.1f}")

@@ -116,14 +116,14 @@ class TestControlFormMatchesDenseFormulas:
             dense = np.zeros((3, 3))
             dense[0, 1] = dense[1, 0] = 0.5 * pulses.g_a_at(t)
             dense[2, 1] = dense[1, 2] = 0.5 * pulses.g_b_at(t)
-            assert np.max(np.abs(h(t) - dense)) < 1e-12
+            assert np.max(np.abs(h.matrices([t])[0] - dense)) < 1e-12
 
     def test_single_excitation(self, drives, times):
         chain = ScenarioConfig().chain_spec()
         h = single_excitation_model(chain, drives).hamiltonian
         for t in times:
             dense = embed(single_excitation_dense(chain, drives, t))
-            assert np.max(np.abs(h(t) - dense)) < 1e-12
+            assert np.max(np.abs(h.matrices([t])[0] - dense)) < 1e-12
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_full_chain(self, drives, times, d):
@@ -131,7 +131,7 @@ class TestControlFormMatchesDenseFormulas:
         h = full_chain_model(chain, drives).hamiltonian
         for t in times:
             dense = full_chain_dense(chain, drives, t)
-            assert np.max(np.abs(h(t) - dense)) < 1e-12
+            assert np.max(np.abs(h.matrices([t])[0] - dense)) < 1e-12
 
     def test_vectorised_matches_pointwise(self, drives, times):
         chain3 = replace(ScenarioConfig().chain_spec(), d=3)
@@ -139,7 +139,7 @@ class TestControlFormMatchesDenseFormulas:
         stacked = h.matrices(times)
         assert stacked.shape == (len(times), 27, 27)
         for t, m in zip(times, stacked):
-            assert np.array_equal(m, h(t))
+            assert np.array_equal(m, h.matrices([t])[0])
 
 
 class TestSeedFidelities:
@@ -271,7 +271,7 @@ class TestCheckBoundaryMatchesPointwiseLoop:
             ideal = ideal_model(pp).hamiltonian
             comms, worst = [], 0.0
             for t in np.linspace(0.0, TAU, 501):
-                h = ideal(t)
+                h = ideal.matrices([t])[0]
                 i_mat, di = invariant_and_derivative(traj, t)
                 comms.append(np.linalg.norm(h @ i_mat - i_mat @ h))
                 worst = max(worst, np.linalg.norm(di + 1j * (h @ i_mat - i_mat @ h)))

@@ -61,11 +61,12 @@ def quiet(chain):
 def single_excitation_h(chain, drives, t):
     """H(t) of the single-excitation model on |100>, |010>, |001>."""
     idx = single_excitation_indices(2)
-    return single_excitation_model(chain, drives).hamiltonian(t)[np.ix_(idx, idx)]
+    h = single_excitation_model(chain, drives).hamiltonian.matrices([t])[0]
+    return h[np.ix_(idx, idx)]
 
 
 def full_chain_h(chain, drives, t):
-    return full_chain_model(chain, drives).hamiltonian(t)
+    return full_chain_model(chain, drives).hamiltonian.matrices([t])[0]
 
 
 def j1_series(x: float) -> float:
@@ -132,7 +133,7 @@ def design_ratios(phase, tau):
     """The (2, samples) J1 values that invert_bessel_drive inverts for the
     design of the LR phase at tau on the default chain."""
     chain = ScenarioConfig().chain_spec()
-    pulses = synthesize_pulses(AuxiliaryTrajectory(solve_lambda(phase, tau), tau))
+    pulses = synthesize_pulses(AuxiliaryTrajectory(solve_lambda(phase), tau))
     ratios = np.abs(np.stack([pulses.g_a, pulses.g_b])) / (
         2.0 * np.array([[chain.g_a], [chain.g_b]]))
     return np.minimum(ratios, J1_PEAK)
@@ -175,9 +176,8 @@ class TestNewtonInversion:
         assert np.array_equal(invert_bessel_j1(np.array([0.0, J1_PEAK, 0.0])),
                               [0.0, J1_PEAK_X, 0.0])
 
-    def test_scalar_gives_float(self):
-        for y in (0.3, np.float64(0.3), np.array(0.3)):
-            assert type(invert_bessel_j1(y)) is float
+    def test_shape_follows_the_input(self):
+        assert np.shape(invert_bessel_j1(0.3)) == ()
         assert invert_bessel_j1(np.array([0.3])).shape == (1,)
 
 
@@ -247,18 +247,18 @@ class TestInvertBesselDrive:
 class TestIdealHamiltonian:
     def test_zero_at_endpoints(self, pulses):
         h = ideal_model(pulses).hamiltonian
-        assert np.allclose(h(0.0), 0.0, atol=1e-12)
-        assert np.allclose(h(TAU), 0.0, atol=1e-12)
+        assert np.allclose(h.matrices([0.0])[0], 0.0, atol=1e-12)
+        assert np.allclose(h.matrices([TAU])[0], 0.0, atol=1e-12)
 
     def test_structure(self, pulses):
         for t in np.linspace(1.0, TAU - 1.0, 9):
-            h = ideal_model(pulses).hamiltonian(t)
+            h = ideal_model(pulses).hamiltonian.matrices([t])[0]
             assert np.max(np.abs(h - h.conj().T)) < 1e-12
             assert np.all(np.diag(h) == 0)
             assert h[0, 2] == 0 and h[2, 0] == 0
 
     def test_midpoint_magnitudes(self, pulses):
-        h = ideal_model(pulses).hamiltonian(TAU / 2)
+        h = ideal_model(pulses).hamiltonian.matrices([TAU / 2])[0]
         assert abs(h[0, 1]) == pytest.approx(pulses.g_a_at(TAU / 2) / 2, abs=1e-12)
         assert abs(h[2, 1]) == pytest.approx(pulses.g_b_at(TAU / 2) / 2, abs=1e-12)
 

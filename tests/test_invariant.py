@@ -245,7 +245,7 @@ class TestSolveLambda:
     def test_reference_lambda_pinned(self):
         # Brent's method on adaptive quadrature solved this design to
         # 0.4974732655934123; the exact root is 0.49747326559346612
-        lam = solve_lambda(THETA_CIRC, TAU)
+        lam = solve_lambda(THETA_CIRC)
         assert abs(lam - 0.4974732655934123) <= 1e-12
 
     # (target, bracket): the decreasing branch, then the increasing one
@@ -256,34 +256,34 @@ class TestSolveLambda:
     def test_matches_brentq_reference(self, target, bracket):
         ref = optimize.brentq(lambda l: quad_theta_plus(l, TAU) - target,
                               *bracket, xtol=1e-15, rtol=1e-15)
-        assert abs(solve_lambda(target, TAU, bracket=bracket) - ref) <= 1e-12
+        assert abs(solve_lambda(target, bracket=bracket) - ref) <= 1e-12
 
     def test_reference_anchor(self):
-        lam = solve_lambda(THETA_CIRC, TAU, bracket=(0.1, 1.0))
+        lam = solve_lambda(THETA_CIRC, bracket=(0.1, 1.0))
         assert lam == pytest.approx(LAMBDA_REF, abs=5e-4)
 
     def test_round_trip(self):
-        lam = solve_lambda(THETA_CIRC, TAU)
+        lam = solve_lambda(THETA_CIRC)
         theta = lr_phase(AuxiliaryTrajectory(lam, TAU)).theta_plus
         assert abs(theta - THETA_CIRC) < 1e-6
 
     def test_no_sign_change_raises(self):
         with pytest.raises(RootBracketError):
-            solve_lambda(100.0, TAU, bracket=(0.3, 1.0))
+            solve_lambda(100.0, bracket=(0.3, 1.0))
 
     @pytest.mark.parametrize("target", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_target_raises_value_error(self, target):
         with pytest.raises(ValueError, match="target phase must be finite") as exc:
-            solve_lambda(target, TAU)
+            solve_lambda(target)
         assert exc.type is ValueError
 
     def test_bracket_spanning_phase_minimum_raises(self):
         # theta_plus(lambda) turns around near lambda ~ 1.9
         with pytest.raises(NonMonotonicBracketError):
-            solve_lambda(np.pi, TAU, bracket=(0.3, 2.5))
+            solve_lambda(np.pi, bracket=(0.3, 2.5))
 
     def test_reciprocal_design_propagates_to_swap(self):
-        lam = solve_lambda(np.pi, TAU, bracket=(0.3, 1.5))
+        lam = solve_lambda(np.pi, bracket=(0.3, 1.5))
         traj_pi = AuxiliaryTrajectory(lam, TAU)
         model = ideal_model(synthesize_pulses(traj_pi))
         u = evolution_operator_oracle(model.hamiltonian, TAU, 0.001)

@@ -324,15 +324,15 @@ class TestIsolation:
 class TestInvariantChecks:
     def test_check_density_flags_each_invariant(self):
         rho = np.diag([0.5, 0.5, 0.0]).astype(complex)
-        check_density(rho)
+        check_density(rho[None])
         with pytest.raises(IntegratorError, match="trace"):
-            check_density(1.1 * rho)
+            check_density(1.1 * rho[None])
         skew = rho.copy()
         skew[0, 1] = 1e-6
         with pytest.raises(IntegratorError, match="Hermiticity"):
-            check_density(skew)
+            check_density(skew[None])
         with pytest.raises(IntegratorError, match="positivity"):
-            check_density(np.diag([1.2, -0.2, 0.0]).astype(complex))
+            check_density(np.diag([1.2, -0.2, 0.0]).astype(complex)[None])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_check_density_refuses_non_finite_member(self, bad):

@@ -67,7 +67,7 @@ class TestSchrodinger:
         traj = propagate_schrodinger(
             modulated(np.zeros((2, 2))), psi0, 10.0, 0.1
         )
-        assert np.allclose(traj.final, psi0, atol=1e-12)
+        assert np.allclose(traj.states[-1], psi0, atol=1e-12)
 
     def test_rabi_oscillation_period(self):
         # H = (Omega/2) sigma_x flips |0> -> |1> at t = pi/Omega
@@ -77,8 +77,8 @@ class TestSchrodinger:
             modulated(h), ket(2, 0), np.pi / omega,
             0.001,
         )
-        assert abs(traj.final[0, 0]) < 1e-9
-        assert abs(traj.final[0, 1]) == pytest.approx(1.0, abs=1e-9)
+        assert abs(traj.states[-1][0, 0]) < 1e-9
+        assert abs(traj.states[-1][0, 1]) == pytest.approx(1.0, abs=1e-9)
 
     def test_expm_method_matches_rk4(self):
         # RK4 against the oracle's product of midpoint exponentials
@@ -86,7 +86,7 @@ class TestSchrodinger:
         psi0 = ket(2, 0)
         a = propagate_schrodinger(h_t, psi0, 5.0, 0.002)
         b = evolution_operator_oracle(h_t, 5.0, 0.002) @ psi0[0]
-        assert np.allclose(a.final[0], b, atol=1e-9)
+        assert np.allclose(a.states[-1][0], b, atol=1e-9)
 
     def test_ideal_circulator_sends_a_to_minus_b(self, pulses):
         model = ideal_model(pulses)
@@ -95,7 +95,7 @@ class TestSchrodinger:
             model.hamiltonian, psi0, TAU, model.default_step
         )
         target = target_unitary(1.5 * np.pi)[:, 0]  # -|B>
-        assert np.linalg.norm(traj.final[0] - target) < 1e-3
+        assert np.linalg.norm(traj.states[-1][0] - target) < 1e-3
 
     def test_norm_drift_raises(self):
         h = 50.0 * SIGMA_X
@@ -176,10 +176,10 @@ class TestStepMaps:
         gen = random_control_form(d, seed=d)
         block = random_block(d, seed=10 + d)
         together = propagate_schrodinger(gen, block, 5.0, self.STEP)
-        assert together.final.shape == (3, d)
+        assert together.states[-1].shape == (3, d)
         for j in range(3):
             alone = propagate_schrodinger(gen, block[j:j + 1], 5.0, self.STEP)
-            assert alone.final.shape == (1, d)
+            assert alone.states[-1].shape == (1, d)
             assert np.array_equal(together.states[:, j:j + 1], alone.states)
 
     def test_norm_drift_of_one_column_raises(self):
@@ -218,8 +218,8 @@ class TestLindblad:
         step = model.default_step
         pure = propagate_schrodinger(model.hamiltonian, psi0, TAU, step)
         mixed = integrate_master(model.hamiltonian, [], projector(psi0), TAU, step)
-        expected = projector(pure.final)
-        assert np.max(np.abs(mixed.final - expected)) < 1e-8
+        expected = projector(pure.states[-1])
+        assert np.max(np.abs(mixed.states[-1] - expected)) < 1e-8
 
     def test_single_qubit_decay(self):
         # O = |0><1| + |0><0| - |1><1| drains the excited population
@@ -243,8 +243,8 @@ class TestLindblad:
         step = device.default_step
         closed = propagate_schrodinger(device.hamiltonian, psi0, TAU, step)
         damped = integrate_master(device.hamiltonian, weak, projector(psi0), TAU, step)
-        expected = projector(closed.final)
-        assert np.max(np.abs(damped.final - expected)) < 1e-8
+        expected = projector(closed.states[-1])
+        assert np.max(np.abs(damped.states[-1] - expected)) < 1e-8
 
     def test_device_run_preserves_invariants(self, device):
         psi0 = ket(device.dim, device.logical_index("100"))
@@ -309,7 +309,7 @@ def assembled(e, d):
     """The (d^2, d^2) matrix of the factored propagator e on row-major vec
     rho: its column m is e's image of the m-th unit matrix."""
     units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    return e(units).reshape(d * d, d * d).T
+    return e(units, out=np.empty_like(units)).reshape(d * d, d * d).T
 
 
 def random_open_system(d, seed):
@@ -331,8 +331,8 @@ class TestStrangSplit:
         # is vec-rho RK4 at a 10x finer step than the finest split run
         gen, channels, rho0 = random_open_system(3, seed)
         steps = (0.04, 0.02, 0.01)
-        ref = master_rk4(gen, channels, rho0[0], 3.0, steps[-1] / 10).final
-        errs = [np.max(np.abs(integrate_master(gen, channels, rho0, 3.0, h).final[0] - ref))
+        ref = master_rk4(gen, channels, rho0[0], 3.0, steps[-1] / 10).states[-1]
+        errs = [np.max(np.abs(integrate_master(gen, channels, rho0, 3.0, h).states[-1][0] - ref))
                 for h in steps]
         assert errs[0] / errs[1] >= 3.5 and errs[1] / errs[2] >= 3.5
 
@@ -353,8 +353,9 @@ class TestStrangSplit:
                 assert [f.shape for f in e.factors] == [(g * g, g * g) for g in dims]
         for e in propagation._dissipator_propagators([], 8, 0.005):
             assert e.factors == ()
-            block = projector(ket(8, 3))
-            assert e(block) is block
+            block, out = projector(ket(8, 3)), np.empty((1, 8, 8), dtype=complex)
+            assert e(block, out=out) is out
+            assert np.array_equal(out, block)
 
     def test_sites_that_do_not_factor_d_are_refused(self, device):
         with pytest.raises(ValueError, match="do not multiply to d = 27"):
@@ -390,12 +391,12 @@ class TestStrangSplit:
         # a closed run's loss is the telescoped change of the squared norm
         psi0 = ket(device.dim, device.logical_index("100"))
         closed = propagate_schrodinger(device.hamiltonian, psi0, 20.0, 0.05)
-        assert closed.trace_loss == abs(1.0 - np.sum(np.abs(closed.final) ** 2))
+        assert closed.trace_loss == abs(1.0 - np.sum(np.abs(closed.states[-1]) ** 2))
         assert 0.0 < closed.trace_loss <= 2e-6
         # the projected maps keep the trace, the raw maps' loss is reported
         open_ = integrate_master(device.hamiltonian, device.channels,
                                  projector(psi0), 20.0, 0.05)
-        assert abs(np.trace(open_.final[0]) - 1.0) < 1e-13
+        assert abs(np.trace(open_.states[-1][0]) - 1.0) < 1e-13
         assert 0.0 < open_.trace_loss <= 2e-6
 
     def test_too_large_a_step_raises(self):
@@ -430,7 +431,7 @@ class TestStrangSplit:
         rho0 = projector(ket(3, 0))
         traj = integrate_master(gen, [LindbladChannel(op, khz(50.0))], rho0, 10.0,
                                 0.05)
-        assert np.trace(traj.final[0]).real == pytest.approx(1.0, abs=1e-13)
+        assert np.trace(traj.states[-1][0]).real == pytest.approx(1.0, abs=1e-13)
         with pytest.raises(StepTooLargeError, match=LOSS_MESSAGE):
             integrate_master(gen, [LindbladChannel(op, khz(50.0))],
                              projector(ket(3, 2)), 10.0, 0.05)
@@ -500,7 +501,9 @@ class TestSpan:
         for e in propagation._dissipator_propagators(noisy_model.channels, d, 0.005):
             out = np.empty_like(r)
             assert e(r, out=out) is out
-            assert np.array_equal(out, e(r))
+            vecs = r.reshape(len(r), -1, 1)
+            want = (assembled(e, d) @ vecs).reshape(r.shape)
+            assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
         none, _ = propagation._dissipator_propagators([], d, 0.005)
         assert np.array_equal(none(r, out=out), r)
 
@@ -584,7 +587,7 @@ class TestOracle:
                 model.hamiltonian, ket(3, col), TAU,
                 0.01,
             )
-            assert np.linalg.norm(u[:, col] - traj.final[0]) < 1e-7
+            assert np.linalg.norm(u[:, col] - traj.states[-1][0]) < 1e-7
 
     def test_unitarity(self, pulses):
         model = ideal_model(pulses)
@@ -598,10 +601,10 @@ class TestConvergence:
     def test_rk4_step_halving_is_fourth_order(self):
         h_t = modulated(0.5 * SIGMA_X, lambda t: np.cos(0.7 * t))
         psi0 = ket(2, 0)
-        ref = propagate_schrodinger(h_t, psi0, 4.0, 0.0005).final[0]
+        ref = propagate_schrodinger(h_t, psi0, 4.0, 0.0005).states[-1][0]
         errs = []
         for step in (0.08, 0.04):
-            out = propagate_schrodinger(h_t, psi0, 4.0, step).final[0]
+            out = propagate_schrodinger(h_t, psi0, 4.0, step).states[-1][0]
             errs.append(np.linalg.norm(out - ref))
         ratio = errs[0] / errs[1]
         assert 12.0 < ratio < 20.0

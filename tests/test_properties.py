@@ -60,7 +60,7 @@ def test_master_equation_keeps_a_pure_state_a_density_matrix(system, tau):
     traj = integrate_master(gen, channels, np.outer(psi, psi.conj())[None], tau, STEP)
     trace = np.trace(traj.states, axis1=2, axis2=3)
     assert np.max(np.abs(trace - 1.0)) <= 1e-12
-    check_density(traj.final)
+    check_density(traj.states[-1])
 
 
 @PROPERTY
