@@ -121,9 +121,10 @@ def parse_config(text: str, source: str = "<string>") -> ScenarioConfig:
 
 
 def load_config(path) -> ScenarioConfig:
-    """The scenario of an INI file.  A file that cannot be opened raises
-    OSError, one that is not UTF-8 ValueError; each names the path."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """The scenario of an INI file, UTF-8 with or without a byte-order
+    mark.  A file that cannot be opened raises OSError, one that is not
+    UTF-8 ValueError; each names the path."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

@@ -166,7 +166,7 @@ def invert_bessel_j1(y):
     map to 0 and J1_PEAK_X exactly."""
     y = np.asarray(y, dtype=float)
     if np.any(y < 0) or np.any(y > J1_PEAK):
-        raise ValueError(f"J1 values span [{y.min()}, {y.max()}], outside the "
+        raise ValueError(f"J1 values lie in [{y.min()}, {y.max()}], outside the "
                          f"principal range [0, {J1_PEAK}]")
     x = np.interp(np.sqrt(J1_PEAK - y), _J1_TABLE_S, _J1_TABLE_X)
     for _ in range(6):

@@ -309,7 +309,7 @@ def solve_lambda(
     if f_lo * f_hi > 0:
         raise RootBracketError(
             f"target phase {target_phase} rad not attained on bracket {bracket}: "
-            f"|theta_plus| spans [{min(vals)}, {max(vals)}]"
+            f"|theta_plus| ranges over [{min(vals)}, {max(vals)}]"
         )
     # bisect sign * |theta_plus|, which increases along the scan, with
     # the finer of the rules that converged at the cell's ends

@@ -10,17 +10,19 @@ operations as a one-member block, bit for bit.  One RK4 step of
 dX/dt = -iH(t) X is a fixed polynomial M_k in the generator at the start,
 midpoint and end of the step, so _raw_maps forms the maps of both kernels
 a chunk at a time, in one batched pass (about 3 w^3 multiply-adds a map).
-It forms them on the span of H only, the w = hi - lo basis states that
-H0 or an A_j touches (states 1-4 of the single-excitation model, all of
-the others): outside it a map is exactly I, and _embedder writes the
-span block into d x d identity tables that serve the whole run.
+It forms them on the support of H only, the w basis states that H0 or an
+A_j touches (|001>, |010> and |100> of the single-excitation model, every
+state of the others): off it a map is exactly I.
 
-- closed runs apply one M_k @ x per step to a (k, d, 1) stack of kets,
-  one mat-vec per member (one gemm on a (d, k) block of columns put them
-  up to 3e-14 off their one-member runs);
+- closed runs apply one M_k @ x per step to the (k, w, 1) stack of the
+  kets' support parts, one mat-vec per member (one gemm on a block of
+  columns put them up to 3e-14 off their one-member runs), and write
+  every other amplitude through unchanged;
 - open runs Strang-split drho/dt = -i[H, rho] + D(rho) (Strang, SIAM J.
   Numer. Anal. 5, 506 (1968)), second order in D and fourth in H: a step
-  is rho <- E(M_k rho M_k^H) for a (k, d, d) block, with E = exp(D dt)
+  is rho <- E(M_k rho M_k^H) for a (k, d, d) block, with M_k the support
+  maps written into d x d identity tables that serve the run (the maps
+  themselves when the support is the whole space), E = exp(D dt)
   formed once and E_half = exp(D dt/2) opening the run and closing each
   record.  Each channel acts on one site, so E is the Kronecker product
   of dense Taylor-summed exponentials: one 64 x 64 factor for all sites
@@ -33,18 +35,18 @@ span block into d x d identity tables that serve the whole run.
   run from |010> at step 0.05 ns, above check_density's 1e-8), so each
   map first takes one Newton-Schulz polar step towards the unitaries
   (Hairer, Lubich & Wanner, Geometric Numerical Integration, IV.4), an
-  O(dt^6) change, on the span, where it leaves I.
+  O(dt^6) change, on the support, where it leaves I.
 
 One rule refuses a step that is too large: StepTooLargeError once the raw
 maps have changed a member's trace by more than 2e-6, checked after every
 chunk.  With K = I - M^H M, an open run sums tr(K rho) over the states the
-maps act on, which the projection cannot hide; K is 0 outside the span,
-so the sum reads the span block.  A pure state's trace is its squared
+maps act on, which the projection cannot hide; K is 0 off the support,
+so the sum reads the support block.  A pure state's trace is its squared
 norm, and sum_k psi_k^H K_k psi_k telescopes to its change, so a closed
-run checks one norm a chunk.  An overflow's inf or NaN is refused too.
-Closed maps stay raw: projecting takes the maps of the 2,000-step ideal
-run from 2.3 to 3.7 ms (of 5.1), and took closed d = 8 and 27 runs +24%
-and +73%.
+run checks the squared norm of the kets' support parts once a chunk.  An
+overflow's inf or NaN is refused too.  Closed maps stay raw: projecting
+takes the maps of the 2,000-step ideal run from 2.3 to 3.7 ms (of 5.1),
+and took closed d = 8 and 27 runs +24% and +73%.
 
 Fixed-step, fixed-order arithmetic throughout: identical inputs produce
 bit-identical outputs.  States are recorded every RECORD_STRIDE steps and
@@ -93,7 +95,8 @@ class Trajectory:
 # matrix entries per table of d x d step maps, 96 kB: 682 steps per chunk
 # at d = 3, 96 at d = 8, 8 at d = 27.  Larger tables raise the peak RSS of
 # a design-and-verify process (by about 0.2 MB at 128 kB); smaller ones
-# slow d = 27.  With formation on the span, fresh `simulate --initial 100`
+# slow d = 27.  With maps formed on states 1-4 of single_excitation (its
+# support and |011>) and on all of d = 27, fresh `simulate --initial 100`
 # processes (tools/cli_times.py, best of 5, alternating; 1x against 2x and
 # 4x) took: noisy single_excitation 0.206 s / 33.1 MB at 1x, 0.206 s /
 # 33.3 MB at 2x, 0.202 s / 33.8 MB at 4x; noisy full_three_level 2.96 s /
@@ -163,35 +166,16 @@ def _chunk(d: int) -> int:
 
 def _raw_maps(gen: ControlHamiltonian, n: int, dt: float):
     """(first, maps) for each chunk of the n steps of size dt: _step_maps
-    of -iH(t) from step first, on gen.span only.  Outside the span H is 0,
-    so a d x d map is exactly I there, and maps holds the (w, w) block
-    that is not, w = hi - lo (_embedder writes it into d x d tables).  A
-    chunk is formed when asked for, so a caller that drops its maps never
-    holds two."""
-    lo, hi = gen.span
-    s0 = -1j * gen.h0[lo:hi, lo:hi]
-    s = -1j * gen.ops[:, lo:hi, lo:hi].reshape(len(gen.ops), -1)
+    of -iH(t) from step first, on gen.support only.  Off the support H is
+    0, so a d x d map is exactly I there, and maps holds the (w, w) block
+    on the support that is not, w = len(gen.support).  A chunk is formed
+    when asked for, so a caller that drops its maps never holds two."""
+    rows, cols = np.ix_(gen.support, gen.support)
+    s0 = -1j * gen.h0[rows, cols]
+    s = -1j * gen.ops[:, rows, cols].reshape(len(gen.ops), -1)
     chunk = _chunk(gen.dim)
     for first in range(0, n, chunk):
         yield first, _step_maps(gen, s0, s, first, min(n, first + chunk), dt)
-
-
-def _embedder(gen: ControlHamiltonian, n: int):
-    """The function that takes a chunk's span maps from _raw_maps to its
-    (m, d, d) step maps: it writes them into the span block of identity
-    tables, one set of which serves every chunk of an n-step run.  A span
-    that is the whole space needs no tables."""
-    d, (lo, hi) = gen.dim, gen.span
-    if (lo, hi) == (0, d):
-        return lambda maps: maps
-    tables = np.zeros((min(n, _chunk(d)), d, d), dtype=complex)
-    tables.reshape(len(tables), -1)[:, ::d + 1] = 1.0
-
-    def embed(maps):
-        out = tables[:len(maps)]
-        out[:, lo:hi, lo:hi] = maps
-        return out
-    return embed
 
 
 def _check_trace_loss(lost) -> float:
@@ -226,21 +210,22 @@ def propagate_schrodinger(
 ) -> Trajectory:
     """Integrate i d|psi>/dt = H(t)|psi> from 0 to tau by the raw RK4 step
     maps of about step ns, one M @ x per step and ket of the (k, d) block
-    psi0, recording (k, d) blocks.  Raises StepTooLargeError by the
-    trace-loss rule."""
+    psi0 on the support of H, recording (k, d) blocks whose amplitudes off
+    the support are psi0's.  Raises StepTooLargeError by the trace-loss
+    rule."""
     n, dt = _grid(tau, step)
-    x = np.array(psi0, dtype=complex)[:, :, None]  # the (k, d, 1) stack of kets
+    psi0 = np.array(psi0, dtype=complex)
+    x = psi0[:, gen.support, None]  # the (k, w, 1) stack of the support parts
     norm0 = np.sum(np.abs(x) ** 2, axis=(1, 2))
-    times, states = _records(n, dt, x[..., 0])
+    times, states = _records(n, dt, psi0)
+    states[1:] = psi0  # H leaves the amplitudes off the support as they are
     j = 0
-    embed = _embedder(gen, n)
     for first, maps in _raw_maps(gen, n, dt):
-        maps = embed(maps)
         for step in range(first, first + len(maps)):
             x = maps[step - first] @ x
             if _due(step, n):
                 j += 1
-                states[j] = x[..., 0]
+                states[j][:, gen.support] = x[..., 0]
         del maps  # free this chunk's maps before the next chunk's are formed
         loss = _check_trace_loss(norm0 - np.sum(np.abs(x) ** 2, axis=(1, 2)))
     return Trajectory(times, states, n, dt, loss)
@@ -338,15 +323,15 @@ def _dissipator_propagators(channels: Sequence, d: int, dt: float):
     # the sites of each factor, as (first, last + 1)
     groups = ([(0, len(shape))] if d**4 <= _WHOLE_E_ENTRIES
               else [(s, s + 1) for s in range(len(shape))])
-    dims = [math.prod(shape[lo:hi]) for lo, hi in groups]
+    dims = [math.prod(shape[first:end]) for first, end in groups]
     gens = []
-    for (lo, hi), g in zip(groups, dims):
+    for (first, end), g in zip(groups, dims):
         eye = np.eye(g)
         gen = np.zeros((g * g, g * g), dtype=complex)
         for c in channels:
-            if lo <= c.site < hi:
-                op = np.kron(np.kron(np.eye(math.prod(shape[lo:c.site])), c.operator),
-                             np.eye(math.prod(shape[c.site + 1:hi])))
+            if first <= c.site < end:
+                op = np.kron(np.kron(np.eye(math.prod(shape[first:c.site])), c.operator),
+                             np.eye(math.prod(shape[c.site + 1:end])))
                 sq = op.conj().T @ op
                 gen += c.rate * (np.kron(op, op.conj())
                                  - 0.5 * (np.kron(sq, eye) + np.kron(eye, sq.T)))
@@ -384,7 +369,7 @@ def integrate_master(
     Raises StepTooLargeError by the trace-loss rule, and IntegratorError
     unless every final member passes check_density."""
     n, dt = _grid(tau, step)
-    d, (lo, hi) = gen.dim, gen.span
+    d = gen.dim
     half, full = _dissipator_propagators(channels, d, dt)
     r = np.array(rho0, dtype=complex)
     times, states = _records(n, dt, r)
@@ -393,13 +378,21 @@ def integrate_master(
     acted_on = np.empty((min(n, _chunk(d)) + 1,) + r.shape, dtype=complex)
     half(r, out=acted_on[0])
     a, b = np.empty_like(acted_on[0]), np.empty_like(acted_on[0])
-    embed = _embedder(gen, n)
+    # the support block of a (..., d, d) array, and identity tables whose
+    # support block each chunk's maps fill; the whole space takes slices and
+    # the maps themselves (fancy indexing took 62 us a chunk at d = 27)
+    whole = len(gen.support) == d
+    on_support = (slice(None),) * 2 if whole else np.ix_(gen.support, gen.support)
+    tables = None if whole else np.tile(np.eye(d, dtype=complex),
+                                        (len(acted_on) - 1, 1, 1))
     j = 0
     lost = np.zeros(len(r))
     for first, maps in _raw_maps(gen, n, dt):
         maps, defects = _unitary_maps(maps)
         m = len(maps)
-        maps = embed(maps)
+        if not whole:
+            tables[:m][(..., *on_support)] = maps
+            maps = tables[:m]
         adjoints = maps.conj().transpose(0, 2, 1)
         for i in range(m):
             np.matmul(maps[i], acted_on[i], out=a)
@@ -409,9 +402,9 @@ def integrate_master(
                 half(b, out=states[j])
             full(b, out=acted_on[i + 1])
         # tr(K rho) = sum_ij K_ij conj(rho_ij) for a Hermitian rho, and K
-        # is 0 outside the span
-        span = acted_on[:m, :, lo:hi, lo:hi].reshape(m, len(r), -1)
-        lost += (span.conj() @ defects.reshape(m, -1, 1)).real.sum(axis=(0, 2))
+        # is 0 off the support
+        part = acted_on[:m][(..., *on_support)].reshape(m, len(r), -1)
+        lost += (part.conj() @ defects.reshape(m, -1, 1)).real.sum(axis=(0, 2))
         acted_on[0] = acted_on[m]
         del maps, defects, adjoints  # before the next chunk's are formed
         loss = _check_trace_loss(lost)

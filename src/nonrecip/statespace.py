@@ -5,7 +5,9 @@ and density matrix in this package; the propagators take and record
 blocks of them, (k, d) kets or (k, d, d) matrices.  The one value type
 here adds what an array cannot check by itself: ControlHamiltonian, the
 control form H(t) = H0 + sum_j c_j(t) A_j with its shapes checked,
-immutable after construction.
+immutable after construction.  Its support, the basis states that H
+touches, is where the propagators form their step maps: off it a map is
+exactly I, and a closed run writes the amplitudes there through as given.
 """
 
 from __future__ import annotations
@@ -29,15 +31,15 @@ class ControlHamiltonian:
     the (m, J) coefficient table.  A Hermitian H pairs a non-Hermitian
     A_j with its adjoint under the conjugate coefficient.
 
-    span = (lo, hi) is the smallest index range [lo, hi) that holds every
-    nonzero entry of h0 and ops, read from their pattern with no
-    tolerance ((0, 0) for an H that is zero): outside the block
-    [lo, hi) x [lo, hi), H(t) is exactly 0 at every t."""
+    support is the sorted, read-only array of the basis states that some
+    nonzero entry of h0 or ops touches, read from their pattern with no
+    tolerance (empty for an H that is zero): every row and column of H(t)
+    off the support is exactly 0 at every t."""
 
     h0: np.ndarray
     ops: np.ndarray
     coeffs: Callable[[np.ndarray], np.ndarray]
-    span: tuple[int, int] = field(init=False, repr=False, compare=False)
+    support: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "h0", _freeze(self.h0))
@@ -45,9 +47,9 @@ class ControlHamiltonian:
         if self.ops.ndim != 3 or self.ops.shape[1:] != self.h0.shape:
             raise ValueError(f"ops {self.ops.shape} vs h0 {self.h0.shape}")
         pattern = (self.h0 != 0) | np.any(self.ops != 0, axis=0)
-        touched = np.flatnonzero(pattern.any(axis=0) | pattern.any(axis=1))
-        object.__setattr__(self, "span", (int(touched[0]), int(touched[-1]) + 1)
-                           if touched.size else (0, 0))
+        support = np.flatnonzero(pattern.any(axis=0) | pattern.any(axis=1))
+        support.setflags(write=False)
+        object.__setattr__(self, "support", support)
 
     @property
     def dim(self) -> int:

@@ -68,6 +68,18 @@ class TestConfig:
         path.write_text(serialize_config(cfg))
         assert load_config(path) == cfg
 
+    def test_byte_order_mark_is_read_past(self, tmp_path):
+        # editors on Windows may save UTF-8 with a BOM, which configparser
+        # would take for text before the first section header
+        text = serialize_config(ScenarioConfig(model="full_qubit")).encode("utf-8")
+        plain, marked = tmp_path / "plain.ini", tmp_path / "bom.ini"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        assert load_config(marked) == load_config(plain)
+        marked.write_bytes(b"\xef\xbb\xbf[scenario]\nmodel = ideal\xff\n")
+        with pytest.raises(ValueError, match=re.escape(str(marked))):
+            load_config(marked)
+
     def test_effective_step_defaults(self, tmp_path):
         def resolved_step(cfg):
             cfg_path, out = tmp_path / "scenario.ini", tmp_path / "out"

@@ -8,6 +8,7 @@ from scipy.linalg import expm
 
 from nonrecip.devices import (
     LindbladChannel,
+    chain_labels,
     full_chain_model,
     ideal_model,
     invert_bessel_drive,
@@ -304,6 +305,19 @@ class TestLindblad:
             integrate_master(device.hamiltonian, device.channels,
                              np.concatenate([good, bad]), 2.0, 0.05)
 
+    def test_open_run_memory_peak(self, device):
+        # the (m + 1, k, d, d) chunk buffer holds the states that the maps
+        # act on, and the maps are formed and projected on the 3 x 3
+        # support block; 0.701 MB before both, 0.55 MB after
+        rho0 = projector(ket(device.dim, device.logical_index("100")))
+        tracemalloc.start()
+        try:
+            integrate_master(device.hamiltonian, device.channels, rho0, TAU, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.70e6
+
 
 def assembled(e, d):
     """The (d^2, d^2) matrix of the factored propagator e on row-major vec
@@ -356,6 +370,20 @@ class TestStrangSplit:
             block, out = projector(ket(8, 3)), np.empty((1, 8, 8), dtype=complex)
             assert e(block, out=out) is out
             assert np.array_equal(out, block)
+
+    def test_factored_propagator_writes_into_out(self, noisy_model):
+        # one factor at d = 8, three at d = 27
+        d = noisy_model.dim
+        rng = np.random.default_rng(d)
+        r = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
+        for e in propagation._dissipator_propagators(noisy_model.channels, d, 0.005):
+            out = np.empty_like(r)
+            assert e(r, out=out) is out
+            vecs = r.reshape(len(r), -1, 1)
+            want = (assembled(e, d) @ vecs).reshape(r.shape)
+            assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
+        none, _ = propagation._dissipator_propagators([], d, 0.005)
+        assert np.array_equal(none(r, out=out), r)
 
     def test_sites_that_do_not_factor_d_are_refused(self, device):
         with pytest.raises(ValueError, match="do not multiply to d = 27"):
@@ -449,36 +477,50 @@ def full_maps(gen, first, last, dt):
         len(gen.ops), -1), first, last, dt)
 
 
-class TestSpan:
-    def test_spans_of_the_models(self, pulses, device, full_qubit, three_level):
-        # single_excitation: |000> and the one-excitation states 1..4; the
-        # full chain's counter-rotating terms reach every state
-        assert ideal_model(pulses).hamiltonian.span == (0, 3)
-        assert device.hamiltonian.span == (1, 5)
-        assert full_qubit.hamiltonian.span == (0, 8)
-        assert three_level.hamiltonian.span == (0, 27)
-        assert modulated(np.zeros((2, 2))).span == (0, 0)
+def restricted(gen):
+    """gen's control form on its support only."""
+    rows, cols = np.ix_(gen.support, gen.support)
+    return ControlHamiltonian(gen.h0[rows, cols], gen.ops[:, rows, cols], gen.coeffs)
 
-    def test_embedded_maps_equal_whole_space_formation(self, device):
+
+def index(label):
+    """The index of a product state of two-level sites, such as '110'."""
+    return chain_labels(2).index(label)
+
+
+class TestSupport:
+    def test_supports_of_the_models(self, pulses, device, full_qubit, three_level):
+        # single_excitation: the three one-excitation states only; the full
+        # chain's counter-rotating terms reach every state
+        supports = [ideal_model(pulses).hamiltonian.support, device.hamiltonian.support,
+                    full_qubit.hamiltonian.support, three_level.hamiltonian.support,
+                    modulated(np.zeros((2, 2))).support]
+        for support, want in zip(supports, [[0, 1, 2], [1, 2, 4], np.arange(8),
+                                            np.arange(27), []]):
+            assert np.array_equal(support, want) and not support.flags.writeable
+        assert [index(label) for label in ("001", "010", "100")] == [1, 2, 4]
+
+    def test_support_maps_equal_restricted_formation(self, device):
         gen, dt = device.hamiltonian, device.default_step
+        rows, cols = np.ix_(gen.support, gen.support)
         n = 3 * propagation._chunk(device.dim) // 2  # a full chunk and a short one
-        embed = propagation._embedder(gen, n)
         chunks = list(propagation._raw_maps(gen, n, dt))
         assert [len(maps) for _, maps in chunks] == [96, 48]
         for first, maps in chunks:
-            assert maps.shape[1:] == (4, 4)
-            want = full_maps(gen, first, first + len(maps), dt)
-            assert np.array_equal(embed(maps), want)
-            # projected on the span, then embedded: the projected whole maps
-            span_maps, span_defects = propagation._unitary_maps(maps.copy())
-            whole_maps, whole_defects = propagation._unitary_maps(want.copy())
-            assert np.array_equal(embed(span_maps), whole_maps)
-            assert np.array_equal(span_defects, whole_defects[:, 1:5, 1:5])
+            assert maps.shape[1:] == (3, 3)
+            assert np.array_equal(maps, full_maps(restricted(gen), first,
+                                                  first + len(maps), dt))
+            # 3 x 3 products sum in another order than 8 x 8 ones
+            whole = full_maps(gen, first, first + len(maps), dt)
+            assert np.max(np.abs(maps - whole[:, rows, cols])) <= 1e-15
+            for got, want in zip(propagation._unitary_maps(maps.copy()),
+                                 propagation._unitary_maps(whole.copy())):
+                assert np.max(np.abs(got - want[:, rows, cols])) <= 1e-15
 
-    def test_maps_outside_the_span_are_identity(self, device):
+    def test_maps_off_the_support_are_identity(self, device):
         gen, d = device.hamiltonian, device.dim
         outside = np.ones((d, d), dtype=bool)
-        outside[1:5, 1:5] = False
+        outside[np.ix_(gen.support, gen.support)] = False
         raw = full_maps(gen, 0, 96, device.default_step)
         projected, defects = propagation._unitary_maps(raw.copy())
         for maps in (raw, projected):
@@ -486,39 +528,41 @@ class TestSpan:
         assert np.all(defects[:, outside] == 0.0)
         assert np.any(defects[:, ~outside] != 0.0)
 
-    def test_zero_hamiltonian_has_identity_maps(self):
+    def test_zero_hamiltonian_leaves_every_state_as_it_is(self):
         gen = modulated(np.zeros((2, 2)))
         (first, maps), = propagation._raw_maps(gen, 5, 0.1)
         assert first == 0 and maps.shape == (5, 0, 0)
-        assert np.array_equal(propagation._embedder(gen, 5)(maps),
-                              np.broadcast_to(np.eye(2), (5, 2, 2)))
+        psi0 = np.array([[0.6, 0.8j], [1.0, 0.0]])
+        rho0 = projector(psi0)
+        pure = propagate_schrodinger(gen, psi0, 0.5, 0.1)
+        mixed = integrate_master(gen, [], rho0, 0.5, 0.1)
+        for traj, x in ((pure, psi0), (mixed, rho0)):
+            assert np.array_equal(traj.states, np.broadcast_to(x, (2,) + x.shape))
 
-    def test_factored_propagator_writes_into_out(self, noisy_model):
-        # one factor at d = 8, three at d = 27
-        d = noisy_model.dim
-        rng = np.random.default_rng(d)
-        r = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
-        for e in propagation._dissipator_propagators(noisy_model.channels, d, 0.005):
-            out = np.empty_like(r)
-            assert e(r, out=out) is out
-            vecs = r.reshape(len(r), -1, 1)
-            want = (assembled(e, d) @ vecs).reshape(r.shape)
-            assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
-        none, _ = propagation._dissipator_propagators([], d, 0.005)
-        assert np.array_equal(none(r, out=out), r)
+    def test_block_across_parity_sectors_equals_single_calls(self, full_qubit):
+        # |100> and |110> lie in different parity sectors of the full chain;
+        # stepping each ket on the one support keeps them bit-identical to
+        # their one-member runs
+        block = np.eye(full_qubit.dim, dtype=complex)[[index("100"), index("110")]]
+        run = lambda x: propagate_schrodinger(full_qubit.hamiltonian, x, 1.0, 0.005)
+        together = run(block)
+        for j in range(2):
+            alone = run(block[j:j + 1])
+            assert np.array_equal(together.states[:, j:j + 1], alone.states)
 
-    def test_open_run_memory_peak(self, device):
-        # the (m + 1, k, d, d) chunk buffer holds the states that the maps
-        # act on, and the maps are formed and projected on the 4 x 4 span
-        # block; 0.701 MB before both, 0.58 MB after
-        rho0 = projector(ket(device.dim, device.logical_index("100")))
-        tracemalloc.start()
-        try:
-            integrate_master(device.hamiltonian, device.channels, rho0, TAU, 0.05)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.70e6
+    def test_amplitudes_off_the_support_are_written_through(self, device):
+        block = np.zeros((2, device.dim), dtype=complex)
+        block[0, index("000")] = 1.0
+        block[1, [index("011"), index("100")]] = 1.0 / np.sqrt(2.0)
+        traj = propagate_schrodinger(device.hamiltonian, block, 10.0,
+                                     device.default_step)
+        off = np.setdiff1d(np.arange(device.dim), device.hamiltonian.support)
+        assert np.array_equal(off, [0, 3, 5, 6, 7])
+        assert len(traj.states) > 2
+        assert np.array_equal(traj.states[:, :, off],
+                              np.broadcast_to(block[:, off], (len(traj.states), 2, 5)))
+        # the |100> half moves
+        assert not np.array_equal(traj.states[-1, 1], block[1])
 
 
 class TestBenchmarkInterface:

@@ -31,6 +31,8 @@ COMMANDS = {
     "design": CLI + ["design"],
     "se_transfer": CLI + ["--model", "single_excitation", "simulate", "--initial", "100"],
     "se_ensemble": CLI + ["--model", "single_excitation", "simulate", "--initial", "ensemble"],
+    "se_closed_transfer": CLI + ["--model", "single_excitation", "--no-noise",
+                                 "simulate", "--initial", "100"],
     "full_qubit_transfer": CLI + ["--model", "full_qubit", "simulate", "--initial", "100"],
     "three_level_transfer": CLI + ["--model", "full_three_level", "simulate",
                                    "--initial", "100"],
