@@ -32,7 +32,7 @@ from .devices import (
     single_excitation_model,
 )
 from .invariant import PulseDivergenceError, RootBracketError, NonMonotonicBracketError
-from .metrics import RunReport, fidelity_reports
+from .metrics import fidelity_reports
 from .reporting import write_csv, write_json
 
 EXIT_OK = 0
@@ -75,10 +75,10 @@ def _build_model(cfg: ScenarioConfig, pulses) -> SimulationModel:
 
 
 def _reports(cfg: ScenarioConfig, model: SimulationModel, theta_plus: float,
-             initials) -> dict[str, RunReport]:
-    """The report of each initial, "ensemble" or a logical basis label,
-    against the designed unitary, all from one propagation at the model's
-    default step unless the scenario sets step_ns."""
+             initials) -> dict[str, tuple[dict, dict]]:
+    """The (summary, columns) of each initial, "ensemble" or a logical
+    basis label, against the designed unitary, all from one propagation
+    at the model's default step unless the scenario sets step_ns."""
     return fidelity_reports(model, inv.target_unitary(theta_plus), initials,
                             noise=cfg.noise, step=cfg.step_ns)
 
@@ -118,7 +118,7 @@ def cmd_solve_lambda(cfg: ScenarioConfig, out_dir: Path,
     if target is None:
         target = THETA_CIRCULATOR
     lam = inv.solve_lambda(target, bracket=bracket)
-    theta = inv.lr_phase(inv.AuxiliaryTrajectory(lam, cfg.tau_ns)).theta_plus
+    theta = inv.theta_plus_magnitudes(lam)[0][0]
     payload = {"lambda": lam, "target_phase_rad": target, "theta_plus_rad": theta}
     print(json.dumps(payload, sort_keys=True))
     write_json(out_dir / "lambda_solution.json", payload)
@@ -152,16 +152,16 @@ def cmd_sweep_lambda(lo: float, hi: float, n: int, out_dir: Path) -> int:
 
 def cmd_simulate(cfg: ScenarioConfig, initial: str, out_dir: Path) -> int:
     traj, pulses, phases = _resolve_design(cfg)
-    report = _reports(cfg, _build_model(cfg, pulses), phases.theta_plus,
-                      [initial])[initial]
-    report.write_csv(out_dir / ("ensemble_fidelity.csv" if initial == "ensemble"
-                                else f"trajectory_{initial}.csv"))
-    write_json(out_dir / "report.json", report.to_json_dict())
+    summary, columns = _reports(cfg, _build_model(cfg, pulses), phases.theta_plus,
+                                [initial])[initial]
+    write_csv(out_dir / ("ensemble_fidelity.csv" if initial == "ensemble"
+                         else f"trajectory_{initial}.csv"), columns)
+    write_json(out_dir / "report.json", summary)
     if initial == "ensemble":
-        print(f"simulate[ensemble]: F_m = {report.f_m:.6f} "
-              f"(t=0 value {report.initial_fidelity:.4f})")
+        print(f"simulate[ensemble]: F_m = {summary['f_m']:.6f} "
+              f"(t=0 value {summary['initial_fidelity']:.4f})")
     else:
-        print(f"simulate[{initial}]: F_s = {report.fidelity:.6f}")
+        print(f"simulate[{initial}]: F_s = {summary['fidelity']:.6f}")
     return EXIT_OK
 
 
@@ -189,17 +189,17 @@ def cmd_reproduce_fig3(cfg: ScenarioConfig, out_dir: Path) -> int:
             "status": "failed", "error": str(exc), "error_type": type(exc).__name__}))
     else:
         for panel, initial in initials.items():
-            report = reports[initial]
+            summary, columns = reports[initial]
             if initial == "ensemble":
-                report.write_csv(out_dir / "fig3c_ensemble_fidelity.csv")
+                write_csv(out_dir / "fig3c_ensemble_fidelity.csv", columns)
                 panels[panel] = {
-                    "f_m": report.f_m, "initial_fidelity": report.initial_fidelity,
-                    "f_m_matches": abs(report.f_m - REFERENCE_F_M) <= 5e-3}
+                    "f_m": summary["f_m"], "initial_fidelity": summary["initial_fidelity"],
+                    "f_m_matches": abs(summary["f_m"] - REFERENCE_F_M) <= 5e-3}
             else:
-                report.write_csv(out_dir / f"fig3{panel}_initial_{initial}.csv")
-                panels[panel] = {
-                    "initial": initial, "f_s": report.fidelity,
-                    "f_s_matches": abs(report.fidelity - REFERENCE_F_S[initial]) <= 5e-3}
+                write_csv(out_dir / f"fig3{panel}_initial_{initial}.csv", columns)
+                f_s = summary["fidelity"]
+                panels[panel] = {"initial": initial, "f_s": f_s,
+                                 "f_s_matches": abs(f_s - REFERENCE_F_S[initial]) <= 5e-3}
             panels[panel]["status"] = "ok"
     write_json(out_dir / "fig3_summary.json", {
         "panels": panels, "model": cfg.model, "noise": model.is_open(cfg.noise),

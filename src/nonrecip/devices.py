@@ -177,7 +177,7 @@ def invert_bessel_j1(y):
     return np.where(y == J1_PEAK, J1_PEAK_X, x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DriveWaveform:
     """Dimensionless frequency-drive envelopes eta_j(t) on a time grid,
     signed as the effective couplings they drive, with |eta_j| at most
@@ -323,7 +323,7 @@ def _full_chain_control(chain: ChainSpec, drives: DriveWaveform):
     return ControlHamiltonian(h0, np.array(ops), coeffs), rate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LindbladChannel:
     """A collapse operator O on one site of a product space, stored as a
     read-only complex (d_s, d_s) array, its rate and the index of its
@@ -356,7 +356,7 @@ def lindblad_channels(chain: ChainSpec, d: int) -> list[LindbladChannel]:
             for k, spec in enumerate(chain.transmons)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationModel:
     """A propagatable model: control-form Hamiltonian, collapse channels,
     the location of the logical circulator states in its basis, its

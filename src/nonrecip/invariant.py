@@ -112,7 +112,7 @@ def coupling_values(traj: AuxiliaryTrajectory, t):
     return g_a, g_b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PulsePair:
     """Sampled effective couplings on a uniform time grid over [0, tau]."""
 

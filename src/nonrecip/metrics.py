@@ -4,97 +4,20 @@ command's read from one block of states propagated together."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .devices import SINGLE_EXCITATION_LABELS, SimulationModel
 from .propagation import IntegratorError, integrate_master, propagate_schrodinger
-from .reporting import write_csv
-
-
-@dataclass
-class RunReport:
-    """What every fidelity run reports: the record times and the fidelity
-    at each, the model, whether its channels were on, the step count and
-    size (ns), the model's phase-rate bound times that size (rad; at most
-    2 pi / 20 at the default step), and the worst member's change in
-    trace that the raw step maps caused (Trajectory.trace_loss)."""
-
-    times: np.ndarray
-    fidelity_curve: np.ndarray
-    model_name: str
-    noise: bool
-    steps: int
-    step_ns: float
-    phase_per_step_rad: float
-    trace_loss: float
-
-    def to_json_dict(self) -> dict:
-        return {"model": self.model_name, "noise": self.noise,
-                "steps": self.steps, "step_ns": self.step_ns,
-                "phase_per_step_rad": self.phase_per_step_rad,
-                "trace_loss": self.trace_loss}
-
-    def columns(self) -> dict[str, np.ndarray]:
-        """The report's own CSV columns, written between t_ns and fidelity."""
-        return {}
-
-    def write_csv(self, path):
-        write_csv(path, {"t_ns": self.times, **self.columns(),
-                         "fidelity": self.fidelity_curve})
-
-
-@dataclass
-class TransferReport(RunReport):
-    """Populations and final fidelity for a single basis-state transfer."""
-
-    initial_label: str
-    populations: dict[str, np.ndarray]
-    leakage: np.ndarray | None = None
-
-    @property
-    def fidelity(self) -> float:
-        return float(np.clip(self.fidelity_curve[-1], 0.0, 1.0))
-
-    def to_json_dict(self) -> dict:
-        final = {k: float(v[-1]) for k, v in self.populations.items()}
-        leakage = float(self.leakage[-1]) if self.leakage is not None else 0.0
-        return {**super().to_json_dict(), "initial": self.initial_label,
-                "fidelity": self.fidelity, "final_populations": final,
-                "final_leakage": leakage}
-
-    def columns(self) -> dict[str, np.ndarray]:
-        columns = {f"pop_{k}": v for k, v in self.populations.items()}
-        if self.leakage is not None:
-            columns["leakage"] = self.leakage
-        return columns
-
-
-@dataclass
-class EnsembleReport(RunReport):
-    """Uniform-average fidelity over a one-parameter family of inputs."""
-
-    @property
-    def f_m(self) -> float:
-        return float(self.fidelity_curve[-1])
-
-    @property
-    def initial_fidelity(self) -> float:
-        return float(self.fidelity_curve[0])
-
-    def to_json_dict(self) -> dict:
-        return {**super().to_json_dict(), "f_m": self.f_m,
-                "initial_fidelity": self.initial_fidelity}
 
 
 def _evolve(model: SimulationModel, initial_states, noise: bool,
-            step: float | None) -> tuple[dict, np.ndarray, np.ndarray]:
+            step: float | None) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
     """Propagate the k initial model-space vectors from 0 to tau in one
     call (at the model's default step when step is None) and return the
-    RunReport fields it fixes, all but the fidelity curve, the (k,
-    records, 3, 3) block of rho(t) on the logical indices and the (k,
-    records) trace of rho(t).
+    JSON fields that every report of the call shares, the record times,
+    the (k, records, 3, 3) block of rho(t) on the logical indices and the
+    (k, records) trace of rho(t).
 
     H is first checked to be Hermitian at 65 times: both kernels refuse
     a member only once the raw step maps change its trace by over 2e-6,
@@ -125,11 +48,10 @@ def _evolve(model: SimulationModel, initial_states, noise: bool,
         blocks = amps[..., :, None] * amps[..., None, :].conj()
         # np.trace(psi psi^H) bit for bit; (x * x.conj()).real.sum() is not
         traces = (x * x.conj()).sum(axis=-1).real
-    run = dict(times=traj.times, model_name=model.name, noise=noise,
-               steps=traj.steps, step_ns=traj.step,
-               phase_per_step_rad=model.phase_rate * traj.step,
-               trace_loss=traj.trace_loss)
-    return run, blocks, traces
+    run = {"model": model.name, "noise": noise, "steps": traj.steps,
+           "step_ns": traj.step, "phase_per_step_rad": model.phase_rate * traj.step,
+           "trace_loss": traj.trace_loss}
+    return run, traj.times, blocks, traces
 
 
 def _expect(rho: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -138,18 +60,28 @@ def _expect(rho: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def fidelity_reports(model: SimulationModel, unitary, initials, noise: bool = True,
-                     step: float | None = None) -> dict[str, RunReport]:
-    """Each initial's report, keyed by initial: a logical basis label for
-    a transfer, "ensemble" for the input ensemble.  Column j of the 3x3
-    logical matrix unitary is the target of basis state j.  One _evolve
-    call propagates the members that the reports need (each transfer's
-    basis state; |010>, |001> and |+> = (|010> + |001>)/sqrt(2) for the
-    ensemble) as one block, at the model's default step when step is
-    None, so every report's trace_loss is the worst member's.
+                     step: float | None = None
+                     ) -> dict[str, tuple[dict, dict[str, np.ndarray]]]:
+    """Each initial's (summary, columns), keyed by initial: a logical
+    basis label for a transfer, "ensemble" for the input ensemble.
+    summary is the report.json dict, columns the CSV columns in order,
+    from t_ns (the record times) to fidelity (the fidelity curve).
+    Column j of the 3x3 logical matrix unitary is the target of basis
+    state j.  One _evolve call propagates the members that the reports
+    need (each transfer's basis state; |010>, |001> and |+> = (|010> +
+    |001>)/sqrt(2) for the ensemble) as one block, at the model's default
+    step when step is None.
 
-    A transfer reports its fidelity to its target, the population curves
-    and, for models larger than the logical space, the leakage: the
-    trace of rho(t) less the three populations.
+    Every summary holds model, noise (whether its channels were on),
+    steps and step_ns (the step count and size), phase_per_step_rad (the
+    model's phase-rate bound times the step; at most 2 pi / 20 at the
+    default step) and trace_loss, the worst member's change in trace
+    that the raw step maps caused.  A transfer's columns put pop_100,
+    pop_010, pop_001 and, for models larger than the logical space,
+    leakage (the trace of rho(t) less the three populations, clipped at
+    0) between those two; its summary adds initial, fidelity (the final
+    value clipped to [0, 1]), final_populations and final_leakage (0
+    without a leakage column).
 
     The ensemble input cos(v)|010> + sin(v)|001> has the target c u1 +
     s u2 (c = cos v, s = sin v; u1, u2 the targets of |010> and |001>)
@@ -158,7 +90,8 @@ def fidelity_reports(model: SimulationModel, unitary, initials, noise: bool = Tr
     its uniform average over v is exact from <c^4> = <s^4> = 3/8,
     <c^2 s^2> = 1/8 and vanishing odd moments: F_m = (3<u1|rho_010|u1> +
     <u2|rho_010|u2> + <u1|rho_001|u1> + 3<u2|rho_001|u2> +
-    2 Re<u1|X|u2>) / 8.
+    2 Re<u1|X|u2>) / 8.  Its columns are t_ns and that curve; its summary
+    adds f_m and initial_fidelity, the curve's last and first values.
     """
     targets = np.asarray(unitary, dtype=complex)
     if targets.shape != (3, 3):
@@ -171,12 +104,12 @@ def fidelity_reports(model: SimulationModel, unitary, initials, noise: bool = Tr
     members = list(dict.fromkeys(m for labels in needs.values() for m in labels))
     eye = np.eye(model.dim)
     basis = {m: eye[model.logical_index(m)] for m in members if m != "ensemble"}
-    run, blocks, traces = _evolve(model, [
+    run, times, blocks, traces = _evolve(model, [
         (basis["010"] + basis["001"]) / math.sqrt(2.0) if m == "ensemble" else basis[m]
         for m in members], noise, step)
     block, trace = dict(zip(members, blocks)), dict(zip(members, traces))
 
-    reports: dict[str, RunReport] = {}
+    reports = {}
     for initial in needs:
         if initial == "ensemble":
             u1, u2 = targets[1:]
@@ -185,14 +118,22 @@ def fidelity_reports(model: SimulationModel, unitary, initials, noise: bool = Tr
             curve = (3.0 * _expect(r010, u1, u1) + _expect(r010, u2, u2)
                      + _expect(r001, u1, u1) + 3.0 * _expect(r001, u2, u2)
                      + 2.0 * _expect(x, u1, u2)).real / 8.0
-            reports[initial] = EnsembleReport(**run, fidelity_curve=curve)
+            reports[initial] = (
+                {**run, "f_m": float(curve[-1]), "initial_fidelity": float(curve[0])},
+                {"t_ns": times, "fidelity": curve})
             continue
         populations = {label: block[initial][:, i, i].real
                        for i, label in enumerate(SINGLE_EXCITATION_LABELS)}
-        leakage = (np.clip(trace[initial] - sum(populations.values()), 0.0, None)
-                   if model.dim > 3 else None)
+        columns = {"t_ns": times, **{f"pop_{k}": v for k, v in populations.items()}}
+        if model.dim > 3:
+            columns["leakage"] = np.clip(trace[initial] - sum(populations.values()),
+                                         0.0, None)
         u = targets[SINGLE_EXCITATION_LABELS.index(initial)]
-        reports[initial] = TransferReport(
-            **run, fidelity_curve=_expect(block[initial], u, u).real,
-            initial_label=initial, populations=populations, leakage=leakage)
+        columns["fidelity"] = curve = _expect(block[initial], u, u).real
+        reports[initial] = ({
+            **run, "initial": initial,
+            "fidelity": float(np.clip(curve[-1], 0.0, 1.0)),
+            "final_populations": {k: float(v[-1]) for k, v in populations.items()},
+            "final_leakage": float(columns["leakage"][-1]) if model.dim > 3 else 0.0,
+        }, columns)
     return reports

@@ -24,7 +24,7 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlHamiltonian:
     """H(t) = h0 + sum_j c_j(t) A_j: a constant drift h0, fixed operators
     ops = (A_1..A_J) of shape (J, d, d), and coeffs mapping m times to

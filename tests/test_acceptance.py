@@ -127,7 +127,7 @@ class TestBasisTransferFidelities:
         details = []
         ok = True
         for initial in INITIALS:
-            f = noisy_reports[initial].fidelity
+            f = noisy_reports[initial][0]["fidelity"]
             ok = ok and abs(f - F_S_REF[initial]) <= 5e-3
             details.append(f"F_s[{initial}] = {f:.5f} (ref {F_S_REF[initial]})")
         check("basis-transfer fidelities", ok,
@@ -137,12 +137,11 @@ class TestBasisTransferFidelities:
 
 class TestEnsembleFidelity:
     def test_average_over_input_circle(self, noisy_reports):
-        report = noisy_reports["ensemble"]
-        ok = (abs(report.f_m - F_M_REF) <= 5e-3
-              and abs(report.initial_fidelity - 0.125) <= 1e-2)
+        summary, _ = noisy_reports["ensemble"]
+        f_m, f_0 = summary["f_m"], summary["initial_fidelity"]
+        ok = abs(f_m - F_M_REF) <= 5e-3 and abs(f_0 - 0.125) <= 1e-2
         check("ensemble fidelity", ok,
-              f"(F_m = {report.f_m:.5f} ref {F_M_REF}, "
-              f"F(0) = {report.initial_fidelity:.4f})")
+              f"(F_m = {f_m:.5f} ref {F_M_REF}, F(0) = {f_0:.4f})")
 
 
 class TestNonReciprocity:
@@ -163,17 +162,17 @@ class TestNonReciprocity:
 
 class TestNoiseBudget:
     def test_decoherence_contribution(self, noisy_reports, clean_reports):
-        noisy = np.mean([noisy_reports[i].fidelity for i in INITIALS])
-        clean = np.mean([clean_reports[i].fidelity for i in INITIALS])
+        noisy = np.mean([noisy_reports[i][0]["fidelity"] for i in INITIALS])
+        clean = np.mean([clean_reports[i][0]["fidelity"] for i in INITIALS])
         drop = clean - noisy
         ok = abs(drop - 0.0052) <= 3e-3
         check("noise budget: decoherence", ok,
               f"(infidelity rises by {drop:.5f} with channels on, ref 0.0052)")
 
     def test_leakage_contribution(self, full_qubit, theta_plus):
-        report = fidelity_reports(full_qubit, target_unitary(theta_plus), ["100"],
-                                  noise=True)["100"]
-        leak = float(report.leakage[-1])
+        _, columns = fidelity_reports(full_qubit, target_unitary(theta_plus), ["100"],
+                                      noise=True)["100"]
+        leak = float(columns["leakage"][-1])
         ok = abs(leak - 0.0025) <= 2e-3
         check("noise budget: leakage", ok,
               f"(population outside the single-excitation subspace at tau "

@@ -384,6 +384,30 @@ class TestSimulateCommand:
         assert report["f_m"] > 0.999
         assert report["initial_fidelity"] == pytest.approx(0.125, abs=1e-6)
 
+    def test_report_csv_headers(self, tmp_path):
+        # the models larger than the logical space add a leakage column
+        transfer = "t_ns,pop_100,pop_010,pop_001,fidelity"
+        leaky = "t_ns,pop_100,pop_010,pop_001,leakage,fidelity"
+        ensemble = "t_ns,fidelity"
+        cfg_path = tmp_path / "coarse.ini"
+        cfg_path.write_text(serialize_config(ScenarioConfig(step_ns=0.05)))
+        runs = [
+            (["--model", "ideal", "--no-noise", "simulate", "--initial", "100"],
+             {"trajectory_100.csv": transfer}),
+            (["simulate", "--initial", "100"], {"trajectory_100.csv": leaky}),
+            (["simulate", "--initial", "ensemble"], {"ensemble_fidelity.csv": ensemble}),
+            (["reproduce-fig3"], {"fig3c_ensemble_fidelity.csv": ensemble,
+                                  "fig3d_initial_100.csv": leaky,
+                                  "fig3e_initial_001.csv": leaky,
+                                  "fig3f_initial_010.csv": leaky}),
+        ]
+        for i, (argv, headers) in enumerate(runs):
+            out = tmp_path / f"out{i}"
+            assert main(["--config", str(cfg_path), "--out", str(out)] + argv) == EXIT_OK
+            for name, header in headers.items():
+                with open(out / name, encoding="utf-8") as f:
+                    assert f.readline() == header + "\n", name
+
 
 class TestOnePropagation:
     """Each command's reports come from one kernel call on the union of

@@ -161,22 +161,22 @@ class TestSeedFidelities:
 
     @pytest.mark.parametrize("initial", ["100", "010", "001"])
     def test_transfer(self, reports, initial):
-        report = reports[initial]
-        assert report.fidelity == pytest.approx(SEED_F_S[initial], abs=1e-10)
-        assert report.fidelity == pytest.approx(CONVERGED_F_S[initial], abs=2e-9)
+        summary, _ = reports[initial]
+        assert summary["fidelity"] == pytest.approx(SEED_F_S[initial], abs=1e-10)
+        assert summary["fidelity"] == pytest.approx(CONVERGED_F_S[initial], abs=2e-9)
 
     def test_ensemble(self, reports):
-        report = reports["ensemble"]
-        assert report.f_m == pytest.approx(SEED_F_M, abs=1e-10)
-        assert report.f_m == pytest.approx(CONVERGED_F_M, abs=2e-9)
+        summary, _ = reports["ensemble"]
+        assert summary["f_m"] == pytest.approx(SEED_F_M, abs=1e-10)
+        assert summary["f_m"] == pytest.approx(CONVERGED_F_M, abs=2e-9)
 
     def test_full_qubit_leakage_at_default_step(self, setup, drives):
         _, theta, _ = setup
         model = full_chain_model(ScenarioConfig().chain_spec(), drives)
-        report = fidelity_reports(model, target_unitary(theta), ["100"])["100"]
-        assert report.step_ns == TAU / 32000  # 2,000 intervals, refined 16-fold
-        assert report.leakage[-1] == pytest.approx(CONVERGED_FULL_QUBIT_LEAKAGE,
-                                                   abs=1e-9)
+        summary, columns = fidelity_reports(model, target_unitary(theta), ["100"])["100"]
+        assert summary["step_ns"] == TAU / 32000  # 2,000 intervals, refined 16-fold
+        assert columns["leakage"][-1] == pytest.approx(CONVERGED_FULL_QUBIT_LEAKAGE,
+                                                       abs=1e-9)
 
 
 class TestDefaultStepRule:
@@ -225,9 +225,9 @@ class TestDefaultStepRule:
         theta = lr_phase(AuxiliaryTrajectory(LAMBDA_SOLVED, TAU)).theta_plus
 
         def fidelity(step):
-            report = fidelity_reports(model, target_unitary(theta), [initial],
-                                      noise=noise, step=step)[initial]
-            return report.f_m if initial == "ensemble" else report.fidelity
+            summary, _ = fidelity_reports(model, target_unitary(theta), [initial],
+                                          noise=noise, step=step)[initial]
+            return summary["f_m" if initial == "ensemble" else "fidelity"]
 
         half = 0.5 * model.default_step
         assert abs(fidelity(None) - fidelity(half)) <= bound
@@ -242,11 +242,11 @@ def test_long_three_level_run_completes():
     pulses = synthesize_pulses(traj)
     chain = ScenarioConfig(model="full_three_level").chain_spec()
     model = full_chain_model(chain, invert_bessel_drive(pulses, chain))
-    report = fidelity_reports(model, target_unitary(lr_phase(traj).theta_plus), ["100"],
-                              step=0.005)["100"]
-    assert (model.dim, report.step_ns) == (27, 0.005)
+    summary, _ = fidelity_reports(model, target_unitary(lr_phase(traj).theta_plus),
+                                  ["100"], step=0.005)["100"]
+    assert (model.dim, summary["step_ns"]) == (27, 0.005)
     # the vec-rho RK4 kernel read 0.9726293649267329
-    assert report.fidelity == pytest.approx(0.972629152557472, abs=1e-10)
+    assert summary["fidelity"] == pytest.approx(0.972629152557472, abs=1e-10)
 
 
 def invariant_and_derivative(traj, t):

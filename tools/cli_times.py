@@ -10,8 +10,9 @@ nonrecip package that is measured.  Every command runs as a fresh
 one thread and its outputs in a temporary directory.  Given two paths,
 the runs alternate between them, command by command, so that a change in
 the host's load falls on both.  Prints one JSON object: for each path and
-command the best wall time over N runs (s) and the largest peak RSS (MB),
-read from the child's resource usage.  Standard library only.
+command the best, median and [min, max] spread of the wall times over N
+runs (s) and the largest peak RSS (MB), read from the child's resource
+usage.  Standard library only.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -84,9 +86,11 @@ def main(argv=None) -> int:
                 wall, peak = run(COMMANDS[name], path)
                 times[path][name].append(wall)
                 rss[path][name] = max(rss[path][name], peak)
-    result = {path: {name: {"best_s": round(min(times[path][name]), 3),
+    result = {path: {name: {"best_s": round(min(walls), 3),
+                            "median_s": round(statistics.median(walls), 3),
+                            "spread_s": [round(min(walls), 3), round(max(walls), 3)],
                             "peak_rss_mb": round(rss[path][name], 1)}
-                     for name in names} for path in args.paths}
+                     for name, walls in times[path].items()} for path in args.paths}
     print(json.dumps(result, indent=2))
     return 0
 
