@@ -29,8 +29,13 @@ state of the others): off it a map is exactly I.
   at d = 8, one 9 x 9 per transmon at d = 27, applied by batched matmuls
   along each factor's axes of rho, in numpy alone.  A step takes three
   numpy calls, each writing into a buffer: M_k rho, then (M_k rho) M_k^H,
-  then E of that into the chunk's (m + 1, k, d, d) buffer of the states
-  that its maps act on, which the trace-loss sum reads.  RK4's maps do
+  then E of that into the next slot of the chunk's (m + 1, k, d, d)
+  buffer of the states that its maps act on, which the trace-loss sum
+  reads.  One argument-free E call per slot (at d = 8 the one matmul on
+  bound vec views) and the blocks that a chunk's records go into are
+  bound before its steps run, and the steps iterate the slots, maps and
+  adjoints together, so a step makes its three calls and no other
+  dispatch.  RK4's maps do
   not keep the trace (it drifts by 6e-8 over the noisy single-excitation
   run from |010> at step 0.05 ns, above check_density's 1e-8), so each
   map first takes one Newton-Schulz polar step towards the unitaries
@@ -57,6 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -77,7 +83,7 @@ class IntegratorError(RuntimeError):
 RECORD_STRIDE = 50
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Time-stamped states from a propagation run of steps steps of
     size step (ns): states stacks one record per time, each a (k, d) block
@@ -95,8 +101,9 @@ class Trajectory:
 # matrix entries per table of d x d step maps, 96 kB: 682 steps per chunk
 # at d = 3, 96 at d = 8, 8 at d = 27.  Larger tables raise the peak RSS of
 # a design-and-verify process (by about 0.2 MB at 128 kB); smaller ones
-# slow d = 27.  With maps formed on states 1-4 of single_excitation (its
-# support and |011>) and on all of d = 27, fresh `simulate --initial 100`
+# slow d = 27.  Measured when single_excitation's maps were formed on a
+# 4-state index range, before its exact 3-state support, and on all of
+# d = 27, fresh `simulate --initial 100`
 # processes (tools/cli_times.py, best of 5, alternating; 1x against 2x and
 # 4x) took: noisy single_excitation 0.206 s / 33.1 MB at 1x, 0.206 s /
 # 33.3 MB at 2x, 0.202 s / 33.8 MB at 4x; noisy full_three_level 2.96 s /
@@ -114,9 +121,11 @@ _WHOLE_E_ENTRIES = 64**2
 
 def _grid(tau: float, step: float) -> tuple[int, float]:
     """(n, dt): tau in the nearest whole number n of steps of about step
-    ns.  Each model's default_step resolves its fastest phase (devices)."""
-    if not (math.isfinite(step) and step > 0):
-        raise ValueError(f"step must be finite and > 0, got {step}")
+    ns.  Each model's default_step resolves its fastest phase (devices).
+    Raises ValueError unless tau and step are finite and > 0."""
+    for name, value in (("tau", tau), ("step", step)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     n = max(1, int(round(tau / step)))
     return n, tau / n
 
@@ -199,9 +208,17 @@ def _records(n: int, dt: float, first: np.ndarray):
     return times, states
 
 
-def _due(k: int, n: int) -> bool:
-    """Whether the state after step k of n is recorded."""
-    return (k + 1) % RECORD_STRIDE == 0 or k == n - 1
+def _schedule(states: np.ndarray, n: int, first: int, m: int) -> list:
+    """For each of the m steps of an n-step run from step first, the
+    record block of states that the state after it is written into, or
+    None: after every RECORD_STRIDE steps and after the last, as _records
+    times them."""
+    due = [None] * m
+    for j in range(first // RECORD_STRIDE + 1, (first + m) // RECORD_STRIDE + 1):
+        due[j * RECORD_STRIDE - 1 - first] = states[j]
+    if first + m == n:
+        due[-1] = states[-1]
+    return due
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the rule refuses inf and NaN
@@ -219,14 +236,12 @@ def propagate_schrodinger(
     norm0 = np.sum(np.abs(x) ** 2, axis=(1, 2))
     times, states = _records(n, dt, psi0)
     states[1:] = psi0  # H leaves the amplitudes off the support as they are
-    j = 0
     for first, maps in _raw_maps(gen, n, dt):
-        for step in range(first, first + len(maps)):
-            x = maps[step - first] @ x
-            if _due(step, n):
-                j += 1
-                states[j][:, gen.support] = x[..., 0]
-        del maps  # free this chunk's maps before the next chunk's are formed
+        for map_, record in zip(maps, _schedule(states, n, first, len(maps))):
+            x = map_ @ x
+            if record is not None:
+                record[:, gen.support] = x[..., 0]
+        del maps, map_  # free this chunk's maps before the next chunk's are formed
         loss = _check_trace_loss(norm0 - np.sum(np.abs(x) ** 2, axis=(1, 2)))
     return Trajectory(times, states, n, dt, loss)
 
@@ -282,10 +297,22 @@ class _Factored:
     def __call__(self, r: np.ndarray, out: np.ndarray) -> np.ndarray:
         """E applied to each member of the (k, d, d) block r, written into
         out, a C-contiguous complex array of r's shape."""
-        if self._whole is not None:
-            vecs = (len(r), -1, 1)
-            np.matmul(self._whole, r.reshape(vecs), out=out.reshape(vecs))
-            return out
+        self.bind(r, [out])[0]()
+        return out
+
+    def bind(self, r: np.ndarray, outs: Sequence[np.ndarray]) -> list:
+        """One argument-free call per array of outs, each writing E of r
+        into it as __call__ does, for a C-contiguous r: with one factor,
+        the one matmul on each member's vec, bound to vec views of r and
+        of its out."""
+        if self._whole is None:
+            return [partial(self._apply, r, out) for out in outs]
+        vecs = (len(r), -1, 1)
+        r = r.reshape(vecs)
+        return [partial(np.matmul, self._whole, r, out.reshape(vecs)) for out in outs]
+
+    def _apply(self, r: np.ndarray, out: np.ndarray):
+        """E of r into out, by the factors in turn (none: a copy)."""
         x = r
         if self.factors:
             k = len(r)
@@ -295,7 +322,6 @@ class _Factored:
                     k * before, len(e), -1)
             x = x.reshape((k,) + self._pairs).transpose(self._back)
         np.copyto(out.reshape(x.shape), x)
-        return out
 
 
 def _dissipator_propagators(channels: Sequence, d: int, dt: float):
@@ -378,6 +404,11 @@ def integrate_master(
     acted_on = np.empty((min(n, _chunk(d)) + 1,) + r.shape, dtype=complex)
     half(r, out=acted_on[0])
     a, b = np.empty_like(acted_on[0]), np.empty_like(acted_on[0])
+    # bound once: step i's E of b into slot i + 1.  The steps take the
+    # slots by iterating the buffer: a list of their views kept for the
+    # run read about 0.15 MB more peak RSS in short noisy-se benchmark runs
+    into_next = full.bind(b, acted_on[1:])
+    matmul = np.matmul
     # the support block of a (..., d, d) array, and identity tables whose
     # support block each chunk's maps fill; the whole space takes slices and
     # the maps themselves (fancy indexing took 62 us a chunk at d = 27)
@@ -385,7 +416,6 @@ def integrate_master(
     on_support = (slice(None),) * 2 if whole else np.ix_(gen.support, gen.support)
     tables = None if whole else np.tile(np.eye(d, dtype=complex),
                                         (len(acted_on) - 1, 1, 1))
-    j = 0
     lost = np.zeros(len(r))
     for first, maps in _raw_maps(gen, n, dt):
         maps, defects = _unitary_maps(maps)
@@ -394,19 +424,19 @@ def integrate_master(
             tables[:m][(..., *on_support)] = maps
             maps = tables[:m]
         adjoints = maps.conj().transpose(0, 2, 1)
-        for i in range(m):
-            np.matmul(maps[i], acted_on[i], out=a)
-            np.matmul(a, adjoints[i], out=b)
-            if _due(first + i, n):
-                j += 1
-                half(b, out=states[j])
-            full(b, out=acted_on[i + 1])
+        for rho, map_, adjoint, record, e_into_next in zip(
+                acted_on, maps, adjoints, _schedule(states, n, first, m), into_next):
+            matmul(map_, rho, out=a)
+            matmul(a, adjoint, out=b)
+            if record is not None:
+                half(b, out=record)
+            e_into_next()
         # tr(K rho) = sum_ij K_ij conj(rho_ij) for a Hermitian rho, and K
         # is 0 off the support
         part = acted_on[:m][(..., *on_support)].reshape(m, len(r), -1)
         lost += (part.conj() @ defects.reshape(m, -1, 1)).real.sum(axis=(0, 2))
         acted_on[0] = acted_on[m]
-        del maps, defects, adjoints  # before the next chunk's are formed
+        del maps, defects, adjoints, map_, adjoint  # before the next chunk's are formed
         loss = _check_trace_loss(lost)
     check_density(states[-1])
     return Trajectory(times, states, n, dt, loss)

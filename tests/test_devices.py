@@ -31,6 +31,7 @@ from nonrecip.invariant import (
     target_unitary,
 )
 from nonrecip.metrics import fidelity_reports
+from nonrecip.propagation import propagate_schrodinger
 from nonrecip.units import khz, mhz
 from rk4_reference import embedded
 
@@ -417,9 +418,11 @@ class TestEmbedding:
 
 
 
-# each of these frozen dataclasses holds ndarrays, where the generated
-# __eq__ would compare field tuples and ask an array for its truth value
+# each of these dataclasses holds ndarrays, where the generated __eq__
+# would compare field tuples and ask an array for its truth value
 BUILT_PARTS = {
+    "Trajectory": lambda pulses, drives, model: propagate_schrodinger(
+        model.hamiltonian, np.eye(model.dim)[[model.logical_index("100")]], 1.0, 0.05),
     "PulsePair": lambda pulses, drives, model: pulses,
     "DriveWaveform": lambda pulses, drives, model: drives,
     "SimulationModel": lambda pulses, drives, model: model,

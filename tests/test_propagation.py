@@ -133,6 +133,19 @@ def test_kernels_refuse_a_step_that_is_not_finite_and_positive(kernel, step):
             propagate_schrodinger(gen, psi0, 1.0, step)
 
 
+@pytest.mark.parametrize("tau", [0.0, -0.01, np.nan, np.inf])
+@pytest.mark.parametrize("kernel", ["master", "schrodinger"])
+def test_kernels_refuse_a_tau_that_is_not_finite_and_positive(kernel, tau):
+    # unchecked, -0.01 ran one step of -0.01 ns, a negative tau was refused
+    # as a step too large, inf overflowed and NaN failed to convert to int
+    gen, psi0 = modulated(0.5 * SIGMA_X), ket(2, 0)
+    with pytest.raises(ValueError, match="tau must be finite and > 0"):
+        if kernel == "master":
+            integrate_master(gen, [], projector(psi0), tau, 0.05)
+        else:
+            propagate_schrodinger(gen, psi0, tau, 0.05)
+
+
 def random_control_form(d, seed):
     """A seeded Hermitian control form: random Hermitian H0 and A_1 under
     cos(0.9 t), and a random non-Hermitian N with its adjoint under
@@ -338,7 +351,65 @@ def random_open_system(d, seed):
             projector(psi))
 
 
+def stepped_one_call_at_a_time(gen, channels, rho0, tau, step):
+    """integrate_master's (times, states, trace_loss), by a plain loop:
+    rho <- E(M rho M^H) one step and one call at a time from E_half rho0,
+    with the kernel's own maps (each written into a d x d identity table
+    when the support is smaller than d) and propagators, E_half of
+    M rho M^H recorded after every RECORD_STRIDE steps and after the last,
+    and tr(K rho) summed over the support a chunk at a time, as the kernel
+    sums it."""
+    n, dt = propagation._grid(tau, step)
+    d, whole = gen.dim, len(gen.support) == gen.dim
+    # the kernel's reads of the support block: a fancy-indexed copy of the
+    # whole space has another memory order, which moves the loss's sum
+    on_support = (slice(None),) * 2 if whole else np.ix_(gen.support, gen.support)
+    half, full = propagation._dissipator_propagators(channels, d, dt)
+    rho = half(rho0, out=np.empty_like(rho0))
+    done, states, lost = [0], [rho0], np.zeros(len(rho0))
+    for first, maps in propagation._raw_maps(gen, n, dt):
+        maps, defects = propagation._unitary_maps(maps)
+        acted_on = []
+        for s, table in enumerate(maps, start=first):
+            if not whole:
+                table, support_map = np.eye(d, dtype=complex), table
+                table[on_support] = support_map
+            acted_on.append(rho)
+            b = table @ rho @ table.conj().T
+            if (s + 1) % propagation.RECORD_STRIDE == 0 or s == n - 1:
+                done.append(s + 1)
+                states.append(half(b, out=np.empty_like(b)))
+            rho = full(b, out=np.empty_like(b))
+        part = np.stack(acted_on)[(..., *on_support)].reshape(len(maps), len(rho0), -1)
+        lost += (part.conj() @ defects.reshape(len(maps), -1, 1)).real.sum(axis=(0, 2))
+    return np.array(done) * dt, np.stack(states), float(np.max(np.abs(lost)))
+
+
 class TestStrangSplit:
+    @pytest.mark.parametrize("model, tau, step, members, noisy", [
+        ("device", 10.3, 0.05, 1, True),  # E one 64 x 64 factor, 3 x 3 support
+        ("device", 10.3, 0.05, 2, True),
+        ("device", 10.3, 0.05, 2, False),  # no channels: E copies
+        ("three_level", 0.3, 0.005, 2, True),  # E three factors, whole space
+    ])
+    def test_loop_equals_one_call_at_a_time(self, request, model, tau, step, members,
+                                            noisy):
+        # 206 steps in chunks of 96 at d = 8, 60 in chunks of 8 at d = 27,
+        # so that records fall inside chunks and on the last step
+        model = request.getfixturevalue(model)
+        i100, i010, i001 = model.logical_indices
+        block = np.zeros((2, model.dim), dtype=complex)
+        block[0, i100] = 1.0
+        block[1, [i010, i001]] = 1.0 / np.sqrt(2.0)
+        rho0 = projector(block[:members])
+        channels = model.channels if noisy else []
+        run = integrate_master(model.hamiltonian, channels, rho0, tau, step)
+        times, states, loss = stepped_one_call_at_a_time(
+            model.hamiltonian, channels, rho0, tau, step)
+        assert np.array_equal(run.times, times)
+        assert np.array_equal(run.states, states)
+        assert run.trace_loss == loss > 0.0
+
     @pytest.mark.parametrize("seed", [1, 2])
     def test_second_order_against_stage_by_stage_rk4(self, seed):
         # Strang splitting is second order in the dissipator; the reference
