@@ -48,15 +48,14 @@ RECIPROCAL_TOL = 1e-3
 
 
 def _resolve_design(cfg: ScenarioConfig):
-    """(trajectory, pulses, phase result) for the scenario."""
-    if cfg.lambda_ is not None:
-        lam = cfg.lambda_
-    else:
+    """(lambda, pulses, |theta_plus|, its quadrature error) for the
+    scenario."""
+    lam = cfg.lambda_
+    if lam is None:
         lam = inv.solve_lambda(cfg.target_phase_rad)
-    traj = inv.AuxiliaryTrajectory(lam, cfg.tau_ns)
-    pulses = inv.synthesize_pulses(traj)
-    phases = inv.lr_phase(traj)
-    return traj, pulses, phases
+    pulses = inv.synthesize_pulses(inv.AuxiliaryTrajectory(lam, cfg.tau_ns))
+    (theta,), (error,), _ = inv.theta_plus_magnitudes(lam)
+    return lam, pulses, float(theta), float(error)
 
 
 def _chain_drives(cfg: ScenarioConfig, pulses):
@@ -84,31 +83,29 @@ def _reports(cfg: ScenarioConfig, model: SimulationModel, theta_plus: float,
 
 
 def cmd_design(cfg: ScenarioConfig, out_dir: Path) -> int:
-    traj, pulses, phases = _resolve_design(cfg)
+    lam, pulses, theta, error = _resolve_design(cfg)
     pulses.write_csv(out_dir / "pulses.csv")
+    theta_mod = theta % (2.0 * math.pi)
     summary = {
-        "lambda": traj.lambda_,
-        "tau_ns": traj.tau,
-        "theta_plus_rad": phases.theta_plus,
-        "theta_plus_mod_2pi_rad": phases.theta_plus_mod_2pi,
-        "theta_plus_raw_rad": -phases.theta_plus,
-        "theta_plus_quad_error": phases.quad_error,
-        "character": (
-            "reciprocal"
-            if abs(phases.theta_plus_mod_2pi - math.pi) < RECIPROCAL_TOL
-            else "non_reciprocal"
-        ),
+        "lambda": lam,
+        "tau_ns": cfg.tau_ns,
+        "theta_plus_rad": theta,
+        "theta_plus_mod_2pi_rad": theta_mod,
+        "theta_plus_raw_rad": -theta,
+        "theta_plus_quad_error": error,
+        "character": ("reciprocal" if abs(theta_mod - math.pi) < RECIPROCAL_TOL
+                      else "non_reciprocal"),
     }
     if cfg.lambda_ is None:
-        summary["lambda_residual_rad"] = abs(phases.theta_plus - cfg.target_phase_rad)
+        summary["lambda_residual_rad"] = abs(theta - cfg.target_phase_rad)
     if cfg.model != "ideal":
         chain, drives = _chain_drives(cfg, pulses)
         drives.write_csv(out_dir / "eta.csv")
         summary["bessel_peak_ratio_a"] = float(abs(pulses.g_a).max() / (2 * chain.g_a))
         summary["bessel_peak_ratio_b"] = float(abs(pulses.g_b).max() / (2 * chain.g_b))
     write_json(out_dir / "design_summary.json", summary)
-    print(f"design: lambda = {traj.lambda_:.6f}, "
-          f"|theta_plus| = {phases.theta_plus:.6f} rad ({summary['character']})")
+    print(f"design: lambda = {lam:.6f}, "
+          f"|theta_plus| = {theta:.6f} rad ({summary['character']})")
     return EXIT_OK
 
 
@@ -151,9 +148,8 @@ def cmd_sweep_lambda(lo: float, hi: float, n: int, out_dir: Path) -> int:
 
 
 def cmd_simulate(cfg: ScenarioConfig, initial: str, out_dir: Path) -> int:
-    traj, pulses, phases = _resolve_design(cfg)
-    summary, columns = _reports(cfg, _build_model(cfg, pulses), phases.theta_plus,
-                                [initial])[initial]
+    _, pulses, theta, _ = _resolve_design(cfg)
+    summary, columns = _reports(cfg, _build_model(cfg, pulses), theta, [initial])[initial]
     write_csv(out_dir / ("ensemble_fidelity.csv" if initial == "ensemble"
                          else f"trajectory_{initial}.csv"), columns)
     write_json(out_dir / "report.json", summary)
@@ -170,20 +166,19 @@ def cmd_reproduce_fig3(cfg: ScenarioConfig, out_dir: Path) -> int:
     (transfers from 100, 001, 010) from one propagation.  When that
     propagation fails, panels c-f are failed with its error and the
     summary is still written; a failed write ends the command."""
-    lam = inv.solve_lambda(THETA_CIRCULATOR)
-    cfg = with_overrides(cfg, lambda_=lam, target_phase_rad=None)
-    traj, pulses, phases = _resolve_design(cfg)
+    cfg = with_overrides(cfg, target_phase_rad=THETA_CIRCULATOR)
+    lam, pulses, theta, _ = _resolve_design(cfg)
     model = _build_model(cfg, pulses)
     _write_sweep(out_dir / "fig3a_lambda_sweep.csv", np.linspace(0.15, 1.0, 35))
     pulses.write_csv(out_dir / "fig3b_pulses.csv")
     panels = {
         "a": {"lambda": lam, "lambda_matches": abs(lam - REFERENCE_LAMBDA) <= 5e-4,
               "status": "ok"},
-        "b": {"theta_plus_rad": phases.theta_plus, "status": "ok"},
+        "b": {"theta_plus_rad": theta, "status": "ok"},
     }
     initials = {"c": "ensemble", "d": "100", "e": "001", "f": "010"}
     try:
-        reports = _reports(cfg, model, phases.theta_plus, initials.values())
+        reports = _reports(cfg, model, theta, initials.values())
     except Exception as exc:  # noqa: BLE001 - panels a and b still stand
         panels.update(dict.fromkeys(initials, {
             "status": "failed", "error": str(exc), "error_type": type(exc).__name__}))

@@ -54,9 +54,12 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        for name in ("g_a_mhz", "g_b_mhz"):
+        for name in ("g_a_mhz", "g_b_mhz", "alpha_a_mhz", "alpha_m_mhz", "alpha_b_mhz"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("gamma_a_khz", "gamma_m_khz", "gamma_b_khz"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def chain_spec(self) -> ChainSpec:
         d = 3 if self.model == "full_three_level" else 2

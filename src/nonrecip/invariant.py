@@ -8,7 +8,9 @@ eigenstates over one period fixes the realized evolution operator.  The
 invariant's scale is arbitrary and fixed at one, so its eigenvalues are
 0 and +-1/2; its three branches accumulate the phases (0, +theta_plus,
 -theta_plus).  A phase of 3*pi/2 yields the one-way circulator; pi
-yields a reciprocal swap.
+yields a reciprocal swap.  The phase depends on lambda alone, and one
+function, theta_plus_magnitudes, computes it: values, quadrature errors
+and node counts for an array of lambda.
 """
 
 from __future__ import annotations
@@ -175,25 +177,6 @@ def synthesize_pulses(traj: AuxiliaryTrajectory) -> PulsePair:
     return PulsePair(times, g_a, g_b)
 
 
-@dataclass(frozen=True)
-class LRPhaseResult:
-    """Accumulated invariant-eigenstate phase over one period.
-
-    The branches (0, +, -) accumulate (0, theta_plus, -theta_plus), with
-    theta_plus > 0 in the convention of target_unitary; the signed
-    defining integral of the plus branch is -theta_plus.
-    theta_plus_mod_2pi is theta_plus reduced to [0, 2*pi), and
-    quad_error the quadrature's error estimate for theta_plus.
-    """
-
-    theta_plus: float
-    quad_error: float
-
-    @property
-    def theta_plus_mod_2pi(self) -> float:
-        return self.theta_plus % (2.0 * math.pi)
-
-
 PHASE_RTOL = 1e-12
 
 
@@ -212,11 +195,23 @@ def _theta_plus_rule(lams, n: int):
     return (1.0 / np.sin(16.0 * lams[:, None] * s2)) @ num
 
 
-def _theta_plus(lams):
-    """theta_plus_magnitudes, plus the node count of the rule that
-    converged for each lambda."""
+def theta_plus_magnitudes(lams):
+    """(|theta_plus|, error estimate, node count) for each lambda in (0, pi).
+
+    The invariant's branches (0, +, -) accumulate (0, +theta_plus,
+    -theta_plus) over one period, with theta_plus > 0 in the convention
+    of target_unitary.  The plus branch obeys
+    d(theta)/dt = -beta_dot/sin(gamma), so its signed defining integral
+    is -theta_plus.  With u = t/tau the phase needs no tau:
+    |theta_plus| = 70 pi int_0^1 u^3 (1-u)^3 / sin(16 lambda u^2 (1-u)^2) du.
+    Gauss-Legendre rules of 64, 128, ... 2048 nodes are applied until
+    two successive rules agree to PHASE_RTOL (relative); their
+    difference is the error estimate, and the finer rule's node count
+    is returned.  ValueError for lambda outside (0, pi) (NaN included)
+    or when 2048 nodes do not suffice (pi - lambda < ~1.5e-3).
+    """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    if np.any(lams >= math.pi) or np.any(lams <= 0.0):
+    if not np.all((lams > 0.0) & (lams < math.pi)):
         raise ValueError("phase integrand non-finite unless 0 < lambda < pi")
     # NaN: the first rule has no predecessor to agree with
     value, err = np.full(lams.shape, np.nan), np.full(lams.shape, np.inf)
@@ -229,31 +224,6 @@ def _theta_plus(lams):
         if not todo.size:
             return value, err, nodes
     raise ValueError("phase quadrature did not converge with 2048 nodes")
-
-
-def theta_plus_magnitudes(lams):
-    """(|theta_plus|, error estimate) for each lambda in (0, pi).
-
-    With u = t/tau the phase needs no tau:
-    |theta_plus| = 70 pi int_0^1 u^3 (1-u)^3 / sin(16 lambda u^2 (1-u)^2) du.
-    Gauss-Legendre rules of 64, 128, ... 2048 nodes are applied until
-    two successive rules agree to PHASE_RTOL (relative); their
-    difference is the error estimate.  ValueError for lambda outside
-    (0, pi) or when 2048 nodes do not suffice (pi - lambda < ~1.5e-3).
-    """
-    return _theta_plus(lams)[:2]
-
-
-def lr_phase(traj: AuxiliaryTrajectory) -> LRPhaseResult:
-    """Integrate the invariant-eigenstate phase over one period.
-
-    The defining integral reduces in closed form to
-    d(theta)/dt = -beta_dot/sin(gamma) for the plus branch, whose
-    magnitude theta_plus_magnitudes integrates (ValueError for
-    lambda >= pi).
-    """
-    mag, err = (float(v[0]) for v in theta_plus_magnitudes(traj.lambda_))
-    return LRPhaseResult(mag, quad_error=err)
 
 
 def bisect_increasing(f, targets, lo: float, hi: float):
@@ -299,7 +269,7 @@ def solve_lambda(
         raise ValueError("bracket must satisfy 0 < lo < hi")
 
     scan = np.linspace(lo, hi, PRESCAN_POINTS)
-    vals, _, nodes = _theta_plus(scan)
+    vals, _, nodes = theta_plus_magnitudes(scan)
     diffs = np.diff(vals)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise NonMonotonicBracketError(

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nonrecip.invariant import AuxiliaryTrajectory, PulsePair, lr_phase
+from nonrecip.invariant import AuxiliaryTrajectory, PulsePair, theta_plus_magnitudes
 
 ISOLATION_FLOOR_DB = -120.0
 
@@ -66,7 +66,7 @@ def lr_predicted_evolution(traj: AuxiliaryTrajectory) -> np.ndarray:
     theta_n = (0, theta_plus, -theta_plus), in the convention of
     target_unitary.
     """
-    theta_plus = lr_phase(traj).theta_plus
+    theta_plus = theta_plus_magnitudes(traj.lambda_)[0][0]
     start = invariant_eigenstates(traj, 0.0)
     end = invariant_eigenstates(traj, traj.tau)
     thetas = (0.0, theta_plus, -theta_plus)

@@ -19,10 +19,10 @@ from nonrecip.devices import (
 )
 from nonrecip.invariant import (
     AuxiliaryTrajectory,
-    lr_phase,
     solve_lambda,
     synthesize_pulses,
     target_unitary,
+    theta_plus_magnitudes,
 )
 from nonrecip.metrics import fidelity_reports
 from nonrecip.propagation import integrate_master, propagate_schrodinger
@@ -62,7 +62,7 @@ def pulses(traj):
 
 @pytest.fixture(scope="module")
 def theta_plus(traj):
-    return lr_phase(traj).theta_plus
+    return theta_plus_magnitudes(traj.lambda_)[0][0]
 
 
 @pytest.fixture(scope="module")

@@ -24,7 +24,11 @@ from nonrecip.config import (
     with_overrides,
 )
 from nonrecip.devices import ideal_model
-from nonrecip.invariant import AuxiliaryTrajectory, synthesize_pulses
+from nonrecip.invariant import (
+    AuxiliaryTrajectory,
+    synthesize_pulses,
+    theta_plus_magnitudes,
+)
 from nonrecip.propagation import IntegratorError
 from scenario_text import serialize_config
 
@@ -218,6 +222,20 @@ class TestDesignCommand:
         assert summary["lambda_residual_rad"] == abs(
             summary["theta_plus_rad"] - 1.5 * np.pi)
         assert summary["lambda_residual_rad"] < 1e-12
+        # one route from lambda to theta_plus: solve-lambda and fig3's
+        # panels a and b read the same values bit for bit
+        lam, theta = summary["lambda"], summary["theta_plus_rad"]
+        assert main(["--out", str(tmp_path / "solve"), "solve-lambda",
+                     "--target-phase-rad", str(1.5 * np.pi)]) == EXIT_OK
+        solution = json.loads((tmp_path / "solve" / "lambda_solution.json").read_text())
+        assert (solution["lambda"], solution["theta_plus_rad"]) == (lam, theta)
+        assert main(["--out", str(tmp_path / "fig3"), "--model", "ideal",
+                     "reproduce-fig3"]) == EXIT_OK
+        panels = json.loads((tmp_path / "fig3" / "fig3_summary.json").read_text())["panels"]
+        assert (panels["a"]["lambda"], panels["b"]["theta_plus_rad"]) == (lam, theta)
+        assert summary["theta_plus_raw_rad"] == -theta
+        assert summary["theta_plus_mod_2pi_rad"] == theta % (2.0 * np.pi)
+        assert summary["theta_plus_quad_error"] == theta_plus_magnitudes(lam)[1][0]
 
 
 class TestNonFiniteScenarioValues:
@@ -264,6 +282,23 @@ class TestNonFiniteScenarioValues:
         code = main(["--config", str(cfg_path), "--out", str(out)] + command)
         assert code == EXIT_FAILURE
         assert f"{key} must be > 0" in capsys.readouterr().err
+        assert not (out / "design_summary.json").exists()
+
+    @pytest.mark.parametrize("command", [["--model", "ideal", "design"],
+                                         ["simulate", "--initial", "100"]])
+    @pytest.mark.parametrize("section, key, value, message", [
+        (f"transmon_{s}", "alpha_mhz", v, f"alpha_{s}_mhz must be > 0, got {float(v)}")
+        for s in "amb" for v in ("0", "-5")] + [
+        (f"transmon_{s}", "gamma_khz", "-1", f"gamma_{s}_khz must be >= 0, got -1.0")
+        for s in "amb"])
+    def test_out_of_range_transmon_value_exits_1_naming_the_field(
+            self, tmp_path, capsys, section, key, value, message, command):
+        cfg_path = tmp_path / "bad.ini"
+        cfg_path.write_text(f"[{section}]\n{key} = {value}\n")
+        out = tmp_path / "out"
+        code = main(["--config", str(cfg_path), "--out", str(out)] + command)
+        assert code == EXIT_FAILURE
+        assert message in capsys.readouterr().err
         assert not (out / "design_summary.json").exists()
 
     def test_non_finite_target_phase_flag_exits_1(self, tmp_path, capsys):

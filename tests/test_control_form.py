@@ -22,9 +22,9 @@ from nonrecip.invariant import (
     PULSE_SAMPLES,
     AuxiliaryTrajectory,
     PulsePair,
-    lr_phase,
     synthesize_pulses,
     target_unitary,
+    theta_plus_magnitudes,
 )
 from nonrecip.metrics import fidelity_reports
 from nonrecip.propagation import propagate_schrodinger
@@ -149,7 +149,7 @@ class TestSeedFidelities:
     @pytest.fixture(scope="class")
     def setup(self, pulses, drives):
         traj = AuxiliaryTrajectory(LAMBDA_SOLVED, TAU)
-        theta = lr_phase(traj).theta_plus
+        theta = theta_plus_magnitudes(traj.lambda_)[0][0]
         model = single_excitation_model(ScenarioConfig().chain_spec(), drives)
         return model, theta, 0.05
 
@@ -222,7 +222,7 @@ class TestDefaultStepRule:
         model = (ideal_model(pulses) if name == "ideal" else
                  single_excitation_model(chain, drives) if name == "single_excitation"
                  else full_chain_model(chain, drives))
-        theta = lr_phase(AuxiliaryTrajectory(LAMBDA_SOLVED, TAU)).theta_plus
+        theta = theta_plus_magnitudes(LAMBDA_SOLVED)[0][0]
 
         def fidelity(step):
             summary, _ = fidelity_reports(model, target_unitary(theta), [initial],
@@ -242,8 +242,8 @@ def test_long_three_level_run_completes():
     pulses = synthesize_pulses(traj)
     chain = ScenarioConfig(model="full_three_level").chain_spec()
     model = full_chain_model(chain, invert_bessel_drive(pulses, chain))
-    summary, _ = fidelity_reports(model, target_unitary(lr_phase(traj).theta_plus),
-                                  ["100"], step=0.005)["100"]
+    unitary = target_unitary(theta_plus_magnitudes(traj.lambda_)[0][0])
+    summary, _ = fidelity_reports(model, unitary, ["100"], step=0.005)["100"]
     assert (model.dim, summary["step_ns"]) == (27, 0.005)
     # the vec-rho RK4 kernel read 0.9726293649267329
     assert summary["fidelity"] == pytest.approx(0.972629152557472, abs=1e-10)

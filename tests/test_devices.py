@@ -25,10 +25,10 @@ from nonrecip.devices import (
 from nonrecip.invariant import (
     AuxiliaryTrajectory,
     bisect_increasing,
-    lr_phase,
     solve_lambda,
     synthesize_pulses,
     target_unitary,
+    theta_plus_magnitudes,
 )
 from nonrecip.metrics import fidelity_reports
 from nonrecip.propagation import propagate_schrodinger
@@ -220,8 +220,8 @@ class TestInvertBesselDrive:
         traj = AuxiliaryTrajectory(1.5, TAU)
         pulses = synthesize_pulses(traj)
         model = build(chain, invert_bessel_drive(pulses, chain))
-        summary, _ = fidelity_reports(model, target_unitary(lr_phase(traj).theta_plus),
-                                      ["100"], noise=False)["100"]
+        unitary = target_unitary(theta_plus_magnitudes(traj.lambda_)[0][0])
+        summary, _ = fidelity_reports(model, unitary, ["100"], noise=False)["100"]
         assert summary["fidelity"] >= 0.995
 
     def test_unattainable_drive(self, chain):

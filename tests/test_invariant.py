@@ -12,7 +12,6 @@ from nonrecip.invariant import (
     RootBracketError,
     TrajectoryRangeError,
     coupling_values,
-    lr_phase,
     solve_lambda,
     synthesize_pulses,
     target_unitary,
@@ -174,7 +173,7 @@ class TestInvariant:
 
 def generic_phase_integrand(traj, pulses, t, branch, h=1e-6):
     """<mu_n|(i d/dt - H)|mu_n> via finite differences; independent of
-    the closed-form reduction used by lr_phase."""
+    the closed-form reduction used by theta_plus_magnitudes."""
     mu = invariant_eigenstates(traj, t)[branch]
     mu_p = invariant_eigenstates(traj, min(t + h, traj.tau))[branch]
     mu_m = invariant_eigenstates(traj, max(t - h, 0.0))[branch]
@@ -188,11 +187,11 @@ def generic_phase_integrand(traj, pulses, t, branch, h=1e-6):
 
 class TestLRPhase:
     def test_circulator_anchor(self, traj):
-        result = lr_phase(traj)
-        assert abs(result.theta_plus - THETA_CIRC) < 1e-3
+        theta = theta_plus_magnitudes(traj.lambda_)[0][0]
+        assert abs(theta - THETA_CIRC) < 1e-3
 
     def test_sign_structure(self, traj):
-        assert lr_phase(traj).theta_plus > 0
+        assert theta_plus_magnitudes(traj.lambda_)[0][0] > 0
 
     def test_matches_defining_integral(self, traj):
         # oracle: Simpson quadrature of the generic integrand; a fine pulse
@@ -204,7 +203,7 @@ class TestLRPhase:
         )
         raw = integrate.simpson(vals, x=ts)
         # the signed integral of the plus branch is -theta_plus
-        assert -lr_phase(traj).theta_plus == pytest.approx(raw, abs=1e-6)
+        assert -theta_plus_magnitudes(traj.lambda_)[0][0] == pytest.approx(raw, abs=1e-6)
 
     def test_zero_branch_integrand_vanishes(self, traj, pulses):
         for t in np.linspace(0.5, TAU - 0.5, 37):
@@ -223,21 +222,26 @@ class TestPhaseQuadrature:
     @pytest.mark.parametrize("tau", [145.0, 260.0])
     @pytest.mark.parametrize("lam", [0.1, 0.5, 1.0, 1.9, 2.5, 3.05])
     def test_matches_adaptive_quadrature(self, lam, tau):
-        result = lr_phase(AuxiliaryTrajectory(lam, tau))
-        assert result.theta_plus == pytest.approx(quad_theta_plus(lam, tau), rel=1e-12)
-        assert 0.0 <= result.quad_error <= 1e-12 * result.theta_plus
+        (theta,), (error,), _ = theta_plus_magnitudes(lam)
+        assert theta == pytest.approx(quad_theta_plus(lam, tau), rel=1e-12)
+        assert 0.0 <= error <= 1e-12 * theta
 
     def test_vectorised_matches_scalar(self):
         lams = np.linspace(0.15, 3.1, 40)
-        values, errors = theta_plus_magnitudes(lams)
+        values, errors, _ = theta_plus_magnitudes(lams)
         for lam, value, err in zip(lams, values, errors):
-            scalar = lr_phase(AuxiliaryTrajectory(lam, TAU))
-            assert value == pytest.approx(scalar.theta_plus, rel=1e-14)
+            scalar = theta_plus_magnitudes(lam)[0][0]
+            assert value == pytest.approx(scalar, rel=1e-14)
             assert err <= 1e-12 * value
 
-    @pytest.mark.parametrize("lams", [[0.5, np.pi], [0.0], [3.5], [3.1415]])
-    def test_rejects_lambda_outside_open_range(self, lams):
-        with pytest.raises(ValueError):
+    # 3.1415 lies inside (0, pi), where 2048 nodes do not suffice
+    @pytest.mark.parametrize("lams, match", [
+        ([0.5, np.pi], "0 < lambda < pi"), ([0.0], "0 < lambda < pi"),
+        ([3.5], "0 < lambda < pi"), ([3.1415], "did not converge"),
+        ([np.nan], "0 < lambda < pi"), ([0.5, np.nan], "0 < lambda < pi")],
+        ids=[f"lams{i}" for i in range(6)])
+    def test_rejects_lambda_outside_open_range(self, lams, match):
+        with pytest.raises(ValueError, match=match):
             theta_plus_magnitudes(lams)
 
 
@@ -264,7 +268,7 @@ class TestSolveLambda:
 
     def test_round_trip(self):
         lam = solve_lambda(THETA_CIRC)
-        theta = lr_phase(AuxiliaryTrajectory(lam, TAU)).theta_plus
+        theta = theta_plus_magnitudes(lam)[0][0]
         assert abs(theta - THETA_CIRC) < 1e-6
 
     def test_no_sign_change_raises(self):
@@ -328,7 +332,7 @@ class TestLRPredictedEvolution:
 
     def test_matches_target_unitary(self, traj):
         u = lr_predicted_evolution(traj)
-        theta = lr_phase(traj).theta_plus
+        theta = theta_plus_magnitudes(traj.lambda_)[0][0]
         assert np.max(np.abs(u - target_unitary(theta))) < 1e-9
 
     def test_unitary(self, traj):

@@ -13,9 +13,9 @@ from nonrecip.devices import (
 )
 from nonrecip.invariant import (
     AuxiliaryTrajectory,
-    lr_phase,
     synthesize_pulses,
     target_unitary,
+    theta_plus_magnitudes,
 )
 from nonrecip.metrics import fidelity_reports
 from nonrecip.reporting import write_csv
@@ -251,7 +251,7 @@ class TestEnsembleFidelity:
         # fixed targets i cos(v)|100> + i sin(v)|010> read F_m 0.761
         traj = AuxiliaryTrajectory(0.6, TAU)
         model = ideal_model(synthesize_pulses(traj))
-        unitary = target_unitary(lr_phase(traj).theta_plus)
+        unitary = target_unitary(theta_plus_magnitudes(traj.lambda_)[0][0])
         reports = fidelity_reports(model, unitary, ("ensemble", "100", "010", "001"),
                                    noise=False)
         assert min(c["fidelity"][-1] for _, c in reports.values()) >= 1.0 - 1e-9

@@ -31,6 +31,8 @@ CLI = [sys.executable, "-m", "nonrecip.cli"]
 # name: argv; each model at its default step and config
 COMMANDS = {
     "design": CLI + ["design"],
+    "solve_lambda": CLI + ["solve-lambda"],
+    "sweep_lambda": CLI + ["sweep-lambda"],
     "se_transfer": CLI + ["--model", "single_excitation", "simulate", "--initial", "100"],
     "se_ensemble": CLI + ["--model", "single_excitation", "simulate", "--initial", "ensemble"],
     "se_closed_transfer": CLI + ["--model", "single_excitation", "--no-noise",
