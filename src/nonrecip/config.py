@@ -54,9 +54,14 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        for name in ("g_a_mhz", "g_b_mhz", "alpha_a_mhz", "alpha_m_mhz", "alpha_b_mhz"):
+        for name in ("g_a_mhz", "g_b_mhz", "omega_m_ghz",
+                     "alpha_a_mhz", "alpha_m_mhz", "alpha_b_mhz"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        omega_ab_ghz = self.omega_m_ghz + self.delta_mhz / 1000.0  # transmons A, B
+        if omega_ab_ghz <= 0:
+            raise ValueError("omega_m_ghz + delta_mhz / 1000 must be > 0, "
+                             f"got {omega_ab_ghz}")
         for name in ("gamma_a_khz", "gamma_m_khz", "gamma_b_khz"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")

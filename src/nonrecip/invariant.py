@@ -180,11 +180,48 @@ def synthesize_pulses(traj: AuxiliaryTrajectory) -> PulsePair:
 PHASE_RTOL = 1e-12
 
 
+def _gauss_legendre(n: int):
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule
+    on [-1, 1], in O(n^2) work (Hale & Townsend, SIAM J. Sci. Comput. 35,
+    A652 (2013)).
+
+    Newton steps on P_n start from x_i = -cos(pi (i + 3/4) / (n + 1/2));
+    P_n and P_{n-1} come from k P_k = (2k - 1) x P_{k-1} - (k - 1) P_{k-2},
+    and P_n' = n (P_{n-1} - x P_n) / (1 - x^2).  The steps stop once
+    none moves a node by more than 4e-16, at most ten.  The weights
+    w = 2 / ((1 - x^2) P_n'(x)^2) are evaluated as the equal
+    1 / sum_{k<n} (k + 1/2) P_k(x)^2 (Christoffel-Darboux), a sum of
+    squares that rounding barely touches near x = +-1, and carried to
+    first order from the last iterate to the root.  Nodes and weights
+    are then symmetrised about 0.
+    """
+    x = -np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(10):
+        p0, p1, kern = np.ones(n), x, np.full(n, 0.5)
+        for k in range(2, n + 1):
+            kern += (k - 0.5) * p1 * p1
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        s = (1.0 - x) * (1.0 + x)
+        dx = p1 * s / (n * (p0 - x * p1))
+        if np.abs(dx).max() <= 4e-16:
+            break
+        x = x - dx
+    # d(log w)/dx = -2x / (1 - x^2) at a root
+    w = (1.0 + 2.0 * x * dx / s) / kern
+    x = x - dx
+    return (x - x[::-1]) / 2, (w + w[::-1]) / 2
+
+
 @lru_cache(maxsize=None)
 def _phase_rule(n: int):
     """s^2 and 70 pi s^3 w at the nodes of the n-point Gauss-Legendre
-    rule on [0, 1] with weights w, s = u (1 - u)."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    rule on [0, 1] with weights w, s = u (1 - u).  The rule on [-1, 1]
+    comes from _gauss_legendre: Newton on the Legendre recurrence
+    k P_k = (2k - 1) x P_{k-1} - (k - 1) P_{k-2} from
+    x_i = -cos(pi (i + 3/4) / (n + 1/2)), with weights
+    2 / ((1 - x^2) P_n'(x)^2) (Hale & Townsend 2013), then mapped by
+    u = (1 + x) / 2."""
+    x, w = _gauss_legendre(n)
     s = 0.25 * (1.0 - x) * (1.0 + x)
     return s**2, 70.0 * math.pi * s**3 * (0.5 * w)
 

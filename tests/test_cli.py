@@ -284,6 +284,23 @@ class TestNonFiniteScenarioValues:
         assert f"{key} must be > 0" in capsys.readouterr().err
         assert not (out / "design_summary.json").exists()
 
+    @pytest.mark.parametrize("command", [["design"], ["simulate", "--initial", "100"]])
+    @pytest.mark.parametrize("key, value, message", [
+        ("omega_m_ghz", "0", "omega_m_ghz must be > 0, got 0.0"),
+        ("omega_m_ghz", "-5", "omega_m_ghz must be > 0, got -5.0"),
+        ("delta_mhz", "-5000", "omega_m_ghz + delta_mhz / 1000 must be > 0, got 0.0"),
+        ("delta_mhz", "-6000", "omega_m_ghz + delta_mhz / 1000 must be > 0, got -1.0"),
+    ])
+    def test_non_physical_chain_frequency_exits_1_naming_the_field(
+            self, tmp_path, capsys, key, value, message, command):
+        cfg_path = tmp_path / "bad.ini"
+        cfg_path.write_text(f"[coupling]\n{key} = {value}\n")
+        out = tmp_path / "out"
+        code = main(["--config", str(cfg_path), "--out", str(out)] + command)
+        assert code == EXIT_FAILURE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["--model", "ideal", "design"],
                                          ["simulate", "--initial", "100"]])
     @pytest.mark.parametrize("section, key, value, message", [
@@ -388,8 +405,10 @@ class TestImports:
             "full_qubit-closed", "noisy-transfer", "noisy-ensemble"])
     def test_commands_load_no_scipy(self, tmp_path, argv):
         # J1 is a power series and the dissipator propagator a numpy Taylor
-        # sum per site, so no command pays for importing scipy (about 0.3 s)
-        heavy = ("scipy", "multiprocessing")
+        # sum per site, so no command pays for importing scipy (about 0.3 s);
+        # the Gauss-Legendre rules come from the Legendre recurrence, so none
+        # loads numpy.polynomial or runs its companion-matrix eigensolve
+        heavy = ("scipy", "multiprocessing", "numpy.polynomial")
         assert _loaded_around(tmp_path, argv, heavy) == ([], [])
 
 

@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate, optimize
 
 from nonrecip.invariant import (
+    _gauss_legendre,
     AuxiliaryTrajectory,
     NonMonotonicBracketError,
     PulseDivergenceError,
@@ -245,12 +246,43 @@ class TestPhaseQuadrature:
             theta_plus_magnitudes(lams)
 
 
+class TestGaussLegendre:
+    # the node counts theta_plus_magnitudes uses
+    @pytest.mark.parametrize("n", [64, 128, 256, 512, 1024, 2048])
+    def test_symmetric_and_normalised(self, n):
+        x, w = _gauss_legendre(n)
+        assert np.all(x == -x[::-1]) and np.all(w == w[::-1])
+        assert abs(w.sum() - 2.0) <= 1e-15
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_integrates_even_monomials_exactly(self, n):
+        x, w = _gauss_legendre(n)
+        k = np.arange(n)  # x^(2k) for 2k <= 2n - 2
+        moments = w @ x[:, None] ** (2 * k)
+        np.testing.assert_allclose(moments, 2.0 / (2 * k + 1), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("n", [64, 128, 256, 512, 1024, 2048])
+    def test_nodes_match_eigenvalue_rule(self, n):
+        # numpy's leggauss (companion-matrix eigenvalues plus one Newton
+        # step) is an independent reference.  Both place the nodes to an
+        # absolute 1e-16, so the ulp is that of 1, the scale of [-1, 1].
+        ref, _ = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(_gauss_legendre(n)[0] - ref)) <= 2 * np.spacing(1.0)
+
+
 class TestSolveLambda:
     def test_reference_lambda_pinned(self):
         # Brent's method on adaptive quadrature solved this design to
         # 0.4974732655934123; the exact root is 0.49747326559346612
         lam = solve_lambda(THETA_CIRC)
         assert abs(lam - 0.4974732655934123) <= 1e-12
+
+    def test_reference_lambda_to_rounding(self):
+        # the root of |theta_plus(lambda)| = 3 pi / 2 at 40 digits, by
+        # mpmath's findroot on 70 pi int_0^1 u^3 (1-u)^3 /
+        # sin(16 lambda u^2 (1-u)^2) du evaluated with mp.quad, is
+        # 0.4974732655934661036; the constant is the same double
+        assert abs(solve_lambda(THETA_CIRC) - 0.49747326559346612) <= 1e-15
 
     # (target, bracket): the decreasing branch, then the increasing one
     # beyond the phase minimum near lambda = 1.9

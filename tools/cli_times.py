@@ -33,6 +33,8 @@ COMMANDS = {
     "design": CLI + ["design"],
     "solve_lambda": CLI + ["solve-lambda"],
     "sweep_lambda": CLI + ["sweep-lambda"],
+    # the one command that needs the 512- to 2048-node phase rules
+    "sweep_lambda_near_pi": CLI + ["sweep-lambda", "--lo", "3.0", "--hi", "3.138", "-n", "35"],
     "se_transfer": CLI + ["--model", "single_excitation", "simulate", "--initial", "100"],
     "se_ensemble": CLI + ["--model", "single_excitation", "simulate", "--initial", "ensemble"],
     "se_closed_transfer": CLI + ["--model", "single_excitation", "--no-noise",
