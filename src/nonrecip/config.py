@@ -9,7 +9,7 @@ import configparser
 import math
 from dataclasses import dataclass, fields, replace
 
-from .devices import ChainSpec, TransmonSpec
+from .devices import ChainSpec
 from .units import ghz, khz, mhz
 
 MODELS = ("ideal", "single_excitation", "full_qubit", "full_three_level")
@@ -62,22 +62,24 @@ class ScenarioConfig:
         if omega_ab_ghz <= 0:
             raise ValueError("omega_m_ghz + delta_mhz / 1000 must be > 0, "
                              f"got {omega_ab_ghz}")
+        omega_m = ghz(self.omega_m_ghz)
+        for name, omega in (("omega_m_ghz", omega_m),
+                            ("omega_m_ghz + delta_mhz / 1000", omega_m + mhz(self.delta_mhz))):
+            if not math.isfinite(omega):
+                raise ValueError(f"{name} must be finite in rad/ns, got {omega}")
         for name in ("gamma_a_khz", "gamma_m_khz", "gamma_b_khz"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def chain_spec(self) -> ChainSpec:
-        d = 3 if self.model == "full_three_level" else 2
         omega_m = ghz(self.omega_m_ghz)
-        delta = mhz(self.delta_mhz)
-        transmons = (
-            TransmonSpec(omega_m + delta, mhz(self.alpha_a_mhz), khz(self.gamma_a_khz)),
-            TransmonSpec(omega_m, mhz(self.alpha_m_mhz), khz(self.gamma_m_khz)),
-            TransmonSpec(omega_m + delta, mhz(self.alpha_b_mhz), khz(self.gamma_b_khz)),
-        )
-        nu = mhz(self.nu_mhz)
-        return ChainSpec(transmons, mhz(self.g_a_mhz), mhz(self.g_b_mhz),
-                         nu, nu, d)
+        omega_ab = omega_m + mhz(self.delta_mhz)
+        return ChainSpec(
+            omega=(omega_ab, omega_m, omega_ab),
+            alpha=(mhz(self.alpha_a_mhz), mhz(self.alpha_m_mhz), mhz(self.alpha_b_mhz)),
+            gamma=(khz(self.gamma_a_khz), khz(self.gamma_m_khz), khz(self.gamma_b_khz)),
+            g_a=mhz(self.g_a_mhz), g_b=mhz(self.g_b_mhz), nu=mhz(self.nu_mhz),
+            d=3 if self.model == "full_three_level" else 2)
 
 
 # (section, key) -> (ScenarioConfig field, SectionProxy getter): the only

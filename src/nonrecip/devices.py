@@ -61,69 +61,34 @@ class UnattainableDriveError(ValueError):
 
 
 @dataclass(frozen=True)
-class TransmonSpec:
-    """Single-transmon parameters, angular frequencies in rad/ns."""
-
-    omega: float
-    alpha: float
-    gamma_decoherence: float
-
-    def __post_init__(self):
-        for name in ("omega", "alpha", "gamma_decoherence"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.alpha <= 0:
-            raise ValueError("anharmonicity must be > 0")
-        if self.gamma_decoherence < 0:
-            raise ValueError("decoherence rate must be >= 0")
-
-
-@dataclass(frozen=True)
 class ChainSpec:
-    """Three coupled transmons, ordered (A, M, B), with drive frequencies
-    and level truncation."""
+    """Three coupled transmons A-M-B in rad/ns: the frequencies omega,
+    anharmonicities alpha and decoherence rates gamma as (A, M, B)
+    triples, the static couplings g_a (A-M) and g_b (M-B), the frequency
+    nu of both drives, and the level truncation d."""
 
-    transmons: tuple[TransmonSpec, TransmonSpec, TransmonSpec]
+    omega: tuple[float, float, float]
+    alpha: tuple[float, float, float]
+    gamma: tuple[float, float, float]
     g_a: float
     g_b: float
-    nu_a: float
-    nu_b: float
-    d: int = 2
+    nu: float
+    d: int
 
     def __post_init__(self):
         if self.d not in (2, 3):
             raise ValueError("level truncation d must be 2 or 3")
+        for name in ("omega", "alpha", "gamma", "nu"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("g_a", "g_b"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
-
-    @property
-    def omega_a(self) -> float:
-        return self.transmons[0].omega
-
-    @property
-    def omega_m(self) -> float:
-        return self.transmons[1].omega
-
-    @property
-    def omega_b(self) -> float:
-        return self.transmons[2].omega
-
-    @property
-    def delta_a(self) -> float:
-        return self.omega_a - self.omega_m
-
-    @property
-    def delta_b(self) -> float:
-        return self.omega_b - self.omega_m
-
-    def require_resonant(self):
-        if abs(self.delta_a - self.nu_a) > 1e-9 or abs(self.delta_b - self.nu_b) > 1e-9:
-            raise ValueError(
-                "resonance condition delta_j = nu_j not satisfied by this chain"
-            )
+        if min(self.alpha) <= 0:
+            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if min(self.gamma) < 0:
+            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
 
 
 def _series(coefficients, q):
@@ -183,14 +148,13 @@ class DriveWaveform:
     signed as the effective couplings they drive, with |eta_j| at most
     J1_PEAK_X.
 
-    The instantaneous drive phase is F_j(t) = eta_j(t) * sin(nu_j * t).
+    The instantaneous drive phase is F_j(t) = eta_j(t) * sin(nu * t).
     """
 
     times: np.ndarray
     eta_a: np.ndarray
     eta_b: np.ndarray
-    nu_a: float
-    nu_b: float
+    nu: float
 
     def __post_init__(self):
         for name in ("times", "eta_a", "eta_b"):
@@ -205,18 +169,18 @@ class DriveWaveform:
                 raise ValueError("envelopes must vanish at t = 0 and t = tau")
 
     def f_a(self, t):
-        return np.interp(t, self.times, self.eta_a) * np.sin(self.nu_a * t)
+        return np.interp(t, self.times, self.eta_a) * np.sin(self.nu * t)
 
     def f_b(self, t):
-        return np.interp(t, self.times, self.eta_b) * np.sin(self.nu_b * t)
+        return np.interp(t, self.times, self.eta_b) * np.sin(self.nu * t)
 
     def phase_rates(self) -> tuple[float, float]:
-        """Bounds on |dF_a/dt| and |dF_b/dt|: nu_j max |eta_j| plus the
+        """Bounds on |dF_a/dt| and |dF_b/dt|: nu max |eta_j| plus the
         steepest slope of the interpolated eta_j."""
         dt = np.diff(self.times)
-        return tuple(nu * float(np.abs(eta).max())
+        return tuple(self.nu * float(np.abs(eta).max())
                      + float(np.max(np.abs(np.diff(eta)) / dt))
-                     for nu, eta in ((self.nu_a, self.eta_a), (self.nu_b, self.eta_b)))
+                     for eta in (self.eta_a, self.eta_b))
 
     def write_csv(self, path):
         write_csv(path, {"t_ns": self.times, "eta_a": self.eta_a, "eta_b": self.eta_b})
@@ -246,7 +210,7 @@ def invert_bessel_drive(pulses: PulsePair, chain: ChainSpec) -> DriveWaveform:
     eta = invert_bessel_j1(np.minimum(ratios, J1_PEAK))
     eta = np.where(signed < 0, -eta, eta)
     eta[:, [0, -1]] = 0.0
-    return DriveWaveform(pulses.times, eta[0], eta[1], chain.nu_a, chain.nu_b)
+    return DriveWaveform(pulses.times, eta[0], eta[1], chain.nu)
 
 
 SINGLE_EXCITATION_LABELS = ("100", "010", "001")
@@ -255,18 +219,23 @@ SINGLE_EXCITATION_LABELS = ("100", "010", "001")
 def _single_excitation_control(chain: ChainSpec, drives: DriveWaveform):
     """Phase-modulated static couplings g_j exp(i(delta_j t - F_j(t)))
     of |100> and |001> to |010>, with their conjugates, acting on the
-    qubit product space, and a bound on the rate of their phases."""
+    qubit product space, and a bound on the rate of their phases.  The
+    drives must be resonant, delta_j = nu."""
+    omega_a, omega_m, omega_b = chain.omega
+    delta_a, delta_b = omega_a - omega_m, omega_b - omega_m
+    if abs(delta_a - chain.nu) > 1e-9 or abs(delta_b - chain.nu) > 1e-9:
+        raise ValueError("resonance condition delta_j = nu_j not satisfied by this chain")
     i100, i010, i001 = single_excitation_indices(2)
 
     def coeffs(t):
-        c_a = chain.g_a * np.exp(1j * (chain.delta_a * t - drives.f_a(t)))
-        c_b = chain.g_b * np.exp(1j * (chain.delta_b * t - drives.f_b(t)))
+        c_a = chain.g_a * np.exp(1j * (delta_a * t - drives.f_a(t)))
+        c_b = chain.g_b * np.exp(1j * (delta_b * t - drives.f_b(t)))
         return np.stack([c_a, c_a.conj(), c_b, c_b.conj()], axis=-1)
 
     ops = np.zeros((4, 8, 8))
     for j, (r, c) in enumerate([(i100, i010), (i010, i100), (i001, i010), (i010, i001)]):
         ops[j, r, c] = 1.0
-    rate = max(abs(delta) + f for delta, f in zip((chain.delta_a, chain.delta_b),
+    rate = max(abs(delta) + f for delta, f in zip((delta_a, delta_b),
                                                   drives.phase_rates()))
     return ControlHamiltonian(np.zeros((8, 8)), ops, coeffs), rate
 
@@ -300,26 +269,26 @@ def _full_chain_control(chain: ChainSpec, drives: DriveWaveform):
     shift -alpha_k on level 2 of each transmon is the drift.  Also
     returns a bound on the rate of the terms' phases."""
     d = chain.d
+    omega_a, omega_m, omega_b = chain.omega
     eye = np.eye(d)
     ladder = (_lowering(d), _lowering(d).T)
     pairs = [(s, r) for s in (0, 1) for r in (0, 1)]
     ops = [_kron3(ladder[s], ladder[r], eye) for s, r in pairs]
     ops += [_kron3(eye, ladder[r], ladder[s]) for s, r in pairs]
-    alphas = [spec.alpha for spec in chain.transmons]
-    h0 = -np.diag([sum(a for a, n in zip(alphas, label) if n == "2")
+    h0 = -np.diag([sum(a for a, n in zip(chain.alpha, label) if n == "2")
                    for label in chain_labels(d)])
 
     def coeffs(t):
-        e_a = np.exp(1j * (-chain.omega_a * t + drives.f_a(t)))
-        e_b = np.exp(1j * (-chain.omega_b * t + drives.f_b(t)))
-        e_m = np.exp(-1j * chain.omega_m * t)
+        e_a = np.exp(1j * (-omega_a * t + drives.f_a(t)))
+        e_b = np.exp(1j * (-omega_b * t + drives.f_b(t)))
+        e_m = np.exp(-1j * omega_m * t)
         a, m, b = (e_a, e_a.conj()), (e_m, e_m.conj()), (e_b, e_b.conj())
         cols = [chain.g_a * a[s] * m[r] for s, r in pairs]
         cols += [chain.g_b * b[s] * m[r] for s, r in pairs]
         return np.stack(cols, axis=-1)
 
-    rate = max(abs(omega) + abs(chain.omega_m) + f
-               for omega, f in zip((chain.omega_a, chain.omega_b), drives.phase_rates()))
+    rate = max(abs(omega) + abs(omega_m) + f
+               for omega, f in zip((omega_a, omega_b), drives.phase_rates()))
     return ControlHamiltonian(h0, np.array(ops), coeffs), rate
 
 
@@ -352,8 +321,8 @@ def lindblad_channels(chain: ChainSpec, d: int) -> list[LindbladChannel]:
     """One combined decay-plus-dephasing channel per transmon, on the d
     levels of its own site (A, M, B are sites 0, 1, 2), with the
     transmon's rate."""
-    return [LindbladChannel(_single_site_collapse(d), spec.gamma_decoherence, k)
-            for k, spec in enumerate(chain.transmons)]
+    return [LindbladChannel(_single_site_collapse(d), gamma, k)
+            for k, gamma in enumerate(chain.gamma)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,10 +366,14 @@ def _model(name: str, control: tuple[ControlHamiltonian, float], channels,
     sample interval into the fewest m parts that keep the rate times the
     step at most 2 pi / STEPS_PER_PERIOD, so that every m-th step ends on
     a sample, at a kink of the interpolated coefficients (m = 1 for the
-    ideal model, whose real couplings have rate 0)."""
+    ideal model, whose real couplings have rate 0); a rate that m
+    cannot count raises ValueError."""
     hamiltonian, rate = control
     tau, intervals = float(times[-1]), len(times) - 1
-    m = max(1, math.ceil(rate * tau * STEPS_PER_PERIOD / (2.0 * math.pi * intervals)))
+    parts = rate * tau * STEPS_PER_PERIOD / (2.0 * math.pi * intervals)
+    if not math.isfinite(parts):
+        raise ValueError(f"phase rate {rate} rad/ns needs {parts} steps per sample")
+    m = max(1, math.ceil(parts))
     return SimulationModel(name, hamiltonian, tuple(channels), logical_indices,
                            default_step=tau / (intervals * m), tau=tau,
                            phase_rate=rate)
@@ -422,7 +395,6 @@ def single_excitation_model(
 ) -> SimulationModel:
     """Single-excitation chain Hamiltonian on the qubit product space,
     so that the per-transmon collapse channels act exactly."""
-    chain.require_resonant()
     return _chain_model("single_excitation", chain, drives,
                         _single_excitation_control(chain, drives), 2)
 

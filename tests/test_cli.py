@@ -318,6 +318,23 @@ class TestNonFiniteScenarioValues:
         assert message in capsys.readouterr().err
         assert not (out / "design_summary.json").exists()
 
+    @pytest.mark.parametrize("command", [["design"], ["simulate"]])
+    @pytest.mark.parametrize("coupling, message", [
+        ("omega_m_ghz = 1e308", "omega_m_ghz must be finite in rad/ns, got inf"),
+        # finite as omega_M, but omega_M + delta overflows for A and B
+        ("omega_m_ghz = 2.86e307\ndelta_mhz = 1.7e308",
+         "omega_m_ghz + delta_mhz / 1000 must be finite in rad/ns, got inf"),
+    ])
+    def test_overflowing_chain_frequency_exits_1_naming_the_field(
+            self, tmp_path, capsys, coupling, message, command):
+        cfg_path = tmp_path / "bad.ini"
+        cfg_path.write_text(f"[coupling]\n{coupling}\n")
+        out = tmp_path / "out"
+        code = main(["--config", str(cfg_path), "--out", str(out)] + command)
+        assert code == EXIT_FAILURE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_target_phase_flag_exits_1(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path / "out"), "solve-lambda",
                      "--target-phase-rad", "nan"])
@@ -570,6 +587,37 @@ class TestFailureReporting:
         assert code == EXIT_FAILURE
         assert "reduce the step" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    def test_uncountable_default_step_exits_1(self, tmp_path, capsys):
+        # a finite omega_M whose full-chain phase rate times tau overflows
+        # the step count
+        cfg_path = tmp_path / "fast.ini"
+        cfg_path.write_text("[coupling]\nomega_m_ghz = 1e307\n")
+        out = tmp_path / "out"
+        code = main(["--config", str(cfg_path), "--out", str(out),
+                     "--model", "full_qubit", "simulate"])
+        assert code == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert err.startswith("error: phase rate 1.2566370614359173e+308 rad/ns")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["simulate"], EXIT_FAILURE),
+        (["design"], EXIT_OK),
+        # the full chains run detuned drives as they are
+        (["--model", "full_qubit", "--no-noise", "simulate"], EXIT_OK),
+    ])
+    def test_detuned_drive_refused_by_the_single_excitation_model_only(
+            self, tmp_path, capsys, argv, code):
+        cfg_path = tmp_path / "detuned.ini"
+        cfg_path.write_text("[coupling]\nnu_mhz = 300\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out)] + argv) == code
+        refused = "resonance condition delta_j = nu_j not satisfied"
+        assert (refused in capsys.readouterr().err) == (code == EXIT_FAILURE)
+        assert (out / "report.json").exists() == (argv[-1] == "simulate"
+                                                  and code == EXIT_OK)
 
     def test_unwritable_output_exits_1_naming_the_path(self, tmp_path, capsys):
         out = tmp_path / "taken"

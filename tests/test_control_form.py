@@ -78,9 +78,10 @@ def embed(h3):
 
 
 def single_excitation_dense(chain, drives, t):
+    omega_a, omega_m, omega_b = chain.omega
     h = np.zeros((3, 3), dtype=complex)
-    h[0, 1] = chain.g_a * np.exp(1j * (chain.delta_a * t - drives.f_a(t)))
-    h[2, 1] = chain.g_b * np.exp(1j * (chain.delta_b * t - drives.f_b(t)))
+    h[0, 1] = chain.g_a * np.exp(1j * ((omega_a - omega_m) * t - drives.f_a(t)))
+    h[2, 1] = chain.g_b * np.exp(1j * ((omega_b - omega_m) * t - drives.f_b(t)))
     return h + h.conj().T
 
 
@@ -95,17 +96,18 @@ def full_chain_dense(chain, drives, t):
         op = low * np.exp(1j * phase)
         return op + op.conj().T
 
-    x_a = x(-chain.omega_a * t + drives.f_a(t))
-    x_b = x(-chain.omega_b * t + drives.f_b(t))
-    x_m = x(-chain.omega_m * t)
+    omega_a, omega_m, omega_b = chain.omega
+    x_a = x(-omega_a * t + drives.f_a(t))
+    x_b = x(-omega_b * t + drives.f_b(t))
+    x_m = x(-omega_m * t)
     h = (chain.g_a * np.kron(np.kron(x_a, x_m), eye)
          + chain.g_b * np.kron(np.kron(eye, x_m), x_b))
     if d == 3:
         top = np.diag([0.0, 0.0, 1.0])
-        for k, spec in enumerate(chain.transmons):
+        for k, alpha in enumerate(chain.alpha):
             mats = [eye, eye, eye]
             mats[k] = top
-            h = h - spec.alpha * np.kron(np.kron(mats[0], mats[1]), mats[2])
+            h = h - alpha * np.kron(np.kron(mats[0], mats[1]), mats[2])
     return h
 
 

@@ -55,8 +55,7 @@ def drives(pulses, chain):
 
 def quiet(chain):
     """Drives that stay off over [0, TAU]."""
-    return DriveWaveform(np.array([0.0, TAU]), np.zeros(2), np.zeros(2),
-                         chain.nu_a, chain.nu_b)
+    return DriveWaveform(np.array([0.0, TAU]), np.zeros(2), np.zeros(2), chain.nu)
 
 
 def single_excitation_h(chain, drives, t):
@@ -239,10 +238,10 @@ class TestInvertBesselDrive:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_waveform_rejects_non_finite_envelope(self, bad):
         t, ok = np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5, 0.0])
-        DriveWaveform(t, ok, ok, 1.0, 1.0)
+        DriveWaveform(t, ok, ok, 1.0)
         for eta_a, eta_b in (([0.0, bad, 0.0], ok), (ok, [0.0, bad, 0.0])):
             with pytest.raises(ValueError, match="finite"):
-                DriveWaveform(t, eta_a, eta_b, 1.0, 1.0)
+                DriveWaveform(t, eta_a, eta_b, 1.0)
 
 
 class TestIdealHamiltonian:
@@ -282,9 +281,10 @@ class TestSingleExcitationHamiltonian:
         # time average of exp(i(Delta t - F)) over one drive period against
         # the first Jacobi-Anger coefficient, at constant envelope
         eta = 1.1
-        period = 2 * np.pi / chain.nu_a
+        period = 2 * np.pi / chain.nu
+        delta_a = chain.omega[0] - chain.omega[1]
         ts = np.linspace(0.0, period, 20001)
-        avg = np.mean(np.exp(1j * (chain.delta_a * ts - eta * np.sin(chain.nu_a * ts))))
+        avg = np.mean(np.exp(1j * (delta_a * ts - eta * np.sin(chain.nu * ts))))
         assert abs(avg) == pytest.approx(bessel_j1(eta), rel=0.02)
 
 
@@ -317,8 +317,7 @@ class TestFullChainHamiltonian:
 
     def test_three_level_ladder_enhancement(self, drives):
         chain3 = replace(ScenarioConfig().chain_spec(), d=3)
-        drives3 = DriveWaveform(drives.times, drives.eta_a, drives.eta_b,
-                                drives.nu_a, drives.nu_b)
+        drives3 = DriveWaveform(drives.times, drives.eta_a, drives.eta_b, drives.nu)
         h = full_chain_h(chain3, drives3, 3.0)
         labels = chain_labels(3)
         # A-transmon 1<->2 ladder with M 0<->1: |210> vs |100> coupling
@@ -406,15 +405,34 @@ class TestEmbedding:
             for value in (0.0, float("nan"), -0.05):
                 with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
                     replace(chain, **{name: value})
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="nu must be finite"):
+                replace(chain, nu=value)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
-    @pytest.mark.parametrize("name", ["omega", "alpha", "gamma_decoherence"])
-    def test_transmon_spec_rejects_non_finite(self, name, value):
+    @pytest.mark.parametrize("site", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["omega", "alpha", "gamma"])
+    def test_chain_spec_rejects_non_finite_transmon_value(self, name, site, value):
         # NaN passes the alpha > 0 and gamma >= 0 checks, and a NaN rate
         # surfaced only as a failed eigenvalue solve after a noisy run
-        spec = ScenarioConfig().chain_spec().transmons[0]
+        chain = ScenarioConfig().chain_spec()
+        values = list(getattr(chain, name))
+        values[site] = value
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            replace(spec, **{name: value})
+            replace(chain, **{name: tuple(values)})
+
+    @pytest.mark.parametrize("site", [0, 1, 2])
+    @pytest.mark.parametrize("name, value, message", [
+        ("alpha", 0.0, "alpha must be > 0"), ("alpha", -1.3, "alpha must be > 0"),
+        ("gamma", -1e-5, "gamma must be >= 0"),
+    ])
+    def test_chain_spec_rejects_out_of_range_transmon_value(self, name, value,
+                                                            message, site):
+        chain = ScenarioConfig().chain_spec()
+        values = list(getattr(chain, name))
+        values[site] = value
+        with pytest.raises(ValueError, match=message):
+            replace(chain, **{name: tuple(values)})
 
 
 
