@@ -220,10 +220,11 @@ def _single_excitation_control(chain: ChainSpec, drives: DriveWaveform):
     """Phase-modulated static couplings g_j exp(i(delta_j t - F_j(t)))
     of |100> and |001> to |010>, with their conjugates, acting on the
     qubit product space, and a bound on the rate of their phases.  The
-    drives must be resonant, delta_j = nu."""
+    drives must be resonant, delta_j = nu to 1e-9 plus delta_j's rounding."""
     omega_a, omega_m, omega_b = chain.omega
     delta_a, delta_b = omega_a - omega_m, omega_b - omega_m
-    if abs(delta_a - chain.nu) > 1e-9 or abs(delta_b - chain.nu) > 1e-9:
+    tol = 1e-9 + 2.0 * float(np.spacing(max(map(abs, chain.omega))))
+    if abs(delta_a - chain.nu) > tol or abs(delta_b - chain.nu) > tol:
         raise ValueError("resonance condition delta_j = nu_j not satisfied by this chain")
     i100, i010, i001 = single_excitation_indices(2)
 

@@ -226,10 +226,15 @@ def _phase_rule(n: int):
     return s**2, 70.0 * math.pi * s**3 * (0.5 * w)
 
 
-def _theta_plus_rule(lams, n: int):
-    """|theta_plus| for each lambda of the 1-D array lams by the n-node rule."""
+def _theta_plus_rule(lams, n: int, slope: bool = False):
+    """|theta_plus| for each lambda of the 1-D array lams by the n-node
+    rule; with slope, also its derivative in lambda by the same nodes,
+    -sum num 16 s^2 cos(16 lambda s^2) / sin^2(16 lambda s^2)."""
     s2, num = _phase_rule(n)
-    return (1.0 / np.sin(16.0 * lams[:, None] * s2)) @ num
+    inv = 1.0 / np.sin(16.0 * lams[:, None] * s2)
+    if not slope:
+        return inv @ num
+    return inv @ num, (-16.0 * s2 * np.cos(16.0 * lams[:, None] * s2) * inv * inv) @ num
 
 
 def theta_plus_magnitudes(lams):
@@ -263,24 +268,6 @@ def theta_plus_magnitudes(lams):
     raise ValueError("phase quadrature did not converge with 2048 nodes")
 
 
-def bisect_increasing(f, targets, lo: float, hi: float):
-    """x in [lo, hi] with f(x) = y for each y in targets, f vectorised
-    and increasing.  Each bracket keeps f(lo) < y <= f(hi) and is halved
-    until no midpoint lies strictly inside it (floating-point
-    resolution), at most 64 times; its lower end is returned, so
-    y <= f(lo) gives lo exactly."""
-    y = np.asarray(targets, dtype=float)
-    lo, hi = np.full(y.shape, float(lo)), np.full(y.shape, float(hi))
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        inside = (lo < mid) & (mid < hi)
-        if not inside.any():
-            break
-        below = f(mid) < y
-        lo, hi = np.where(inside & below, mid, lo), np.where(inside & ~below, mid, hi)
-    return lo
-
-
 PRESCAN_POINTS = 32
 ROOT_PHASE_TOL = 1e-6
 
@@ -293,11 +280,13 @@ def solve_lambda(
     any tau: the phase depends on lambda alone (theta_plus_magnitudes).
 
     One vectorised prescan of PRESCAN_POINTS points validates strict
-    monotonicity and a sign change on the bracket; the root is then
-    bisected to floating-point resolution inside the prescan cell that
-    holds it, with the one Gauss-Legendre rule that converged at the
-    cell's ends, and re-verified to ROOT_PHASE_TOL (rad) by the adaptive
-    quadrature.
+    monotonicity and a sign change on the bracket.  In the prescan cell
+    of the root, with the one Gauss-Legendre rule that converged at its
+    ends, Newton steps on theta_plus and its slope from linear
+    interpolation shrink the cell by each value's sign and stay strictly
+    inside it, until its ends are adjacent doubles (at most 10 steps);
+    its start-side end, the root that bisecting the cell gives, is
+    re-verified to ROOT_PHASE_TOL (rad) by the adaptive quadrature.
     """
     if not math.isfinite(target_phase):
         raise ValueError(f"target phase must be finite, got {target_phase}")
@@ -318,14 +307,22 @@ def solve_lambda(
             f"target phase {target_phase} rad not attained on bracket {bracket}: "
             f"|theta_plus| ranges over [{min(vals)}, {max(vals)}]"
         )
-    # bisect sign * |theta_plus|, which increases along the scan, with
-    # the finer of the rules that converged at the cell's ends
+    # the cell (scan[k - 1], scan[k]] of the root along the monotonic
+    # scan; sign * (|theta_plus| - target_phase) is < 0 at lo, >= 0 at hi
     sign = 1.0 if vals[-1] > vals[0] else -1.0
-    k = int(np.searchsorted(sign * vals, sign * target_phase))
-    n = int(nodes[[max(k - 1, 0), k]].max())
-    lam = float(bisect_increasing(
-        lambda l: sign * _theta_plus_rule(l, n), [sign * target_phase],
-        scan[max(k - 1, 0)], scan[k])[0])
+    k = min(max(int(np.searchsorted(sign * vals, sign * target_phase)), 1),
+            PRESCAN_POINTS - 1)
+    lo, hi = float(scan[k - 1]), float(scan[k])
+    n = int(nodes[k - 1:k + 1].max())
+    lam = lo + float((target_phase - vals[k - 1]) / (vals[k] - vals[k - 1])) * (hi - lo)
+    for _ in range(10):
+        value, slope = _theta_plus_rule(np.array([lam]), n, slope=True)
+        lo, hi = (lam, hi) if sign * (value[0] - target_phase) < 0 else (lo, lam)
+        if math.nextafter(lo, hi) == hi:
+            lam = lo
+            break
+        lam = min(max(lam - float((value[0] - target_phase) / slope[0]),
+                      math.nextafter(lo, hi)), math.nextafter(hi, lo))
     residual = abs(theta_plus_magnitudes(lam)[0][0] - target_phase)
     if residual > ROOT_PHASE_TOL:
         raise RootBracketError(f"root refinement stalled at residual {residual}")

@@ -25,22 +25,21 @@ state of the others): off it a map is exactly I.
   themselves when the support is the whole space), E = exp(D dt)
   formed once and E_half = exp(D dt/2) opening the run and closing each
   record.  Each channel acts on one site, so E is the Kronecker product
-  of dense Taylor-summed exponentials: one 64 x 64 factor for all sites
-  at d = 8, one 9 x 9 per transmon at d = 27, applied by batched matmuls
-  along each factor's axes of rho, in numpy alone.  A step takes three
-  numpy calls, each writing into a buffer: M_k rho, then (M_k rho) M_k^H,
-  then E of that into the next slot of the chunk's (m + 1, k, d, d)
-  buffer of the states that its maps act on, which the trace-loss sum
-  reads.  One argument-free E call per slot (at d = 8 the one matmul on
-  bound vec views) and the blocks that a chunk's records go into are
-  bound before its steps run, and the steps iterate the slots, maps and
-  adjoints together, so a step makes its three calls and no other
-  dispatch.  RK4's maps do
-  not keep the trace (it drifts by 6e-8 over the noisy single-excitation
-  run from |010> at step 0.05 ns, above check_density's 1e-8), so each
-  map first takes one Newton-Schulz polar step towards the unitaries
-  (Hairer, Lubich & Wanner, Geometric Numerical Integration, IV.4), an
-  O(dt^6) change, on the support, where it leaves I.
+  of the sites' dense Taylor-summed exponentials, combined into one
+  64 x 64 factor at d = 8 and one 9 x 9 per transmon at d = 27, applied
+  by batched matmuls along each factor's axes of rho, in numpy alone.  A
+  step takes three numpy calls, each writing into a buffer: M_k rho, then
+  (M_k rho) M_k^H, then E of that into the next slot of the chunk's
+  (m + 1, k, d, d) buffer of the states that its maps act on, which the
+  trace-loss sum reads.  One argument-free E call per slot (at d = 8 the
+  one matmul on bound vec views) and the blocks that a chunk's records go
+  into are bound before its steps run, and the steps iterate the slots,
+  maps and adjoints together, so a step makes its three calls and no
+  other dispatch.  RK4's maps do not keep the trace (it drifts by 6e-8
+  over the noisy single-excitation run from |010> at step 0.05 ns, above
+  check_density's 1e-8), so each map first takes one Newton-Schulz polar
+  step towards the unitaries (Hairer, Lubich & Wanner, Geometric Numerical
+  Integration, IV.4), an O(dt^6) change, on the support, where it leaves I.
 
 One rule refuses a step that is too large: StepTooLargeError once the raw
 maps have changed a member's trace by more than 2e-6, checked after every
@@ -111,11 +110,12 @@ class Trajectory:
 # 43.1 MB at 4x.  d = 8 does not gain, and the d = 27 gain costs RSS.
 _MAP_ENTRIES = 6144
 
-# The most entries of a dissipator propagator formed whole: a larger one
-# is formed as one factor per site.  At d = 8 one dense 64 x 64 E product
-# takes 2.8-3.5 us against 10.6-15.8 us for the CSR E it replaced; at
-# d = 27 a whole dense 729 x 729 E took the noisy transfer from 4.4 to
-# 17.8 s, where one 9 x 9 factor per site is no slower than CSR.
+# The most entries of a dissipator propagator whose site factors are
+# combined into one factor: a larger one is applied a site at a time.  At
+# d = 8 one dense 64 x 64 E product takes 2.8-3.5 us against 10.6-15.8 us
+# for the CSR E it replaced; at d = 27 a whole dense 729 x 729 E took the
+# noisy transfer from 4.4 to 17.8 s, where one 9 x 9 factor per site is no
+# slower than CSR.
 _WHOLE_E_ENTRIES = 64**2
 
 
@@ -328,14 +328,15 @@ def _dissipator_propagators(channels: Sequence, d: int, dt: float):
     """(exp(D dt/2), exp(D dt)) as _Factored propagators, for the
     dissipator D = sum_k Gamma_k (O_k (x) O_k^* - ((O_k^H O_k) (x) I +
     I (x) (O_k^H O_k)^T) / 2) on row-major vec rho, O_k acting on its
-    channel's site.  All sites form one factor when it holds at most
-    _WHOLE_E_ENTRIES entries (one 64 x 64 factor at d = 8), else each site
-    is its own (one 9 x 9 per site at d = 27), and each factor is the
-    Taylor-summed exponential of its group's part of D, with O_k embedded
-    in the group.  That part maps
-    every matrix to a traceless one, so each Taylor term does too and
-    every factor preserves the trace.  Raises ValueError unless the
-    channels' site dims multiply to d."""
+    channel's site.  The sites' parts of D commute, so each site's factor
+    is the Taylor-summed exponential of its own part (4 x 4 or 9 x 9,
+    summing that site's channels).  Where the whole E holds at most
+    _WHOLE_E_ENTRIES entries (64 x 64 at d = 8), the site factors are
+    combined into that one factor, their Kronecker product, whose column
+    m is their image of the m-th unit matrix.  A site's part maps every
+    matrix to a traceless one, so each Taylor term does too and every
+    factor preserves the trace.  Raises ValueError unless the channels'
+    site dims multiply to d."""
     site_dims = {}
     for c in channels:
         if site_dims.setdefault(c.site, len(c.operator)) != len(c.operator):
@@ -346,24 +347,18 @@ def _dissipator_propagators(channels: Sequence, d: int, dt: float):
     if math.prod(shape) != d:
         raise ValueError(f"the channels' site dims {shape} (0: a site without "
                          f"a channel) do not multiply to d = {d}")
-    # the sites of each factor, as (first, last + 1)
-    groups = ([(0, len(shape))] if d**4 <= _WHOLE_E_ENTRIES
-              else [(s, s + 1) for s in range(len(shape))])
-    dims = [math.prod(shape[first:end]) for first, end in groups]
-    gens = []
-    for (first, end), g in zip(groups, dims):
-        eye = np.eye(g)
-        gen = np.zeros((g * g, g * g), dtype=complex)
-        for c in channels:
-            if first <= c.site < end:
-                op = np.kron(np.kron(np.eye(math.prod(shape[first:c.site])), c.operator),
-                             np.eye(math.prod(shape[c.site + 1:end])))
-                sq = op.conj().T @ op
-                gen += c.rate * (np.kron(op, op.conj())
-                                 - 0.5 * (np.kron(sq, eye) + np.kron(eye, sq.T)))
-        gens.append(gen)
-    return tuple(_Factored(dims, [_expm_taylor(gen * t) for gen in gens])
-                 for t in (0.5 * dt, dt))
+    gens = [np.zeros((g * g, g * g), dtype=complex) for g in shape]
+    for c in channels:
+        op, eye = c.operator, np.eye(len(c.operator))
+        sq = op.conj().T @ op
+        gens[c.site] += c.rate * (np.kron(op, op.conj())
+                                  - 0.5 * (np.kron(sq, eye) + np.kron(eye, sq.T)))
+    es = [_Factored(shape, [_expm_taylor(g * t) for g in gens]) for t in (0.5 * dt, dt)]
+    if d**4 > _WHOLE_E_ENTRIES:
+        return tuple(es)
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    whole = [e(units, np.empty_like(units)).reshape(d * d, -1).T.copy() for e in es]
+    return tuple(_Factored([d], [w]) for w in whole)
 
 
 def _unitary_maps(maps: np.ndarray):
@@ -445,7 +440,7 @@ def integrate_master(
 def check_density(rho: np.ndarray):
     """Raise IntegratorError unless every member of the (k, d, d) block
     rho is finite, has unit trace (1e-8), is Hermitian (1e-9) and has no
-    eigenvalue below -1e-6."""
+    eigenvalue at or below -1e-6."""
     if not np.all(np.isfinite(rho)):
         raise IntegratorError("final state is not finite; reduce the step")
     tr = np.trace(rho, axis1=1, axis2=2)
@@ -455,5 +450,11 @@ def check_density(rho: np.ndarray):
     adjoint = rho.conj().transpose(0, 2, 1)
     if np.max(np.abs(rho - adjoint)) > 1e-9:
         raise IntegratorError("final state lost Hermiticity; reduce the step")
-    if np.linalg.eigvalsh(0.5 * (rho + adjoint)).min() < -1e-6:
-        raise IntegratorError("final state lost positivity; reduce the step")
+    # Cholesky of the Hermitian part plus 1e-6 I, all members a column at
+    # a time: a pivot not > 0 means an eigenvalue at or below -1e-6
+    a = 0.5 * (rho + adjoint) + 1e-6 * np.eye(rho.shape[-1])
+    for j in range(rho.shape[-1]):
+        if not np.all(a[:, j, j].real > 0):
+            raise IntegratorError("final state lost positivity; reduce the step")
+        col = a[:, j + 1:, j] / np.sqrt(a[:, j, j].real)[:, None]
+        a[:, j + 1:, j + 1:] -= col[:, :, None] * col[:, None, :].conj()

@@ -5,12 +5,14 @@ the captured-output section on failure) alongside the assertion.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nonrecip.config import ScenarioConfig
 from nonrecip.devices import (
+    LindbladChannel,
     full_chain_model,
     ideal_model,
     invert_bessel_drive,
@@ -177,6 +179,50 @@ class TestNoiseBudget:
         check("noise budget: leakage", ok,
               f"(population outside the single-excitation subspace at tau "
               f"= {leak:.5f}, ref 0.0025)")
+
+
+SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
+
+# F_s(100), F_s(010), F_s(001) and F_m of the noisy single-excitation model
+# at lambda = 0.4974 and its default step, with each transmon's channel
+# set replaced by (operator, rate / Gamma_k) pairs: the README's noise
+# model, O = sigma^- + sigma_z at Gamma_k, against its split forms
+NOISE_CHANNEL_TABLE = {
+    "O at Gamma": (None, (0.988204169001, 0.989487612068, 0.989310550735,
+                          0.987701336789)),
+    "sigma^- and sigma_z at Gamma": (
+        [(SIGMA_MINUS, 1.0), (SIGMA_Z, 1.0)],
+        (0.988204891711, 0.989486592891, 0.989310981588, 0.987700762841)),
+    "sigma^- at Gamma, sigma_z at Gamma/2": (
+        [(SIGMA_MINUS, 1.0), (SIGMA_Z, 0.5)],
+        (0.989938519438, 0.991669304332, 0.991417913790, 0.990769155172)),
+    "sigma^- only": ([(SIGMA_MINUS, 1.0)],
+                     (0.991677214042, 0.993859436437, 0.993532018266,
+                      0.993854801059)),
+    "sigma_z only": ([(SIGMA_Z, 1.0)],
+                     (0.991811797014, 0.993043810867, 0.992978999646,
+                      0.991307166192)),
+}
+
+
+class TestNoiseChannelTable:
+    """Pins each row of the noise-channel table (README, "Noise model"),
+    so that a change of channel shows its effect on every anchor.  The
+    split rows put two channels on one site."""
+
+    @pytest.mark.parametrize("row", NOISE_CHANNEL_TABLE)
+    def test_row(self, device, theta_plus, row):
+        parts, want = NOISE_CHANNEL_TABLE[row]
+        if parts is not None:
+            device = replace(device, channels=tuple(
+                LindbladChannel(op, scale * c.rate, c.site)
+                for c in device.channels for op, scale in parts))
+        reports = fidelity_reports(device, target_unitary(theta_plus),
+                                   ("100", "010", "001", "ensemble"), noise=True)
+        got = [reports[i][0]["fidelity"] for i in ("100", "010", "001")]
+        got.append(reports["ensemble"][0]["f_m"])
+        assert np.max(np.abs(np.array(got) - want)) <= 1e-8
 
 
 class TestPropertySuite:

@@ -429,6 +429,42 @@ class TestImports:
         assert _loaded_around(tmp_path, argv, heavy) == ([], [])
 
 
+# short and strongly coupled, so that the noisy d = 27 run takes a few
+# thousand steps
+SHORT_THREE_LEVEL = ("[scenario]\nmodel = full_three_level\ntau_ns = 29\n"
+                     "[coupling]\ng_a_mhz = 50\ng_b_mhz = 50\n")
+
+
+class TestNoLinalg:
+    @pytest.mark.parametrize("scenario, argv", [
+        (None, ["--no-noise", "simulate", "--initial", "100"]),
+        (None, ["simulate", "--initial", "100"]),
+        (SHORT_THREE_LEVEL, ["simulate", "--initial", "100"]),
+    ], ids=["closed", "open-d8", "open-d27"])
+    def test_commands_call_no_numpy_linalg(self, tmp_path, monkeypatch, scenario,
+                                           argv):
+        # check_density tests positivity by a numpy Cholesky, so that no
+        # command pages in LAPACK (+0.75 MB of peak RSS at its first call)
+        calls = []
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return f(*args, **kwargs)
+            return wrapper
+
+        for name in np.linalg.__all__:
+            f = getattr(np.linalg, name)
+            if callable(f) and not isinstance(f, type):
+                monkeypatch.setattr(np.linalg, name, counted(name, f))
+        args = ["--out", str(tmp_path / "out")]
+        if scenario is not None:
+            (tmp_path / "s.ini").write_text(scenario)
+            args += ["--config", str(tmp_path / "s.ini")]
+        assert main(args + argv) == EXIT_OK
+        assert calls == []
+
+
 class TestSimulateCommand:
     def test_ideal_transfer_run(self, tmp_path):
         out = tmp_path / "out"
@@ -618,6 +654,20 @@ class TestFailureReporting:
         assert (refused in capsys.readouterr().err) == (code == EXIT_FAILURE)
         assert (out / "report.json").exists() == (argv[-1] == "simulate"
                                                   and code == EXIT_OK)
+
+    def test_resonant_drive_runs_at_a_large_chain_frequency(self, tmp_path, capsys):
+        # at omega_M = 2 pi 1e7 rad/ns one ulp of omega is 7.5e-9, so the
+        # rounding of omega_j - omega_M exceeds 1e-9; the resonance check
+        # allows for it, and still refuses a detuned drive there
+        for extra, code in (("", EXIT_OK), ("nu_mhz = 300\n", EXIT_FAILURE)):
+            cfg_path = tmp_path / "far.ini"
+            cfg_path.write_text("[coupling]\nomega_m_ghz = 1e7\n" + extra)
+            out = tmp_path / f"out{code}"
+            argv = ["--config", str(cfg_path), "--out", str(out), "simulate",
+                    "--initial", "100"]
+            assert main(argv) == code
+            refused = "resonance condition delta_j = nu_j not satisfied"
+            assert (refused in capsys.readouterr().err) == (code == EXIT_FAILURE)
 
     def test_unwritable_output_exits_1_naming_the_path(self, tmp_path, capsys):
         out = tmp_path / "taken"

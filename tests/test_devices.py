@@ -24,7 +24,6 @@ from nonrecip.devices import (
 )
 from nonrecip.invariant import (
     AuxiliaryTrajectory,
-    bisect_increasing,
     solve_lambda,
     synthesize_pulses,
     target_unitary,
@@ -33,6 +32,7 @@ from nonrecip.invariant import (
 from nonrecip.metrics import fidelity_reports
 from nonrecip.propagation import propagate_schrodinger
 from nonrecip.units import khz, mhz
+from bisection_reference import bisect_increasing
 from rk4_reference import embedded
 
 TAU = 145.0

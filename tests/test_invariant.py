@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
+from nonrecip import invariant
 from nonrecip.invariant import (
+    PRESCAN_POINTS,
     _gauss_legendre,
+    _theta_plus_rule,
     AuxiliaryTrajectory,
     NonMonotonicBracketError,
     PulseDivergenceError,
@@ -20,6 +23,7 @@ from nonrecip.invariant import (
 )
 from nonrecip.devices import ideal_model, J1_PEAK
 from nonrecip.units import mhz
+from bisection_reference import bisect_increasing
 from lr_reference import (
     beta_dot,
     check_boundary,
@@ -327,6 +331,75 @@ class TestSolveLambda:
         assert expected[1, 1] == -1.0 and expected[0, 2] == -1.0
         dist, _ = global_phase_distance(u, expected)
         assert dist < 2e-3
+
+
+def bisected_lambda(target, bracket):
+    """solve_lambda's root by the bisection that its Newton steps
+    replaced: the same prescan cell and Gauss-Legendre rule, bisected to
+    floating-point resolution by bisect_increasing, one lambda a call."""
+    scan = np.linspace(*bracket, PRESCAN_POINTS)
+    vals, _, nodes = theta_plus_magnitudes(scan)
+    sign = 1.0 if vals[-1] > vals[0] else -1.0
+    k = int(np.searchsorted(sign * vals, sign * target))
+    n = int(nodes[[max(k - 1, 0), k]].max())
+    return float(bisect_increasing(lambda l: sign * _theta_plus_rule(l, n),
+                                   [sign * target], scan[max(k - 1, 0)], scan[k])[0])
+
+
+# attainable targets on the decreasing branch (|theta_plus| from 22.93 to
+# 2.52 rad on (0.1, 1.0)) and on the increasing one (1.80 to 4.74 rad on
+# (2.0, 3.0)), the circulator phase on each
+NEWTON_GRID = ([(t, (0.1, 1.0)) for t in np.linspace(2.53, 22.92, 400)]
+               + [(t, (2.0, 3.0)) for t in np.linspace(1.81, 4.74, 100)]
+               + [(THETA_CIRC, (0.1, 1.0)), (THETA_CIRC, (2.0, 3.0))])
+
+
+class TestNewtonAgainstBisection:
+    def test_root_within_2_ulp_of_the_bisection(self):
+        worst_ulps, worst_residual_change = 0.0, 0.0
+        for target, bracket in NEWTON_GRID:
+            ref, lam = bisected_lambda(target, bracket), solve_lambda(target, bracket)
+            worst_ulps = max(worst_ulps, abs(lam - ref) / math.ulp(ref))
+            residual, ref_residual = (abs(theta_plus_magnitudes(x)[0][0] - target)
+                                      for x in (lam, ref))
+            worst_residual_change = max(worst_residual_change,
+                                        abs(residual - ref_residual) / math.ulp(target))
+        assert worst_ulps <= 2.0
+        assert worst_residual_change <= 2.0
+
+    def test_rule_calls_after_the_prescan(self, monkeypatch):
+        # Newton's steps, each a call with slope, then the residual's
+        # adaptive quadrature; the bisection made 50 calls after the
+        # prescan's.  Resolving the root to the bisection's double takes
+        # 1-3 of Newton's steps, more where theta_plus is steep (near 0.1)
+        calls, after_prescan = [], []
+
+        def rule(lams, n, slope=False):
+            calls.append(slope)
+            return _theta_plus_rule(lams, n, slope=slope)
+
+        def magnitudes(lams):
+            out = theta_plus_magnitudes(lams)
+            after_prescan.append(len(calls))
+            return out
+
+        monkeypatch.setattr(invariant, "_theta_plus_rule", rule)
+        monkeypatch.setattr(invariant, "theta_plus_magnitudes", magnitudes)
+        newton, total = [], []
+        for target, bracket in NEWTON_GRID:
+            calls.clear()
+            after_prescan.clear()
+            solve_lambda(target, bracket)
+            newton.append(sum(calls))
+            total.append(len(calls) - after_prescan[0])
+        assert np.median(newton) <= 5 and max(newton) < 10  # none hit the cap
+        assert np.median(total) <= 7
+
+    @pytest.mark.parametrize("target, bracket", [
+        (2.4, (0.1, 1.0)), (23.0, (0.1, 1.0)), (1.7, (2.0, 3.0)), (4.8, (2.0, 3.0))])
+    def test_unattained_target_refused(self, target, bracket):
+        with pytest.raises(RootBracketError, match="not attained on bracket"):
+            solve_lambda(target, bracket)
 
 
 class TestTargetUnitary:

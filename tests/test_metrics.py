@@ -336,6 +336,26 @@ class TestInvariantChecks:
         with pytest.raises(IntegratorError, match="positivity"):
             check_density(np.diag([1.2, -0.2, 0.0]).astype(complex)[None])
 
+    @pytest.mark.parametrize("d", [8, 27])
+    def test_check_density_positivity_boundary(self, d):
+        # lowest eigenvalue -0.5e-6 passes, -2e-6 is refused, each in a
+        # random eigenbasis, alone and as the second member of a block
+        rng = np.random.default_rng(d)
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+
+        def member(lowest):
+            w = np.full(d, (1.0 - lowest) / (d - 1))
+            w[0] = lowest
+            rho = (q * w) @ q.conj().T
+            return 0.5 * (rho + rho.conj().T)
+
+        good, bad = member(-0.5e-6), member(-2e-6)
+        check_density(good[None])
+        check_density(np.stack([good, good]))
+        for block in (bad[None], np.stack([good, bad])):
+            with pytest.raises(IntegratorError, match="positivity"):
+                check_density(block)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_check_density_refuses_non_finite_member(self, bad):
         # every comparison with NaN is false, so no tolerance check sees it
