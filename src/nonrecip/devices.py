@@ -54,11 +54,6 @@ STEPS_PER_PERIOD = 20
 class UnattainableDriveError(ValueError):
     """Requested effective coupling exceeds the J1 maximum."""
 
-    def __init__(self, message: str, worst_time: float, worst_ratio: float):
-        super().__init__(message)
-        self.worst_time = worst_time
-        self.worst_ratio = worst_ratio
-
 
 @dataclass(frozen=True)
 class ChainSpec:
@@ -144,35 +139,31 @@ def invert_bessel_j1(y):
 
 @dataclass(frozen=True, eq=False)
 class DriveWaveform:
-    """Dimensionless frequency-drive envelopes eta_j(t) on a time grid,
-    signed as the effective couplings they drive, with |eta_j| at most
-    J1_PEAK_X.
+    """Dimensionless frequency-drive envelopes on a time grid, the rows
+    (eta_A, eta_B) of the read-only (2, len(times)) array eta, signed as
+    the effective couplings they drive, with |eta_j| at most J1_PEAK_X.
 
     The instantaneous drive phase is F_j(t) = eta_j(t) * sin(nu * t).
     """
 
     times: np.ndarray
-    eta_a: np.ndarray
-    eta_b: np.ndarray
+    eta: np.ndarray
     nu: float
 
     def __post_init__(self):
-        for name in ("times", "eta_a", "eta_b"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        for arr in (self.eta_a, self.eta_b):
-            if not np.max(np.abs(arr)) <= J1_PEAK_X + 1e-12:  # NaN fails
+        object.__setattr__(self, "times", _freeze(self.times, float))
+        object.__setattr__(self, "eta", _freeze(self.eta, float))
+        for eta in self.eta:
+            if not np.max(np.abs(eta)) <= J1_PEAK_X + 1e-12:  # NaN fails
                 raise ValueError("envelopes must be finite and stay in "
                                  "[-1.8412, 1.8412]")
-            if abs(arr[0]) > 1e-12 or abs(arr[-1]) > 1e-12:
+            if abs(eta[0]) > 1e-12 or abs(eta[-1]) > 1e-12:
                 raise ValueError("envelopes must vanish at t = 0 and t = tau")
 
-    def f_a(self, t):
-        return np.interp(t, self.times, self.eta_a) * np.sin(self.nu * t)
-
-    def f_b(self, t):
-        return np.interp(t, self.times, self.eta_b) * np.sin(self.nu * t)
+    def phases(self, t):
+        """F_A and F_B at the times t, as rows; sin(nu t) is formed once."""
+        carrier = np.sin(self.nu * t)
+        return np.stack([np.interp(t, self.times, eta) * carrier for eta in self.eta])
 
     def phase_rates(self) -> tuple[float, float]:
         """Bounds on |dF_a/dt| and |dF_b/dt|: nu max |eta_j| plus the
@@ -180,37 +171,32 @@ class DriveWaveform:
         dt = np.diff(self.times)
         return tuple(self.nu * float(np.abs(eta).max())
                      + float(np.max(np.abs(np.diff(eta)) / dt))
-                     for eta in (self.eta_a, self.eta_b))
+                     for eta in self.eta)
 
     def write_csv(self, path):
-        write_csv(path, {"t_ns": self.times, "eta_a": self.eta_a, "eta_b": self.eta_b})
+        write_csv(path, {"t_ns": self.times, "eta_a": self.eta[0], "eta_b": self.eta[1]})
 
 
 def invert_bessel_drive(pulses: PulsePair, chain: ChainSpec) -> DriveWaveform:
     """Solve 2 g_j J1(eta_j(t)) = g'_j(t) for every sample of both tracks
-    at once: one invert_bessel_j1 call on the stacked (2, n) ratios
-    |g'_j| / 2 g_j, and eta_j negated where g'_j < 0, as J1(-eta) =
-    -J1(eta).
+    at once: one invert_bessel_j1 call on the (2, n) ratios |g'_j| / 2 g_j
+    of pulses.g, and eta_j negated where g'_j < 0, as J1(-eta) = -J1(eta).
 
     Ratios above the J1 maximum by more than BESSEL_CLAMP_RTOL raise
     UnattainableDriveError naming the worst time point, track A checked
     first; ratios inside the slack clamp to the peak argument.
     """
-    signed = np.stack([pulses.g_a, pulses.g_b])
-    ratios = np.abs(signed) / (2.0 * np.array([[chain.g_a], [chain.g_b]]))
+    ratios = np.abs(pulses.g) / (2.0 * np.array([[chain.g_a], [chain.g_b]]))
     for name, track in zip("AB", ratios):
         worst = int(np.argmax(track))
         if track[worst] > J1_PEAK * (1.0 + BESSEL_CLAMP_RTOL):
             raise UnattainableDriveError(
                 f"effective coupling g'_{name} requires J1 = {track[worst]:.6f} "
-                f"> {J1_PEAK:.6f} at t = {pulses.times[worst]:.4f} ns",
-                worst_time=float(pulses.times[worst]),
-                worst_ratio=float(track[worst]),
-            )
+                f"> {J1_PEAK:.6f} at t = {pulses.times[worst]:.4f} ns")
     eta = invert_bessel_j1(np.minimum(ratios, J1_PEAK))
-    eta = np.where(signed < 0, -eta, eta)
+    eta = np.where(pulses.g < 0, -eta, eta)
     eta[:, [0, -1]] = 0.0
-    return DriveWaveform(pulses.times, eta[0], eta[1], chain.nu)
+    return DriveWaveform(pulses.times, eta, chain.nu)
 
 
 SINGLE_EXCITATION_LABELS = ("100", "010", "001")
@@ -229,8 +215,9 @@ def _single_excitation_control(chain: ChainSpec, drives: DriveWaveform):
     i100, i010, i001 = single_excitation_indices(2)
 
     def coeffs(t):
-        c_a = chain.g_a * np.exp(1j * (delta_a * t - drives.f_a(t)))
-        c_b = chain.g_b * np.exp(1j * (delta_b * t - drives.f_b(t)))
+        phase_a, phase_b = drives.phases(t)
+        c_a = chain.g_a * np.exp(1j * (delta_a * t - phase_a))
+        c_b = chain.g_b * np.exp(1j * (delta_b * t - phase_b))
         return np.stack([c_a, c_a.conj(), c_b, c_b.conj()], axis=-1)
 
     ops = np.zeros((4, 8, 8))
@@ -280,8 +267,9 @@ def _full_chain_control(chain: ChainSpec, drives: DriveWaveform):
                    for label in chain_labels(d)])
 
     def coeffs(t):
-        e_a = np.exp(1j * (-omega_a * t + drives.f_a(t)))
-        e_b = np.exp(1j * (-omega_b * t + drives.f_b(t)))
+        phase_a, phase_b = drives.phases(t)
+        e_a = np.exp(1j * (-omega_a * t + phase_a))
+        e_b = np.exp(1j * (-omega_b * t + phase_b))
         e_m = np.exp(-1j * omega_m * t)
         a, m, b = (e_a, e_a.conj()), (e_m, e_m.conj()), (e_b, e_b.conj())
         cols = [chain.g_a * a[s] * m[r] for s, r in pairs]
@@ -305,7 +293,7 @@ class LindbladChannel:
     site: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "operator", _freeze(self.operator))
+        object.__setattr__(self, "operator", _freeze(self.operator, complex))
 
 
 def _single_site_collapse(d: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .reporting import write_csv
-from .statespace import ControlHamiltonian
+from .statespace import ControlHamiltonian, _freeze
 
 
 class TrajectoryRangeError(ValueError):
@@ -99,7 +99,7 @@ def _gamma_over_tan(gamma):
 
 
 def coupling_values(traj: AuxiliaryTrajectory, t):
-    """Effective couplings (g'_A, g'_B) at time t, in rad/ns.
+    """Effective couplings at time t, in rad/ns, as the rows (g'_A, g'_B).
 
     g'_A = 2[beta_dot cot(gamma) sin(beta) + gamma_dot cos(beta)] and
     g'_B = 2[beta_dot cot(gamma) cos(beta) - gamma_dot sin(beta)],
@@ -109,49 +109,43 @@ def coupling_values(traj: AuxiliaryTrajectory, t):
     b = traj.beta(t)
     gd = traj.gamma_dot(t)
     cot_term = traj.beta_dot_over_gamma(t) * _gamma_over_tan(g)
-    g_a = 2.0 * (cot_term * np.sin(b) + gd * np.cos(b))
-    g_b = 2.0 * (cot_term * np.cos(b) - gd * np.sin(b))
-    return g_a, g_b
+    return 2.0 * np.stack([cot_term * np.sin(b) + gd * np.cos(b),
+                           cot_term * np.cos(b) - gd * np.sin(b)])
 
 
 @dataclass(frozen=True, eq=False)
 class PulsePair:
-    """Sampled effective couplings on a uniform time grid over [0, tau]."""
+    """Effective couplings sampled on a uniform time grid over [0, tau],
+    the rows (g'_A, g'_B) of the read-only (2, len(times)) array g."""
 
     times: np.ndarray
-    g_a: np.ndarray
-    g_b: np.ndarray
+    g: np.ndarray
 
     def __post_init__(self):
-        for name in ("times", "g_a", "g_b"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if not (len(self.times) == len(self.g_a) == len(self.g_b)):
+        object.__setattr__(self, "times", _freeze(self.times, float))
+        object.__setattr__(self, "g", _freeze(self.g, float))
+        if self.g.shape != (2, len(self.times)):
             raise ValueError("pulse arrays must have equal length")
-        if not (np.all(np.isfinite(self.g_a)) and np.all(np.isfinite(self.g_b))):
+        if not np.all(np.isfinite(self.g)):
             raise PulseDivergenceError("pulse samples must be finite")
-        for arr in (self.g_a, self.g_b):
-            if abs(arr[0]) > 1e-9 or abs(arr[-1]) > 1e-9:
-                raise ValueError("pulses must vanish at t = 0 and t = tau")
+        if np.any(np.abs(self.g[:, [0, -1]]) > 1e-9):
+            raise ValueError("pulses must vanish at t = 0 and t = tau")
 
-    def g_a_at(self, t):
-        return np.interp(t, self.times, self.g_a)
-
-    def g_b_at(self, t):
-        return np.interp(t, self.times, self.g_b)
+    def g_at(self, t):
+        """g'_A and g'_B at the times t, linearly interpolated, as rows."""
+        return np.stack([np.interp(t, self.times, g) for g in self.g])
 
     def hamiltonian(self) -> ControlHamiltonian:
         """The ideal three-level Hamiltonian in control form: the pulses
         couple |A> and |B> to |M> with strength g'_j/2."""
         ops = np.zeros((2, 3, 3))
         ops[0, 0, 1] = ops[0, 1, 0] = ops[1, 2, 1] = ops[1, 1, 2] = 1.0
-        return ControlHamiltonian(np.zeros((3, 3)), ops, lambda t: 0.5 * np.stack(
-            [self.g_a_at(t), self.g_b_at(t)], axis=-1))
+        return ControlHamiltonian(np.zeros((3, 3)), ops,
+                                  lambda t: 0.5 * np.stack(self.g_at(t), axis=-1))
 
     def write_csv(self, path):
-        write_csv(path, {"t_ns": self.times, "gprime_a_rad_per_ns": self.g_a,
-                         "gprime_b_rad_per_ns": self.g_b})
+        write_csv(path, {"t_ns": self.times, "gprime_a_rad_per_ns": self.g[0],
+                         "gprime_b_rad_per_ns": self.g[1]})
 
 
 PULSE_SAMPLES = 2001
@@ -168,13 +162,9 @@ def synthesize_pulses(traj: AuxiliaryTrajectory) -> PulsePair:
             f"couplings diverge for lambda = {traj.lambda_} (gamma reaches pi)"
         )
     times = np.linspace(0.0, traj.tau, PULSE_SAMPLES)
-    g_a, g_b = coupling_values(traj, times)
-    g_a = np.array(g_a)
-    g_b = np.array(g_b)
-    # exact analytic limits at the removable endpoint singularities
-    g_a[0] = g_a[-1] = 0.0
-    g_b[0] = g_b[-1] = 0.0
-    return PulsePair(times, g_a, g_b)
+    g = coupling_values(traj, times)
+    g[:, [0, -1]] = 0.0  # the exact limits at the removable endpoint singularities
+    return PulsePair(times, g)
 
 
 PHASE_RTOL = 1e-12

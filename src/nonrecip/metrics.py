@@ -19,20 +19,23 @@ def _evolve(model: SimulationModel, initial_states, noise: bool,
     the (k, records, 3, 3) block of rho(t) on the logical indices and the
     (k, records) trace of rho(t).
 
-    H is first checked to be Hermitian at 65 times: both kernels refuse
-    a member only once the raw step maps change its trace by over 2e-6,
-    and below that an open run's projected maps would hide a non-Hermitian
-    H.  A closed run (not model.is_open(noise)) propagates the (k, d)
-    block of kets and forms the 3x3 block from the logical amplitudes
-    only; an open run propagates the (k, d, d) block of psi psi^H, and
-    also checks every final state with check_density."""
+    H is first checked to be finite and Hermitian at 65 times: both
+    kernels refuse a member only once the raw step maps change its trace
+    by over 2e-6, and below that an open run's projected maps would hide
+    a non-Hermitian H.  A closed run (not model.is_open(noise))
+    propagates the (k, d) block of kets and forms the 3x3 block from the
+    logical amplitudes only; an open run propagates the (k, d, d) block
+    of psi psi^H, and also checks every final state with check_density."""
     step = model.default_step if step is None else step
     noise = model.is_open(noise)
     idx = np.array(model.logical_indices)
     psi = np.stack(initial_states)
-    h = model.hamiltonian.matrices(np.linspace(0.0, model.tau, 65))
-    if np.max(np.abs(h - h.conj().transpose(0, 2, 1))) > 1e-9:
-        raise IntegratorError("Hamiltonian lost Hermiticity; a propagation "
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite H is refused below
+        h = model.hamiltonian.matrices(np.linspace(0.0, model.tau, 65))
+        asymmetry = np.max(np.abs(h - h.conj().transpose(0, 2, 1)))
+    if not asymmetry <= 1e-9:
+        finite = "" if np.isfinite(asymmetry) else ": its values are not finite"
+        raise IntegratorError(f"Hamiltonian lost Hermiticity{finite}; a propagation "
                               "would not conserve probability")
     if noise:
         rho0 = psi[:, :, None] * psi[:, None, :].conj()

@@ -31,15 +31,16 @@ state of the others): off it a map is exactly I.
   step takes three numpy calls, each writing into a buffer: M_k rho, then
   (M_k rho) M_k^H, then E of that into the next slot of the chunk's
   (m + 1, k, d, d) buffer of the states that its maps act on, which the
-  trace-loss sum reads.  One argument-free E call per slot (at d = 8 the
-  one matmul on bound vec views) and the blocks that a chunk's records go
-  into are bound before its steps run, and the steps iterate the slots,
-  maps and adjoints together, so a step makes its three calls and no
-  other dispatch.  RK4's maps do not keep the trace (it drifts by 6e-8
-  over the noisy single-excitation run from |010> at step 0.05 ns, above
-  check_density's 1e-8), so each map first takes one Newton-Schulz polar
-  step towards the unitaries (Hairer, Lubich & Wanner, Geometric Numerical
-  Integration, IV.4), an O(dt^6) change, on the support, where it leaves I.
+  trace-loss sum reads.  E is applied only by argument-free calls bound
+  once a run (at d = 8 the one matmul on bound vec views): one E call per
+  slot, and one E_half call into a buffer that a recorded step copies to
+  its record.  The steps iterate the slots, maps and adjoints together,
+  so a step makes its three calls and no other dispatch.  RK4's maps do
+  not keep the trace (it drifts by 6e-8 over the noisy single-excitation
+  run from |010> at step 0.05 ns, above check_density's 1e-8), so each
+  map first takes one Newton-Schulz polar step towards the unitaries
+  (Hairer, Lubich & Wanner, Geometric Numerical Integration, IV.4), an
+  O(dt^6) change, on the support, where it leaves I.
 
 One rule refuses a step that is too large: StepTooLargeError once the raw
 maps have changed a member's trace by more than 2e-6, checked after every
@@ -274,7 +275,7 @@ class _Factored:
     multiplying to d.  A group's factor acts on the row-major vec of its
     (g, g) block of rho.
 
-    Called on a (k, d, d) block, it interleaves the axes of each member to
+    Bound to a (k, d, d) block, it interleaves the axes of each member to
     ((i_1, j_1), ..., (i_m, j_m)) and multiplies each pair axis by its
     factor with one batched matmul, so that a member's arithmetic does not
     depend on k: from the left, batched over the axes before it, except
@@ -294,17 +295,11 @@ class _Factored:
         # one factor: the one matmul on each member's vec writes the result
         self._whole = self.factors[0] if m == 1 else None
 
-    def __call__(self, r: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """E applied to each member of the (k, d, d) block r, written into
-        out, a C-contiguous complex array of r's shape."""
-        self.bind(r, [out])[0]()
-        return out
-
     def bind(self, r: np.ndarray, outs: Sequence[np.ndarray]) -> list:
-        """One argument-free call per array of outs, each writing E of r
-        into it as __call__ does, for a C-contiguous r: with one factor,
-        the one matmul on each member's vec, bound to vec views of r and
-        of its out."""
+        """One argument-free call per array of outs, E's only entry point:
+        each writes E of every member of the C-contiguous (k, d, d) block r
+        into its out, a C-contiguous complex array of r's shape (with one
+        factor, the one matmul on each member's vec, bound to vec views)."""
         if self._whole is None:
             return [partial(self._apply, r, out) for out in outs]
         vecs = (len(r), -1, 1)
@@ -357,8 +352,10 @@ def _dissipator_propagators(channels: Sequence, d: int, dt: float):
     if d**4 > _WHOLE_E_ENTRIES:
         return tuple(es)
     units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    whole = [e(units, np.empty_like(units)).reshape(d * d, -1).T.copy() for e in es]
-    return tuple(_Factored([d], [w]) for w in whole)
+    images = [np.empty_like(units) for _ in es]
+    for e, image in zip(es, images):
+        e.bind(units, [image])[0]()
+    return tuple(_Factored([d], [i.reshape(d * d, -1).T.copy()]) for i in images)
 
 
 def _unitary_maps(maps: np.ndarray):
@@ -397,12 +394,12 @@ def integrate_master(
     # acted_on[i] is the state that map i of a chunk acts on; acted_on[m]
     # ends the chunk and starts the next
     acted_on = np.empty((min(n, _chunk(d)) + 1,) + r.shape, dtype=complex)
-    half(r, out=acted_on[0])
-    a, b = np.empty_like(acted_on[0]), np.empty_like(acted_on[0])
-    # bound once: step i's E of b into slot i + 1.  The steps take the
-    # slots by iterating the buffer: a list of their views kept for the
-    # run read about 0.15 MB more peak RSS in short noisy-se benchmark runs
-    into_next = full.bind(b, acted_on[1:])
+    half.bind(r, [acted_on[0]])[0]()
+    a, b, c = (np.empty_like(acted_on[0]) for _ in range(3))
+    # bound once, not per record: step i's E of b into slot i + 1, E_half of
+    # b into c for a record.  A list of the slots' views kept for the run
+    # read 0.15 MB more peak RSS in short noisy-se benchmark runs
+    into_next, half_into_c = full.bind(b, acted_on[1:]), half.bind(b, [c])[0]
     matmul = np.matmul
     # the support block of a (..., d, d) array, and identity tables whose
     # support block each chunk's maps fill; the whole space takes slices and
@@ -424,7 +421,8 @@ def integrate_master(
             matmul(map_, rho, out=a)
             matmul(a, adjoint, out=b)
             if record is not None:
-                half(b, out=record)
+                half_into_c()
+                record[...] = c
             e_into_next()
         # tr(K rho) = sum_ij K_ij conj(rho_ij) for a Hermitian rho, and K
         # is 0 off the support

@@ -18,8 +18,8 @@ from typing import Callable
 import numpy as np
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=complex)
+def _freeze(arr: np.ndarray, dtype) -> np.ndarray:
+    out = np.array(arr, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -42,8 +42,8 @@ class ControlHamiltonian:
     support: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "h0", _freeze(self.h0))
-        object.__setattr__(self, "ops", _freeze(self.ops))
+        object.__setattr__(self, "h0", _freeze(self.h0, complex))
+        object.__setattr__(self, "ops", _freeze(self.ops, complex))
         if self.ops.ndim != 3 or self.ops.shape[1:] != self.h0.shape:
             raise ValueError(f"ops {self.ops.shape} vs h0 {self.h0.shape}")
         pattern = (self.h0 != 0) | np.any(self.ops != 0, axis=0)

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import os
@@ -610,6 +611,34 @@ class TestFailureReporting:
         err = capsys.readouterr().err
         assert ("error: " in err) == (code == EXIT_FAILURE)
         assert not out.exists()
+
+    def test_parser_is_built_once(self, tmp_path, monkeypatch):
+        # main parses with the one parser built at import, so no later call
+        # adds an argument to a parser
+        def refuse(*args, **kwargs):
+            raise AssertionError("a parser was built after import")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", refuse)
+        out = str(tmp_path / "out")
+        assert main(["--out", out, "design"]) == EXIT_OK
+        assert main(["--out", out, "simulate", "--initial", "010"]) == EXIT_OK
+
+    @pytest.mark.parametrize("tau, code", [("1e-160", EXIT_FAILURE), ("1e-100", EXIT_OK)])
+    def test_non_finite_hamiltonian_is_refused(self, tmp_path, capsys, tau, code):
+        # at tau = 1e-160 ns the pulse interpolant's slopes overflow and H(t)
+        # is not finite, which no smaller step could mend; numpy's warnings
+        # would raise here, and stderr holds the one error line
+        cfg_path = tmp_path / "short.ini"
+        cfg_path.write_text(f"[scenario]\nmodel = ideal\ntau_ns = {tau}\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out), "simulate"]) == code
+        err = capsys.readouterr().err.splitlines()
+        if code == EXIT_OK:
+            assert err == []
+        else:
+            assert err == ["error: Hamiltonian lost Hermiticity: its values are not "
+                           "finite; a propagation would not conserve probability"]
+            assert not (out / "report.json").exists()
 
     def test_overflowing_closed_run_exits_1(self, tmp_path, capsys):
         # step 1.5 ns cannot resolve the full chain; the states overflow

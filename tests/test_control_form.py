@@ -79,9 +79,10 @@ def embed(h3):
 
 def single_excitation_dense(chain, drives, t):
     omega_a, omega_m, omega_b = chain.omega
+    f_a, f_b = drives.phases(t)
     h = np.zeros((3, 3), dtype=complex)
-    h[0, 1] = chain.g_a * np.exp(1j * ((omega_a - omega_m) * t - drives.f_a(t)))
-    h[2, 1] = chain.g_b * np.exp(1j * ((omega_b - omega_m) * t - drives.f_b(t)))
+    h[0, 1] = chain.g_a * np.exp(1j * ((omega_a - omega_m) * t - f_a))
+    h[2, 1] = chain.g_b * np.exp(1j * ((omega_b - omega_m) * t - f_b))
     return h + h.conj().T
 
 
@@ -97,8 +98,9 @@ def full_chain_dense(chain, drives, t):
         return op + op.conj().T
 
     omega_a, omega_m, omega_b = chain.omega
-    x_a = x(-omega_a * t + drives.f_a(t))
-    x_b = x(-omega_b * t + drives.f_b(t))
+    f_a, f_b = drives.phases(t)
+    x_a = x(-omega_a * t + f_a)
+    x_b = x(-omega_b * t + f_b)
     x_m = x(-omega_m * t)
     h = (chain.g_a * np.kron(np.kron(x_a, x_m), eye)
          + chain.g_b * np.kron(np.kron(eye, x_m), x_b))
@@ -116,8 +118,8 @@ class TestControlFormMatchesDenseFormulas:
         h = ideal_model(pulses).hamiltonian
         for t in times:
             dense = np.zeros((3, 3))
-            dense[0, 1] = dense[1, 0] = 0.5 * pulses.g_a_at(t)
-            dense[2, 1] = dense[1, 2] = 0.5 * pulses.g_b_at(t)
+            dense[0, 1] = dense[1, 0] = 0.5 * pulses.g_at(t)[0]
+            dense[2, 1] = dense[1, 2] = 0.5 * pulses.g_at(t)[1]
             assert np.max(np.abs(h.matrices([t])[0] - dense)) < 1e-12
 
     def test_single_excitation(self, drives, times):
@@ -268,7 +270,7 @@ def invariant_and_derivative(traj, t):
 class TestCheckBoundaryMatchesPointwiseLoop:
     def test_loop_reference(self, pulses):
         traj = AuxiliaryTrajectory(LAMBDA_SOLVED, TAU)
-        perturbed = PulsePair(pulses.times, pulses.g_a, 0.98 * pulses.g_b)
+        perturbed = PulsePair(pulses.times, [pulses.g[0], 0.98 * pulses.g[1]])
         for pp in (pulses, perturbed):
             ideal = ideal_model(pp).hamiltonian
             comms, worst = [], 0.0
@@ -295,7 +297,7 @@ class TestCheckBoundarySeedValues:
         assert diag.commutator_end == pytest.approx(0.0, abs=1e-12)
         assert diag.max_von_neumann_residual == pytest.approx(
             1.3965051558032531e-08, abs=1e-12)
-        perturbed = PulsePair(pulses.times, 1.01 * pulses.g_a, pulses.g_b)
+        perturbed = PulsePair(pulses.times, [1.01 * pulses.g[0], pulses.g[1]])
         diag = check_boundary(traj, perturbed)
         assert diag.max_von_neumann_residual == pytest.approx(
             1.709827343220283e-04, abs=1e-12)

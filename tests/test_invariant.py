@@ -92,8 +92,8 @@ class TestTrajectory:
 
 class TestSynthesizePulses:
     def test_endpoints_vanish(self, pulses):
-        assert pulses.g_a[0] == 0.0 and pulses.g_a[-1] == 0.0
-        assert pulses.g_b[0] == 0.0 and pulses.g_b[-1] == 0.0
+        assert pulses.g[0, 0] == 0.0 and pulses.g[0, -1] == 0.0
+        assert pulses.g[1, 0] == 0.0 and pulses.g[1, -1] == 0.0
 
     def test_matches_direct_formula(self, traj, pulses):
         # oracle: plain cot(gamma) evaluation away from the endpoints
@@ -108,7 +108,7 @@ class TestSynthesizePulses:
 
     def test_counterintuitive_pulse_ordering(self, pulses):
         # STIRAP heritage: the B-leg pulse peaks before the A-leg pulse
-        assert pulses.times[np.argmax(pulses.g_b)] < pulses.times[np.argmax(pulses.g_a)]
+        assert pulses.times[np.argmax(pulses.g[1])] < pulses.times[np.argmax(pulses.g[0])]
 
     def test_peak_ratio_within_bessel_range(self, traj):
         g_a, g_b = coupling_values(traj, np.linspace(0.0, TAU, 10001))
@@ -126,10 +126,16 @@ class TestSynthesizePulses:
         with pytest.raises(PulseDivergenceError):
             synthesize_pulses(AuxiliaryTrajectory(5.0, TAU))
         # non-finite samples are rejected by PulsePair itself
-        g_a = pulses.g_a.copy()
-        g_a[5] = np.inf
+        g = pulses.g.copy()
+        g[0, 5] = np.inf
         with pytest.raises(PulseDivergenceError, match="finite"):
-            PulsePair(pulses.times, g_a, pulses.g_b)
+            PulsePair(pulses.times, g)
+
+    def test_pair_must_match_the_times(self, pulses):
+        # one row per track, one column per time
+        for g in (pulses.g[:, 1:], pulses.g[:1], np.vstack([pulses.g, pulses.g[:1]])):
+            with pytest.raises(ValueError, match="equal length"):
+                PulsePair(pulses.times, g)
 
 
 class TestInvariant:
@@ -184,8 +190,8 @@ def generic_phase_integrand(traj, pulses, t, branch, h=1e-6):
     mu_m = invariant_eigenstates(traj, max(t - h, 0.0))[branch]
     dmu = (mu_p - mu_m) / (2 * h)
     ham = np.zeros((3, 3), dtype=complex)
-    ham[0, 1] = 0.5 * pulses.g_a_at(t)
-    ham[2, 1] = 0.5 * pulses.g_b_at(t)
+    ham[0, 1] = 0.5 * pulses.g_at(t)[0]
+    ham[2, 1] = 0.5 * pulses.g_at(t)[1]
     ham = ham + ham.conj().T
     return (mu.conj() @ (1j * dmu - ham @ mu)).real
 
@@ -202,7 +208,7 @@ class TestLRPhase:
         # oracle: Simpson quadrature of the generic integrand; a fine pulse
         # table keeps interpolation error in the oracle's H below tolerance
         ts = np.linspace(0.0, TAU, 8001)
-        fine = PulsePair(ts, *coupling_values(traj, ts))
+        fine = PulsePair(ts, coupling_values(traj, ts))
         vals = np.array(
             [generic_phase_integrand(traj, fine, t, branch=1) for t in ts]
         )
@@ -465,7 +471,7 @@ class TestCheckBoundary:
         assert diag.max_von_neumann_residual < 1e-6
 
     def test_perturbed_pulses_detected(self, traj, pulses):
-        perturbed = PulsePair(pulses.times, 1.01 * pulses.g_a, pulses.g_b)
+        perturbed = PulsePair(pulses.times, [1.01 * pulses.g[0], pulses.g[1]])
         diag = check_boundary(traj, perturbed)
         # an order of magnitude above the valid-design bound
         assert diag.max_von_neumann_residual > 1e-4

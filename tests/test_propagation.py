@@ -332,11 +332,19 @@ class TestLindblad:
         assert peak <= 0.70e6
 
 
+def applied(e, r):
+    """The factored propagator e applied to each member of the (k, d, d)
+    block r, by one bound call."""
+    out = np.empty_like(r)
+    e.bind(r, [out])[0]()
+    return out
+
+
 def assembled(e, d):
     """The (d^2, d^2) matrix of the factored propagator e on row-major vec
     rho: its column m is e's image of the m-th unit matrix."""
     units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    return e(units, out=np.empty_like(units)).reshape(d * d, d * d).T
+    return applied(e, units).reshape(d * d, d * d).T
 
 
 def random_open_system(d, seed):
@@ -365,7 +373,7 @@ def stepped_one_call_at_a_time(gen, channels, rho0, tau, step):
     # whole space has another memory order, which moves the loss's sum
     on_support = (slice(None),) * 2 if whole else np.ix_(gen.support, gen.support)
     half, full = propagation._dissipator_propagators(channels, d, dt)
-    rho = half(rho0, out=np.empty_like(rho0))
+    rho = applied(half, rho0)
     done, states, lost = [0], [rho0], np.zeros(len(rho0))
     for first, maps in propagation._raw_maps(gen, n, dt):
         maps, defects = propagation._unitary_maps(maps)
@@ -378,8 +386,8 @@ def stepped_one_call_at_a_time(gen, channels, rho0, tau, step):
             b = table @ rho @ table.conj().T
             if (s + 1) % propagation.RECORD_STRIDE == 0 or s == n - 1:
                 done.append(s + 1)
-                states.append(half(b, out=np.empty_like(b)))
-            rho = full(b, out=np.empty_like(b))
+                states.append(applied(half, b))
+            rho = applied(full, b)
         part = np.stack(acted_on)[(..., *on_support)].reshape(len(maps), len(rho0), -1)
         lost += (part.conj() @ defects.reshape(len(maps), -1, 1)).real.sum(axis=(0, 2))
     return np.array(done) * dt, np.stack(states), float(np.max(np.abs(lost)))
@@ -410,6 +418,23 @@ class TestStrangSplit:
         assert np.array_equal(run.states, states)
         assert run.trace_loss == loss > 0.0
 
+    @pytest.mark.parametrize("tau, writes", [(5.0, 2), (10.3, 5)])
+    def test_propagators_are_bound_three_times_a_run(self, device, monkeypatch, tau,
+                                                     writes):
+        # E_half to rho0, E to the slots and E_half to the records, once a
+        # run however many records it writes; the build binds what it binds
+        calls = []
+        bind = propagation._Factored.bind
+        monkeypatch.setattr(propagation._Factored, "bind",
+                            lambda e, r, outs: calls.append(e) or bind(e, r, outs))
+        propagation._dissipator_propagators(device.channels, device.dim, 0.05)
+        built = len(calls)
+        calls.clear()
+        rho0 = projector(ket(device.dim, device.logical_index("100")))
+        run = integrate_master(device.hamiltonian, device.channels, rho0, tau, 0.05)
+        assert len(run.times) - 1 == writes
+        assert len(calls) - built == 3
+
     @pytest.mark.parametrize("seed", [1, 2])
     def test_second_order_against_stage_by_stage_rk4(self, seed):
         # Strang splitting is second order in the dissipator; the reference
@@ -439,7 +464,7 @@ class TestStrangSplit:
         for e in propagation._dissipator_propagators([], 8, 0.005):
             assert e.factors == ()
             block, out = projector(ket(8, 3)), np.empty((1, 8, 8), dtype=complex)
-            assert e(block, out=out) is out
+            e.bind(block, [out])[0]()
             assert np.array_equal(out, block)
 
     def test_factored_propagator_writes_into_out(self, noisy_model):
@@ -449,12 +474,13 @@ class TestStrangSplit:
         r = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
         for e in propagation._dissipator_propagators(noisy_model.channels, d, 0.005):
             out = np.empty_like(r)
-            assert e(r, out=out) is out
+            e.bind(r, [out])[0]()
             vecs = r.reshape(len(r), -1, 1)
             want = (assembled(e, d) @ vecs).reshape(r.shape)
             assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
         none, _ = propagation._dissipator_propagators([], d, 0.005)
-        assert np.array_equal(none(r, out=out), r)
+        none.bind(r, [out])[0]()
+        assert np.array_equal(out, r)
 
     def test_sites_that_do_not_factor_d_are_refused(self, device):
         with pytest.raises(ValueError, match="do not multiply to d = 27"):

@@ -33,10 +33,21 @@ CLI = [sys.executable, "-m", "nonrecip.cli"]
 SHORT_THREE_LEVEL = ("[scenario]\nmodel = full_three_level\ntau_ns = 29\n"
                      "[coupling]\ng_a_mhz = 50\ng_b_mhz = 50\n")
 
+# a design by the lambda solve, not the default lambda
+PHASE_4_5 = "[scenario]\ntarget_phase_rad = 4.5\n"
+
 # name: (scenario text or None, argv after the global --out/--config)
 COMMANDS = {
     "design": (None, ["design"]),
     "full_qubit_design": (None, ["--model", "full_qubit", "design"]),
+    "design_phase_4_5": (PHASE_4_5, ["design"]),
+    "full_qubit_design_phase_4_5": (PHASE_4_5, ["--model", "full_qubit", "design"]),
+    "solve_lambda": (None, ["solve-lambda"]),
+    "sweep_lambda": (None, ["sweep-lambda"]),
+    # near pi, where the phase quadrature needs its 512- to 2,048-node rules
+    "sweep_lambda_near_pi": (None, ["sweep-lambda", "--lo", "3.0", "--hi", "3.138",
+                                    "-n", "35"]),
+    "ideal_ensemble": (None, ["--model", "ideal", "simulate", "--initial", "ensemble"]),
     "se_transfer_100": (None, ["simulate", "--initial", "100"]),
     "se_ensemble": (None, ["simulate", "--initial", "ensemble"]),
     "se_closed_transfer_010": (None, ["--no-noise", "simulate", "--initial", "010"]),
