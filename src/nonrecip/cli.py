@@ -58,11 +58,10 @@ def _resolve_design(cfg: ScenarioConfig):
     return lam, pulses, float(theta), float(error)
 
 
-def _chain_drives(cfg: ScenarioConfig, pulses):
-    """(chain, drives) of a device model: the scenario's chain and the
-    Bessel-inverted drive envelopes of the pulses on it."""
-    chain = cfg.chain_spec()
-    return chain, invert_bessel_drive(pulses, chain)
+def _pulse_columns(pulses) -> dict:
+    """The CSV columns of the pulses: t_ns, g'_A and g'_B in rad/ns."""
+    return {"t_ns": pulses.times, "gprime_a_rad_per_ns": pulses.g[0],
+            "gprime_b_rad_per_ns": pulses.g[1]}
 
 
 def _build_model(cfg: ScenarioConfig, pulses) -> SimulationModel:
@@ -70,21 +69,14 @@ def _build_model(cfg: ScenarioConfig, pulses) -> SimulationModel:
         return ideal_model(pulses)
     build = (single_excitation_model if cfg.model == "single_excitation"
              else full_chain_model)
-    return build(*_chain_drives(cfg, pulses))
-
-
-def _reports(cfg: ScenarioConfig, model: SimulationModel, theta_plus: float,
-             initials) -> dict[str, tuple[dict, dict]]:
-    """The (summary, columns) of each initial, "ensemble" or a logical
-    basis label, against the designed unitary, all from one propagation
-    at the model's default step unless the scenario sets step_ns."""
-    return fidelity_reports(model, inv.target_unitary(theta_plus), initials,
-                            noise=cfg.noise, step=cfg.step_ns)
+    chain = cfg.chain_spec()
+    return build(chain, invert_bessel_drive(pulses, chain))
 
 
 def cmd_design(cfg: ScenarioConfig, out_dir: Path) -> int:
+    """Design the pulses, and for a device model its drives, before any write."""
     lam, pulses, theta, error = _resolve_design(cfg)
-    pulses.write_csv(out_dir / "pulses.csv")
+    tables = {"pulses.csv": _pulse_columns(pulses)}
     theta_mod = theta % (2.0 * math.pi)
     summary = {
         "lambda": lam,
@@ -99,10 +91,13 @@ def cmd_design(cfg: ScenarioConfig, out_dir: Path) -> int:
     if cfg.lambda_ is None:
         summary["lambda_residual_rad"] = abs(theta - cfg.target_phase_rad)
     if cfg.model != "ideal":
-        chain, drives = _chain_drives(cfg, pulses)
-        drives.write_csv(out_dir / "eta.csv")
+        chain = cfg.chain_spec()
+        eta = invert_bessel_drive(pulses, chain).eta
+        tables["eta.csv"] = {"t_ns": pulses.times, "eta_a": eta[0], "eta_b": eta[1]}
         for name, g, g_static in zip("ab", pulses.g, (chain.g_a, chain.g_b)):
             summary[f"bessel_peak_ratio_{name}"] = float(abs(g).max() / (2 * g_static))
+    for name, columns in tables.items():
+        write_csv(out_dir / name, columns)
     write_json(out_dir / "design_summary.json", summary)
     print(f"design: lambda = {lam:.6f}, "
           f"|theta_plus| = {theta:.6f} rad ({summary['character']})")
@@ -149,7 +144,9 @@ def cmd_sweep_lambda(lo: float, hi: float, n: int, out_dir: Path) -> int:
 
 def cmd_simulate(cfg: ScenarioConfig, initial: str, out_dir: Path) -> int:
     _, pulses, theta, _ = _resolve_design(cfg)
-    summary, columns = _reports(cfg, _build_model(cfg, pulses), theta, [initial])[initial]
+    summary, columns = fidelity_reports(
+        _build_model(cfg, pulses), inv.target_unitary(theta), [initial],
+        noise=cfg.noise, step=cfg.step_ns)[initial]
     write_csv(out_dir / ("ensemble_fidelity.csv" if initial == "ensemble"
                          else f"trajectory_{initial}.csv"), columns)
     write_json(out_dir / "report.json", summary)
@@ -170,7 +167,7 @@ def cmd_reproduce_fig3(cfg: ScenarioConfig, out_dir: Path) -> int:
     lam, pulses, theta, _ = _resolve_design(cfg)
     model = _build_model(cfg, pulses)
     _write_sweep(out_dir / "fig3a_lambda_sweep.csv", np.linspace(0.15, 1.0, 35))
-    pulses.write_csv(out_dir / "fig3b_pulses.csv")
+    write_csv(out_dir / "fig3b_pulses.csv", _pulse_columns(pulses))
     panels = {
         "a": {"lambda": lam, "lambda_matches": abs(lam - REFERENCE_LAMBDA) <= 5e-4,
               "status": "ok"},
@@ -178,7 +175,8 @@ def cmd_reproduce_fig3(cfg: ScenarioConfig, out_dir: Path) -> int:
     }
     initials = {"c": "ensemble", "d": "100", "e": "001", "f": "010"}
     try:
-        reports = _reports(cfg, model, theta, initials.values())
+        reports = fidelity_reports(model, inv.target_unitary(theta), initials.values(),
+                                   noise=cfg.noise, step=cfg.step_ns)
     except Exception as exc:  # noqa: BLE001 - panels a and b still stand
         panels.update(dict.fromkeys(initials, {
             "status": "failed", "error": str(exc), "error_type": type(exc).__name__}))

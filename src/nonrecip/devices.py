@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .invariant import PulsePair
-from .reporting import write_csv
 from .statespace import ControlHamiltonian, _freeze
 
 # location and value of the first maximum of J1
@@ -153,6 +152,8 @@ class DriveWaveform:
     def __post_init__(self):
         object.__setattr__(self, "times", _freeze(self.times, float))
         object.__setattr__(self, "eta", _freeze(self.eta, float))
+        if self.eta.shape != (2, len(self.times)):
+            raise ValueError("eta must hold two envelopes of len(times) samples")
         for eta in self.eta:
             if not np.max(np.abs(eta)) <= J1_PEAK_X + 1e-12:  # NaN fails
                 raise ValueError("envelopes must be finite and stay in "
@@ -172,9 +173,6 @@ class DriveWaveform:
         return tuple(self.nu * float(np.abs(eta).max())
                      + float(np.max(np.abs(np.diff(eta)) / dt))
                      for eta in self.eta)
-
-    def write_csv(self, path):
-        write_csv(path, {"t_ns": self.times, "eta_a": self.eta[0], "eta_b": self.eta[1]})
 
 
 def invert_bessel_drive(pulses: PulsePair, chain: ChainSpec) -> DriveWaveform:
@@ -197,9 +195,6 @@ def invert_bessel_drive(pulses: PulsePair, chain: ChainSpec) -> DriveWaveform:
     eta = np.where(pulses.g < 0, -eta, eta)
     eta[:, [0, -1]] = 0.0
     return DriveWaveform(pulses.times, eta, chain.nu)
-
-
-SINGLE_EXCITATION_LABELS = ("100", "010", "001")
 
 
 def _single_excitation_control(chain: ChainSpec, drives: DriveWaveform):
@@ -317,7 +312,7 @@ def lindblad_channels(chain: ChainSpec, d: int) -> list[LindbladChannel]:
 @dataclass(frozen=True, eq=False)
 class SimulationModel:
     """A propagatable model: control-form Hamiltonian, collapse channels,
-    the location of the logical circulator states in its basis, its
+    the basis indices of the logical states |100>, |010>, |001>, its
     default step (ns, see _model) and phase_rate, the bound (rad/ns) on
     the rate of its fastest coefficient phase that set it."""
 
@@ -337,15 +332,6 @@ class SimulationModel:
         """Whether a run with noise requested propagates rho under the
         model's channels: only when the model has some."""
         return noise and bool(self.channels)
-
-    def logical_index(self, label: str) -> int:
-        try:
-            return self.logical_indices[SINGLE_EXCITATION_LABELS.index(label)]
-        except ValueError:
-            raise ValueError(
-                f"unknown logical label {label!r}; "
-                f"expected one of {SINGLE_EXCITATION_LABELS}"
-            ) from None
 
 
 def _model(name: str, control: tuple[ControlHamiltonian, float], channels,
@@ -369,28 +355,25 @@ def _model(name: str, control: tuple[ControlHamiltonian, float], channels,
 
 
 def ideal_model(pulses: PulsePair) -> SimulationModel:
-    """Closed-system ideal three-level model driven by the pulse pair."""
-    return _model("ideal", (pulses.hamiltonian(), 0.0), (), (0, 1, 2), pulses.times)
+    """Closed ideal model on {A, M, B}: g'_A/2 couples |A>, g'_B/2 |B> to |M>."""
+    ops = np.zeros((2, 3, 3))
+    ops[0, 0, 1] = ops[0, 1, 0] = ops[1, 2, 1] = ops[1, 1, 2] = 1.0
+    hamiltonian = ControlHamiltonian(
+        np.zeros((3, 3)), ops, lambda t: 0.5 * np.stack(pulses.g_at(t), axis=-1))
+    return _model("ideal", (hamiltonian, 0.0), (), (0, 1, 2), pulses.times)
 
 
-def _chain_model(name: str, chain: ChainSpec, drives: DriveWaveform,
-                 control: tuple[ControlHamiltonian, float], d: int) -> SimulationModel:
-    return _model(name, control, lindblad_channels(chain, d),
-                  single_excitation_indices(d), drives.times)
-
-
-def single_excitation_model(
-    chain: ChainSpec, drives: DriveWaveform
-) -> SimulationModel:
+def single_excitation_model(chain: ChainSpec, drives: DriveWaveform) -> SimulationModel:
     """Single-excitation chain Hamiltonian on the qubit product space,
     so that the per-transmon collapse channels act exactly."""
-    return _chain_model("single_excitation", chain, drives,
-                        _single_excitation_control(chain, drives), 2)
+    return _model("single_excitation", _single_excitation_control(chain, drives),
+                  lindblad_channels(chain, 2), single_excitation_indices(2), drives.times)
 
 
 def full_chain_model(chain: ChainSpec, drives: DriveWaveform) -> SimulationModel:
     """Full coupled-chain model, counter-rotating terms included, at the
     chain's level truncation."""
     name = "full_qubit" if chain.d == 2 else "full_three_level"
-    return _chain_model(name, chain, drives,
-                        _full_chain_control(chain, drives), chain.d)
+    return _model(name, _full_chain_control(chain, drives),
+                  lindblad_channels(chain, chain.d), single_excitation_indices(chain.d),
+                  drives.times)

@@ -21,8 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .reporting import write_csv
-from .statespace import ControlHamiltonian, _freeze
+from .statespace import _freeze
 
 
 class TrajectoryRangeError(ValueError):
@@ -134,18 +133,6 @@ class PulsePair:
     def g_at(self, t):
         """g'_A and g'_B at the times t, linearly interpolated, as rows."""
         return np.stack([np.interp(t, self.times, g) for g in self.g])
-
-    def hamiltonian(self) -> ControlHamiltonian:
-        """The ideal three-level Hamiltonian in control form: the pulses
-        couple |A> and |B> to |M> with strength g'_j/2."""
-        ops = np.zeros((2, 3, 3))
-        ops[0, 0, 1] = ops[0, 1, 0] = ops[1, 2, 1] = ops[1, 1, 2] = 1.0
-        return ControlHamiltonian(np.zeros((3, 3)), ops,
-                                  lambda t: 0.5 * np.stack(self.g_at(t), axis=-1))
-
-    def write_csv(self, path):
-        write_csv(path, {"t_ns": self.times, "gprime_a_rad_per_ns": self.g[0],
-                         "gprime_b_rad_per_ns": self.g[1]})
 
 
 PULSE_SAMPLES = 2001

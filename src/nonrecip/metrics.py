@@ -7,8 +7,10 @@ import math
 
 import numpy as np
 
-from .devices import SINGLE_EXCITATION_LABELS, SimulationModel
+from .devices import SimulationModel
 from .propagation import IntegratorError, integrate_master, propagate_schrodinger
+
+SINGLE_EXCITATION_LABELS = ("100", "010", "001")  # as SimulationModel.logical_indices
 
 
 def _evolve(model: SimulationModel, initial_states, noise: bool,
@@ -105,8 +107,13 @@ def fidelity_reports(model: SimulationModel, unitary, initials, noise: bool = Tr
     needs = {initial: ("010", "001", initial) if initial == "ensemble" else (initial,)
              for initial in initials}
     members = list(dict.fromkeys(m for labels in needs.values() for m in labels))
+    index = dict(zip(SINGLE_EXCITATION_LABELS, model.logical_indices))
     eye = np.eye(model.dim)
-    basis = {m: eye[model.logical_index(m)] for m in members if m != "ensemble"}
+    try:
+        basis = {m: eye[index[m]] for m in members if m != "ensemble"}
+    except KeyError as exc:
+        raise ValueError(f"unknown logical label {exc.args[0]!r}; "
+                         f"expected one of {SINGLE_EXCITATION_LABELS}") from None
     run, times, blocks, traces = _evolve(model, [
         (basis["010"] + basis["001"]) / math.sqrt(2.0) if m == "ensemble" else basis[m]
         for m in members], noise, step)

@@ -8,7 +8,7 @@ def _with_anti_hermitian_drift(model):
     Hermiticity of every propagated density matrix."""
     h = model.hamiltonian
     drift = h.h0.copy()
-    drift[model.logical_index("100"), model.logical_index("100")] -= 0.01j
+    drift[model.logical_indices[0], model.logical_indices[0]] -= 0.01j
     return dataclasses.replace(model, hamiltonian=dataclasses.replace(h, h0=drift))
 
 

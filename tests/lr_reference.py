@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from nonrecip.devices import ideal_model
 from nonrecip.invariant import AuxiliaryTrajectory, PulsePair, theta_plus_magnitudes
 
 ISOLATION_FLOOR_DB = -120.0
@@ -94,7 +95,7 @@ def check_boundary(
     if n_grid < 2:
         raise ValueError("n_grid must be >= 2")
     times = np.linspace(0.0, traj.tau, n_grid)
-    h = pulses.hamiltonian().matrices(times)
+    h = ideal_model(pulses).hamiltonian.matrices(times)
     i_mat, di = invariant_stack(traj, times)
     comm = h @ i_mat - i_mat @ h
     return BoundaryDiagnostics(

@@ -255,7 +255,7 @@ class TestPropertySuite:
         sub("boundary commutators", comm < 1e-9, f"{comm:.1e}")
 
         # density-matrix invariants survive an open-system run
-        i0 = device.logical_index("100")
+        i0 = device.logical_indices[0]
         rho0 = np.zeros((1, device.dim, device.dim), dtype=complex)
         rho0[0, i0, i0] = 1.0
         out = integrate_master(

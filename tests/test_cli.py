@@ -189,6 +189,17 @@ class TestDesignCommand:
                      str(tmp_path / "out"), "design"])
         assert code == EXIT_UNATTAINABLE_DRIVE
 
+    @pytest.mark.parametrize("command", [["design"], ["simulate", "--initial", "100"]])
+    def test_unattainable_drive_writes_no_file(self, tmp_path, capsys, command):
+        # the drives are inverted before any output is written
+        cfg_path = tmp_path / "bad.ini"
+        cfg_path.write_text("[scenario]\nlambda = 1.5\n[coupling]\ng_a_mhz = 2\n")
+        out = tmp_path / "out"
+        code = main(["--config", str(cfg_path), "--out", str(out)] + command)
+        assert code == EXIT_UNATTAINABLE_DRIVE
+        assert "effective coupling g'_A requires J1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reruns_are_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["--out", str(out1), "--model", "ideal", "design"]) == EXIT_OK

@@ -246,6 +246,12 @@ class TestInvertBesselDrive:
             with pytest.raises(ValueError, match="finite"):
                 DriveWaveform(t, eta, 1.0)
 
+    @pytest.mark.parametrize("shape", [(2, 4), (3, 3), (1, 3), (3,)])
+    def test_waveform_must_match_the_times(self, shape):
+        # one row per track, one column per time, refused at construction
+        with pytest.raises(ValueError, match="two envelopes of len\\(times\\) samples"):
+            DriveWaveform(np.linspace(0.0, 1.0, 3), np.zeros(shape), 1.0)
+
 
 class TestIdealHamiltonian:
     def test_zero_at_endpoints(self, pulses):
@@ -443,7 +449,7 @@ class TestEmbedding:
 # would compare field tuples and ask an array for its truth value
 BUILT_PARTS = {
     "Trajectory": lambda pulses, drives, model: propagate_schrodinger(
-        model.hamiltonian, np.eye(model.dim)[[model.logical_index("100")]], 1.0, 0.05),
+        model.hamiltonian, np.eye(model.dim)[[model.logical_indices[0]]], 1.0, 0.05),
     "PulsePair": lambda pulses, drives, model: pulses,
     "DriveWaveform": lambda pulses, drives, model: drives,
     "SimulationModel": lambda pulses, drives, model: model,

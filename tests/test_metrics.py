@@ -175,7 +175,7 @@ class TestTransferFidelity:
         mixed[:, 1] = generic
         designed = fidelity_reports(model, U_CIRC, initials, noise=noise, step=step)
         history = dict(zip(initials, full_rho_history(
-            model, np.eye(model.dim)[[model.logical_index(i) for i in initials]],
+            model, np.eye(model.dim)[list(model.logical_indices)],
             noise, step)))
         cases = [(i, U_CIRC[:, j], designed[i]) for j, i in enumerate(initials)]
         cases.append(("010", generic, report_of(model, mixed, "010", noise, step)))
@@ -377,7 +377,7 @@ class TestInvariantChecks:
         # run would pass
         h = device.hamiltonian
         drift = h.h0.copy()
-        drift[device.logical_index("100"), device.logical_index("100")] -= 1e-9j
+        drift[device.logical_indices[0], device.logical_indices[0]] -= 1e-9j
         broken = replace(device, hamiltonian=replace(h, h0=drift))
         with pytest.raises(IntegratorError, match="Hamiltonian lost Hermiticity"):
             report_of(broken, U_CIRC, "100", step=COARSE)

@@ -71,6 +71,32 @@ def test_every_public_name_is_used_by_the_program():
     assert unused_names() == []
 
 
+def layer_uses(path) -> tuple[bool, bool]:
+    """Whether a module of src/nonrecip imports nonrecip.reporting (or a
+    name from it), and whether it calls ControlHamiltonian(...)."""
+    imports = calls = False
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            imports |= (module.rpartition(".")[2] == "reporting"
+                        or any(a.name == "reporting" for a in node.names))
+        elif isinstance(node, ast.Import):
+            imports |= any(a.name.rpartition(".")[2] == "reporting" for a in node.names)
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            calls |= name == "ControlHamiltonian"
+    return imports, calls
+
+
+def test_each_layer_keeps_to_its_job():
+    """Only cli writes files (through reporting), and only devices builds
+    a model's Hamiltonian."""
+    uses = {path.stem: layer_uses(path)
+            for path in sorted((ROOT / "src" / "nonrecip").glob("*.py"))}
+    assert [name for name, (imports, _) in uses.items() if imports] == ["cli"]
+    assert [name for name, (_, calls) in uses.items() if calls] == ["devices"]
+
+
 def code_objects() -> dict[tuple, str]:
     """(co_filename, co_firstlineno, co_name) -> module.qualname of every
     code object compiled from the nonrecip package."""

@@ -253,7 +253,7 @@ class TestLindblad:
 
     def test_vanishing_rates_recover_closed_system(self, device):
         weak = [replace(c, rate=1e-12) for c in device.channels]
-        psi0 = ket(device.dim, device.logical_index("100"))
+        psi0 = ket(device.dim, device.logical_indices[0])
         step = device.default_step
         closed = propagate_schrodinger(device.hamiltonian, psi0, TAU, step)
         damped = integrate_master(device.hamiltonian, weak, projector(psi0), TAU, step)
@@ -261,7 +261,7 @@ class TestLindblad:
         assert np.max(np.abs(damped.states[-1] - expected)) < 1e-8
 
     def test_device_run_preserves_invariants(self, device):
-        psi0 = ket(device.dim, device.logical_index("100"))
+        psi0 = ket(device.dim, device.logical_indices[0])
         traj = integrate_master(
             device.hamiltonian, device.channels, projector(psi0), 10.0,
             device.default_step,
@@ -297,7 +297,7 @@ class TestLindblad:
     def test_broken_member_of_block_raises(self, device):
         # the trace is conserved to rounding, so a member that starts with
         # trace 2 still has it at the end
-        good = projector(ket(device.dim, device.logical_index("100")))
+        good = projector(ket(device.dim, device.logical_indices[0]))
         integrate_master(device.hamiltonian, device.channels, good, 2.0, 0.05)
         with pytest.raises(IntegratorError, match="trace"):
             integrate_master(device.hamiltonian, device.channels,
@@ -322,7 +322,7 @@ class TestLindblad:
         # the (m + 1, k, d, d) chunk buffer holds the states that the maps
         # act on, and the maps are formed and projected on the 3 x 3
         # support block; 0.701 MB before both, 0.55 MB after
-        rho0 = projector(ket(device.dim, device.logical_index("100")))
+        rho0 = projector(ket(device.dim, device.logical_indices[0]))
         tracemalloc.start()
         try:
             integrate_master(device.hamiltonian, device.channels, rho0, TAU, 0.05)
@@ -430,7 +430,7 @@ class TestStrangSplit:
         propagation._dissipator_propagators(device.channels, device.dim, 0.05)
         built = len(calls)
         calls.clear()
-        rho0 = projector(ket(device.dim, device.logical_index("100")))
+        rho0 = projector(ket(device.dim, device.logical_indices[0]))
         run = integrate_master(device.hamiltonian, device.channels, rho0, tau, 0.05)
         assert len(run.times) - 1 == writes
         assert len(calls) - built == 3
@@ -506,7 +506,7 @@ class TestStrangSplit:
     def test_projection_holds_the_trace_at_a_coarse_step(self, device):
         # without the projection the trace drifts by 6.0e-8 over this run,
         # above check_density's 1e-8
-        psi0 = ket(device.dim, device.logical_index("010"))
+        psi0 = ket(device.dim, device.logical_indices[1])
         traj = integrate_master(device.hamiltonian, device.channels,
                                 projector(psi0), TAU, 0.05)
         trace = np.trace(traj.states, axis1=2, axis2=3)
@@ -514,7 +514,7 @@ class TestStrangSplit:
 
     def test_trajectory_carries_the_bounded_trace_loss(self, device):
         # a closed run's loss is the telescoped change of the squared norm
-        psi0 = ket(device.dim, device.logical_index("100"))
+        psi0 = ket(device.dim, device.logical_indices[0])
         closed = propagate_schrodinger(device.hamiltonian, psi0, 20.0, 0.05)
         assert closed.trace_loss == abs(1.0 - np.sum(np.abs(closed.states[-1]) ** 2))
         assert 0.0 < closed.trace_loss <= 2e-6

@@ -35,10 +35,15 @@ SHORT_THREE_LEVEL = ("[scenario]\nmodel = full_three_level\ntau_ns = 29\n"
 
 # a design by the lambda solve, not the default lambda
 PHASE_4_5 = "[scenario]\ntarget_phase_rad = 4.5\n"
+# the benchmark's operations: a design-verify target, and the noisy-se
+# reference scenario (the circulator phase, the step pinned at 0.05 ns)
+DESIGN_VERIFY = "[scenario]\ntarget_phase_rad = 4.5\ntau_ns = 200\n"
+NOISY_SE = "[scenario]\ntarget_phase_rad = 4.71238898038469\nstep_ns = 0.05\n"
 
 # name: (scenario text or None, argv after the global --out/--config)
 COMMANDS = {
     "design": (None, ["design"]),
+    "ideal_design": (None, ["--model", "ideal", "design"]),
     "full_qubit_design": (None, ["--model", "full_qubit", "design"]),
     "design_phase_4_5": (PHASE_4_5, ["design"]),
     "full_qubit_design_phase_4_5": (PHASE_4_5, ["--model", "full_qubit", "design"]),
@@ -51,6 +56,9 @@ COMMANDS = {
     "se_transfer_100": (None, ["simulate", "--initial", "100"]),
     "se_ensemble": (None, ["simulate", "--initial", "ensemble"]),
     "se_closed_transfer_010": (None, ["--no-noise", "simulate", "--initial", "010"]),
+    "design_verify_verify": (DESIGN_VERIFY, ["--model", "ideal", "--no-noise", "simulate",
+                                             "--initial", "100"]),
+    "noisy_se_transfer_010": (NOISY_SE, ["simulate", "--initial", "010"]),
     "full_qubit_ensemble": (None, ["--model", "full_qubit", "simulate",
                                    "--initial", "ensemble"]),
     "full_qubit_closed_transfer_100": (None, ["--model", "full_qubit", "--no-noise",
