@@ -53,7 +53,7 @@ def _resolve_design(cfg: ScenarioConfig):
     lam = cfg.lambda_
     if lam is None:
         lam = inv.solve_lambda(cfg.target_phase_rad)
-    pulses = inv.synthesize_pulses(inv.AuxiliaryTrajectory(lam, cfg.tau_ns))
+    pulses = inv.synthesize_pulses(lam, cfg.tau_ns)
     (theta,), (error,), _ = inv.theta_plus_magnitudes(lam)
     return lam, pulses, float(theta), float(error)
 

@@ -359,7 +359,7 @@ def ideal_model(pulses: PulsePair) -> SimulationModel:
     ops = np.zeros((2, 3, 3))
     ops[0, 0, 1] = ops[0, 1, 0] = ops[1, 2, 1] = ops[1, 1, 2] = 1.0
     hamiltonian = ControlHamiltonian(
-        np.zeros((3, 3)), ops, lambda t: 0.5 * np.stack(pulses.g_at(t), axis=-1))
+        np.zeros((3, 3)), ops, lambda t: 0.5 * pulses.g_at(t).T)
     return _model("ideal", (hamiltonian, 0.0), (), (0, 1, 2), pulses.times)
 
 

@@ -1,12 +1,13 @@
 """Invariant-based pulse design for the three-level circulator.
 
-An auxiliary trajectory (gamma(t), beta(t)) parameterized by a single
-dimensionless knob lambda determines, in closed form, a pair of effective
-coupling pulses.  The associated dynamical invariant commutes with the
-Hamiltonian at the protocol endpoints, and the phase accumulated by its
-eigenstates over one period fixes the realized evolution operator.  The
-invariant's scale is arbitrary and fixed at one, so its eigenvalues are
-0 and +-1/2; its three branches accumulate the phases (0, +theta_plus,
+The design lives in reduced time u = t/tau.  An auxiliary trajectory
+(gamma(u), beta(u)) parameterized by a single dimensionless knob lambda
+determines, in closed form, a pair of effective coupling pulses
+g'(t) = G(u; lambda)/tau.  The associated dynamical invariant commutes
+with the Hamiltonian at the protocol endpoints, and the phase accumulated
+by its eigenstates over one period fixes the realized evolution operator.
+The invariant's scale is arbitrary and fixed at one, so its eigenvalues
+are 0 and +-1/2; its three branches accumulate the phases (0, +theta_plus,
 -theta_plus).  A phase of 3*pi/2 yields the one-way circulator; pi
 yields a reciprocal swap.  The phase depends on lambda alone, and one
 function, theta_plus_magnitudes, computes it: values, quadrature errors
@@ -24,10 +25,6 @@ import numpy as np
 from .statespace import _freeze
 
 
-class TrajectoryRangeError(ValueError):
-    """Time argument outside [0, tau]."""
-
-
 class PulseDivergenceError(ValueError):
     """Synthesized couplings are non-finite (trajectory reaches gamma = pi)."""
 
@@ -40,51 +37,20 @@ class NonMonotonicBracketError(ValueError):
     """|theta_plus(lambda)| is not strictly monotonic on the bracket."""
 
 
-@dataclass(frozen=True)
-class AuxiliaryTrajectory:
-    """Closed-form auxiliary angles gamma(t), beta(t) on [0, tau].
+def _angles(lam, tau, u):
+    """gamma, beta, gamma_dot and beta_dot/gamma at u = t/tau.
 
-    gamma(t) = lambda * t^2 (t - tau)^2 / (tau/2)^4 rises from 0 to
-    lambda at mid-protocol and returns to 0; beta(t) is a seventh-order
-    polynomial ramp from 0 to pi/2 with three vanishing derivatives at
-    each end.  All evaluators accept scalars or arrays.
+    gamma = 16 lambda u^2 (1 - u)^2 rises from 0 to lambda at u = 1/2
+    and returns to 0; beta is a seventh-order polynomial ramp from 0 to
+    pi/2 with three vanishing derivatives at each end.  Both depend on
+    u alone, and the rates carry 1/tau.  beta_dot/gamma has the common
+    u^2 (1 - u)^2 cancelled, so it is finite at the endpoints too, which
+    keeps the cot(gamma) terms of the couplings removable.
     """
-
-    lambda_: float
-    tau: float
-
-    def __post_init__(self):
-        for name, value in (("lambda", self.lambda_), ("tau", self.tau)):
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-
-    def _check_range(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < -1e-12) or np.any(t > self.tau + 1e-12):
-            raise TrajectoryRangeError(f"t outside [0, {self.tau}]")
-        return np.clip(t, 0.0, self.tau)
-
-    def gamma(self, t):
-        u = self._check_range(t) / self.tau
-        return 16.0 * self.lambda_ * u**2 * (1.0 - u) ** 2
-
-    def beta(self, t):
-        u = self._check_range(t) / self.tau
-        return np.pi * u**4 * (-10.0 * u**3 + 35.0 * u**2 - 42.0 * u + 17.5)
-
-    def gamma_dot(self, t):
-        u = self._check_range(t) / self.tau
-        return 32.0 * self.lambda_ * u * (1.0 - u) * (1.0 - 2.0 * u) / self.tau
-
-    def beta_dot_over_gamma(self, t):
-        """beta_dot/gamma with the common t^2 (tau-t)^2 factor cancelled.
-
-        Finite everywhere, including the endpoints where both factors
-        vanish; this is the quantity that keeps the cot(gamma) terms of
-        the coupling formulas removable.
-        """
-        u = self._check_range(t) / self.tau
-        return 35.0 * np.pi * u * (1.0 - u) / (8.0 * self.lambda_ * self.tau)
+    return (16.0 * lam * u**2 * (1.0 - u) ** 2,
+            np.pi * u**4 * (-10.0 * u**3 + 35.0 * u**2 - 42.0 * u + 17.5),
+            32.0 * lam * u * (1.0 - u) * (1.0 - 2.0 * u) / tau,
+            35.0 * np.pi * u * (1.0 - u) / (8.0 * lam * tau))
 
 
 def _gamma_over_tan(gamma):
@@ -97,17 +63,15 @@ def _gamma_over_tan(gamma):
     return np.where(small, 1.0 - gamma**2 / 3.0, ratio)
 
 
-def coupling_values(traj: AuxiliaryTrajectory, t):
-    """Effective couplings at time t, in rad/ns, as the rows (g'_A, g'_B).
+def coupling_values(lam, tau, u):
+    """Effective couplings at u = t/tau, in rad/ns, as the rows (g'_A, g'_B).
 
     g'_A = 2[beta_dot cot(gamma) sin(beta) + gamma_dot cos(beta)] and
     g'_B = 2[beta_dot cot(gamma) cos(beta) - gamma_dot sin(beta)],
     evaluated in a rearranged form whose endpoint limits are exactly 0.
     """
-    g = traj.gamma(t)
-    b = traj.beta(t)
-    gd = traj.gamma_dot(t)
-    cot_term = traj.beta_dot_over_gamma(t) * _gamma_over_tan(g)
+    g, b, gd, bd_over_g = _angles(lam, tau, u)
+    cot_term = bd_over_g * _gamma_over_tan(g)
     return 2.0 * np.stack([cot_term * np.sin(b) + gd * np.cos(b),
                            cot_term * np.cos(b) - gd * np.sin(b)])
 
@@ -138,18 +102,24 @@ class PulsePair:
 PULSE_SAMPLES = 2001
 
 
-def synthesize_pulses(traj: AuxiliaryTrajectory) -> PulsePair:
+def synthesize_pulses(lam: float, tau: float) -> PulsePair:
     """Tabulate the coupling pulses on a uniform grid of PULSE_SAMPLES points.
 
-    Raises PulseDivergenceError when the trajectory passes through
-    gamma = pi (lambda >= pi), where the couplings diverge.
+    Raises ValueError unless lambda and tau are finite and > 0, and
+    PulseDivergenceError when the trajectory passes through gamma = pi
+    (lambda >= pi), where the couplings diverge, or when the samples are
+    not finite (a tau or lambda so small that the rates overflow).
     """
-    if traj.lambda_ >= np.pi:
+    for name, value in (("lambda", lam), ("tau", tau)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    if lam >= np.pi:
         raise PulseDivergenceError(
-            f"couplings diverge for lambda = {traj.lambda_} (gamma reaches pi)"
+            f"couplings diverge for lambda = {lam} (gamma reaches pi)"
         )
-    times = np.linspace(0.0, traj.tau, PULSE_SAMPLES)
-    g = coupling_values(traj, times)
+    times = np.linspace(0.0, tau, PULSE_SAMPLES)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g = coupling_values(lam, tau, times / tau)  # PulsePair refuses non-finite
     g[:, [0, -1]] = 0.0  # the exact limits at the removable endpoint singularities
     return PulsePair(times, g)
 
@@ -192,12 +162,8 @@ def _gauss_legendre(n: int):
 @lru_cache(maxsize=None)
 def _phase_rule(n: int):
     """s^2 and 70 pi s^3 w at the nodes of the n-point Gauss-Legendre
-    rule on [0, 1] with weights w, s = u (1 - u).  The rule on [-1, 1]
-    comes from _gauss_legendre: Newton on the Legendre recurrence
-    k P_k = (2k - 1) x P_{k-1} - (k - 1) P_{k-2} from
-    x_i = -cos(pi (i + 3/4) / (n + 1/2)), with weights
-    2 / ((1 - x^2) P_n'(x)^2) (Hale & Townsend 2013), then mapped by
-    u = (1 + x) / 2."""
+    rule on [0, 1] with weights w, s = u (1 - u): _gauss_legendre's
+    rule on [-1, 1] mapped by u = (1 + x) / 2."""
     x, w = _gauss_legendre(n)
     s = 0.25 * (1.0 - x) * (1.0 + x)
     return s**2, 70.0 * math.pi * s**3 * (0.5 * w)

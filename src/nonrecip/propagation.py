@@ -120,14 +120,24 @@ _MAP_ENTRIES = 6144
 _WHOLE_E_ENTRIES = 64**2
 
 
+# 30 times the longest default run (32,000 steps on the full chains); at
+# the cap a 4-member d = 27 open block's 20,001 records hold 0.93 GB
+MAX_STEPS = 10**6
+
+
 def _grid(tau: float, step: float) -> tuple[int, float]:
     """(n, dt): tau in the nearest whole number n of steps of about step
     ns.  Each model's default_step resolves its fastest phase (devices).
-    Raises ValueError unless tau and step are finite and > 0."""
+    Raises ValueError unless tau and step are finite and > 0, and when n
+    exceeds MAX_STEPS, before anything is allocated."""
     for name, value in (("tau", tau), ("step", step)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and > 0, got {value}")
-    n = max(1, int(round(tau / step)))
+    n = tau / step  # inf when the quotient overflows
+    n = max(1, round(n)) if math.isfinite(n) else n
+    if n > MAX_STEPS:
+        raise ValueError(f"tau = {tau} ns in steps of about {step} ns takes {n} "
+                         f"steps, over the {MAX_STEPS} allowed")
     return n, tau / n
 
 

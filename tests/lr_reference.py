@@ -11,23 +11,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from nonrecip.devices import ideal_model
-from nonrecip.invariant import AuxiliaryTrajectory, PulsePair, theta_plus_magnitudes
+from nonrecip.invariant import _angles, PulsePair, theta_plus_magnitudes
 
 ISOLATION_FLOOR_DB = -120.0
 
 
-def beta_dot(traj: AuxiliaryTrajectory, t):
+def beta_dot(tau: float, t):
     """d(beta)/dt = 70 pi u^3 (1 - u)^3 / tau, u = t / tau: the closed-form
     derivative of the trajectory's beta ramp."""
-    u = np.asarray(t, dtype=float) / traj.tau
-    return 70.0 * np.pi * u**3 * (1.0 - u) ** 3 / traj.tau
+    u = np.asarray(t, dtype=float) / tau
+    return 70.0 * np.pi * u**3 * (1.0 - u) ** 3 / tau
 
 
-def invariant_stack(traj: AuxiliaryTrajectory, t):
+def angles(lam: float, tau: float, t):
+    """nonrecip's gamma, beta and gamma_dot of the design (lam, tau) at the
+    times t, and beta_dot from beta_dot above."""
+    g, b, gd, _ = _angles(lam, tau, np.asarray(t, dtype=float) / tau)
+    return g, b, gd, beta_dot(tau, t)
+
+
+def invariant_stack(lam: float, tau: float, t):
     """I(t) and dI/dt (closed-form derivative of the entries) in the
     {A, M, B} basis, each stacked to shape (m, 3, 3) over the times t."""
-    g, b, gd, bd = (np.atleast_1d(f(t)) for f in (
-        traj.gamma, traj.beta, traj.gamma_dot, lambda t: beta_dot(traj, t)))
+    g, b, gd, bd = (np.atleast_1d(x) for x in angles(lam, tau, t))
     cg, sg, cb, sb = np.cos(g), np.sin(g), np.cos(b), np.sin(b)
 
     def matrix(am, ab, mb):
@@ -41,14 +47,13 @@ def invariant_stack(traj: AuxiliaryTrajectory, t):
             matrix(-gd * sg * sb + bd * cg * cb, gd * cg, -gd * sg * cb - bd * cg * sb))
 
 
-def invariant_eigenstates(traj: AuxiliaryTrajectory, t: float):
+def invariant_eigenstates(lam: float, tau: float, t: float):
     """(mu_0, mu_plus, mu_minus): closed-form eigenstates of the invariant,
     as unit-norm amplitude vectors.
 
     Eigenvalues are 0, +1/2 and -1/2 respectively, independent of t.
     """
-    g = float(traj.gamma(t))
-    b = float(traj.beta(t))
+    g, b = (float(x) for x in angles(lam, tau, t)[:2])
     cg, sg, cb, sb = math.cos(g), math.sin(g), math.cos(b), math.sin(b)
     mu0 = np.array([cg * cb, -1j * sg, -cg * sb], dtype=complex)
     mup = np.array(
@@ -60,16 +65,16 @@ def invariant_eigenstates(traj: AuxiliaryTrajectory, t: float):
     return mu0, mup, mum
 
 
-def lr_predicted_evolution(traj: AuxiliaryTrajectory) -> np.ndarray:
+def lr_predicted_evolution(lam: float, tau: float) -> np.ndarray:
     """Evolution operator from the invariant-eigenstate expansion.
 
     Sum over n in {0, +, -} of exp(-i*theta_n) |mu_n(tau)><mu_n(0)|,
     theta_n = (0, theta_plus, -theta_plus), in the convention of
     target_unitary.
     """
-    theta_plus = theta_plus_magnitudes(traj.lambda_)[0][0]
-    start = invariant_eigenstates(traj, 0.0)
-    end = invariant_eigenstates(traj, traj.tau)
+    theta_plus = theta_plus_magnitudes(lam)[0][0]
+    start = invariant_eigenstates(lam, tau, 0.0)
+    end = invariant_eigenstates(lam, tau, tau)
     thetas = (0.0, theta_plus, -theta_plus)
     u = np.zeros((3, 3), dtype=complex)
     for theta, s0, s1 in zip(thetas, start, end):
@@ -87,16 +92,16 @@ class BoundaryDiagnostics:
 
 
 def check_boundary(
-    traj: AuxiliaryTrajectory, pulses: PulsePair, n_grid: int = 10001
+    lam: float, tau: float, pulses: PulsePair, n_grid: int = 10001
 ) -> BoundaryDiagnostics:
     """Frobenius norms of [H, I] at the endpoints and of the von-Neumann
     residual dI/dt + i[H(t), I(t)] over a uniform grid of n_grid >= 2
     points."""
     if n_grid < 2:
         raise ValueError("n_grid must be >= 2")
-    times = np.linspace(0.0, traj.tau, n_grid)
+    times = np.linspace(0.0, tau, n_grid)
     h = ideal_model(pulses).hamiltonian.matrices(times)
-    i_mat, di = invariant_stack(traj, times)
+    i_mat, di = invariant_stack(lam, tau, times)
     comm = h @ i_mat - i_mat @ h
     return BoundaryDiagnostics(
         commutator_start=float(np.linalg.norm(comm[0])),

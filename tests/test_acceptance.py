@@ -20,7 +20,6 @@ from nonrecip.devices import (
     single_excitation_model,
 )
 from nonrecip.invariant import (
-    AuxiliaryTrajectory,
     solve_lambda,
     synthesize_pulses,
     target_unitary,
@@ -53,18 +52,13 @@ def check(name: str, ok: bool, detail: str = ""):
 
 
 @pytest.fixture(scope="module")
-def traj():
-    return AuxiliaryTrajectory(LAMBDA_REF, TAU)
+def pulses():
+    return synthesize_pulses(LAMBDA_REF, TAU)
 
 
 @pytest.fixture(scope="module")
-def pulses(traj):
-    return synthesize_pulses(traj)
-
-
-@pytest.fixture(scope="module")
-def theta_plus(traj):
-    return theta_plus_magnitudes(traj.lambda_)[0][0]
+def theta_plus():
+    return theta_plus_magnitudes(LAMBDA_REF)[0][0]
 
 
 @pytest.fixture(scope="module")
@@ -111,12 +105,12 @@ class TestLambdaAnchor:
 
 
 class TestOperatorCirculator:
-    def test_oracle_matches_designed_unitary(self, ideal, traj):
+    def test_oracle_matches_designed_unitary(self, ideal):
         start = time.monotonic()
         u = evolution_operator_oracle(ideal.hamiltonian, TAU, 0.001)
         d_target, _ = global_phase_distance(u, target_unitary(THETA_CIRC))
         d_lr, _ = global_phase_distance(
-            u, lr_predicted_evolution(traj))
+            u, lr_predicted_evolution(LAMBDA_REF, TAU))
         elapsed = time.monotonic() - start
         ok = d_target < 1e-3 and d_lr < 1e-3 and elapsed < 5.0
         check("operator-level circulator", ok,
@@ -226,7 +220,7 @@ class TestNoiseChannelTable:
 
 
 class TestPropertySuite:
-    def test_structural_properties(self, traj, pulses, device):
+    def test_structural_properties(self, pulses, device):
         results = []
 
         def sub(name, ok, detail=""):
@@ -236,19 +230,19 @@ class TestPropertySuite:
         rng = np.random.default_rng(0)
         worst = 0.0
         for t in rng.uniform(0.0, TAU, 50):
-            w = np.sort(np.linalg.eigvalsh(invariant_stack(traj, t)[0][0]))
+            w = np.sort(np.linalg.eigvalsh(invariant_stack(LAMBDA_REF, TAU, t)[0][0]))
             worst = max(worst, np.max(np.abs(w - np.array([-0.5, 0.0, 0.5]))))
         sub("spectrum constancy", worst < 1e-10, f"{worst:.1e}")
 
         # eigenstates stay orthonormal
         worst = 0.0
         for t in rng.uniform(0.0, TAU, 50):
-            v = np.column_stack(invariant_eigenstates(traj, t))
+            v = np.column_stack(invariant_eigenstates(LAMBDA_REF, TAU, t))
             worst = max(worst, np.max(np.abs(v.conj().T @ v - np.eye(3))))
         sub("orthonormality", worst < 1e-10, f"{worst:.1e}")
 
         # dI/dt + i[H, I] = 0 on the design grid; endpoint commutators vanish
-        diag = check_boundary(traj, pulses)
+        diag = check_boundary(LAMBDA_REF, TAU, pulses)
         sub("von-Neumann residual", diag.max_von_neumann_residual < 1e-6,
             f"{diag.max_von_neumann_residual:.1e}")
         comm = max(diag.commutator_start, diag.commutator_end)

@@ -26,8 +26,8 @@ from nonrecip.config import (
 )
 from nonrecip.devices import ideal_model
 from nonrecip.invariant import (
-    AuxiliaryTrajectory,
     synthesize_pulses,
+    target_unitary,
     theta_plus_magnitudes,
 )
 from nonrecip.propagation import IntegratorError
@@ -200,6 +200,21 @@ class TestDesignCommand:
         assert "effective coupling g'_A requires J1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scenario", [
+        "tau_ns = 1e-310", "lambda = 1e-320", "lambda = 5e-324\ntau_ns = 1e-5"])
+    def test_overflowing_couplings_are_refused_without_warnings(self, tmp_path, capsys,
+                                                               scenario):
+        # the coupling rates overflow: PulsePair refuses the samples, and
+        # no RuntimeWarning reaches stderr
+        cfg_path = tmp_path / "bad.ini"
+        cfg_path.write_text(f"[scenario]\n{scenario}\n")
+        out = tmp_path / "out"
+        code = main(["--config", str(cfg_path), "--out", str(out),
+                     "--model", "ideal", "design"])
+        assert code == EXIT_UNATTAINABLE_DRIVE
+        assert capsys.readouterr().err == "error: pulse samples must be finite\n"
+        assert not out.exists()
+
     def test_reruns_are_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["--out", str(out1), "--model", "ideal", "design"]) == EXIT_OK
@@ -356,10 +371,34 @@ class TestNonFiniteScenarioValues:
     def test_reports_refuse_a_non_finite_or_zero_step(self):
         # the step goes straight to the kernels: 0 is refused, not read as
         # the model's default step
-        model = ideal_model(synthesize_pulses(AuxiliaryTrajectory(0.4974, 145.0)))
+        model = ideal_model(synthesize_pulses(0.4974, 145.0))
         for step in (float("nan"), float("inf"), 0.0):
             with pytest.raises(ValueError, match="step must be finite"):
                 metrics.fidelity_reports(model, np.eye(3), ["100"], step=step)
+
+
+class TestStepCap:
+    """A run of more than propagation.MAX_STEPS steps is refused before
+    its records are allocated: exit 1, naming the step count."""
+
+    def test_reports_refuse_a_full_qubit_model_of_too_many_steps(self):
+        # omega_M = 1e6 GHz: the default step resolves a phase of 6.3e6
+        # rad/ns, 5,800,004,000 steps over 145 ns
+        cfg = ScenarioConfig(model="full_qubit", omega_m_ghz=1e6)
+        _, pulses, theta, _ = cli._resolve_design(cfg)
+        model = cli._build_model(cfg, pulses)
+        with pytest.raises(ValueError, match="takes 5800004000 steps"):
+            metrics.fidelity_reports(model, target_unitary(theta), ["100"])
+
+    def test_simulate_exits_1_naming_the_step_count(self, tmp_path, capsys):
+        cfg_path = tmp_path / "big.ini"
+        cfg_path.write_text("[scenario]\nstep_ns = 1e-9\n")
+        out = tmp_path / "out"
+        code = main(["--config", str(cfg_path), "--out", str(out), "--model", "ideal",
+                     "simulate", "--initial", "100"])
+        assert code == EXIT_FAILURE
+        assert "takes 145000000000 steps, over the 1000000 allowed" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSolveLambdaCommand:

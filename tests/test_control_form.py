@@ -20,7 +20,6 @@ from nonrecip.devices import (
 )
 from nonrecip.invariant import (
     PULSE_SAMPLES,
-    AuxiliaryTrajectory,
     PulsePair,
     synthesize_pulses,
     target_unitary,
@@ -29,7 +28,7 @@ from nonrecip.invariant import (
 from nonrecip.metrics import fidelity_reports
 from nonrecip.propagation import propagate_schrodinger
 from nonrecip.statespace import ControlHamiltonian
-from lr_reference import beta_dot, check_boundary
+from lr_reference import angles, check_boundary
 
 TAU = 145.0
 # lambda solved from the circulator phase 3*pi/2 at tau = 145 ns
@@ -56,7 +55,7 @@ CONVERGED_FULL_QUBIT_LEAKAGE = 3.646188317750765e-3
 
 @pytest.fixture(scope="module")
 def pulses():
-    return synthesize_pulses(AuxiliaryTrajectory(LAMBDA_SOLVED, TAU))
+    return synthesize_pulses(LAMBDA_SOLVED, TAU)
 
 
 @pytest.fixture(scope="module")
@@ -152,8 +151,7 @@ class TestSeedFidelities:
 
     @pytest.fixture(scope="class")
     def setup(self, pulses, drives):
-        traj = AuxiliaryTrajectory(LAMBDA_SOLVED, TAU)
-        theta = theta_plus_magnitudes(traj.lambda_)[0][0]
+        theta = theta_plus_magnitudes(LAMBDA_SOLVED)[0][0]
         model = single_excitation_model(ScenarioConfig().chain_spec(), drives)
         return model, theta, 0.05
 
@@ -242,21 +240,19 @@ def test_long_three_level_run_completes():
     # step rule, which gives 0.0046) has raw maps that change the trace of
     # this run's states by 2.2e-7; a bound on their worst case over all 27
     # levels passed 1e-6 at about 215 ns and refused the run
-    traj = AuxiliaryTrajectory(0.4974, 220.0)
-    pulses = synthesize_pulses(traj)
+    pulses = synthesize_pulses(0.4974, 220.0)
     chain = ScenarioConfig(model="full_three_level").chain_spec()
     model = full_chain_model(chain, invert_bessel_drive(pulses, chain))
-    unitary = target_unitary(theta_plus_magnitudes(traj.lambda_)[0][0])
+    unitary = target_unitary(theta_plus_magnitudes(0.4974)[0][0])
     summary, _ = fidelity_reports(model, unitary, ["100"], step=0.005)["100"]
     assert (model.dim, summary["step_ns"]) == (27, 0.005)
     # the vec-rho RK4 kernel read 0.9726293649267329
     assert summary["fidelity"] == pytest.approx(0.972629152557472, abs=1e-10)
 
 
-def invariant_and_derivative(traj, t):
+def invariant_and_derivative(lam, tau, t):
     """I(t) and dI/dt at one time, entry by entry."""
-    g, b = float(traj.gamma(t)), float(traj.beta(t))
-    gd, bd = float(traj.gamma_dot(t)), float(beta_dot(traj, t))
+    g, b, gd, bd = (float(x) for x in angles(lam, tau, t))
     cg, sg, cb, sb = math.cos(g), math.sin(g), math.cos(b), math.sin(b)
 
     def matrix(am, ab, mb):
@@ -269,17 +265,16 @@ def invariant_and_derivative(traj, t):
 
 class TestCheckBoundaryMatchesPointwiseLoop:
     def test_loop_reference(self, pulses):
-        traj = AuxiliaryTrajectory(LAMBDA_SOLVED, TAU)
         perturbed = PulsePair(pulses.times, [pulses.g[0], 0.98 * pulses.g[1]])
         for pp in (pulses, perturbed):
             ideal = ideal_model(pp).hamiltonian
             comms, worst = [], 0.0
             for t in np.linspace(0.0, TAU, 501):
                 h = ideal.matrices([t])[0]
-                i_mat, di = invariant_and_derivative(traj, t)
+                i_mat, di = invariant_and_derivative(LAMBDA_SOLVED, TAU, t)
                 comms.append(np.linalg.norm(h @ i_mat - i_mat @ h))
                 worst = max(worst, np.linalg.norm(di + 1j * (h @ i_mat - i_mat @ h)))
-            diag = check_boundary(traj, pp, n_grid=501)
+            diag = check_boundary(LAMBDA_SOLVED, TAU, pp, n_grid=501)
             assert diag.commutator_start == pytest.approx(comms[0], abs=1e-12)
             assert diag.commutator_end == pytest.approx(comms[-1], abs=1e-12)
             assert diag.max_von_neumann_residual == pytest.approx(worst, abs=1e-12)
@@ -290,19 +285,17 @@ class TestCheckBoundarySeedValues:
     the earlier point-by-point loop."""
 
     def test_designed_and_perturbed_pulses(self):
-        traj = AuxiliaryTrajectory(0.4974, TAU)
-        pulses = synthesize_pulses(traj)
-        diag = check_boundary(traj, pulses)
+        pulses = synthesize_pulses(0.4974, TAU)
+        diag = check_boundary(0.4974, TAU, pulses)
         assert diag.commutator_start == pytest.approx(0.0, abs=1e-12)
         assert diag.commutator_end == pytest.approx(0.0, abs=1e-12)
         assert diag.max_von_neumann_residual == pytest.approx(
             1.3965051558032531e-08, abs=1e-12)
         perturbed = PulsePair(pulses.times, [1.01 * pulses.g[0], pulses.g[1]])
-        diag = check_boundary(traj, perturbed)
+        diag = check_boundary(0.4974, TAU, perturbed)
         assert diag.max_von_neumann_residual == pytest.approx(
             1.709827343220283e-04, abs=1e-12)
 
     def test_grid_must_include_both_ends(self, pulses):
         with pytest.raises(ValueError):
-            check_boundary(AuxiliaryTrajectory(LAMBDA_SOLVED, TAU), pulses,
-                           n_grid=1)
+            check_boundary(LAMBDA_SOLVED, TAU, pulses, n_grid=1)

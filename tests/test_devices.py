@@ -24,7 +24,6 @@ from nonrecip.devices import (
     single_excitation_model,
 )
 from nonrecip.invariant import (
-    AuxiliaryTrajectory,
     solve_lambda,
     synthesize_pulses,
     target_unitary,
@@ -41,7 +40,7 @@ TAU = 145.0
 
 @pytest.fixture(scope="module")
 def pulses():
-    return synthesize_pulses(AuxiliaryTrajectory(0.4974, TAU))
+    return synthesize_pulses(0.4974, TAU)
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +133,7 @@ def design_ratios(phase, tau):
     """The (2, samples) J1 values that invert_bessel_drive inverts for the
     design of the LR phase at tau on the default chain."""
     chain = ScenarioConfig().chain_spec()
-    pulses = synthesize_pulses(AuxiliaryTrajectory(solve_lambda(phase), tau))
+    pulses = synthesize_pulses(solve_lambda(phase), tau)
     ratios = np.abs(pulses.g) / (
         2.0 * np.array([[chain.g_a], [chain.g_b]]))
     return np.minimum(ratios, J1_PEAK)
@@ -204,7 +203,7 @@ class TestInvertBesselDrive:
     def test_negative_coupling_gives_negative_envelope(self, chain):
         # at lambda = 1.5 the designed g' dips to -0.00715 rad/ns (peak
         # ratio 0.886 of J1_PEAK), so J1(-eta) = -J1(eta) must carry the sign
-        pulses = synthesize_pulses(AuxiliaryTrajectory(1.5, TAU))
+        pulses = synthesize_pulses(1.5, TAU)
         assert pulses.g.min() < -7e-3
         drives = invert_bessel_drive(pulses, chain)
         for g, eta, g_static in zip(pulses.g, drives.eta, (chain.g_a, chain.g_b)):
@@ -216,15 +215,14 @@ class TestInvertBesselDrive:
     @pytest.mark.parametrize("build", [single_excitation_model, full_chain_model])
     def test_negative_coupling_transfer(self, chain, build):
         # |g'| in place of g' reads F_s 0.968 on both models
-        traj = AuxiliaryTrajectory(1.5, TAU)
-        pulses = synthesize_pulses(traj)
+        pulses = synthesize_pulses(1.5, TAU)
         model = build(chain, invert_bessel_drive(pulses, chain))
-        unitary = target_unitary(theta_plus_magnitudes(traj.lambda_)[0][0])
+        unitary = target_unitary(theta_plus_magnitudes(1.5)[0][0])
         summary, _ = fidelity_reports(model, unitary, ["100"], noise=False)["100"]
         assert summary["fidelity"] >= 0.995
 
     def test_unattainable_drive(self, chain):
-        big = synthesize_pulses(AuxiliaryTrajectory(2.5, TAU))
+        big = synthesize_pulses(2.5, TAU)
         with pytest.raises(UnattainableDriveError) as err:
             invert_bessel_drive(big, chain)
         # the message names the worst ratio and its time
@@ -462,7 +460,7 @@ BUILT_PARTS = {
 def test_array_holders_compare_and_hash_by_identity(chain, name):
     built = []
     for _ in range(2):  # equal fields in separate arrays
-        pulses = synthesize_pulses(AuxiliaryTrajectory(0.4974, TAU))
+        pulses = synthesize_pulses(0.4974, TAU)
         drives = invert_bessel_drive(pulses, chain)
         built.append(BUILT_PARTS[name](pulses, drives,
                                        single_excitation_model(chain, drives)))

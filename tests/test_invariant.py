@@ -9,12 +9,10 @@ from nonrecip.invariant import (
     PRESCAN_POINTS,
     _gauss_legendre,
     _theta_plus_rule,
-    AuxiliaryTrajectory,
     NonMonotonicBracketError,
     PulseDivergenceError,
     PulsePair,
     RootBracketError,
-    TrajectoryRangeError,
     coupling_values,
     solve_lambda,
     synthesize_pulses,
@@ -25,6 +23,7 @@ from nonrecip.devices import ideal_model, J1_PEAK
 from nonrecip.units import mhz
 from bisection_reference import bisect_increasing
 from lr_reference import (
+    angles,
     beta_dot,
     check_boundary,
     invariant_eigenstates,
@@ -39,46 +38,37 @@ THETA_CIRC = 1.5 * np.pi
 
 
 @pytest.fixture(scope="module")
-def traj():
-    return AuxiliaryTrajectory(LAMBDA_REF, TAU)
-
-
-@pytest.fixture(scope="module")
-def pulses(traj):
-    return synthesize_pulses(traj)
+def pulses():
+    return synthesize_pulses(LAMBDA_REF, TAU)
 
 
 class TestTrajectory:
-    def test_midpoint_values(self, traj):
-        g, b = traj.gamma(TAU / 2), traj.beta(TAU / 2)
+    def test_midpoint_values(self):
+        g, b, _, _ = angles(LAMBDA_REF, TAU, TAU / 2)
         assert g == pytest.approx(LAMBDA_REF, abs=1e-12)
         assert b == pytest.approx(np.pi / 4, abs=1e-12)
 
-    def test_boundary_conditions(self, traj):
-        g0, b0 = traj.gamma(0.0), traj.beta(0.0)
-        g1, b1 = traj.gamma(TAU), traj.beta(TAU)
+    def test_boundary_conditions(self):
+        g0, b0, _, _ = angles(LAMBDA_REF, TAU, 0.0)
+        g1, b1, _, _ = angles(LAMBDA_REF, TAU, TAU)
         assert abs(g0) < 1e-12 and abs(g1) < 1e-12
         assert abs(b0) < 1e-12
         assert b1 == pytest.approx(np.pi / 2, abs=1e-12)
 
-    def test_gamma_positive_interior(self, traj):
+    def test_gamma_positive_interior(self):
         ts = np.linspace(0.0, TAU, 501)[1:-1]
-        assert np.all(traj.gamma(ts) > 0)
+        assert np.all(angles(LAMBDA_REF, TAU, ts)[0] > 0)
 
-    def test_derivatives_match_finite_differences(self, traj):
+    def test_derivatives_match_finite_differences(self):
         # oracle: central differences of the closed-form angles
         h = 1e-5
         for t in np.linspace(0.2, TAU - 0.2, 17):
-            gd_fd = (traj.gamma(t + h) - traj.gamma(t - h)) / (2 * h)
-            bd_fd = (traj.beta(t + h) - traj.beta(t - h)) / (2 * h)
-            assert traj.gamma_dot(t) == pytest.approx(gd_fd, abs=1e-8)
-            assert beta_dot(traj, t) == pytest.approx(bd_fd, abs=1e-8)
-
-    def test_rejects_out_of_range(self, traj):
-        with pytest.raises(TrajectoryRangeError):
-            traj.gamma(-1.0)
-        with pytest.raises(TrajectoryRangeError):
-            traj.beta(TAU + 1.0)
+            g_p, b_p, _, _ = angles(LAMBDA_REF, TAU, t + h)
+            g_m, b_m, _, _ = angles(LAMBDA_REF, TAU, t - h)
+            gd_fd = (g_p - g_m) / (2 * h)
+            bd_fd = (b_p - b_m) / (2 * h)
+            assert angles(LAMBDA_REF, TAU, t)[2] == pytest.approx(gd_fd, abs=1e-8)
+            assert beta_dot(TAU, t) == pytest.approx(bd_fd, abs=1e-8)
 
     @pytest.mark.parametrize("lam, tau, name", [
         (math.nan, TAU, "lambda"), (0.0, TAU, "lambda"),
@@ -87,7 +77,7 @@ class TestTrajectory:
     ])
     def test_rejects_non_finite_or_non_positive_inputs(self, lam, tau, name):
         with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
-            AuxiliaryTrajectory(lam, tau)
+            synthesize_pulses(lam, tau)
 
 
 class TestSynthesizePulses:
@@ -95,36 +85,44 @@ class TestSynthesizePulses:
         assert pulses.g[0, 0] == 0.0 and pulses.g[0, -1] == 0.0
         assert pulses.g[1, 0] == 0.0 and pulses.g[1, -1] == 0.0
 
-    def test_matches_direct_formula(self, traj, pulses):
+    def test_matches_direct_formula(self, pulses):
         # oracle: plain cot(gamma) evaluation away from the endpoints
         ts = np.linspace(0.05 * TAU, 0.95 * TAU, 101)
-        g, b = traj.gamma(ts), traj.beta(ts)
-        gd, bd = traj.gamma_dot(ts), beta_dot(traj, ts)
+        g, b, gd, bd = angles(LAMBDA_REF, TAU, ts)
         ga_direct = 2 * (bd / np.tan(g) * np.sin(b) + gd * np.cos(b))
         gb_direct = 2 * (bd / np.tan(g) * np.cos(b) - gd * np.sin(b))
-        ga, gb = coupling_values(traj, ts)
+        ga, gb = coupling_values(LAMBDA_REF, TAU, ts / TAU)
         assert np.max(np.abs(ga - ga_direct)) < 1e-12
         assert np.max(np.abs(gb - gb_direct)) < 1e-12
+
+    @pytest.mark.parametrize("tau", [29.0, 145.0, 200.0])
+    @pytest.mark.parametrize("lam", [LAMBDA_REF, "solved"])
+    def test_design_lives_in_reduced_time(self, lam, tau):
+        # tau * g'(u tau) is G(u; lambda), the same at every tau
+        lam = solve_lambda(4.5) if lam == "solved" else lam
+        scaled = tau * synthesize_pulses(lam, tau).g
+        reference = 145.0 * synthesize_pulses(lam, 145.0).g
+        assert np.max(np.abs(scaled - reference)) <= 1e-13 * np.max(np.abs(reference))
 
     def test_counterintuitive_pulse_ordering(self, pulses):
         # STIRAP heritage: the B-leg pulse peaks before the A-leg pulse
         assert pulses.times[np.argmax(pulses.g[1])] < pulses.times[np.argmax(pulses.g[0])]
 
-    def test_peak_ratio_within_bessel_range(self, traj):
-        g_a, g_b = coupling_values(traj, np.linspace(0.0, TAU, 10001))
+    def test_peak_ratio_within_bessel_range(self):
+        g_a, g_b = coupling_values(LAMBDA_REF, TAU, np.linspace(0.0, TAU, 10001) / TAU)
         g = mhz(10.0)
         ratio = max(np.abs(g_a).max(), np.abs(g_b).max()) / (2 * g)
         # peak grazes the J1 maximum; invertible up to the clamp slack
         assert ratio == pytest.approx(J1_PEAK, rel=2e-4)
         assert ratio < J1_PEAK * (1 + 5e-4)
 
-    def test_finite_everywhere(self, traj):
-        g_a, g_b = coupling_values(traj, np.linspace(0.0, TAU, 20001))
+    def test_finite_everywhere(self):
+        g_a, g_b = coupling_values(LAMBDA_REF, TAU, np.linspace(0.0, TAU, 20001) / TAU)
         assert np.all(np.isfinite(g_a)) and np.all(np.isfinite(g_b))
 
     def test_divergent_trajectory_rejected(self, pulses):
         with pytest.raises(PulseDivergenceError):
-            synthesize_pulses(AuxiliaryTrajectory(5.0, TAU))
+            synthesize_pulses(5.0, TAU)
         # non-finite samples are rejected by PulsePair itself
         g = pulses.g.copy()
         g[0, 5] = np.inf
@@ -139,55 +137,56 @@ class TestSynthesizePulses:
 
 
 class TestInvariant:
-    def test_start_form(self, traj):
-        m = invariant_stack(traj, 0.0)[0][0]
+    def test_start_form(self):
+        m = invariant_stack(LAMBDA_REF, TAU, 0.0)[0][0]
         expected = np.zeros((3, 3), dtype=complex)
         expected[1, 2] = expected[2, 1] = 0.5  # (|M><B| + |B><M|)/2
         assert np.allclose(m, expected, atol=1e-12)
 
-    def test_end_form(self, traj):
-        m = invariant_stack(traj, TAU)[0][0]
+    def test_end_form(self):
+        m = invariant_stack(LAMBDA_REF, TAU, TAU)[0][0]
         expected = np.zeros((3, 3), dtype=complex)
         expected[0, 1] = expected[1, 0] = 0.5
         assert np.allclose(m, expected, atol=1e-12)
 
-    def test_spectrum_constancy(self, traj):
+    def test_spectrum_constancy(self):
         rng = np.random.default_rng(42)
         for t in rng.uniform(0.0, TAU, 100):
-            evals = np.sort(np.linalg.eigvalsh(invariant_stack(traj, t)[0][0]))
+            evals = np.sort(np.linalg.eigvalsh(invariant_stack(LAMBDA_REF, TAU, t)[0][0]))
             assert np.max(np.abs(evals - [-0.5, 0.0, 0.5])) < 1e-10
 
-    def test_eigenstate_endpoints(self, traj):
-        mu0, mup, mum = invariant_eigenstates(traj, 0.0)
+    def test_eigenstate_endpoints(self):
+        mu0, mup, mum = invariant_eigenstates(LAMBDA_REF, TAU, 0.0)
         assert np.allclose(mu0, [1, 0, 0], atol=1e-12)
         assert np.allclose(mup, np.array([0, 1j, 1j]) / np.sqrt(2), atol=1e-12)
         assert np.allclose(mum, np.array([0, 1j, -1j]) / np.sqrt(2), atol=1e-12)
-        mu0_end, _, _ = invariant_eigenstates(traj, TAU)
+        mu0_end, _, _ = invariant_eigenstates(LAMBDA_REF, TAU, TAU)
         assert np.allclose(mu0_end, [0, 0, -1], atol=1e-12)
 
-    def test_eigen_residual(self, traj):
+    def test_eigen_residual(self):
         rng = np.random.default_rng(5)
         for t in rng.uniform(0.0, TAU, 100):
-            i_mat = invariant_stack(traj, t)[0][0]
-            mu0, mup, mum = invariant_eigenstates(traj, t)
+            i_mat = invariant_stack(LAMBDA_REF, TAU, t)[0][0]
+            mu0, mup, mum = invariant_eigenstates(LAMBDA_REF, TAU, t)
             for state, eig in ((mu0, 0.0), (mup, 0.5), (mum, -0.5)):
                 resid = i_mat @ state - eig * state
                 assert np.linalg.norm(resid) < 1e-10
 
-    def test_eigenstate_orthonormality(self, traj):
+    def test_eigenstate_orthonormality(self):
         rng = np.random.default_rng(17)
         for t in rng.uniform(0.0, TAU, 100):
-            states = invariant_eigenstates(traj, t)
+            states = invariant_eigenstates(LAMBDA_REF, TAU, t)
             v = np.stack(states)
             assert np.max(np.abs(v @ v.conj().T - np.eye(3))) < 1e-10
 
 
-def generic_phase_integrand(traj, pulses, t, branch, h=1e-6):
-    """<mu_n|(i d/dt - H)|mu_n> via finite differences; independent of
-    the closed-form reduction used by theta_plus_magnitudes."""
-    mu = invariant_eigenstates(traj, t)[branch]
-    mu_p = invariant_eigenstates(traj, min(t + h, traj.tau))[branch]
-    mu_m = invariant_eigenstates(traj, max(t - h, 0.0))[branch]
+def generic_phase_integrand(pulses, t, branch, h=1e-6):
+    """<mu_n|(i d/dt - H)|mu_n> of the reference design via finite
+    differences; independent of the closed-form reduction used by
+    theta_plus_magnitudes."""
+    mu = invariant_eigenstates(LAMBDA_REF, TAU, t)[branch]
+    mu_p = invariant_eigenstates(LAMBDA_REF, TAU, min(t + h, TAU))[branch]
+    mu_m = invariant_eigenstates(LAMBDA_REF, TAU, max(t - h, 0.0))[branch]
     dmu = (mu_p - mu_m) / (2 * h)
     ham = np.zeros((3, 3), dtype=complex)
     ham[0, 1] = 0.5 * pulses.g_at(t)[0]
@@ -197,35 +196,34 @@ def generic_phase_integrand(traj, pulses, t, branch, h=1e-6):
 
 
 class TestLRPhase:
-    def test_circulator_anchor(self, traj):
-        theta = theta_plus_magnitudes(traj.lambda_)[0][0]
+    def test_circulator_anchor(self):
+        theta = theta_plus_magnitudes(LAMBDA_REF)[0][0]
         assert abs(theta - THETA_CIRC) < 1e-3
 
-    def test_sign_structure(self, traj):
-        assert theta_plus_magnitudes(traj.lambda_)[0][0] > 0
+    def test_sign_structure(self):
+        assert theta_plus_magnitudes(LAMBDA_REF)[0][0] > 0
 
-    def test_matches_defining_integral(self, traj):
+    def test_matches_defining_integral(self):
         # oracle: Simpson quadrature of the generic integrand; a fine pulse
         # table keeps interpolation error in the oracle's H below tolerance
         ts = np.linspace(0.0, TAU, 8001)
-        fine = PulsePair(ts, coupling_values(traj, ts))
+        fine = PulsePair(ts, coupling_values(LAMBDA_REF, TAU, ts / TAU))
         vals = np.array(
-            [generic_phase_integrand(traj, fine, t, branch=1) for t in ts]
+            [generic_phase_integrand(fine, t, branch=1) for t in ts]
         )
         raw = integrate.simpson(vals, x=ts)
         # the signed integral of the plus branch is -theta_plus
-        assert -theta_plus_magnitudes(traj.lambda_)[0][0] == pytest.approx(raw, abs=1e-6)
+        assert -theta_plus_magnitudes(LAMBDA_REF)[0][0] == pytest.approx(raw, abs=1e-6)
 
-    def test_zero_branch_integrand_vanishes(self, traj, pulses):
+    def test_zero_branch_integrand_vanishes(self, pulses):
         for t in np.linspace(0.5, TAU - 0.5, 37):
-            assert abs(generic_phase_integrand(traj, pulses, t, branch=0)) < 1e-9
+            assert abs(generic_phase_integrand(pulses, t, branch=0)) < 1e-9
 
 
 def quad_theta_plus(lam, tau):
     """|theta_plus| by adaptive quadrature of the time-domain integrand
     beta_dot / sin(gamma), independent of the Gauss-Legendre rules."""
-    traj = AuxiliaryTrajectory(lam, tau)
-    return integrate.quad(lambda t: beta_dot(traj, t) / math.sin(traj.gamma(t)),
+    return integrate.quad(lambda t: beta_dot(tau, t) / math.sin(angles(lam, tau, t)[0]),
                           0.0, tau, epsabs=1e-10, epsrel=1e-12, limit=200)[0]
 
 
@@ -330,8 +328,7 @@ class TestSolveLambda:
 
     def test_reciprocal_design_propagates_to_swap(self):
         lam = solve_lambda(np.pi, bracket=(0.3, 1.5))
-        traj_pi = AuxiliaryTrajectory(lam, TAU)
-        model = ideal_model(synthesize_pulses(traj_pi))
+        model = ideal_model(synthesize_pulses(lam, TAU))
         u = evolution_operator_oracle(model.hamiltonian, TAU, 0.001)
         expected = target_unitary(np.pi)
         assert expected[1, 1] == -1.0 and expected[0, 2] == -1.0
@@ -436,22 +433,22 @@ class TestTargetUnitary:
 
 
 class TestLRPredictedEvolution:
-    def test_zero_branch_contribution(self, traj):
-        u = lr_predicted_evolution(traj)
+    def test_zero_branch_contribution(self):
+        u = lr_predicted_evolution(LAMBDA_REF, TAU)
         assert u[2, 0] == pytest.approx(-1.0, abs=1e-9)
         assert abs(u[0, 0]) < 1e-9 and abs(u[1, 0]) < 1e-9
 
-    def test_matches_target_unitary(self, traj):
-        u = lr_predicted_evolution(traj)
-        theta = theta_plus_magnitudes(traj.lambda_)[0][0]
+    def test_matches_target_unitary(self):
+        u = lr_predicted_evolution(LAMBDA_REF, TAU)
+        theta = theta_plus_magnitudes(LAMBDA_REF)[0][0]
         assert np.max(np.abs(u - target_unitary(theta))) < 1e-9
 
-    def test_unitary(self, traj):
-        u = lr_predicted_evolution(traj)
+    def test_unitary(self):
+        u = lr_predicted_evolution(LAMBDA_REF, TAU)
         assert np.linalg.norm(u.conj().T @ u - np.eye(3)) < 1e-9
 
-    def test_matches_time_ordered_oracle(self, traj, pulses):
-        u_pred = lr_predicted_evolution(traj)
+    def test_matches_time_ordered_oracle(self, pulses):
+        u_pred = lr_predicted_evolution(LAMBDA_REF, TAU)
         model = ideal_model(pulses)
         u_num = evolution_operator_oracle(
             model.hamiltonian, TAU, 0.001
@@ -461,17 +458,17 @@ class TestLRPredictedEvolution:
 
 
 class TestCheckBoundary:
-    def test_commutators_vanish(self, traj, pulses):
-        diag = check_boundary(traj, pulses)
+    def test_commutators_vanish(self, pulses):
+        diag = check_boundary(LAMBDA_REF, TAU, pulses)
         assert diag.commutator_start < 1e-9
         assert diag.commutator_end < 1e-9
 
-    def test_grid_residual_small(self, traj, pulses):
-        diag = check_boundary(traj, pulses)
+    def test_grid_residual_small(self, pulses):
+        diag = check_boundary(LAMBDA_REF, TAU, pulses)
         assert diag.max_von_neumann_residual < 1e-6
 
-    def test_perturbed_pulses_detected(self, traj, pulses):
+    def test_perturbed_pulses_detected(self, pulses):
         perturbed = PulsePair(pulses.times, [1.01 * pulses.g[0], pulses.g[1]])
-        diag = check_boundary(traj, perturbed)
+        diag = check_boundary(LAMBDA_REF, TAU, perturbed)
         # an order of magnitude above the valid-design bound
         assert diag.max_von_neumann_residual > 1e-4

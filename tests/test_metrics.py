@@ -12,7 +12,6 @@ from nonrecip.devices import (
     single_excitation_model,
 )
 from nonrecip.invariant import (
-    AuxiliaryTrajectory,
     synthesize_pulses,
     target_unitary,
     theta_plus_magnitudes,
@@ -47,7 +46,7 @@ def report_of(model, unitary, initial, noise=True, step=None):
 
 @pytest.fixture(scope="module")
 def pulses():
-    return synthesize_pulses(AuxiliaryTrajectory(LAMBDA, TAU))
+    return synthesize_pulses(LAMBDA, TAU)
 
 
 @pytest.fixture(scope="module")
@@ -249,9 +248,8 @@ class TestEnsembleFidelity:
         # the designed unitary's columns, as the transfers' are: the ideal
         # model realises U(theta_plus), so every report reads 1, where the
         # fixed targets i cos(v)|100> + i sin(v)|010> read F_m 0.761
-        traj = AuxiliaryTrajectory(0.6, TAU)
-        model = ideal_model(synthesize_pulses(traj))
-        unitary = target_unitary(theta_plus_magnitudes(traj.lambda_)[0][0])
+        model = ideal_model(synthesize_pulses(0.6, TAU))
+        unitary = target_unitary(theta_plus_magnitudes(0.6)[0][0])
         reports = fidelity_reports(model, unitary, ("ensemble", "100", "010", "001"),
                                    noise=False)
         assert min(c["fidelity"][-1] for _, c in reports.values()) >= 1.0 - 1e-9

@@ -15,7 +15,6 @@ from nonrecip.devices import (
     single_excitation_model,
 )
 from nonrecip.invariant import (
-    AuxiliaryTrajectory,
     synthesize_pulses,
     target_unitary,
 )
@@ -59,7 +58,7 @@ def projector(psi):
 
 @pytest.fixture(scope="module")
 def pulses():
-    return synthesize_pulses(AuxiliaryTrajectory(LAMBDA, TAU))
+    return synthesize_pulses(LAMBDA, TAU)
 
 
 class TestSchrodinger:
@@ -144,6 +143,22 @@ def test_kernels_refuse_a_tau_that_is_not_finite_and_positive(kernel, tau):
             integrate_master(gen, [], projector(psi0), tau, 0.05)
         else:
             propagate_schrodinger(gen, psi0, tau, 0.05)
+
+
+@pytest.mark.parametrize("tau, step, steps", [
+    (1.0, 1.0 / (propagation.MAX_STEPS + 1), "1000001"),
+    (145.0, 1e-9, "145000000000"),
+    (145.0, 145.0 / 5_800_004_000, "5800004000"),
+    (1e300, 1e-10, "inf"),  # tau / step overflows
+])
+def test_grid_refuses_more_than_max_steps(tau, step, steps):
+    # refused before a kernel allocates its records and maps
+    with pytest.raises(ValueError, match=f"takes {steps} steps, over the 1000000"):
+        propagation._grid(tau, step)
+
+
+def test_grid_allows_max_steps():
+    assert propagation._grid(1.0, 1e-6) == (propagation.MAX_STEPS, 1e-6)
 
 
 def random_control_form(d, seed):

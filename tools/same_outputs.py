@@ -46,6 +46,9 @@ COMMANDS = {
     "ideal_design": (None, ["--model", "ideal", "design"]),
     "full_qubit_design": (None, ["--model", "full_qubit", "design"]),
     "design_phase_4_5": (PHASE_4_5, ["design"]),
+    # the pulses at tau = 200 and at tau = 29 (with eta.csv at d = 3)
+    "design_verify_ideal_design": (DESIGN_VERIFY, ["--model", "ideal", "design"]),
+    "three_level_design": (SHORT_THREE_LEVEL, ["design"]),
     "full_qubit_design_phase_4_5": (PHASE_4_5, ["--model", "full_qubit", "design"]),
     "solve_lambda": (None, ["solve-lambda"]),
     "sweep_lambda": (None, ["sweep-lambda"]),
