@@ -125,6 +125,11 @@ def synthesize_pulses(lam: float, tau: float) -> PulsePair:
 
 
 PHASE_RTOL = 1e-12
+# The smallest lambda that the phase quadrature takes: at the first node
+# of the 2,048-node rule s^2 = 1.19e-13, so below lambda = 1.17e-296 the
+# argument 16 lambda s^2 is subnormal, and 1/sin of it loses digits, then
+# overflows
+LAMBDA_MIN = 1e-295
 
 
 def _gauss_legendre(n: int):
@@ -172,12 +177,15 @@ def _phase_rule(n: int):
 def _theta_plus_rule(lams, n: int, slope: bool = False):
     """|theta_plus| for each lambda of the 1-D array lams by the n-node
     rule; with slope, also its derivative in lambda by the same nodes,
-    -sum num 16 s^2 cos(16 lambda s^2) / sin^2(16 lambda s^2)."""
+    -sum num 16 s^2 cos(16 lambda s^2) / sin^2(16 lambda s^2).  Each row
+    is summed on its own, so a lambda's value does not depend on which
+    others share the call (a matrix-vector product's rounding did)."""
     s2, num = _phase_rule(n)
     inv = 1.0 / np.sin(16.0 * lams[:, None] * s2)
+    value = (inv * num).sum(axis=1)
     if not slope:
-        return inv @ num
-    return inv @ num, (-16.0 * s2 * np.cos(16.0 * lams[:, None] * s2) * inv * inv) @ num
+        return value
+    return value, (-16.0 * s2 * np.cos(16.0 * lams[:, None] * s2) * inv * inv * num).sum(axis=1)
 
 
 def theta_plus_magnitudes(lams):
@@ -192,12 +200,16 @@ def theta_plus_magnitudes(lams):
     Gauss-Legendre rules of 64, 128, ... 2048 nodes are applied until
     two successive rules agree to PHASE_RTOL (relative); their
     difference is the error estimate, and the finer rule's node count
-    is returned.  ValueError for lambda outside (0, pi) (NaN included)
-    or when 2048 nodes do not suffice (pi - lambda < ~1.5e-3).
+    is returned.  ValueError for lambda outside (0, pi) (NaN included),
+    below LAMBDA_MIN, or when 2048 nodes do not suffice
+    (pi - lambda < ~1.5e-3).
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     if not np.all((lams > 0.0) & (lams < math.pi)):
         raise ValueError("phase integrand non-finite unless 0 < lambda < pi")
+    if np.any(lams < LAMBDA_MIN):
+        raise ValueError(f"lambda = {float(lams[lams < LAMBDA_MIN][0])!r} is below {LAMBDA_MIN}, "
+                         "where the phase integrand leaves the normal doubles")
     # NaN: the first rule has no predecessor to agree with
     value, err = np.full(lams.shape, np.nan), np.full(lams.shape, np.inf)
     nodes = np.zeros(lams.shape, dtype=int)

@@ -9,15 +9,24 @@ arithmetic does not depend on the block: each member takes the same
 operations as a one-member block, bit for bit.  One RK4 step of
 dX/dt = -iH(t) X is a fixed polynomial M_k in the generator at the start,
 midpoint and end of the step, so _raw_maps forms the maps of both kernels
-a chunk at a time, in one batched pass (about 3 w^3 multiply-adds a map).
-It forms them on the support of H only, the w basis states that H0 or an
-A_j touches (|001>, |010> and |100> of the single-excitation model, every
-state of the others): off it a map is exactly I.
+a chunk at a time: three products of stacks of w x w maps, and two more
+for an open run's projection, each w^3 multiply-adds a map.  It forms
+them on the support of H only, the w basis states that H0 or an A_j
+touches (|001>, |010> and |100> of the single-excitation model, every
+state of the others): off it a map is exactly I.  A batched matmul makes
+one BLAS call per map, about 480 ns at w = 3 for 27 multiply-adds, so up
+to w = _STEP_LAST_MAX (the ideal and single-excitation models) the stacks
+lie step-last in memory and a product is w broadcast multiply-adds over
+all of a chunk's steps, about 63 ns a map at w = 3.  The full chains
+(w = 8 and 27) keep batched matmul, and every kernel receives
+C-contiguous (m, w, w) maps.
 
-- closed runs apply one M_k @ x per step to the (k, w, 1) stack of the
-  kets' support parts, one mat-vec per member (one gemm on a block of
-  columns put them up to 3e-14 off their one-member runs), and write
-  every other amplitude through unchanged;
+- closed runs apply one M_k x per step to each ket's support part, one
+  mat-vec per member (one gemm on a block of columns put them up to 3e-14
+  off their one-member runs): ndarray.dot on the (w,) part of a
+  one-member run, batched matmul on the (k, w, 1) stack of a block, the
+  same gemv either way.  Every other amplitude is written through
+  unchanged;
 - open runs Strang-split drho/dt = -i[H, rho] + D(rho) (Strang, SIAM J.
   Numer. Anal. 5, 506 (1968)), second order in D and fourth in H: a step
   is rho <- E(M_k rho M_k^H) for a (k, d, d) block, with M_k the support
@@ -32,10 +41,14 @@ state of the others): off it a map is exactly I.
   (M_k rho) M_k^H, then E of that into the next slot of the chunk's
   (m + 1, k, d, d) buffer of the states that its maps act on, which the
   trace-loss sum reads.  E is applied only by argument-free calls bound
-  once a run (at d = 8 the one matmul on bound vec views): one E call per
+  once a run (at d = 8 the one mat-vec on bound vec views): one E call per
   slot, and one E_half call into a buffer that a recorded step copies to
   its record.  The steps iterate the slots, maps and adjoints together,
-  so a step makes its three calls and no other dispatch.  RK4's maps do
+  so a step makes its three calls and no other dispatch.  A one-member
+  run makes all three by ndarray.dot, on 2-D (d, d) views and at d = 8 on
+  E's flat vec: the gemm and gemv that a block's batched matmuls make per
+  member, without the ufunc dispatch (E's 64 x 64 mat-vec took 3.0-3.3 us
+  a call against 4.9-5.8 us by matmul on a loaded host).  RK4's maps do
   not keep the trace (it drifts by 6e-8 over the noisy single-excitation
   run from |010> at step 0.05 ns, above check_density's 1e-8), so each
   map first takes one Newton-Schulz polar step towards the unitaries
@@ -50,7 +63,7 @@ so the sum reads the support block.  A pure state's trace is its squared
 norm, and sum_k psi_k^H K_k psi_k telescopes to its change, so a closed
 run checks the squared norm of the kets' support parts once a chunk.  An
 overflow's inf or NaN is refused too.  Closed maps stay raw: projecting
-takes the maps of the 2,000-step ideal run from 2.3 to 3.7 ms (of 5.1),
+takes the maps of the 2,000-step ideal run from 0.8 to 1.3 ms (of 2.2),
 and took closed d = 8 and 27 runs +24% and +73%.
 
 Fixed-step, fixed-order arithmetic throughout: identical inputs produce
@@ -99,7 +112,11 @@ class Trajectory:
 
 
 # matrix entries per table of d x d step maps, 96 kB: 682 steps per chunk
-# at d = 3, 96 at d = 8, 8 at d = 27.  Larger tables raise the peak RSS of
+# at d = 3, 96 at d = 8, 8 at d = 27.  A chunk is sized by d, not by the
+# support, because the open kernel's chunk buffer and identity tables hold
+# d x d matrices: 682-step chunks for the 3-state support at d = 8 took a
+# noisy single-excitation run's tracemalloc peak from 0.57 to 2.78 MB for
+# 5% less time.  Larger tables raise the peak RSS of
 # a design-and-verify process (by about 0.2 MB at 128 kB); smaller ones
 # slow d = 27.  Measured when single_excitation's maps were formed on a
 # 4-state index range, before its exact 3-state support, and on all of
@@ -110,6 +127,21 @@ class Trajectory:
 # 41.0 MB at 1x, 2.84 s / 41.4 MB at 2x, 3.07 s / 41.1 MB against 2.81 s /
 # 43.1 MB at 4x.  d = 8 does not gain, and the d = 27 gain costs RSS.
 _MAP_ENTRIES = 6144
+
+# The largest support whose maps are formed step-last (_stack): a product
+# of two stacks of 6144 / w^2 maps took, per map, by batched matmul against
+# step-last _matmul (with _UFUNC_BUFFER, one BLAS thread, a shared 2-vCPU
+# host, three runs): 458-494 / 63 ns at w = 3, 464-575 / 150-154 at 4,
+# 557-631 / 345-355 at 5, 567-604 / 584-618 at 6 and 667-868 / 1,417-1,525
+# at 8.  So the full chains (w = 8 and 27) keep batched matmul.
+_STEP_LAST_MAX = 5
+
+# Elements per ufunc buffer while a chunk's maps are formed.  A broadcast
+# operand is copied into one, and numpy's default of 8,192 holds a whole
+# step-last operand: at w = 3 and 682 maps each product allocated two
+# 98 kB buffers and took 65 us, against 16 kB and 41-44 us at 512-1,024
+# (w = 2 to 5 alike).  Each map comes out the same, bit for bit.
+_UFUNC_BUFFER = 512
 
 # The most entries of a dissipator propagator whose site factors are
 # combined into one factor: a larger one is applied a site at a time.  At
@@ -141,42 +173,87 @@ def _grid(tau: float, step: float) -> tuple[int, float]:
     return n, tau / n
 
 
+def _stack(m: int, w: int) -> np.ndarray:
+    """An uninitialised (m, w, w) stack of maps: step-last in memory, a
+    view of a (w, w, m) array, for w <= _STEP_LAST_MAX, else C-ordered."""
+    if w > _STEP_LAST_MAX:
+        return np.empty((m, w, w), dtype=complex)
+    return np.empty((w, w, m), dtype=complex).transpose(2, 0, 1)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """a @ b for two (m, w, w) stacks of maps, into out (by default a new
+    _stack).  Up to w = _STEP_LAST_MAX it is w broadcast multiply-adds over
+    all m steps, sum_j a[:, :, j] b[:, j, :]: 2w - 1 ufunc calls where a
+    batched matmul makes one BLAS call per map.  On step-last stacks every
+    call's inner loop runs along contiguous steps."""
+    w = a.shape[-1]
+    if out is None:
+        out = _stack(len(a), w)
+    if w > _STEP_LAST_MAX:
+        return np.matmul(a, b, out=out)
+    np.multiply(a[..., :1], b[..., :1, :], out=out)
+    term = np.empty_like(out)
+    for j in range(1, w):
+        np.multiply(a[..., j:j + 1], b[..., j:j + 1, :], out=term)
+        out += term
+    return out
+
+
 def _step_maps(gen: ControlHamiltonian, s0, s, first: int, last: int, dt: float):
     """The RK4 step maps of steps first..last - 1 for dX/dt = L(t) X with
     L = S_0 + sum_j c_j S_j, where S_0 = s0 and the rows of s are the
-    flattened S_j.  With L0, Lm and L1 the generator at the start,
-    midpoint and end of a step, P2 = Lm + (dt/2) Lm L0,
+    flattened S_j, as a _stack.  With L0, Lm and L1 the generator at the
+    start, midpoint and end of a step, P2 = Lm + (dt/2) Lm L0,
     P3 = Lm + (dt/2) Lm P2, P4 = L1 + dt L1 P3 and
     M = I + (dt/6)(L0 + 2 P2 + 2 P3 + P4), the polynomial that the four
     stages of classical RK4 apply.  Formed in place, so that a chunk holds
-    four tables (L at the step ends, Lm, P2 and P3), and M takes Lm's
+    four stacks (L at the step ends, Lm, P2 and P3), and M takes Lm's
     place."""
     c = gen.coeffs(np.arange(2 * first, 2 * last + 1) * (0.5 * dt))
-    d = len(s0)
-    # separate contiguous tables: in-place updates of strided views copy
-    ends = (c[::2] @ s).reshape(last - first + 1, d, d)
-    ends += s0
-    lm = (c[1::2] @ s).reshape(last - first, d, d)
-    lm += s0
+    w, m = len(s0), last - first
+    # separate stacks: in-place updates of strided views copy
+    ends, lm = _stack(m + 1, w), _stack(m, w)
+    for table, rows in ((ends, c[::2]), (lm, c[1::2])):
+        if w > _STEP_LAST_MAX:
+            np.matmul(rows, s, out=table.reshape(len(rows), w * w))
+        else:  # the same sums, written step-last
+            np.matmul(s.T, rows.T, out=table.transpose(1, 2, 0).reshape(w * w, len(rows)))
+        table += s0
     l0, l1 = ends[:-1], ends[1:]
-    p2 = lm @ l0
+    p2 = _matmul(lm, l0)
     p2 *= 0.5 * dt
     p2 += lm
-    p3 = lm @ p2
+    p3 = _matmul(lm, p2)
     p3 *= 0.5 * dt
     p3 += lm
     # Lm is not needed any more: M accumulates in its place
     maps = np.multiply(p2, 2.0, out=lm)
     maps += l0
-    p4 = np.matmul(l1, p3, out=p2)
+    p4 = _matmul(l1, p3, out=p2)
     p4 *= dt
     p4 += l1
     p3 *= 2.0
     maps += p3
     maps += p4
     maps *= dt / 6.0
-    maps.reshape(len(maps), -1)[:, ::d + 1] += 1.0  # + I, without a buffer
+    np.einsum("...ii->...i", maps)[...] += 1.0  # + I, on a view in either layout
     return maps
+
+
+def _unitary_maps(maps: np.ndarray):
+    """The raw step maps after one Newton-Schulz polar step
+    M (3I - M^H M) / 2 = M + M K / 2, taken in place, and the raw maps'
+    defects K = I - M^H M, a _stack.  RK4's K is O(dt^6) for an
+    anti-Hermitian generator, so the projection changes a map by O(dt^6),
+    keeping RK4 fourth order, and leaves K = O(|K|^2)."""
+    k = _matmul(maps.conj().transpose(0, 2, 1), maps)
+    k *= -1.0
+    np.einsum("...ii->...i", k)[...] += 1.0
+    step = _matmul(maps, k)
+    step *= 0.5
+    maps += step
+    return maps, k
 
 
 def _chunk(d: int) -> int:
@@ -184,18 +261,35 @@ def _chunk(d: int) -> int:
     return max(1, _MAP_ENTRIES // d**2)
 
 
-def _raw_maps(gen: ControlHamiltonian, n: int, dt: float):
-    """(first, maps) for each chunk of the n steps of size dt: _step_maps
-    of -iH(t) from step first, on gen.support only.  Off the support H is
-    0, so a d x d map is exactly I there, and maps holds the (w, w) block
-    on the support that is not, w = len(gen.support).  A chunk is formed
-    when asked for, so a caller that drops its maps never holds two."""
+def _raw_maps(gen: ControlHamiltonian, n: int, dt: float, project: bool = False):
+    """(first, maps, defects) for each chunk of the n steps of size dt:
+    maps is the C-contiguous (m, w, w) stack of _step_maps of -iH(t) from
+    step first, on gen.support only, and defects is None; with project,
+    maps and defects are _unitary_maps of them.  Off the support H is 0,
+    so a d x d map is exactly I there, and maps holds the (w, w) block on
+    the support that is not, w = len(gen.support).  A chunk is formed when
+    asked for and yielded unbound, so a caller that drops its maps never
+    holds two."""
     rows, cols = np.ix_(gen.support, gen.support)
     s0 = -1j * gen.h0[rows, cols]
     s = -1j * gen.ops[:, rows, cols].reshape(len(gen.ops), -1)
     chunk = _chunk(gen.dim)
     for first in range(0, n, chunk):
-        yield first, _step_maps(gen, s0, s, first, min(n, first + chunk), dt)
+        yield (first,) + _formed(gen, s0, s, first, min(n, first + chunk), dt, project)
+
+
+def _formed(gen: ControlHamiltonian, s0, s, first: int, last: int, dt: float,
+            project: bool) -> tuple:
+    """(maps, defects) as _raw_maps yields them for steps first..last - 1,
+    formed with ufunc buffers of _UFUNC_BUFFER elements."""
+    size = np.setbufsize(_UFUNC_BUFFER)
+    try:
+        maps = _step_maps(gen, s0, s, first, last, dt)
+        maps, defects = _unitary_maps(maps) if project else (maps, None)
+    finally:
+        np.setbufsize(size)
+    return (np.ascontiguousarray(maps),
+            None if defects is None else np.ascontiguousarray(defects))
 
 
 def _check_trace_loss(lost) -> float:
@@ -243,17 +337,21 @@ def propagate_schrodinger(
     rule."""
     n, dt = _grid(tau, step)
     psi0 = np.array(psi0, dtype=complex)
-    x = psi0[:, gen.support, None]  # the (k, w, 1) stack of the support parts
-    norm0 = np.sum(np.abs(x) ** 2, axis=(1, 2))
+    k, w = len(psi0), len(gen.support)
+    # the support parts: one member's (w,) ket, stepped by ndarray.dot, or
+    # the (k, w, 1) stack of a block, by batched matmul; the same gemv per ket
+    x, product = ((psi0[0, gen.support], np.ndarray.dot) if k == 1
+                  else (psi0[:, gen.support, None], np.matmul))
+    norm0 = np.sum(np.abs(x.reshape(k, w)) ** 2, axis=1)
     times, states = _records(n, dt, psi0)
     states[1:] = psi0  # H leaves the amplitudes off the support as they are
-    for first, maps in _raw_maps(gen, n, dt):
+    for first, maps, _ in _raw_maps(gen, n, dt):
         for map_, record in zip(maps, _schedule(states, n, first, len(maps))):
-            x = map_ @ x
+            x = product(map_, x)
             if record is not None:
-                record[:, gen.support] = x[..., 0]
+                record[:, gen.support] = x.reshape(k, w)
         del maps, map_  # free this chunk's maps before the next chunk's are formed
-        loss = _check_trace_loss(norm0 - np.sum(np.abs(x) ** 2, axis=(1, 2)))
+        loss = _check_trace_loss(norm0 - np.sum(np.abs(x.reshape(k, w)) ** 2, axis=1))
     return Trajectory(times, states, n, dt, loss)
 
 
@@ -309,12 +407,15 @@ class _Factored:
         """One argument-free call per array of outs, E's only entry point:
         each writes E of every member of the C-contiguous (k, d, d) block r
         into its out, a C-contiguous complex array of r's shape (with one
-        factor, the one matmul on each member's vec, bound to vec views)."""
+        factor, the one mat-vec on each member's vec, bound to vec views)."""
         if self._whole is None:
             return [partial(self._apply, r, out) for out in outs]
-        vecs = (len(r), -1, 1)
+        # one member: ndarray.dot on the flat vec, the gemv that matmul
+        # makes for each member of a block, without the ufunc dispatch
+        product, vecs = ((np.ndarray.dot, -1) if len(r) == 1
+                         else (np.matmul, (len(r), -1, 1)))
         r = r.reshape(vecs)
-        return [partial(np.matmul, self._whole, r, out.reshape(vecs)) for out in outs]
+        return [partial(product, self._whole, r, out.reshape(vecs)) for out in outs]
 
     def _apply(self, r: np.ndarray, out: np.ndarray):
         """E of r into out, by the factors in turn (none: a copy)."""
@@ -368,19 +469,6 @@ def _dissipator_propagators(channels: Sequence, d: int, dt: float):
     return tuple(_Factored([d], [i.reshape(d * d, -1).T.copy()]) for i in images)
 
 
-def _unitary_maps(maps: np.ndarray):
-    """The raw step maps after one Newton-Schulz polar step
-    M (3I - M^H M) / 2 = M + M K / 2, taken in place, and the raw maps'
-    defects K = I - M^H M.  RK4's K is O(dt^6) for an anti-Hermitian
-    generator, so the projection changes a map by O(dt^6), keeping RK4
-    fourth order, and leaves K = O(|K|^2)."""
-    k = np.matmul(maps.conj().transpose(0, 2, 1), maps)
-    k *= -1.0
-    k.reshape(len(k), -1)[:, ::maps.shape[-1] + 1] += 1.0
-    maps += 0.5 * (maps @ k)
-    return maps, k
-
-
 @np.errstate(over="ignore", invalid="ignore")  # the rule refuses inf and NaN
 def integrate_master(
     gen: ControlHamiltonian, channels: Sequence, rho0: np.ndarray, tau: float,
@@ -410,7 +498,10 @@ def integrate_master(
     # b into c for a record.  A list of the slots' views kept for the run
     # read 0.15 MB more peak RSS in short noisy-se benchmark runs
     into_next, half_into_c = full.bind(b, acted_on[1:]), half.bind(b, [c])[0]
-    matmul = np.matmul
+    # one member steps 2-D (d, d) views by ndarray.dot, a block its
+    # (k, d, d) stacks by batched matmul: the same gemm per member
+    product, slots, a_, b_ = ((np.ndarray.dot, acted_on[:, 0], a[0], b[0]) if len(r) == 1
+                              else (np.matmul, acted_on, a, b))
     # the support block of a (..., d, d) array, and identity tables whose
     # support block each chunk's maps fill; the whole space takes slices and
     # the maps themselves (fancy indexing took 62 us a chunk at d = 27)
@@ -419,17 +510,16 @@ def integrate_master(
     tables = None if whole else np.tile(np.eye(d, dtype=complex),
                                         (len(acted_on) - 1, 1, 1))
     lost = np.zeros(len(r))
-    for first, maps in _raw_maps(gen, n, dt):
-        maps, defects = _unitary_maps(maps)
+    for first, maps, defects in _raw_maps(gen, n, dt, project=True):
         m = len(maps)
         if not whole:
             tables[:m][(..., *on_support)] = maps
             maps = tables[:m]
         adjoints = maps.conj().transpose(0, 2, 1)
         for rho, map_, adjoint, record, e_into_next in zip(
-                acted_on, maps, adjoints, _schedule(states, n, first, m), into_next):
-            matmul(map_, rho, out=a)
-            matmul(a, adjoint, out=b)
+                slots, maps, adjoints, _schedule(states, n, first, m), into_next):
+            product(map_, rho, a_)
+            product(a_, adjoint, b_)
             if record is not None:
                 half_into_c()
                 record[...] = c

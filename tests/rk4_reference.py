@@ -90,3 +90,27 @@ def master_rk4(gen, channels, rho0, tau: float, step: float) -> Trajectory:
     traj = rk4(lindblad_stack(gen, channels), gen, np.ravel(rho0), tau, step)
     traj.states = traj.states.reshape(-1, d, d)
     return traj
+
+
+def batched_step_maps(gen, first: int, last: int, dt: float) -> np.ndarray:
+    """The (m, d, d) RK4 step maps of steps first..last - 1 of -iH(t) on
+    the whole space, each product a batched matmul: M = I + (dt/6)(L0 +
+    2 P2 + 2 P3 + P4) with P2 = Lm + (dt/2) Lm L0, P3 = Lm + (dt/2) Lm P2
+    and P4 = L1 + dt L1 P3, summed in the order that the kernels sum it."""
+    c = gen.coeffs(np.arange(2 * first, 2 * last + 1) * (0.5 * dt))
+    d = gen.dim
+    s0, s = -1j * gen.h0, -1j * gen.ops.reshape(len(gen.ops), -1)
+    ends = (c[::2] @ s).reshape(-1, d, d) + s0
+    lm = (c[1::2] @ s).reshape(-1, d, d) + s0
+    l0, l1 = ends[:-1], ends[1:]
+    p2 = (lm @ l0) * (0.5 * dt) + lm
+    p3 = (lm @ p2) * (0.5 * dt) + lm
+    p4 = (l1 @ p3) * dt + l1
+    return (2.0 * p2 + l0 + 2.0 * p3 + p4) * (dt / 6.0) + np.eye(d)
+
+
+def batched_unitary_maps(maps: np.ndarray) -> tuple:
+    """(M + M K / 2, K) with K = I - M^H M, each product a batched
+    matmul."""
+    k = np.eye(maps.shape[-1]) - maps.conj().transpose(0, 2, 1) @ maps
+    return maps + 0.5 * (maps @ k), k

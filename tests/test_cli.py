@@ -215,6 +215,18 @@ class TestDesignCommand:
         assert capsys.readouterr().err == "error: pulse samples must be finite\n"
         assert not out.exists()
 
+    def test_tiny_lambda_is_refused_before_the_quadrature(self, tmp_path, capsys):
+        # 1/sin of the phase integrand would overflow, with RuntimeWarnings
+        cfg_path = tmp_path / "tiny.ini"
+        cfg_path.write_text("[scenario]\nlambda = 1e-306\n")
+        out = tmp_path / "out"
+        code = main(["--config", str(cfg_path), "--out", str(out),
+                     "--model", "ideal", "design"])
+        assert code == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error: lambda = 1e-306 is below") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_reruns_are_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["--out", str(out1), "--model", "ideal", "design"]) == EXIT_OK

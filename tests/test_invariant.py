@@ -243,6 +243,30 @@ class TestPhaseQuadrature:
             assert value == pytest.approx(scalar, rel=1e-14)
             assert err <= 1e-12 * value
 
+    # near pi the 2,048-node rules run
+    @pytest.mark.parametrize("lams", [np.linspace(0.3, 0.8, 35),
+                                      np.linspace(3.0, 3.138, 35)])
+    def test_one_call_equals_one_lambda_calls(self, lams):
+        # each lambda's terms are summed on their own, so the lambdas that
+        # share a call move no digit of its value, error, node count or slope
+        together = theta_plus_magnitudes(lams)
+        for i, lam in enumerate(lams):
+            alone = theta_plus_magnitudes(lam)
+            assert all(got[i] == want[0] for got, want in zip(together, alone))
+        for n in np.unique(together[2]):
+            rows = _theta_plus_rule(lams, int(n), slope=True)
+            for i in range(len(lams)):
+                one = _theta_plus_rule(lams[i:i + 1], int(n), slope=True)
+                assert all(got[i] == want[0] for got, want in zip(rows, one))
+
+    def test_rejects_lambda_below_the_smallest(self):
+        # below LAMBDA_MIN 1/sin of the integrand's argument overflows
+        (theta,), _, _ = theta_plus_magnitudes(invariant.LAMBDA_MIN)
+        assert math.isfinite(theta)
+        for lams in ([1e-306], [0.5, 1e-300]):
+            with pytest.raises(ValueError, match=f"lambda = {lams[-1]!r} is below"):
+                theta_plus_magnitudes(lams)
+
     # 3.1415 lies inside (0, pi), where 2048 nodes do not suffice
     @pytest.mark.parametrize("lams, match", [
         ([0.5, np.pi], "0 < lambda < pi"), ([0.0], "0 < lambda < pi"),

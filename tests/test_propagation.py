@@ -29,7 +29,8 @@ from nonrecip.propagation import (
 from nonrecip.statespace import ControlHamiltonian
 from nonrecip.units import khz
 from oracle_reference import evolution_operator_oracle, global_phase_distance
-from rk4_reference import dissipator, master_rk4, rk4
+from rk4_reference import (batched_step_maps, batched_unitary_maps, dissipator,
+                           master_rk4, rk4)
 
 TAU = 145.0
 LAMBDA = 0.4974
@@ -211,6 +212,27 @@ class TestStepMaps:
             assert alone.states[-1].shape == (1, d)
             assert np.array_equal(together.states[:, j:j + 1], alone.states)
 
+    @pytest.mark.parametrize("w", range(2, propagation._STEP_LAST_MAX + 2))
+    def test_formation_equals_batched_matmul(self, w):
+        # supports up to _STEP_LAST_MAX form their maps step-last, in
+        # another summation order than batched matmul; the first past it
+        # takes batched matmul, bit for bit.  A full chunk and a short one
+        gen, dt = random_control_form(w, seed=w), 0.05
+        n = 3 * propagation._chunk(w) // 2
+        raw = list(propagation._raw_maps(gen, n, dt))
+        projected = list(propagation._raw_maps(gen, n, dt, project=True))
+        assert [first for first, _, _ in raw] == [0, propagation._chunk(w)]
+        for (first, maps, none), (_, unitary, defects) in zip(raw, projected):
+            assert none is None
+            want = batched_step_maps(gen, first, first + len(maps), dt)
+            pairs = [(maps, want), *zip((unitary, defects), batched_unitary_maps(want))]
+            for got, ref in pairs:
+                assert got.flags.c_contiguous and got.shape == ref.shape
+                if w > propagation._STEP_LAST_MAX:
+                    assert np.array_equal(got, ref)
+                else:
+                    assert np.max(np.abs(got - ref)) <= 1e-15
+
     def test_norm_drift_of_one_column_raises(self):
         # the anti-Hermitian term -0.2i|2><2| drains only basis state 2
         h = 0.5 * np.diag([0.0, 0.0, -0.4j])
@@ -219,6 +241,11 @@ class TestStepMaps:
         propagate_schrodinger(modulated(h), block[:2], 10.0, 0.05)
         with pytest.raises(StepTooLargeError, match=LOSS_MESSAGE):
             propagate_schrodinger(modulated(h), block, 10.0, 0.05)
+
+
+@pytest.fixture(scope="module")
+def ideal(pulses):
+    return ideal_model(pulses)
 
 
 @pytest.fixture(scope="module")
@@ -287,10 +314,11 @@ class TestLindblad:
 
     @pytest.mark.parametrize("kernel", ["master", "schrodinger"])
     @pytest.mark.parametrize("model, step, tau", [
-        ("device", 0.05, 10.0), ("three_level", 0.005, 1.0)])
+        ("ideal", 0.05, 10.0), ("device", 0.05, 10.0), ("three_level", 0.005, 1.0)])
     def test_block_equals_single_calls(self, request, kernel, model, step, tau):
-        # one dissipator factor at d = 8, three at d = 27; a closed block
-        # steps each ket by its own mat-vec, as a one-member block does
+        # one dissipator factor at d = 8, three at d = 27, none on the ideal
+        # model (w = d = 3, the design-verify path); a one-member run steps
+        # by ndarray.dot what a block steps by batched matmul
         model = request.getfixturevalue(model)
         d = model.dim
         i100, i010, i001 = model.logical_indices
@@ -390,8 +418,7 @@ def stepped_one_call_at_a_time(gen, channels, rho0, tau, step):
     half, full = propagation._dissipator_propagators(channels, d, dt)
     rho = applied(half, rho0)
     done, states, lost = [0], [rho0], np.zeros(len(rho0))
-    for first, maps in propagation._raw_maps(gen, n, dt):
-        maps, defects = propagation._unitary_maps(maps)
+    for first, maps, defects in propagation._raw_maps(gen, n, dt, project=True):
         acted_on = []
         for s, table in enumerate(maps, start=first):
             if not whole:
@@ -617,8 +644,8 @@ class TestSupport:
         rows, cols = np.ix_(gen.support, gen.support)
         n = 3 * propagation._chunk(device.dim) // 2  # a full chunk and a short one
         chunks = list(propagation._raw_maps(gen, n, dt))
-        assert [len(maps) for _, maps in chunks] == [96, 48]
-        for first, maps in chunks:
+        assert [len(maps) for _, maps, _ in chunks] == [96, 48]
+        for first, maps, _ in chunks:
             assert maps.shape[1:] == (3, 3)
             assert np.array_equal(maps, full_maps(restricted(gen), first,
                                                   first + len(maps), dt))
@@ -642,7 +669,7 @@ class TestSupport:
 
     def test_zero_hamiltonian_leaves_every_state_as_it_is(self):
         gen = modulated(np.zeros((2, 2)))
-        (first, maps), = propagation._raw_maps(gen, 5, 0.1)
+        (first, maps, _), = propagation._raw_maps(gen, 5, 0.1)
         assert first == 0 and maps.shape == (5, 0, 0)
         psi0 = np.array([[0.6, 0.8j], [1.0, 0.0]])
         rho0 = projector(psi0)

@@ -7,7 +7,9 @@ Usage (from the repository root):
 Each PYTHONPATH (say `src`, or the `src` of a second checkout) selects the
 nonrecip package that is measured.  Every command runs as a fresh
 `python -m nonrecip.cli` process, with OMP, OpenBLAS and MKL pinned to
-one thread and its outputs in a temporary directory.  Given two paths,
+one thread, its scenario file (if it has one) and outputs in a temporary
+directory.  Two commands are the benchmark's operations, on the scenario
+texts that tools/same_outputs.py defines.  Given two paths,
 the runs alternate between them, command by command, so that a change in
 the host's load falls on both.  Prints one JSON object: for each path and
 command the best, median and [min, max] spread of the wall times over N
@@ -26,39 +28,57 @@ import sys
 import tempfile
 import time
 
+from same_outputs import DESIGN_VERIFY, NOISY_SE
+
 CLI = [sys.executable, "-m", "nonrecip.cli"]
 
-# name: argv; each model at its default step and config
+# name: (scenario text or None, argv); each model at its default step and
+# config unless the scenario sets them
 COMMANDS = {
-    "design": CLI + ["design"],
-    "solve_lambda": CLI + ["solve-lambda"],
-    "sweep_lambda": CLI + ["sweep-lambda"],
+    "design": (None, CLI + ["design"]),
+    "solve_lambda": (None, CLI + ["solve-lambda"]),
+    "sweep_lambda": (None, CLI + ["sweep-lambda"]),
     # the one command that needs the 512- to 2048-node phase rules
-    "sweep_lambda_near_pi": CLI + ["sweep-lambda", "--lo", "3.0", "--hi", "3.138", "-n", "35"],
-    "se_transfer": CLI + ["--model", "single_excitation", "simulate", "--initial", "100"],
-    "se_ensemble": CLI + ["--model", "single_excitation", "simulate", "--initial", "ensemble"],
-    "se_closed_transfer": CLI + ["--model", "single_excitation", "--no-noise",
-                                 "simulate", "--initial", "100"],
-    "full_qubit_transfer": CLI + ["--model", "full_qubit", "simulate", "--initial", "100"],
-    "three_level_transfer": CLI + ["--model", "full_three_level", "simulate",
-                                   "--initial", "100"],
-    "three_level_ensemble": CLI + ["--model", "full_three_level", "simulate",
-                                   "--initial", "ensemble"],
-    "closed_three_level_transfer": CLI + ["--model", "full_three_level", "--no-noise",
-                                          "simulate", "--initial", "100"],
-    "reproduce_fig3": CLI + ["reproduce-fig3"],
-    "import_cli": [sys.executable, "-c", "import nonrecip.cli"],
+    "sweep_lambda_near_pi": (None, CLI + ["sweep-lambda", "--lo", "3.0", "--hi", "3.138",
+                                          "-n", "35"]),
+    "se_transfer": (None, CLI + ["--model", "single_excitation", "simulate",
+                                 "--initial", "100"]),
+    "se_ensemble": (None, CLI + ["--model", "single_excitation", "simulate",
+                                 "--initial", "ensemble"]),
+    "se_closed_transfer": (None, CLI + ["--model", "single_excitation", "--no-noise",
+                                        "simulate", "--initial", "100"]),
+    # the benchmark's operations: a design-verify verify, a noisy-se transfer
+    "design_verify_verify": (DESIGN_VERIFY, CLI + ["--model", "ideal", "--no-noise",
+                                                   "simulate", "--initial", "100"]),
+    "noisy_se_transfer": (NOISY_SE, CLI + ["simulate", "--initial", "010"]),
+    "full_qubit_transfer": (None, CLI + ["--model", "full_qubit", "simulate",
+                                         "--initial", "100"]),
+    "three_level_transfer": (None, CLI + ["--model", "full_three_level", "simulate",
+                                          "--initial", "100"]),
+    "three_level_ensemble": (None, CLI + ["--model", "full_three_level", "simulate",
+                                          "--initial", "ensemble"]),
+    "closed_three_level_transfer": (None, CLI + ["--model", "full_three_level",
+                                                 "--no-noise", "simulate",
+                                                 "--initial", "100"]),
+    "reproduce_fig3": (None, CLI + ["reproduce-fig3"]),
+    "import_cli": (None, [sys.executable, "-c", "import nonrecip.cli"]),
 }
 
 
-def run(argv: list[str], pythonpath: str) -> tuple[float, float]:
+def run(text: str | None, argv: list[str], pythonpath: str) -> tuple[float, float]:
     """(wall s, peak RSS MB) of one process running argv with nonrecip
-    from pythonpath; raises if it fails."""
+    from pythonpath, on the scenario text if one is given; raises if it
+    fails."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(pythonpath),
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as out, open(os.path.join(out, "stderr"), "w+") as err:
         if argv[:len(CLI)] == CLI:
-            argv = CLI + ["--out", out] + argv[len(CLI):]
+            options = ["--out", out]
+            if text is not None:
+                with open(os.path.join(out, "scenario.ini"), "w", encoding="utf-8") as f:
+                    f.write(text)
+                options += ["--config", os.path.join(out, "scenario.ini")]
+            argv = CLI + options + argv[len(CLI):]
         start = time.perf_counter()
         pid = subprocess.Popen(argv, env=env, cwd=out, stdout=subprocess.DEVNULL,
                                stderr=err).pid
@@ -87,7 +107,7 @@ def main(argv=None) -> int:
         for name in names:
             # alternate which path goes first, round by round
             for path in args.paths[::1 if i % 2 == 0 else -1]:
-                wall, peak = run(COMMANDS[name], path)
+                wall, peak = run(*COMMANDS[name], path)
                 times[path][name].append(wall)
                 rss[path][name] = max(rss[path][name], peak)
     result = {path: {name: {"best_s": round(min(walls), 3),

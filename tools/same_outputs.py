@@ -36,7 +36,8 @@ SHORT_THREE_LEVEL = ("[scenario]\nmodel = full_three_level\ntau_ns = 29\n"
 # a design by the lambda solve, not the default lambda
 PHASE_4_5 = "[scenario]\ntarget_phase_rad = 4.5\n"
 # the benchmark's operations: a design-verify target, and the noisy-se
-# reference scenario (the circulator phase, the step pinned at 0.05 ns)
+# reference scenario (the circulator phase, the step pinned at 0.05 ns).
+# tools/cli_times.py times them on these texts
 DESIGN_VERIFY = "[scenario]\ntarget_phase_rad = 4.5\ntau_ns = 200\n"
 NOISY_SE = "[scenario]\ntarget_phase_rad = 4.71238898038469\nstep_ns = 0.05\n"
 
